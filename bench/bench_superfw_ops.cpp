@@ -5,7 +5,7 @@
 #include "bench_common.hpp"
 #include "core/superfw.hpp"
 #include "semiring/graph_matrix.hpp"
-#include "semiring/kernels.hpp"
+#include "semiring/semirings.hpp"
 
 namespace capsp::bench {
 namespace {
@@ -20,7 +20,7 @@ void run(const Family& family, int height) {
     Rng nd_rng(22);
     const Dissection nd = nested_dissection(graph, height, nd_rng);
     DistBlock dense = to_distance_matrix(graph);
-    const std::int64_t fw_ops = classical_fw(dense);
+    const std::int64_t fw_ops = semiring_fw<MinPlusSemiring>(dense);
     const SuperFwResult sfw = superfw(apply_dissection(graph, nd), nd);
     const double n = graph.num_vertices();
     const double s = std::max<Vertex>(nd.top_separator_size(), 1);

@@ -22,11 +22,6 @@ cmake --build build
 
 run_benches() {
   for b in build/bench/*; do
-    # bench_kernels is a google-benchmark wall-clock binary: no BenchJson
-    # output and minutes of runtime, so baseline mode skips it.
-    if [ "$mode" = "baseline" ] && [ "$(basename "$b")" = "bench_kernels" ]; then
-      continue
-    fi
     if [ -x "$b" ] && [ -f "$b" ]; then
       echo "##### $(basename "$b")"
       "$b"

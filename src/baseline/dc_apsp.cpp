@@ -1,7 +1,7 @@
 #include "baseline/dc_apsp.hpp"
 
 #include "semiring/graph_matrix.hpp"
-#include "semiring/kernels.hpp"
+#include "semiring/semirings.hpp"
 #include "util/bits.hpp"
 
 namespace capsp {
@@ -36,7 +36,8 @@ void dc_apsp_rank(Comm& comm, const GridLayout& layout, DistBlock& local,
   const int q = layout.grid_rows();
   CAPSP_CHECK(q == layout.grid_cols());
   if (q == 1) {
-    if (layout.ranks().front() == comm.rank()) ops += classical_fw(local);
+    if (layout.ranks().front() == comm.rank())
+      ops += semiring_fw<MinPlusSemiring>(local);
     if (ops_out != nullptr) *ops_out += ops;
     return;
   }

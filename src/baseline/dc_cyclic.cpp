@@ -4,7 +4,7 @@
 
 #include "machine/collectives.hpp"
 #include "semiring/graph_matrix.hpp"
-#include "semiring/kernels.hpp"
+#include "semiring/semirings.hpp"
 #include "util/bits.hpp"
 
 namespace capsp {
@@ -150,7 +150,7 @@ void cyclic_multiply(Comm& comm, CyclicState& s, std::pair<int, int> rows,
       for (const auto& [bj, btj] : b_by_bj) {
         DistBlock& target =
             replace ? fresh.at({bi, bj}) : s.mine.at({bi, bj});
-        s.ops += minplus_accumulate(target, aik, btj);
+        s.ops += semiring_accumulate<MinPlusSemiring>(target, aik, btj);
       }
     }
   }
@@ -164,7 +164,8 @@ void dc_cyclic_recurse(Comm& comm, CyclicState& s, int lo, int hi,
                        Tag& tag) {
   if (hi - lo == 1) {
     const RankId owner = s.owner(lo, lo);
-    if (comm.rank() == owner) s.ops += classical_fw(s.mine.at({lo, lo}));
+    if (comm.rank() == owner)
+      s.ops += semiring_fw<MinPlusSemiring>(s.mine.at({lo, lo}));
     return;
   }
   const int mid = lo + (hi - lo) / 2;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "semiring/kernels.hpp"
+#include "semiring/semirings.hpp"
 
 namespace capsp {
 namespace {
@@ -216,7 +216,7 @@ std::int64_t summa_minplus(Comm& comm, const GridLayout& a_layout,
     group_broadcast(comm, col_group, b_layout.rank_at(t, gc), b_panel,
                     tag + 2 * (t * c_layout.grid_cols() + gc) + 1);
 
-    ops += minplus_accumulate(c_local, a_panel, b_panel);
+    ops += semiring_accumulate<MinPlusSemiring>(c_local, a_panel, b_panel);
   }
   return ops;
 }

@@ -4,7 +4,7 @@
 
 #include "machine/collectives.hpp"
 #include "semiring/graph_matrix.hpp"
-#include "semiring/kernels.hpp"
+#include "semiring/semirings.hpp"
 
 namespace capsp {
 namespace {
@@ -91,7 +91,7 @@ DistributedApspResult run_fw2d(const Graph& graph, int q,
       // owner's grid row and column.
       DistBlock akk(bk, bk);
       if (gr == kr && gc == kc) {
-        my_ops += classical_fw(mine.at({k, k}));
+        my_ops += semiring_fw<MinPlusSemiring>(mine.at({k, k}));
         akk = mine.at({k, k});
       }
       if (gr == kr) {
@@ -111,14 +111,14 @@ DistributedApspResult run_fw2d(const Graph& graph, int q,
         for (int bi = gr; bi < nb; bi += q) {
           if (bi == k) continue;
           auto& aik = mine.at({bi, k});
-          my_ops += minplus_accumulate(aik, aik, akk);
+          my_ops += semiring_accumulate<MinPlusSemiring>(aik, aik, akk);
         }
       }
       if (gr == kr) {
         for (int bj = gc; bj < nb; bj += q) {
           if (bj == k) continue;
           auto& akj = mine.at({k, bj});
-          my_ops += minplus_accumulate(akj, akk, akj);
+          my_ops += semiring_accumulate<MinPlusSemiring>(akj, akk, akj);
         }
       }
 
@@ -181,7 +181,8 @@ DistributedApspResult run_fw2d(const Graph& graph, int q,
       for (auto& [key, block] : mine) {
         const auto [bi, bj] = key;
         if (bi == k || bj == k) continue;
-        my_ops += minplus_accumulate(block, aik_by_bi.at(bi), akj_by_bj.at(bj));
+        my_ops += semiring_accumulate<MinPlusSemiring>(
+            block, aik_by_bi.at(bi), akj_by_bj.at(bj));
       }
     }
 

@@ -2,9 +2,9 @@
 //
 // These are the correctness oracles for every distributed algorithm in the
 // repository: Dijkstra-per-source (Johnson's inner loop) for non-negative
-// weights, Bellman–Ford-per-source when negative edges are present, and
-// plain Floyd–Warshall via semiring/kernels.  They are deliberately simple
-// and independent of the block/scheduling machinery they validate.
+// weights and Bellman–Ford-per-source when negative edges are present.
+// They are deliberately simple and independent of the block/scheduling
+// machinery they validate.
 #pragma once
 
 #include "graph/graph.hpp"

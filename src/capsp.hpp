@@ -37,7 +37,6 @@
 #include "semiring/block_io.hpp"         // IWYU pragma: export
 #include "semiring/dist.hpp"             // IWYU pragma: export
 #include "semiring/graph_matrix.hpp"     // IWYU pragma: export
-#include "semiring/kernels.hpp"          // IWYU pragma: export
 #include "semiring/semirings.hpp"        // IWYU pragma: export
 #include "tree/etree.hpp"                // IWYU pragma: export
 #include "util/rng.hpp"                  // IWYU pragma: export

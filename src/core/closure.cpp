@@ -1,7 +1,9 @@
 #include "core/closure.hpp"
 
 #include <queue>
+#include <utility>
 
+#include "core/superfw.hpp"
 #include "semiring/semirings.hpp"
 
 namespace capsp {
@@ -22,57 +24,16 @@ DistBlock semiring_matrix(const Graph& graph,
   return a;
 }
 
-/// Level-by-level supernodal elimination over semiring S — the identical
-/// schedule superfw() runs for min-plus.
-template <typename S>
-void supernodal_eliminate(DistBlock& a, const Dissection& nd) {
-  const EliminationTree& tree = nd.tree;
-  auto load = [&](Snode i, Snode j) {
-    const auto& ri = nd.range_of(i);
-    const auto& rj = nd.range_of(j);
-    return a.sub_block(ri.begin, rj.begin, ri.size(), rj.size());
-  };
-  auto store = [&](Snode i, Snode j, const DistBlock& block) {
-    a.set_sub_block(nd.range_of(i).begin, nd.range_of(j).begin, block);
-  };
-  for (int l = 1; l <= tree.height(); ++l) {
-    for (Snode k : tree.level_set(l)) {
-      std::vector<Snode> related = tree.descendants(k);
-      const auto anc = tree.ancestors(k);
-      related.insert(related.end(), anc.begin(), anc.end());
-
-      DistBlock akk = load(k, k);
-      semiring_fw<S>(akk);
-      store(k, k, akk);
-      for (Snode i : related) {
-        DistBlock aik = load(i, k);
-        semiring_accumulate<S>(aik, aik, akk);
-        store(i, k, aik);
-        DistBlock aki = load(k, i);
-        semiring_accumulate<S>(aki, akk, aki);
-        store(k, i, aki);
-      }
-      for (Snode i : related) {
-        const DistBlock aik = load(i, k);
-        for (Snode j : related) {
-          DistBlock aij = load(i, j);
-          const DistBlock akj = load(k, j);
-          semiring_accumulate<S>(aij, aik, akj);
-          store(i, j, aij);
-        }
-      }
-    }
-  }
+/// MaxMin edge value: the weight read as a capacity.
+Dist capacity(Weight w) {
+  CAPSP_CHECK_MSG(w > 0, "bottleneck capacities must be positive");
+  return static_cast<Dist>(w);
 }
 
 }  // namespace
 
 DistBlock bottleneck_apsp(const Graph& graph) {
-  DistBlock a = semiring_matrix<MaxMinSemiring>(
-      graph, +[](Weight w) {
-        CAPSP_CHECK_MSG(w > 0, "bottleneck capacities must be positive");
-        return static_cast<Dist>(w);
-      });
+  DistBlock a = semiring_matrix<MaxMinSemiring>(graph, &capacity);
   semiring_fw<MaxMinSemiring>(a);
   return a;
 }
@@ -87,20 +48,9 @@ DistBlock transitive_closure(const Graph& graph) {
 DistBlock bottleneck_apsp_supernodal(const Graph& graph,
                                      const Dissection& nd) {
   const Graph reordered = apply_dissection(graph, nd);
-  DistBlock a = semiring_matrix<MaxMinSemiring>(
-      reordered, +[](Weight w) {
-        CAPSP_CHECK_MSG(w > 0, "bottleneck capacities must be positive");
-        return static_cast<Dist>(w);
-      });
-  supernodal_eliminate<MaxMinSemiring>(a, nd);
-  // Map back to the original numbering.
-  const Vertex n = graph.num_vertices();
-  DistBlock original(n, n);
-  for (Vertex u = 0; u < n; ++u)
-    for (Vertex v = 0; v < n; ++v)
-      original.at(u, v) = a.at(nd.perm[static_cast<std::size_t>(u)],
-                               nd.perm[static_cast<std::size_t>(v)]);
-  return original;
+  DistBlock a = semiring_matrix<MaxMinSemiring>(reordered, &capacity);
+  return undo_dissection(
+      superfw_semiring<MaxMinSemiring>(std::move(a), nd).distances, nd);
 }
 
 std::vector<Dist> widest_path_sssp(const Graph& graph, Vertex source) {

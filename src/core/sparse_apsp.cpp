@@ -12,7 +12,6 @@
 #include "util/metrics.hpp"
 #include "util/prof.hpp"
 #include "semiring/graph_matrix.hpp"
-#include "semiring/kernels.hpp"
 #include "semiring/semirings.hpp"
 
 namespace capsp {
@@ -484,13 +483,7 @@ SparseApspResult run_sparse_apsp_semiring(const Graph& graph,
   }
 
   if (options.collect_distances) {
-    const Vertex n = graph.num_vertices();
-    result.distances = DistBlock(n, n);
-    for (Vertex u = 0; u < n; ++u)
-      for (Vertex v = 0; v < n; ++v)
-        result.distances.at(u, v) =
-            permuted.at(nd.perm[static_cast<std::size_t>(u)],
-                        nd.perm[static_cast<std::size_t>(v)]);
+    result.distances = undo_dissection(permuted, nd);
   }
   return result;
 }

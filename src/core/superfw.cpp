@@ -1,9 +1,10 @@
 #include "core/superfw.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "semiring/graph_matrix.hpp"
-#include "semiring/kernels.hpp"
+#include "semiring/semirings.hpp"
 #include "util/metrics.hpp"
 #include "util/prof.hpp"
 
@@ -23,11 +24,12 @@ void store(DistBlock& a, const VertexRange& r, const VertexRange& c,
 
 }  // namespace
 
-SuperFwResult superfw(const Graph& reordered, const Dissection& nd) {
+template <typename S>
+SuperFwResult superfw_semiring(DistBlock matrix, const Dissection& nd) {
   ProfScope prof("core.superfw");
   const EliminationTree& tree = nd.tree;
   SuperFwResult result;
-  result.distances = to_distance_matrix(reordered);
+  result.distances = std::move(matrix);
   DistBlock& a = result.distances;
 
   result.ops_per_level.assign(static_cast<std::size_t>(tree.height()), 0);
@@ -54,21 +56,21 @@ SuperFwResult superfw(const Graph& reordered, const Dissection& nd) {
 
       // Diagonal update.
       DistBlock akk = load(a, rk, rk);
-      result.ops += classical_fw(akk);
+      result.ops += semiring_fw<S>(akk);
       store(a, rk, rk, akk);
 
       // Panel updates.
       for (Snode i : related) {
         const VertexRange ri = nd.range_of(i);
         DistBlock aik = load(a, ri, rk);
-        result.ops += minplus_accumulate(aik, aik, akk);
+        result.ops += semiring_accumulate<S>(aik, aik, akk);
         store(a, ri, rk, aik);
         DistBlock aki = load(a, rk, ri);
-        result.ops += minplus_accumulate(aki, akk, aki);
+        result.ops += semiring_accumulate<S>(aki, akk, aki);
         store(a, rk, ri, aki);
       }
 
-      // Min-plus outer product over relatives × relatives.
+      // Outer product over relatives × relatives.
       for (Snode i : related) {
         const VertexRange ri = nd.range_of(i);
         const DistBlock aik = load(a, ri, rk);
@@ -76,7 +78,7 @@ SuperFwResult superfw(const Graph& reordered, const Dissection& nd) {
           const VertexRange rj = nd.range_of(j);
           DistBlock aij = load(a, ri, rj);
           const DistBlock akj = load(a, rk, rj);
-          result.ops += minplus_accumulate(aij, aik, akj);
+          result.ops += semiring_accumulate<S>(aij, aik, akj);
           store(a, ri, rj, aij);
         }
       }
@@ -94,18 +96,20 @@ SuperFwResult superfw(const Graph& reordered, const Dissection& nd) {
   return result;
 }
 
+template SuperFwResult superfw_semiring<MinPlusSemiring>(DistBlock,
+                                                         const Dissection&);
+template SuperFwResult superfw_semiring<MaxMinSemiring>(DistBlock,
+                                                        const Dissection&);
+
+SuperFwResult superfw(const Graph& reordered, const Dissection& nd) {
+  return superfw_semiring<MinPlusSemiring>(to_distance_matrix(reordered), nd);
+}
+
 SuperFwResult superfw_original_order(const Graph& graph,
                                      const Dissection& nd) {
   const Graph reordered = apply_dissection(graph, nd);
   SuperFwResult result = superfw(reordered, nd);
-  const Vertex n = graph.num_vertices();
-  DistBlock original(n, n);
-  for (Vertex u = 0; u < n; ++u)
-    for (Vertex v = 0; v < n; ++v)
-      original.at(u, v) =
-          result.distances.at(nd.perm[static_cast<std::size_t>(u)],
-                              nd.perm[static_cast<std::size_t>(v)]);
-  result.distances = std::move(original);
+  result.distances = undo_dissection(result.distances, nd);
   return result;
 }
 

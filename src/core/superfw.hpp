@@ -32,6 +32,14 @@ struct SuperFwResult {
   std::vector<std::int64_t> ops_per_level;
 };
 
+/// The supernodal elimination schedule over semiring S: eliminates the
+/// supernodes of `nd` bottom-up on `matrix`, the semiring matrix of the
+/// reordered graph, and returns it as the result's `distances`.  Defined
+/// for MinPlusSemiring (superfw) and MaxMinSemiring
+/// (bottleneck_apsp_supernodal).
+template <typename S>
+SuperFwResult superfw_semiring(DistBlock matrix, const Dissection& nd);
+
 /// Run SuperFW on the reordered graph described by `nd`.  `reordered`
 /// must be apply_dissection(graph, nd).
 SuperFwResult superfw(const Graph& reordered, const Dissection& nd);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 
-#include "semiring/kernels.hpp"
+#include "semiring/semirings.hpp"
 #include "util/metrics.hpp"
 
 namespace capsp {
@@ -251,7 +251,8 @@ void group_reduce(Comm& comm, std::span<const RankId> group, RankId root,
 void group_reduce_min(Comm& comm, std::span<const RankId> group, RankId root,
                       DistBlock& block, Tag tag,
                       CollectiveAlgorithm algorithm) {
-  group_reduce(comm, group, root, block, tag, &elementwise_min, algorithm);
+  group_reduce(comm, group, root, block, tag,
+               &semiring_elementwise_plus<MinPlusSemiring>, algorithm);
 }
 
 std::vector<DistBlock> group_gather(

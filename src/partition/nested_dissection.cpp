@@ -121,4 +121,16 @@ Graph apply_dissection(const Graph& graph, const Dissection& nd) {
   return graph.permuted(nd.perm);
 }
 
+DistBlock undo_dissection(const DistBlock& reordered, const Dissection& nd) {
+  const auto n = static_cast<Vertex>(nd.perm.size());
+  CAPSP_CHECK(reordered.rows() == n && reordered.cols() == n);
+  DistBlock original(n, n);
+  for (Vertex u = 0; u < n; ++u)
+    for (Vertex v = 0; v < n; ++v)
+      original.at(u, v) =
+          reordered.at(nd.perm[static_cast<std::size_t>(u)],
+                       nd.perm[static_cast<std::size_t>(v)]);
+  return original;
+}
+
 }  // namespace capsp

@@ -14,6 +14,7 @@
 
 #include "graph/graph.hpp"
 #include "partition/bisect.hpp"
+#include "semiring/block.hpp"
 #include "tree/etree.hpp"
 #include "util/rng.hpp"
 
@@ -59,5 +60,10 @@ Dissection nested_dissection(const Graph& graph, int height, Rng& rng,
 /// Apply a dissection to its graph: the reordered graph whose adjacency
 /// matrix has the block-arrow structure of Fig. 1d.
 Graph apply_dissection(const Graph& graph, const Dissection& nd);
+
+/// Inverse of apply_dissection for solver output: map a matrix over the
+/// reordered vertices back to the original numbering, so entry (u, v) of
+/// the result is entry (perm[u], perm[v]) of `reordered`.
+DistBlock undo_dissection(const DistBlock& reordered, const Dissection& nd);
 
 }  // namespace capsp

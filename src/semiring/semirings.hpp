@@ -1,7 +1,8 @@
-// Closed-semiring generalization of the kernels (Carré 1971, the paper's
-// reference [8]): the Floyd–Warshall/elimination machinery is not
-// specific to min-plus — any closed semiring (⊕, ⊗, 0̄, 1̄) yields a
-// path problem:
+// The Sec. 3.3 kernels (ClassicalFW, the multiply-accumulate, BlockedFW
+// and the reduce combiner), written once over a closed semiring (Carré
+// 1971, the paper's reference [8]): the Floyd–Warshall/elimination
+// machinery is not specific to min-plus — any closed semiring
+// (⊕, ⊗, 0̄, 1̄) yields a path problem:
 //
 //   MinPlus   ⊕=min ⊗=+    0̄=+inf 1̄=0     shortest distances
 //   MaxMin    ⊕=max ⊗=min  0̄=0    1̄=+inf  bottleneck / widest paths
@@ -9,12 +10,20 @@
 //
 // A semiring policy provides the two operations, the two constants, and
 // an `is_zero` predicate used for the sparsity skipping (a 0̄ operand
-// annihilates the product, exactly like +inf in min-plus).  The kernels
-// in this header are the templated twins of semiring/kernels.hpp; the
-// min-plus instantiations are what the distributed algorithms use, and
-// closure.hpp builds the graph-level solvers on top.
+// annihilates the product, exactly like +inf in min-plus).  This header
+// is the only home of these loops: the `<MinPlusSemiring>`
+// instantiations are what every shortest-path solver, baseline and
+// collective runs, and closure.hpp builds the other semirings' solvers
+// on the same templates.
+//
+// Every kernel returns the number of scalar ⊗ operations it evaluated, so
+// callers can reproduce the op-count claims (e.g. SuperFW's O(n/|S|)
+// computation reduction) without instrumenting hot loops twice.  Each
+// kernel has one profiler scope name for every S: `semiring.fw`,
+// `semiring.accumulate`, `semiring.blocked_fw`, `semiring.combine`.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "semiring/block.hpp"
@@ -63,12 +72,13 @@ struct BoolSemiring {
   }
 };
 
-/// In-place Floyd–Warshall over semiring S (a(i,j) ⊕= a(i,k) ⊗ a(k,j)
-/// for all k, i, j).  Returns the number of ⊗ evaluations.
+/// ClassicalFW: in-place Floyd–Warshall over semiring S on a square block
+/// (a(i,j) ⊕= a(i,k) ⊗ a(k,j) for all k, i, j); after the call a(i,j) is
+/// the best i→j path value using intermediates inside the block.
 template <typename S>
 std::int64_t semiring_fw(DistBlock& a) {
   CAPSP_CHECK(a.rows() == a.cols());
-  ProfScope prof("semiring.generic_fw");
+  ProfScope prof("semiring.fw");
   const std::int64_t n = a.rows();
   std::int64_t ops = 0;
   for (std::int64_t k = 0; k < n; ++k) {
@@ -91,38 +101,35 @@ std::int64_t semiring_fw(DistBlock& a) {
   return ops;
 }
 
-/// c ← c ⊕ other elementwise over semiring S (the reduce combiner).
+/// True iff every entry of `a` is 0̄ (the paper's "empty block").
 template <typename S>
-void semiring_elementwise_plus(DistBlock& c, const DistBlock& other) {
-  CAPSP_CHECK(c.rows() == other.rows() && c.cols() == other.cols());
-  auto cd = c.data();
-  auto od = other.data();
-  for (std::size_t i = 0; i < cd.size(); ++i) cd[i] = S::plus(cd[i], od[i]);
+bool semiring_all_zero(const DistBlock& a) {
+  for (Dist v : a.data())
+    if (!S::is_zero(v)) return false;
+  return true;
 }
 
-/// C ← C ⊕ A ⊗ B over semiring S, with the same absorbing-operand
-/// skipping as the min-plus kernel.
+/// C ← C ⊕ A ⊗ B over semiring S.  Shapes: C is (A.rows × B.cols),
+/// A.cols == B.rows.
 template <typename S>
 std::int64_t semiring_accumulate(DistBlock& c, const DistBlock& a,
                                  const DistBlock& b) {
-  CAPSP_CHECK(a.cols() == b.rows());
+  CAPSP_CHECK_MSG(a.cols() == b.rows(),
+                  "inner dims " << a.cols() << " vs " << b.rows());
   CAPSP_CHECK(c.rows() == a.rows() && c.cols() == b.cols());
-  ProfScope prof("semiring.generic_accumulate");
+  ProfScope prof("semiring.accumulate");
   const std::int64_t m = a.rows(), kk = a.cols(), nn = b.cols();
   std::int64_t ops = 0;
+  // An all-0̄ operand contributes nothing: the product is empty and the
+  // whole multiply is skipped (the sparsity saving of Sec. 4.1).  The
+  // O(k·n) scan is negligible against the O(m·k·n) multiply it can avoid.
   if (m == 0 || nn == 0) return 0;
-  bool b_all_zero = true;
-  for (Dist v : b.data())
-    if (!S::is_zero(v)) {
-      b_all_zero = false;
-      break;
-    }
-  if (b_all_zero) {
-    // The sparsity saving of Sec. 4.1: an absorbing operand annihilates
-    // the whole multiply.
+  if (semiring_all_zero<S>(b)) {
     metrics().counter_add("semiring.kernels.empty_skips");
     return 0;
   }
+  // i-k-j loop order: B and C rows stream contiguously; skip 0̄ a(i,k) so
+  // "empty" sub-structure costs nothing (the sparsity the paper exploits).
   for (std::int64_t i = 0; i < m; ++i) {
     Dist* ci = c.row(i);
     const Dist* ai = a.row(i);
@@ -142,6 +149,73 @@ std::int64_t semiring_accumulate(DistBlock& c, const DistBlock& a,
   prof.add_bytes((m * kk + kk * nn + m * nn) *
                  static_cast<std::int64_t>(sizeof(Dist)));
   return ops;
+}
+
+/// BlockedFW (Sec. 3.3) over semiring S: Floyd–Warshall over an n×n block
+/// with internal tile size `tile` — diagonal update, panel updates, then
+/// the outer product.  Each step copies its tiles out of `a` and back.
+template <typename S>
+std::int64_t semiring_blocked_fw(DistBlock& a, std::int64_t tile) {
+  CAPSP_CHECK(a.rows() == a.cols());
+  CAPSP_CHECK(tile >= 1);
+  ProfScope prof("semiring.blocked_fw");
+  const std::int64_t n = a.rows();
+  const std::int64_t nb = (n + tile - 1) / tile;
+  auto load = [&](std::int64_t bi, std::int64_t bj) {
+    const std::int64_t r0 = bi * tile, c0 = bj * tile;
+    return a.sub_block(r0, c0, std::min(tile, n - r0),
+                       std::min(tile, n - c0));
+  };
+  auto store = [&](std::int64_t bi, std::int64_t bj, const DistBlock& t) {
+    a.set_sub_block(bi * tile, bj * tile, t);
+  };
+  std::int64_t ops = 0;
+  for (std::int64_t k = 0; k < nb; ++k) {
+    // Diagonal update.
+    DistBlock akk = load(k, k);
+    ops += semiring_fw<S>(akk);
+    store(k, k, akk);
+    // Panel updates.
+    for (std::int64_t i = 0; i < nb; ++i) {
+      if (i == k) continue;
+      DistBlock aik = load(i, k);
+      ops += semiring_accumulate<S>(aik, aik, akk);
+      store(i, k, aik);
+      DistBlock aki = load(k, i);
+      ops += semiring_accumulate<S>(aki, akk, aki);
+      store(k, i, aki);
+    }
+    // Outer product.
+    for (std::int64_t i = 0; i < nb; ++i) {
+      if (i == k) continue;
+      const DistBlock aik = load(i, k);
+      if (semiring_all_zero<S>(aik)) {
+        metrics().counter_add("semiring.kernels.empty_skips");
+        continue;  // empty block: skip the whole row
+      }
+      for (std::int64_t j = 0; j < nb; ++j) {
+        if (j == k) continue;
+        DistBlock aij = load(i, j);
+        const DistBlock akj = load(k, j);
+        ops += semiring_accumulate<S>(aij, aik, akj);
+        store(i, j, aij);
+      }
+    }
+  }
+  return ops;
+}
+
+/// c ← c ⊕ other elementwise over semiring S (the reduce combiner).
+template <typename S>
+void semiring_elementwise_plus(DistBlock& c, const DistBlock& other) {
+  CAPSP_CHECK(c.rows() == other.rows() && c.cols() == other.cols());
+  ProfScope prof("semiring.combine");
+  auto cd = c.data();
+  auto od = other.data();
+  for (std::size_t i = 0; i < cd.size(); ++i) cd[i] = S::plus(cd[i], od[i]);
+  prof.add_ops(static_cast<std::int64_t>(cd.size()));
+  prof.add_bytes(static_cast<std::int64_t>(cd.size()) * 3 *
+                 static_cast<std::int64_t>(sizeof(Dist)));
 }
 
 /// Type-erased kernel bundle: lets runtime code (the distributed

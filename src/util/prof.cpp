@@ -160,7 +160,7 @@ namespace {
 MachinePeak probe_machine_peak_impl() {
   MachinePeak peak;
   // Compute roof: scalar min-plus relaxations over a 64×64 block that
-  // fits in L2 — the same access pattern as classical_fw's inner loop.
+  // fits in L2 — the same access pattern as semiring_fw's inner loop.
   // One "op" is one relaxation (add + compare), matching the kernels'
   // op accounting.
   {

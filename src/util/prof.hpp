@@ -87,7 +87,7 @@ inline bool prof_enabled() {
 /// RAII hot-path marker.  `name` must be a string literal (or otherwise
 /// outlive the process) — it is stored by pointer and interned by
 /// identity.  Dot-separated names mirror the metrics convention, e.g.
-/// "semiring.minplus" or "serve.execute.distance".
+/// "semiring.accumulate" or "serve.execute.distance".
 ///
 /// The frame stack is maintained even while no profiling session runs
 /// (a push/pop is two stores), because CAPSP_CHECK failures report the

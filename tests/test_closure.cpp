@@ -8,7 +8,6 @@
 #include "core/closure.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
-#include "semiring/kernels.hpp"
 #include "semiring/semirings.hpp"
 
 namespace capsp {
@@ -53,22 +52,6 @@ TEST(Semirings, MaxMinLaws) {
 }
 
 TEST(Semirings, BoolLaws) { check_semiring_laws<BoolSemiring>({0, 1}); }
-
-TEST(Semirings, GenericFwInstantiatesMinPlusIdentically) {
-  Rng rng(1);
-  const Graph graph = make_erdos_renyi(25, 3.0, rng);
-  DistBlock generic(graph.num_vertices(), graph.num_vertices(), kInf);
-  for (Vertex v = 0; v < graph.num_vertices(); ++v) {
-    generic.at(v, v) = 0;
-    for (const auto& nb : graph.neighbors(v))
-      generic.at(v, nb.to) = nb.weight;
-  }
-  DistBlock specialized = generic;
-  const std::int64_t generic_ops = semiring_fw<MinPlusSemiring>(generic);
-  const std::int64_t special_ops = classical_fw(specialized);
-  EXPECT_EQ(generic, specialized);
-  EXPECT_EQ(generic_ops, special_ops);
-}
 
 TEST(Semirings, GenericAccumulateSkipsZeroOperands) {
   DistBlock a(4, 4, MaxMinSemiring::zero());  // all 0̄ = no capacity

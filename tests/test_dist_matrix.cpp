@@ -5,7 +5,7 @@
 #include <numeric>
 
 #include "baseline/dist_matrix.hpp"
-#include "semiring/kernels.hpp"
+#include "semiring/semirings.hpp"
 #include "util/rng.hpp"
 
 namespace capsp {
@@ -149,7 +149,7 @@ TEST_P(SummaParam, MatchesLocalMinplus) {
   const DistBlock a = random_matrix(n, rng);
   const DistBlock b = random_matrix(n, rng);
   DistBlock want(n, n);
-  minplus_accumulate(want, a, b);
+  semiring_accumulate<MinPlusSemiring>(want, a, b);
 
   Machine machine(q * q);
   const GridLayout layout = GridLayout::square(iota_ranks(q * q), q, n);
@@ -185,7 +185,7 @@ TEST(DistMatrix, SummaAccumulatesIntoExistingC) {
   const DistBlock b = random_matrix(n, rng);
   const DistBlock c0 = random_matrix(n, rng);
   DistBlock want = c0;
-  minplus_accumulate(want, a, b);
+  semiring_accumulate<MinPlusSemiring>(want, a, b);
 
   Machine machine(4);
   const GridLayout layout = GridLayout::square(iota_ranks(4), 2, n);

@@ -8,7 +8,7 @@
 #include <numeric>
 
 #include "baseline/dist_matrix.hpp"
-#include "semiring/kernels.hpp"
+#include "semiring/semirings.hpp"
 #include "util/rng.hpp"
 
 namespace capsp {
@@ -121,7 +121,7 @@ TEST(DistMatrixFuzz, SummaOnRandomSquareGridsMatchesLocal) {
     const DistBlock a = random_matrix(n, n, rng);
     const DistBlock b = random_matrix(n, n, rng);
     DistBlock want(n, n);
-    minplus_accumulate(want, a, b);
+    semiring_accumulate<MinPlusSemiring>(want, a, b);
 
     std::vector<RankId> ranks(static_cast<std::size_t>(p));
     std::iota(ranks.begin(), ranks.end(), 0);

@@ -11,7 +11,7 @@
 
 #include "machine/collectives.hpp"
 #include "machine/machine.hpp"
-#include "semiring/kernels.hpp"
+#include "semiring/semirings.hpp"
 #include "util/rng.hpp"
 
 namespace capsp {
@@ -126,7 +126,7 @@ TEST(MachineFuzz, RandomGroupsReduceAgainstNaive) {
       DistBlock block(dim, dim);
       for (auto& v : block.data())
         v = rng.bernoulli(0.2) ? kInf : rng.uniform_real(-10, 10);
-      elementwise_min(expected, block);
+      semiring_elementwise_plus<MinPlusSemiring>(expected, block);
       contribution.emplace(r, std::move(block));
     }
 

@@ -1,14 +1,16 @@
 // Unit + property tests for the semiring module: tropical scalar algebra,
-// DistBlock storage, FW/min-plus kernels (including the empty-block
+// DistBlock storage, the semiring kernel family (including the empty-block
 // skipping that the sparse algorithm's cost model relies on).
 #include <gtest/gtest.h>
+
+#include <type_traits>
 
 #include "baseline/reference.hpp"
 #include "graph/generators.hpp"
 #include "semiring/block.hpp"
 #include "semiring/dist.hpp"
 #include "semiring/graph_matrix.hpp"
-#include "semiring/kernels.hpp"
+#include "semiring/semirings.hpp"
 #include "util/rng.hpp"
 
 namespace capsp {
@@ -24,14 +26,28 @@ DistBlock random_block(std::int64_t rows, std::int64_t cols, Rng& rng,
   return block;
 }
 
-/// Reference cubic min-plus multiply (no skipping, no tiling).
-DistBlock naive_minplus(const DistBlock& a, const DistBlock& b) {
-  DistBlock c(a.rows(), b.cols());
+/// Reference C ← C ⊕ A ⊗ B over S: the cubic loop with no 0̄ skipping
+/// and no tiling.
+template <typename S>
+void naive_accumulate(DistBlock& c, const DistBlock& a, const DistBlock& b) {
   for (std::int64_t i = 0; i < a.rows(); ++i)
     for (std::int64_t j = 0; j < b.cols(); ++j)
       for (std::int64_t k = 0; k < a.cols(); ++k)
-        c.at(i, j) =
-            tropical_min(c.at(i, j), tropical_mul(a.at(i, k), b.at(k, j)));
+        c.at(i, j) = S::plus(c.at(i, j), S::times(a.at(i, k), b.at(k, j)));
+}
+
+/// Reference Floyd–Warshall over S, with no 0̄ skipping.
+template <typename S>
+void naive_fw(DistBlock& a) {
+  for (std::int64_t k = 0; k < a.rows(); ++k)
+    for (std::int64_t i = 0; i < a.rows(); ++i)
+      for (std::int64_t j = 0; j < a.cols(); ++j)
+        a.at(i, j) = S::plus(a.at(i, j), S::times(a.at(i, k), a.at(k, j)));
+}
+
+DistBlock naive_minplus(const DistBlock& a, const DistBlock& b) {
+  DistBlock c(a.rows(), b.cols());
+  naive_accumulate<MinPlusSemiring>(c, a, b);
   return c;
 }
 
@@ -76,7 +92,7 @@ TEST(Block, ZeroSizedIsLegal) {
   EXPECT_TRUE(block.empty());
   EXPECT_TRUE(block.all_infinite());
   DistBlock other(0, 5);
-  elementwise_min(block, other);  // no-op, no crash
+  semiring_elementwise_plus<MinPlusSemiring>(block, other);  // no-op, no crash
 }
 
 TEST(Block, OutOfBoundsRejected) {
@@ -123,7 +139,7 @@ TEST(Kernels, ClassicalFwTinyTriangle) {
   a.at(0, 1) = a.at(1, 0) = 1;
   a.at(1, 2) = a.at(2, 1) = 2;
   a.at(0, 2) = a.at(2, 0) = 10;
-  classical_fw(a);
+  semiring_fw<MinPlusSemiring>(a);
   EXPECT_EQ(a.at(0, 2), 3);  // through vertex 1
   EXPECT_EQ(a.at(2, 0), 3);
 }
@@ -133,7 +149,7 @@ TEST(Kernels, ClassicalFwMatchesDijkstraOnRandomGraphs) {
     Rng rng(seed);
     const Graph graph = make_erdos_renyi(24, 3.0, rng);
     DistBlock a = to_distance_matrix(graph);
-    classical_fw(a);
+    semiring_fw<MinPlusSemiring>(a);
     const DistBlock want = dijkstra_apsp(graph);
     for (std::int64_t i = 0; i < a.rows(); ++i)
       for (std::int64_t j = 0; j < a.cols(); ++j)
@@ -154,7 +170,7 @@ TEST(Kernels, ClassicalFwHandlesNegativeEdgesDirected) {
   a.at(2, 1) = 10;
   a.at(0, 2) = 5;
   a.at(2, 0) = 10;
-  classical_fw(a);
+  semiring_fw<MinPlusSemiring>(a);
   EXPECT_EQ(a.at(0, 2), 1);  // -2 + 3 beats the direct 5
   EXPECT_EQ(a.at(0, 1), -2);
   EXPECT_EQ(a.at(2, 0), 10);
@@ -163,29 +179,17 @@ TEST(Kernels, ClassicalFwHandlesNegativeEdgesDirected) {
 TEST(Kernels, ClassicalFwOpCount) {
   // Dense all-finite block: every (k, i) row pass runs n ops.
   DistBlock a(8, 8, 1.0);
-  EXPECT_EQ(classical_fw(a), 8 * 8 * 8);
+  EXPECT_EQ(semiring_fw<MinPlusSemiring>(a), 8 * 8 * 8);
   // All-infinite off-diagonal rows are skipped.
   DistBlock b(8, 8);
   b.zero_diagonal();
-  EXPECT_EQ(classical_fw(b), 8 * 8);  // only i == k rows contribute
-}
-
-TEST(Kernels, MinplusMatchesNaive) {
-  Rng rng(4);
-  for (int trial = 0; trial < 10; ++trial) {
-    const DistBlock a = random_block(7, 5, rng);
-    const DistBlock b = random_block(5, 9, rng);
-    DistBlock c = random_block(7, 9, rng);
-    DistBlock want = c;
-    elementwise_min(want, naive_minplus(a, b));
-    minplus_accumulate(c, a, b);
-    EXPECT_EQ(c, want) << "trial " << trial;
-  }
+  // Only i == k rows contribute.
+  EXPECT_EQ(semiring_fw<MinPlusSemiring>(b), 8 * 8);
 }
 
 TEST(Kernels, MinplusShapeMismatchRejected) {
   DistBlock a(2, 3), b(4, 2), c(2, 2);
-  EXPECT_THROW(minplus_accumulate(c, a, b), check_error);
+  EXPECT_THROW(semiring_accumulate<MinPlusSemiring>(c, a, b), check_error);
 }
 
 TEST(Kernels, MinplusEmptyOperandIsFreeAndNoOp) {
@@ -194,7 +198,8 @@ TEST(Kernels, MinplusEmptyOperandIsFreeAndNoOp) {
   const DistBlock b = random_block(6, 6, rng, 0.0);
   DistBlock c = random_block(6, 6, rng);
   const DistBlock before = c;
-  EXPECT_EQ(minplus_accumulate(c, a, b), 0);  // zero ops: sparsity skipping
+  // Zero ops: sparsity skipping.
+  EXPECT_EQ(semiring_accumulate<MinPlusSemiring>(c, a, b), 0);
   EXPECT_EQ(c, before);
 }
 
@@ -205,10 +210,10 @@ TEST(Kernels, MinplusIdentityBlock) {
   DistBlock identity(5, 5);
   identity.zero_diagonal();
   DistBlock c(5, 5);
-  minplus_accumulate(c, identity, x);
+  semiring_accumulate<MinPlusSemiring>(c, identity, x);
   EXPECT_EQ(c, x);
   DistBlock d(5, 5);
-  minplus_accumulate(d, x, identity);
+  semiring_accumulate<MinPlusSemiring>(d, x, identity);
   EXPECT_EQ(d, x);
 }
 
@@ -233,7 +238,7 @@ TEST(Kernels, MinplusMonotone) {
   const DistBlock b = random_block(6, 6, rng);
   DistBlock c = random_block(6, 6, rng);
   const DistBlock before = c;
-  minplus_accumulate(c, a, b);
+  semiring_accumulate<MinPlusSemiring>(c, a, b);
   for (std::int64_t i = 0; i < 6; ++i)
     for (std::int64_t j = 0; j < 6; ++j)
       EXPECT_LE(c.at(i, j), before.at(i, j));
@@ -247,8 +252,8 @@ TEST_P(BlockedFwParam, MatchesClassicalFw) {
   const Graph graph = make_erdos_renyi(30, 4.0, rng);
   DistBlock blocked = to_distance_matrix(graph);
   DistBlock classical = blocked;
-  blocked_fw(blocked, tile);
-  classical_fw(classical);
+  semiring_blocked_fw<MinPlusSemiring>(blocked, tile);
+  semiring_fw<MinPlusSemiring>(classical);
   for (std::int64_t i = 0; i < blocked.rows(); ++i)
     for (std::int64_t j = 0; j < blocked.cols(); ++j)
       EXPECT_NEAR(blocked.at(i, j), classical.at(i, j), 1e-9)
@@ -271,18 +276,113 @@ TEST(Kernels, BlockedFwSkipsEmptyBlockRows) {
     }
   const Graph graph = std::move(builder).build();
   DistBlock a = to_distance_matrix(graph);
-  const std::int64_t ops = blocked_fw(a, 8);
+  const std::int64_t ops = semiring_blocked_fw<MinPlusSemiring>(a, 8);
   DistBlock dense(16, 16, 1.0);
-  const std::int64_t dense_ops = blocked_fw(dense, 8);
+  const std::int64_t dense_ops = semiring_blocked_fw<MinPlusSemiring>(dense, 8);
   EXPECT_LT(ops, dense_ops / 2);
 }
 
 TEST(Kernels, ElementwiseMin) {
   DistBlock a(2, 2, 5.0), b(2, 2, 3.0);
   b.at(0, 0) = 9.0;
-  elementwise_min(a, b);
+  semiring_elementwise_plus<MinPlusSemiring>(a, b);
   EXPECT_EQ(a.at(0, 0), 5.0);
   EXPECT_EQ(a.at(1, 1), 3.0);
+}
+
+// The kernel family, bit for bit: every kernel over every semiring
+// against the naive loops above.  Entries are 0̄, 1̄ or small integers, so
+// every ⊕/⊗ order yields the same bits and whole blocks compare with
+// EXPECT_EQ.  This is the guard a reordered or vectorized kernel must
+// pass.
+
+template <typename S>
+DistBlock random_semiring_block(std::int64_t rows, std::int64_t cols,
+                                Rng& rng) {
+  DistBlock block(rows, cols);
+  for (Dist& v : block.data()) {
+    // Mostly 0̄, so Bool closures stay sparse enough for a missed update
+    // to show.
+    const std::uint64_t r = rng.uniform(10);
+    if (r < 6) {
+      v = S::zero();
+    } else if (r == 6 || std::is_same_v<S, BoolSemiring>) {
+      v = S::one();
+    } else {
+      v = static_cast<Dist>(1 + rng.uniform(9));
+    }
+  }
+  return block;
+}
+
+template <typename S>
+class KernelFamily : public ::testing::Test {};
+using AllSemirings =
+    ::testing::Types<MinPlusSemiring, MaxMinSemiring, BoolSemiring>;
+TYPED_TEST_SUITE(KernelFamily, AllSemirings);
+
+TYPED_TEST(KernelFamily, FwMatchesNaive) {
+  using S = TypeParam;
+  Rng rng(11);
+  for (std::int64_t n : {0, 1, 2, 7, 10}) {
+    DistBlock a = random_semiring_block<S>(n, n, rng);
+    DistBlock want = a;
+    naive_fw<S>(want);
+    semiring_fw<S>(a);
+    EXPECT_EQ(a, want) << "n=" << n;
+  }
+}
+
+TYPED_TEST(KernelFamily, AccumulateMatchesNaive) {
+  using S = TypeParam;
+  Rng rng(12);
+  struct Shape {
+    std::int64_t m, k, n;
+  };
+  for (const Shape& shape : {Shape{7, 5, 9}, Shape{6, 6, 6}, Shape{1, 1, 1},
+                             Shape{0, 4, 3}, Shape{3, 0, 4}, Shape{3, 4, 0},
+                             Shape{4, 0, 0}}) {
+    for (int trial = 0; trial < 5; ++trial) {
+      const DistBlock a = random_semiring_block<S>(shape.m, shape.k, rng);
+      const DistBlock b = random_semiring_block<S>(shape.k, shape.n, rng);
+      DistBlock c = random_semiring_block<S>(shape.m, shape.n, rng);
+      DistBlock want = c;
+      naive_accumulate<S>(want, a, b);
+      semiring_accumulate<S>(c, a, b);
+      EXPECT_EQ(c, want) << shape.m << "x" << shape.k << "x" << shape.n
+                         << " trial " << trial;
+    }
+  }
+}
+
+TYPED_TEST(KernelFamily, BlockedFwMatchesNaive) {
+  using S = TypeParam;
+  Rng rng(13);
+  for (std::int64_t tile : {1, 3, 8}) {
+    for (std::int64_t n : {0, 1, 10, 17}) {
+      DistBlock a = random_semiring_block<S>(n, n, rng);
+      DistBlock want = a;
+      naive_fw<S>(want);
+      semiring_blocked_fw<S>(a, tile);
+      EXPECT_EQ(a, want) << "tile=" << tile << " n=" << n;
+    }
+  }
+}
+
+TYPED_TEST(KernelFamily, ElementwisePlusMatchesNaive) {
+  using S = TypeParam;
+  Rng rng(14);
+  for (const auto& [rows, cols] : {std::pair<std::int64_t, std::int64_t>{4, 6},
+                                   {0, 5}, {5, 0}}) {
+    DistBlock c = random_semiring_block<S>(rows, cols, rng);
+    const DistBlock other = random_semiring_block<S>(rows, cols, rng);
+    DistBlock want = c;
+    for (std::int64_t i = 0; i < rows; ++i)
+      for (std::int64_t j = 0; j < cols; ++j)
+        want.at(i, j) = S::plus(want.at(i, j), other.at(i, j));
+    semiring_elementwise_plus<S>(c, other);
+    EXPECT_EQ(c, want) << rows << "x" << cols;
+  }
 }
 
 TEST(GraphMatrix, AdjacencyMatrixBasics) {

@@ -8,7 +8,7 @@
 #include "core/superfw.hpp"
 #include "graph/generators.hpp"
 #include "semiring/graph_matrix.hpp"
-#include "semiring/kernels.hpp"
+#include "semiring/semirings.hpp"
 
 namespace capsp {
 namespace {
@@ -20,7 +20,7 @@ TEST(SuperFw, HeightOneEqualsClassicalFw) {
   const Dissection nd = nested_dissection(graph, 1, nd_rng);
   const SuperFwResult result = superfw(apply_dissection(graph, nd), nd);
   DistBlock direct = to_distance_matrix(apply_dissection(graph, nd));
-  const std::int64_t direct_ops = classical_fw(direct);
+  const std::int64_t direct_ops = semiring_fw<MinPlusSemiring>(direct);
   EXPECT_EQ(result.distances, direct);
   // One supernode: same diagonal FW plus no panels/outer products.
   EXPECT_EQ(result.ops, direct_ops);
@@ -41,7 +41,7 @@ TEST(SuperFw, OpsAreCountedNotEstimated) {
   const Dissection nd = nested_dissection(graph, 3, nd_rng);
   const SuperFwResult result = superfw_original_order(graph, nd);
   DistBlock dense(32, 32, 1.0);
-  const std::int64_t dense_ops = classical_fw(dense);
+  const std::int64_t dense_ops = semiring_fw<MinPlusSemiring>(dense);
   EXPECT_LT(result.ops, dense_ops / 4);
   EXPECT_EQ(result.distances, reference_apsp(graph));
 }
@@ -89,7 +89,7 @@ TEST(SuperFw, CousinPanelsStayEmptyUntilCommonAncestor) {
     for (Snode k : tree.level_set(l)) {
       const auto& rk = nd.range_of(k);
       DistBlock akk = a.sub_block(rk.begin, rk.begin, rk.size(), rk.size());
-      classical_fw(akk);
+      semiring_fw<MinPlusSemiring>(akk);
       a.set_sub_block(rk.begin, rk.begin, akk);
       std::vector<Snode> related = tree.descendants(k);
       const auto anc = tree.ancestors(k);
@@ -97,10 +97,10 @@ TEST(SuperFw, CousinPanelsStayEmptyUntilCommonAncestor) {
       for (Snode i : related) {
         const auto& ri = nd.range_of(i);
         DistBlock aik = a.sub_block(ri.begin, rk.begin, ri.size(), rk.size());
-        minplus_accumulate(aik, aik, akk);
+        semiring_accumulate<MinPlusSemiring>(aik, aik, akk);
         a.set_sub_block(ri.begin, rk.begin, aik);
         DistBlock aki = a.sub_block(rk.begin, ri.begin, rk.size(), ri.size());
-        minplus_accumulate(aki, akk, aki);
+        semiring_accumulate<MinPlusSemiring>(aki, akk, aki);
         a.set_sub_block(rk.begin, ri.begin, aki);
       }
       for (Snode i : related) {
@@ -113,7 +113,7 @@ TEST(SuperFw, CousinPanelsStayEmptyUntilCommonAncestor) {
               a.sub_block(ri.begin, rj.begin, ri.size(), rj.size());
           const DistBlock akj =
               a.sub_block(rk.begin, rj.begin, rk.size(), rj.size());
-          minplus_accumulate(aij, aik, akj);
+          semiring_accumulate<MinPlusSemiring>(aij, aik, akj);
           a.set_sub_block(ri.begin, rj.begin, aij);
         }
       }
@@ -121,7 +121,7 @@ TEST(SuperFw, CousinPanelsStayEmptyUntilCommonAncestor) {
   }
   // And the replay must be a correct APSP.
   DistBlock want = to_distance_matrix(reordered);
-  classical_fw(want);
+  semiring_fw<MinPlusSemiring>(want);
   EXPECT_EQ(a, want);
 }
 

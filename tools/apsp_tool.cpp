@@ -76,6 +76,7 @@ void print_help() {
       "  --save-snapshot <path>   tiled CAPSPDB2 snapshot for the serving\n"
       "                           layer (--tile sets the tile dimension;\n"
       "                           see docs/serving.md)\n"
+      "  --verify, --save-*       not available for --algorithm bottleneck\n"
       "  --trace <path>           event trace JSON (sparse|bottleneck)\n"
       "  --report-json <path>     CostReport JSON, incl. the cost-oracle\n"
       "                           predicted-vs-measured ratios\n"
@@ -497,6 +498,13 @@ int mode_solve(const Cli& cli, Rng& rng) {
   if (want_trace && algorithm != "sparse" && algorithm != "bottleneck")
     throw UsageError("--trace is only supported for --algorithm "
                      "sparse|bottleneck, not '" + algorithm + "'");
+  // A bottleneck run yields widths, not distances: the distance writers
+  // and the APSP certificate do not apply to it.
+  if (algorithm == "bottleneck")
+    for (const char* flag : {"save-distances", "save-snapshot", "verify"})
+      if (cli.has(flag))
+        throw UsageError(std::string("--") + flag +
+                         " is not supported for --algorithm bottleneck");
   std::cout << "graph: " << graph.num_vertices() << " vertices, "
             << graph.num_edges() << " edges\n";
   // --height 0 (the default "auto") picks a machine size for the graph.
