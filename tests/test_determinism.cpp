@@ -4,6 +4,10 @@
 // bit-identical results, plus abort-path robustness under load.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "core/sparse_apsp.hpp"
 #include "graph/generators.hpp"
 #include "machine/collectives.hpp"
@@ -122,6 +126,91 @@ TEST(Determinism, TracedRunsProduceIdenticalTimelines) {
     EXPECT_EQ(pa.hops[i].src, pb.hops[i].src);
     EXPECT_EQ(pa.hops[i].dst, pb.hops[i].dst);
     EXPECT_EQ(pa.hops[i].tag, pb.hops[i].tag);
+  }
+}
+
+/// 64-bit FNV-1a over every rank's traced events, field by field.
+class TimelineHash {
+ public:
+  std::uint64_t of(const Trace& trace) {
+    for (const auto& timeline : trace.per_rank) {
+      mix(timeline.size());
+      for (const TraceEvent& e : timeline) {
+        mix(static_cast<std::uint64_t>(e.kind));
+        mix(e.phase);
+        mix(e.label);
+        mix(static_cast<std::uint64_t>(e.peer));
+        mix(static_cast<std::uint64_t>(e.tag));
+        mix(static_cast<std::uint64_t>(e.words));
+        mix(static_cast<std::uint64_t>(e.ops));
+        mix(e.before.latency);
+        mix(e.before.words);
+        mix(e.after.latency);
+        mix(e.after.words);
+        mix(static_cast<std::uint64_t>(e.peer_event));
+      }
+    }
+    return hash_;
+  }
+
+ private:
+  void byte(unsigned char b) {
+    hash_ ^= b;
+    hash_ *= 0x100000001b3ULL;
+  }
+  void mix(std::uint64_t v) {
+    for (int s = 0; s < 64; s += 8) byte(static_cast<unsigned char>(v >> s));
+  }
+  void mix(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
+  void mix(const std::string& s) {
+    mix(static_cast<std::uint64_t>(s.size()));
+    for (char c : s) byte(static_cast<unsigned char>(c));
+  }
+
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+TEST(Determinism, TimelinesMatchParentFingerprint) {
+  // Two runs of one build agree (above), but that cannot see a send
+  // moved to another place in a rank's order.  These fingerprints pin
+  // every rank's timeline — order of sends, receives, kernel calls and
+  // phase changes, with tags and clocks — to the values recorded before
+  // the schedule table replaced the per-rank walk of Algorithm 1.
+  struct Case {
+    int height;
+    R4Strategy strategy;
+    CollectiveAlgorithm collectives;
+    std::uint64_t fingerprint;
+  };
+  using R4 = R4Strategy;
+  using CA = CollectiveAlgorithm;
+  const Case cases[] = {
+      {3, R4::kOneToOne, CA::kBinomialTree, 8247204259940115476ULL},
+      {3, R4::kOneToOne, CA::kPipelined, 277036493254531499ULL},
+      {3, R4::kSharedWorkers, CA::kBinomialTree, 11802011542482025644ULL},
+      {3, R4::kSharedWorkers, CA::kPipelined, 8575721079845675076ULL},
+      {3, R4::kSequential, CA::kBinomialTree, 18019620837232616410ULL},
+      {3, R4::kSequential, CA::kPipelined, 9605692109164346959ULL},
+      {4, R4::kOneToOne, CA::kBinomialTree, 456907257327946708ULL},
+      {4, R4::kOneToOne, CA::kPipelined, 15030199272462645778ULL},
+      {4, R4::kSharedWorkers, CA::kBinomialTree, 13861802100351261016ULL},
+      {4, R4::kSharedWorkers, CA::kPipelined, 11117289536439401905ULL},
+      {4, R4::kSequential, CA::kBinomialTree, 16106999365650225959ULL},
+      {4, R4::kSequential, CA::kPipelined, 1162469926604425736ULL},
+  };
+  Rng rng(12);
+  const Graph graph = make_grid2d(10, 10, rng);
+  for (const Case& c : cases) {
+    SparseApspOptions options;
+    options.height = c.height;
+    options.r4_strategy = c.strategy;
+    options.collectives = c.collectives;
+    options.collect_distances = false;
+    options.trace = true;
+    const SparseApspResult result = run_sparse_apsp(graph, options);
+    EXPECT_EQ(TimelineHash().of(result.trace), c.fingerprint)
+        << "h=" << c.height << " strategy=" << static_cast<int>(c.strategy)
+        << " collectives=" << static_cast<int>(c.collectives);
   }
 }
 
