@@ -2,8 +2,9 @@
 // 2D-DC-APSP on the same graph.
 //
 // This example uses the *advanced* (SPMD) API — it builds the machine by
-// hand, enables traffic recording, and drives sparse_apsp_rank /
-// dc_apsp_rank directly — and then renders the p×p communication matrix.
+// hand, enables traffic recording, builds Algorithm 1's schedule, and
+// drives sparse_apsp_rank / dc_apsp_rank directly — and then renders the
+// p×p communication matrix.
 // The sparse algorithm's heatmap shows the eTree structure: leaf rows
 // talk only along their root paths, separator rows fan out, and most
 // rank pairs never exchange a word (the communication the algorithm
@@ -71,6 +72,7 @@ int main(int argc, char** argv) {
   Rng nd_rng(4);
   const Dissection nd = nested_dissection(graph, height, nd_rng);
   const ApspLayout layout(nd);
+  const SparseSchedule schedule(layout);
   const Graph reordered = apply_dissection(graph, nd);
   Machine sparse_machine(layout.num_ranks());
   sparse_machine.enable_traffic_recording(true);
@@ -79,7 +81,7 @@ int main(int argc, char** argv) {
     DistBlock local = adjacency_block(
         reordered, layout.range_of(i).begin, layout.range_of(i).end,
         layout.range_of(j).begin, layout.range_of(j).end);
-    sparse_apsp_rank(comm, layout, local);
+    sparse_apsp_rank(comm, schedule, local);
   });
   print_heatmap(sparse_machine.traffic(),
                 "2D-SPARSE-APSP traffic (p = " +

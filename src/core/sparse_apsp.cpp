@@ -1,9 +1,9 @@
 #include "core/sparse_apsp.hpp"
 
 #include <algorithm>
-#include <map>
 #include <mutex>
-#include <string>
+#include <optional>
+#include <span>
 
 #include "core/cost_oracle.hpp"
 #include "core/regions.hpp"
@@ -17,349 +17,206 @@
 namespace capsp {
 namespace {
 
-/// A(k) ∪ D(k), ascending.
-std::vector<Snode> related_set(const EliminationTree& tree, Snode k) {
-  std::vector<Snode> out = tree.descendants(k);
-  const auto anc = tree.ancestors(k);
-  out.insert(out.end(), anc.begin(), anc.end());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-/// Append `rank` unless already present (worker groups may coincide with
-/// panel owners / reduce roots on small grids).
-void add_unique(std::vector<RankId>& group, RankId rank) {
-  if (std::find(group.begin(), group.end(), rank) == group.end())
-    group.push_back(rank);
-}
-
-bool contains(const std::vector<RankId>& group, RankId rank) {
-  return std::find(group.begin(), group.end(), rank) != group.end();
-}
-
-/// Worker grid row for subset R⁴(a,c) under the chosen strategy:
-/// the paper's injective map, or a deliberately shared row (the design
-/// point Lemma 5.1 warns about — blocks then serialize on their workers).
-Snode strategy_worker_row(const EliminationTree& tree, int l, int a, int c,
-                          R4Strategy strategy) {
-  return strategy == R4Strategy::kOneToOne ? r4_worker_row(tree, l, a, c)
-                                           : Snode{1};
-}
-
-/// Per-rank context for one invocation of the SPMD body.
+/// One rank's state while it runs its steps of the schedule.
 struct RankCtx {
-  const ApspLayout& layout;
-  Snode bi, bj;  // my block coordinates (supernode labels)
-  R4Strategy strategy;
+  Comm& comm;
+  const SparseSchedule& schedule;
+  DistBlock& local;
   CollectiveAlgorithm collectives;
   SemiringKernels kernels;
-  Tag tag = 0;
   std::int64_t ops = 0;  // scalar ⊗ operations this rank performed
+
+  // Operands held between the steps of one level.  A rank owns at most
+  // one R³ block per level (its pivot is unique), and serves at most one
+  // pivot as an R⁴ worker (its grid column fixes k); worker operands are
+  // keyed by subset level a (A(i,k)) and c (A(k,j)).
+  std::optional<DistBlock> r3_aik{}, r3_akj{};
+  std::vector<std::optional<DistBlock>> worker_aik{}, worker_akj{};
+  Snode worker_pivot = 0;
+
+  /// Drops the previous level's operands.
+  void start_level() {
+    const auto levels = static_cast<std::size_t>(schedule.height()) + 1;
+    r3_aik.reset();
+    r3_akj.reset();
+    worker_aik.assign(levels, std::nullopt);
+    worker_akj.assign(levels, std::nullopt);
+    worker_pivot = 0;
+  }
+
+  bool is_root(const ScheduleStep& step) const {
+    return comm.rank() == step.root;
+  }
+
+  /// The step's block after its broadcast: `local` on the root, the
+  /// received copy elsewhere.
+  DistBlock broadcast(const ScheduleStep& step) {
+    DistBlock block = is_root(step) ? local : DistBlock(step.rows, step.cols);
+    group_broadcast(comm, schedule.group(step), step.root, block, step.tag,
+                    collectives);
+    return block;
+  }
+
+  void run(const ScheduleStep& step, int l);
 };
 
-/// ---- R¹: diagonal updates (Alg. 1 line 4) — no communication. ----
-void update_r1(Comm&, RankCtx& ctx, DistBlock& local, int l) {
-  if (ctx.bi == ctx.bj && ctx.layout.tree().level_of(ctx.bi) == l)
-    ctx.ops += ctx.kernels.fw(local);
-}
-
-/// ---- R²: panel updates (Alg. 1 lines 5-8). ----
-void update_r2(Comm& comm, RankCtx& ctx, DistBlock& local, int l) {
-  const EliminationTree& tree = ctx.layout.tree();
-  for (Snode k : tree.level_set(l)) {
-    const auto related = related_set(tree, k);
-    const auto [krows, kcols] = ctx.layout.block_shape(k, k);
-
-    // Column panel: P_kk broadcasts A(k,k) down column k.
-    {
-      std::vector<RankId> group{ctx.layout.rank_of(k, k)};
-      for (Snode i : related) group.push_back(ctx.layout.rank_of(i, k));
-      const Tag t = ctx.tag++;
-      if (contains(group, comm.rank())) {
-        DistBlock akk(krows, kcols);
-        if (ctx.bi == k && ctx.bj == k) akk = local;
-        group_broadcast(comm, group, ctx.layout.rank_of(k, k), akk, t,
-                        ctx.collectives);
-        if (ctx.bj == k && ctx.bi != k)
-          ctx.ops += ctx.kernels.accumulate(local, local, akk);
-      }
+void RankCtx::run(const ScheduleStep& step, int l) {
+  switch (step.kind) {
+    case StepKind::kDiagonalFw:
+      ops += kernels.fw(local);
+      return;
+    case StepKind::kColumnPanel: {
+      const DistBlock akk = broadcast(step);
+      if (!is_root(step)) ops += kernels.accumulate(local, local, akk);
+      return;
     }
-    // Row panel: P_kk broadcasts A(k,k) along row k.
-    {
-      std::vector<RankId> group{ctx.layout.rank_of(k, k)};
-      for (Snode j : related) group.push_back(ctx.layout.rank_of(k, j));
-      const Tag t = ctx.tag++;
-      if (contains(group, comm.rank())) {
-        DistBlock akk(krows, kcols);
-        if (ctx.bi == k && ctx.bj == k) akk = local;
-        group_broadcast(comm, group, ctx.layout.rank_of(k, k), akk, t,
-                        ctx.collectives);
-        if (ctx.bi == k && ctx.bj != k)
-          ctx.ops += ctx.kernels.accumulate(local, akk, local);
-      }
+    case StepKind::kRowPanel: {
+      const DistBlock akk = broadcast(step);
+      if (!is_root(step)) ops += kernels.accumulate(local, akk, local);
+      return;
     }
-  }
-}
-
-/// ---- R³: single-unit blocks (Alg. 1 lines 9-11). ----
-void update_r3(Comm& comm, RankCtx& ctx, DistBlock& local, int l) {
-  const EliminationTree& tree = ctx.layout.tree();
-  for (Snode k : tree.level_set(l)) {
-    const auto related = related_set(tree, k);
-    std::optional<DistBlock> got_aik, got_akj;
-
-    // Column-panel owners P_ik broadcast A(i,k) along row i.  An ancestor
-    // panel only needs to reach descendant columns (ancestor×ancestor
-    // blocks belong to R⁴).
-    for (Snode i : related) {
-      std::vector<RankId> group{ctx.layout.rank_of(i, k)};
-      const bool i_desc = tree.is_descendant(i, k);
-      for (Snode j : related) {
-        if (!i_desc && !tree.is_descendant(j, k)) continue;
-        group.push_back(ctx.layout.rank_of(i, j));
-      }
-      const Tag t = ctx.tag++;
-      if (!contains(group, comm.rank())) continue;
-      const auto [rows, cols] = ctx.layout.block_shape(i, k);
-      DistBlock aik(rows, cols);
-      if (ctx.bi == i && ctx.bj == k) aik = local;
-      group_broadcast(comm, group, ctx.layout.rank_of(i, k), aik, t,
-                      ctx.collectives);
-      if (ctx.bi == i && ctx.bj != k) got_aik = std::move(aik);
+    case StepKind::kRowOperand: {
+      DistBlock aik = broadcast(step);
+      if (!is_root(step)) r3_aik = std::move(aik);
+      return;
     }
-
-    // Row-panel owners P_kj broadcast A(k,j) down column j.
-    for (Snode j : related) {
-      std::vector<RankId> group{ctx.layout.rank_of(k, j)};
-      const bool j_desc = tree.is_descendant(j, k);
-      for (Snode i : related) {
-        if (!j_desc && !tree.is_descendant(i, k)) continue;
-        group.push_back(ctx.layout.rank_of(i, j));
-      }
-      const Tag t = ctx.tag++;
-      if (!contains(group, comm.rank())) continue;
-      const auto [rows, cols] = ctx.layout.block_shape(k, j);
-      DistBlock akj(rows, cols);
-      if (ctx.bi == k && ctx.bj == j) akj = local;
-      group_broadcast(comm, group, ctx.layout.rank_of(k, j), akj, t,
-                      ctx.collectives);
-      if (ctx.bj == j && ctx.bi != k) got_akj = std::move(akj);
+    case StepKind::kColumnOperand: {
+      DistBlock akj = broadcast(step);
+      if (!is_root(step)) r3_akj = std::move(akj);
+      return;
     }
-
-    // Local update (line 11): both operands present exactly on R³ blocks.
-    if (got_aik && got_akj)
-      ctx.ops += ctx.kernels.accumulate(local, *got_aik, *got_akj);
-  }
-}
-
-/// Mirror an updated R⁴ block to its transposed owner (Alg. 1 line 25).
-void mirror_block(Comm& comm, RankCtx& ctx, DistBlock& local, Snode i,
-                  Snode j, Tag t_mirror) {
-  if (i == j) return;
-  const RankId owner = ctx.layout.rank_of(i, j);
-  const RankId mirror = ctx.layout.rank_of(j, i);
-  if (comm.rank() == owner) comm.send_block(mirror, t_mirror, local);
-  if (comm.rank() == mirror) {
-    const auto [rows, cols] = ctx.layout.block_shape(i, j);
-    local = comm.recv_block(owner, t_mirror, rows, cols).transposed();
-  }
-}
-
-/// ---- R⁴, trivial strategy (Sec. 5.2.2's strawman): the block owner
-/// receives every operand itself and runs the units sequentially. ----
-void update_r4_sequential(Comm& comm, RankCtx& ctx, DistBlock& local,
-                          int l) {
-  const EliminationTree& tree = ctx.layout.tree();
-  const int h = tree.height();
-  for (int a = l + 1; a <= h; ++a) {
-    for (Snode i : tree.level_set(a)) {
-      const auto [k_begin, k_end] = tree.descendant_range_at_level(i, l);
-      for (int c = a; c <= h; ++c) {
-        const Snode j = tree.ancestor_at_level(i, c);
-        const RankId owner = ctx.layout.rank_of(i, j);
-        for (Snode k = k_begin; k < k_end; ++k) {
-          const RankId p_ik = ctx.layout.rank_of(i, k);
-          const RankId p_kj = ctx.layout.rank_of(k, j);
-          const Tag t1 = ctx.tag++;
-          const Tag t2 = ctx.tag++;
-          // Panel rows/columns are distinct from the owner (levels differ),
-          // so these are always real messages.
-          if (comm.rank() == p_ik) comm.send_block(owner, t1, local);
-          if (comm.rank() == p_kj) comm.send_block(owner, t2, local);
-          if (comm.rank() == owner) {
-            const auto [ir, kc] = ctx.layout.block_shape(i, k);
-            const auto [kr, jc] = ctx.layout.block_shape(k, j);
-            const DistBlock aik = comm.recv_block(p_ik, t1, ir, kc);
-            const DistBlock akj = comm.recv_block(p_kj, t2, kr, jc);
-            ctx.ops += ctx.kernels.accumulate(local, aik, akj);
-          }
-        }
-        mirror_block(comm, ctx, local, i, j, ctx.tag++);
+    case StepKind::kR3Update:
+      CAPSP_CHECK_MSG(r3_aik && r3_akj, "rank " << comm.rank()
+                                                << " missing R3 operands at "
+                                                << "level " << l);
+      ops += kernels.accumulate(local, *r3_aik, *r3_akj);
+      return;
+    case StepKind::kWorkerRowOperand: {
+      DistBlock aik = broadcast(step);
+      if (is_root(step) && !step.root_is_worker) return;
+      worker_aik[static_cast<std::size_t>(step.a)] = std::move(aik);
+      worker_pivot = step.k;
+      return;
+    }
+    case StepKind::kWorkerColumnOperand: {
+      DistBlock akj = broadcast(step);
+      if (is_root(step) && !step.root_is_worker) return;
+      worker_akj[static_cast<std::size_t>(step.c)] = std::move(akj);
+      worker_pivot = step.k;
+      return;
+    }
+    case StepKind::kUnitReduce: {
+      const auto [k_begin, k_end] =
+          schedule.layout().tree().descendant_range_at_level(step.i, l);
+      const auto& aik = worker_aik[static_cast<std::size_t>(step.a)];
+      const auto& akj = worker_akj[static_cast<std::size_t>(step.c)];
+      const bool has_unit = worker_pivot >= k_begin &&
+                            worker_pivot < k_end && aik && akj;
+      DistBlock contribution;
+      if (is_root(step)) {
+        contribution = local;
+        if (has_unit) ops += kernels.accumulate(contribution, *aik, *akj);
+      } else {
+        CAPSP_CHECK_MSG(has_unit, "worker " << comm.rank()
+                                            << " missing unit for block ("
+                                            << step.i << "," << step.j
+                                            << ") at level " << l);
+        contribution = DistBlock(step.rows, step.cols, kernels.zero);
+        ops += kernels.accumulate(contribution, *aik, *akj);
       }
+      group_reduce(comm, schedule.group(step), step.root, contribution,
+                   step.tag, kernels.combine, collectives);
+      if (is_root(step)) local = std::move(contribution);
+      return;
+    }
+    case StepKind::kMirror: {
+      const RankId mirror = schedule.group(step)[1];
+      if (is_root(step)) {
+        comm.send_block(mirror, step.tag, local);
+      } else {
+        local = comm.recv_block(step.root, step.tag, step.rows, step.cols)
+                    .transposed();
+      }
+      return;
+    }
+    case StepKind::kSequentialUnit: {
+      const auto group = schedule.group(step);
+      if (comm.rank() == group[0]) comm.send_block(step.root, step.tag, local);
+      if (comm.rank() == group[1])
+        comm.send_block(step.root, step.tag + 1, local);
+      if (is_root(step)) {
+        const auto [kr, jc] = schedule.layout().block_shape(step.k, step.j);
+        const DistBlock aik =
+            comm.recv_block(group[0], step.tag, step.rows, step.cols);
+        const DistBlock akj = comm.recv_block(group[1], step.tag + 1, kr, jc);
+        ops += kernels.accumulate(local, aik, akj);
+      }
+      return;
     }
   }
 }
 
-/// ---- R⁴ with worker fan-out: the paper's one-to-one mapping
-/// (kOneToOne) or the shared-row variant (kSharedWorkers). ----
-void update_r4_workers(Comm& comm, RankCtx& ctx, DistBlock& local, int l) {
-  const EliminationTree& tree = ctx.layout.tree();
-  const int h = tree.height();
+/// Names of region r = 1..4 in traces, logs, profiles and metrics.
+struct RegionNames {
+  const char* label;
+  const char* scope;
+  const char* ops_metric;
+};
+constexpr RegionNames kRegionNames[] = {
+    {"R1", "core.sparse.r1", "core.sparse.ops_R1"},
+    {"R2", "core.sparse.r2", "core.sparse.ops_R2"},
+    {"R3", "core.sparse.r3", "core.sparse.ops_R3"},
+    {"R4", "core.sparse.r4", "core.sparse.ops_R4"},
+};
 
-  // Operands this rank holds as a worker, keyed by the subset level; a
-  // rank serves at most one pivot k per level (its grid column fixes k).
-  std::map<int, DistBlock> my_aik;  // a -> A(i,k), i = anc(k, a)
-  std::map<int, DistBlock> my_akj;  // c -> A(k,j), j = anc(k, c)
-  Snode my_pivot = 0;
-
-  // (a) Operand broadcasts from the R² panels to the workers P_fg
-  //     (Alg. 1 lines 13-18).
-  for (Snode k : tree.level_set(l)) {
-    const Snode g = r4_worker_col(tree, l, k);
-    for (int a = l + 1; a <= h; ++a) {
-      const Snode i = tree.ancestor_at_level(k, a);
-      std::vector<RankId> group{ctx.layout.rank_of(i, k)};
-      for (int c = a; c <= h; ++c)
-        add_unique(group,
-                   ctx.layout.rank_of(
-                       strategy_worker_row(tree, l, a, c, ctx.strategy), g));
-      const Tag t = ctx.tag++;
-      if (!contains(group, comm.rank())) continue;
-      const auto [rows, cols] = ctx.layout.block_shape(i, k);
-      DistBlock aik(rows, cols);
-      if (ctx.bi == i && ctx.bj == k) aik = local;
-      group_broadcast(comm, group, ctx.layout.rank_of(i, k), aik, t,
-                      ctx.collectives);
-      for (int c = a; c <= h; ++c) {
-        if (comm.rank() ==
-            ctx.layout.rank_of(
-                strategy_worker_row(tree, l, a, c, ctx.strategy), g)) {
-          my_aik[a] = aik;
-          my_pivot = k;
-          break;
-        }
-      }
-    }
-    for (int c = l + 1; c <= h; ++c) {
-      const Snode j = tree.ancestor_at_level(k, c);
-      std::vector<RankId> group{ctx.layout.rank_of(k, j)};
-      for (int a = l + 1; a <= c; ++a)
-        add_unique(group,
-                   ctx.layout.rank_of(
-                       strategy_worker_row(tree, l, a, c, ctx.strategy), g));
-      const Tag t = ctx.tag++;
-      if (!contains(group, comm.rank())) continue;
-      const auto [rows, cols] = ctx.layout.block_shape(k, j);
-      DistBlock akj(rows, cols);
-      if (ctx.bi == k && ctx.bj == j) akj = local;
-      group_broadcast(comm, group, ctx.layout.rank_of(k, j), akj, t,
-                      ctx.collectives);
-      for (int a = l + 1; a <= c; ++a) {
-        if (comm.rank() ==
-            ctx.layout.rank_of(
-                strategy_worker_row(tree, l, a, c, ctx.strategy), g)) {
-          my_akj[c] = akj;
-          my_pivot = k;
-          break;
-        }
-      }
-    }
-  }
-
-  // (b)+(c) Per block: workers compute their units (lines 19-22) and
-  // min-plus-reduce to the owner (line 23); (d) the owner mirrors the
-  // result to the transposed block (line 25).
-  for (int a = l + 1; a <= h; ++a) {
-    for (int c = a; c <= h; ++c) {
-      const Snode f = strategy_worker_row(tree, l, a, c, ctx.strategy);
-      for (Snode i : tree.level_set(a)) {
-        const Snode j = tree.ancestor_at_level(i, c);
-        const auto [k_begin, k_end] = tree.descendant_range_at_level(i, l);
-        std::vector<RankId> group;
-        for (Snode k = k_begin; k < k_end; ++k)
-          group.push_back(ctx.layout.rank_of(f, r4_worker_col(tree, l, k)));
-        const RankId owner = ctx.layout.rank_of(i, j);
-        add_unique(group, owner);
-        const Tag t = ctx.tag++;
-        const Tag t_mirror = ctx.tag++;
-        if (contains(group, comm.rank())) {
-          const bool my_unit_belongs_here =
-              my_pivot >= k_begin && my_pivot < k_end && my_aik.count(a) &&
-              my_akj.count(c);
-          DistBlock contribution;
-          if (comm.rank() == owner) {
-            contribution = local;
-            if (my_unit_belongs_here)
-              ctx.ops += ctx.kernels.accumulate(contribution, my_aik.at(a),
-                                                my_akj.at(c));
-          } else {
-            CAPSP_CHECK_MSG(my_unit_belongs_here,
-                            "worker " << comm.rank()
-                                      << " missing unit for block (" << i
-                                      << "," << j << ") at level " << l);
-            const auto [rows, cols] = ctx.layout.block_shape(i, j);
-            contribution = DistBlock(rows, cols, ctx.kernels.zero);
-            ctx.ops += ctx.kernels.accumulate(contribution, my_aik.at(a),
-                                              my_akj.at(c));
-          }
-          group_reduce(comm, group, owner, contribution, t,
-                       ctx.kernels.combine, ctx.collectives);
-          if (comm.rank() == owner) local = std::move(contribution);
-        }
-        mirror_block(comm, ctx, local, i, j, t_mirror);
-      }
-    }
-  }
+/// Region completion marker for the flight recorder: a crashed or
+/// deadlocked run's dump shows how far each rank got (the phase label
+/// itself is stamped by set_phase via the log context).  One
+/// instantiation per region, so each region has its own call site and
+/// rate-limit budget.
+template <int R>
+void log_region_done(std::int64_t ops) {
+  CAPSP_LOG(kDebug, "core.sparse.region", {"region", kRegionNames[R - 1].label},
+            {"ops", ops});
 }
+constexpr void (*kLogRegionDone[])(std::int64_t) = {
+    &log_region_done<1>, &log_region_done<2>, &log_region_done<3>,
+    &log_region_done<4>};
 
 }  // namespace
 
-void sparse_apsp_rank(Comm& comm, const ApspLayout& layout, DistBlock& local,
-                      R4Strategy strategy, CollectiveAlgorithm collectives,
+void sparse_apsp_rank(Comm& comm, const SparseSchedule& schedule,
+                      DistBlock& local, CollectiveAlgorithm collectives,
                       std::int64_t* ops_out,
                       std::vector<CostClock>* level_clocks_out,
                       const SemiringKernels* kernels) {
-  const EliminationTree& tree = layout.tree();
-  const auto [bi, bj] = layout.block_of(comm.rank());
-  const SemiringKernels effective =
-      kernels != nullptr ? *kernels
-                         : SemiringKernels::of<MinPlusSemiring>();
-  RankCtx ctx{layout, bi, bj, strategy, collectives, effective};
+  CAPSP_CHECK_MSG(comm.size() == schedule.layout().num_ranks(),
+                  "schedule for " << schedule.layout().num_ranks()
+                                  << " ranks run on " << comm.size());
+  RankCtx ctx{comm, schedule, local, collectives,
+              kernels != nullptr ? *kernels
+                                 : SemiringKernels::of<MinPlusSemiring>()};
+  const std::span<const ScheduleStep> steps = schedule.steps();
 
-  // Each region runs under its own phase label; when tracing, the scalar
-  // ⊗ operations it performed are stamped on the timeline as a compute
-  // record (zero cost — the model meters communication only).
-  const auto region = [&](const std::string& phase, const char* label,
-                          const char* scope, auto&& update) {
-    comm.set_phase(phase);
-    ProfScope prof(scope);
-    const std::int64_t ops_before = ctx.ops;
-    update();
-    prof.add_ops(ctx.ops - ops_before);
-    comm.record_compute(ctx.ops - ops_before, label);
-    metrics().counter_add(std::string("core.sparse.ops_") + label,
-                          ctx.ops - ops_before);
-    // Region completion marker for the flight recorder: a crashed or
-    // deadlocked run's dump shows how far each rank got (the phase
-    // label itself is stamped by set_phase via the log context).
-    CAPSP_LOG(kDebug, "core.sparse.region", {"region", label},
-              {"ops", ctx.ops - ops_before});
-  };
-  for (int l = 1; l <= tree.height(); ++l) {
-    const std::string prefix = "L" + std::to_string(l) + "/";
-    region(prefix + "R1", "R1", "core.sparse.r1",
-           [&] { update_r1(comm, ctx, local, l); });
-    region(prefix + "R2", "R2", "core.sparse.r2",
-           [&] { update_r2(comm, ctx, local, l); });
-    region(prefix + "R3", "R3", "core.sparse.r3",
-           [&] { update_r3(comm, ctx, local, l); });
-    region(prefix + "R4", "R4", "core.sparse.r4", [&] {
-      if (strategy == R4Strategy::kSequential) {
-        update_r4_sequential(comm, ctx, local, l);
-      } else {
-        update_r4_workers(comm, ctx, local, l);
-      }
-    });
+  // Each region runs under its own phase label, even on a rank with no
+  // step in it; when tracing, the scalar ⊗ operations it performed are
+  // stamped on the timeline as a compute record (zero cost — the model
+  // meters communication only).
+  for (int l = 1; l <= schedule.height(); ++l) {
+    ctx.start_level();
+    for (int r = 1; r <= 4; ++r) {
+      const RegionNames& names = kRegionNames[r - 1];
+      comm.set_phase(schedule.phase(l, r));
+      ProfScope prof(names.scope);
+      const std::int64_t ops_before = ctx.ops;
+      for (const std::int32_t s : schedule.rank_steps(comm.rank(), l, r))
+        ctx.run(steps[static_cast<std::size_t>(s)], l);
+      const std::int64_t ops = ctx.ops - ops_before;
+      prof.add_ops(ops);
+      comm.record_compute(ops, names.label);
+      metrics().counter_add(names.ops_metric, ops);
+      kLogRegionDone[r - 1](ops);
+    }
     if (level_clocks_out != nullptr) level_clocks_out->push_back(comm.clock());
   }
   if (ops_out != nullptr) *ops_out = ctx.ops;
@@ -386,6 +243,10 @@ SparseApspResult run_sparse_apsp_semiring(const Graph& graph,
   const ApspLayout layout(nd);
   const Graph reordered = apply_dissection(graph, nd);
   const int p = layout.num_ranks();
+  const SparseSchedule schedule = [&] {
+    ProfScope prof("core.sparse.schedule");
+    return SparseSchedule(layout, options.r4_strategy);
+  }();
 
   SparseApspResult result;
   result.height = nd.tree.height();
@@ -421,8 +282,7 @@ SparseApspResult run_sparse_apsp_semiring(const Graph& graph,
     }
     comm.reset_clock();
 
-    sparse_apsp_rank(comm, layout, local, options.r4_strategy,
-                     options.collectives,
+    sparse_apsp_rank(comm, schedule, local, options.collectives,
                      &result.ops_per_rank[static_cast<std::size_t>(
                          comm.rank())],
                      &level_clocks[static_cast<std::size_t>(comm.rank())],

@@ -6,11 +6,14 @@
 //      reordered matrix gets the block-arrow structure (Sec. 4);
 //   2. layout: block A(i,j) on processor P_ij of the √p × √p grid
 //      (Sec. 5.1);
-//   3. eliminate supernodes level by level; each level updates the four
-//      regions R¹..R⁴ with the schedule of Sec. 5.2 — in particular R⁴
-//      computing units fan out one-to-one onto worker processors P_fg
-//      (Cor. 5.5) and reduce back, which is what brings the per-level
-//      latency to O(log p) and the total to O(log² p).
+//   3. schedule: Algorithm 1 enumerated once into a step table
+//      (SparseSchedule, core/regions.hpp);
+//   4. eliminate supernodes level by level, each rank running only its
+//      own steps; each level updates the four regions R¹..R⁴ with the
+//      schedule of Sec. 5.2 — in particular R⁴ computing units fan out
+//      one-to-one onto worker processors P_fg (Cor. 5.5) and reduce back,
+//      which is what brings the per-level latency to O(log p) and the
+//      total to O(log² p).
 //
 // Costs are metered by the machine simulator; see DESIGN.md for how the
 // numbers map onto the paper's Table 2.
@@ -20,6 +23,7 @@
 
 #include "core/cost_oracle.hpp"
 #include "core/layout.hpp"
+#include "core/regions.hpp"
 #include "graph/graph.hpp"
 #include "machine/collectives.hpp"
 #include "machine/machine.hpp"
@@ -28,23 +32,6 @@
 #include "util/rng.hpp"
 
 namespace capsp {
-
-/// How the R⁴ computing units are assigned to processors (Sec. 5.2.2
-/// discusses all three; the paper's contribution is the last one).
-enum class R4Strategy {
-  /// The "trivial strategy ... used in SuperLU_DIST": the block owner
-  /// P_ij receives all 2q operand messages itself and computes the units
-  /// sequentially.  Per-level latency Θ(2^(h-l)) — Θ(√p) at level 1.
-  kSequential,
-  /// Units fan out to worker processors, but workers are *reused* across
-  /// blocks (all subsets share grid row 1), so blocks serialize on their
-  /// common workers.  The intermediate design point the paper's Lemma 5.1
-  /// warns about.
-  kSharedWorkers,
-  /// The paper's one-to-one mapping (Lemmas 5.3-5.4, Cor. 5.5): every
-  /// unit on its own processor; per-level latency O(log p).
-  kOneToOne,
-};
 
 struct SparseApspOptions {
   /// eTree height h; the machine has p = (2^h - 1)² ranks.
@@ -109,11 +96,12 @@ struct SparseApspResult {
 };
 
 /// SPMD body of Algorithm 1.  Every rank of a p = N²-rank machine calls
-/// this with its block of the *reordered* adjacency matrix; on return the
-/// block holds the shortest distances.  Tags in [0, 2^40) are consumed.
+/// this with the same schedule and its block of the *reordered* adjacency
+/// matrix, and runs only its own steps of the schedule; on return the
+/// block holds the shortest distances.  Tags in
+/// [0, schedule.tags_used()) are consumed, always fewer than 2^40.
 void sparse_apsp_rank(
-    Comm& comm, const ApspLayout& layout, DistBlock& local,
-    R4Strategy strategy = R4Strategy::kOneToOne,
+    Comm& comm, const SparseSchedule& schedule, DistBlock& local,
     CollectiveAlgorithm collectives = CollectiveAlgorithm::kBinomialTree,
     std::int64_t* ops_out = nullptr,
     std::vector<CostClock>* level_clocks_out = nullptr,

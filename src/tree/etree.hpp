@@ -137,6 +137,15 @@ class EliminationTree {
     return out;
   }
 
+  /// A(s) ∪ D(s): every supernode related to s except s itself,
+  /// ascending labels.
+  std::vector<Snode> related_set(Snode s) const {
+    std::vector<Snode> out = descendants(s);
+    for (int l = level_of(s) + 1; l <= h_; ++l)
+      out.push_back(ancestor_at_level(s, l));
+    return out;
+  }
+
   /// Descendants of s at exactly level dl (contiguous labels).
   std::pair<Snode, Snode> descendant_range_at_level(Snode s, int dl) const {
     const int l = level_of(s);

@@ -174,8 +174,8 @@ TEST(Determinism, TimelinesMatchParentFingerprint) {
   // Two runs of one build agree (above), but that cannot see a send
   // moved to another place in a rank's order.  These fingerprints pin
   // every rank's timeline — order of sends, receives, kernel calls and
-  // phase changes, with tags and clocks — to the values recorded before
-  // the schedule table replaced the per-rank walk of Algorithm 1.
+  // phase changes, with tags and clocks — to recorded constants, so a
+  // schedule change that moves any of them fails here.
   struct Case {
     int height;
     R4Strategy strategy;

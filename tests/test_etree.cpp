@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "tree/etree.hpp"
 
@@ -199,6 +200,20 @@ TEST(ETree, RootRelatedToEverything) {
   }
 }
 
+TEST(ETree, RelatedSetIsAncestorsAndDescendantsAscending) {
+  for (int h = 1; h <= 7; ++h) {
+    const EliminationTree tree(h);
+    for (Snode s = 1; s <= tree.num_supernodes(); ++s) {
+      std::set<Snode> want;
+      for (Snode v = 1; v <= tree.num_supernodes(); ++v)
+        if (v != s && tree.related(s, v)) want.insert(v);
+      EXPECT_EQ(tree.related_set(s),
+                std::vector<Snode>(want.begin(), want.end()))
+          << "h=" << h << " s=" << s;
+    }
+  }
+}
+
 TEST(ETree, InvalidArgumentsRejected) {
   const EliminationTree tree(3);
   EXPECT_THROW(tree.level_of(0), check_error);
@@ -216,6 +231,7 @@ TEST(ETree, HeightOneDegenerateTree) {
   EXPECT_EQ(tree.level_of(1), 1);
   EXPECT_TRUE(tree.ancestors(1).empty());
   EXPECT_TRUE(tree.descendants(1).empty());
+  EXPECT_TRUE(tree.related_set(1).empty());
   EXPECT_TRUE(tree.cousins(1).empty());
 }
 
