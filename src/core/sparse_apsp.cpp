@@ -26,19 +26,18 @@ struct RankCtx {
   SemiringKernels kernels;
   std::int64_t ops = 0;  // scalar ⊗ operations this rank performed
 
-  // Operands held between the steps of one level.  A rank owns at most
-  // one R³ block per level (its pivot is unique), and serves at most one
-  // pivot as an R⁴ worker (its grid column fixes k); worker operands are
-  // keyed by subset level a (A(i,k)) and c (A(k,j)).
+  // Operands held between steps.  A rank owns at most one R³ block per
+  // level (its pivot is unique) and drops its operands after the update;
+  // it serves at most one pivot per level as an R⁴ worker (its grid
+  // column fixes k), with operands keyed by subset level a (A(i,k)) and
+  // c (A(k,j)) and dropped when the next level starts.
   std::optional<DistBlock> r3_aik{}, r3_akj{};
   std::vector<std::optional<DistBlock>> worker_aik{}, worker_akj{};
   Snode worker_pivot = 0;
 
-  /// Drops the previous level's operands.
+  /// Drops the previous level's worker operands.
   void start_level() {
     const auto levels = static_cast<std::size_t>(schedule.height()) + 1;
-    r3_aik.reset();
-    r3_akj.reset();
     worker_aik.assign(levels, std::nullopt);
     worker_akj.assign(levels, std::nullopt);
     worker_pivot = 0;
@@ -90,6 +89,8 @@ void RankCtx::run(const ScheduleStep& step, int l) {
                                                 << " missing R3 operands at "
                                                 << "level " << l);
       ops += kernels.accumulate(local, *r3_aik, *r3_akj);
+      r3_aik.reset();
+      r3_akj.reset();
       return;
     case StepKind::kWorkerRowOperand: {
       DistBlock aik = broadcast(step);
