@@ -47,13 +47,11 @@ struct RankCtx {
     return comm.rank() == step.root;
   }
 
-  /// The step's block after its broadcast: `local` on the root, the
-  /// received copy elsewhere.
+  /// The step's block after its broadcast, on every member: the one
+  /// payload the root snapshot from its `local`, which stays private.
   DistBlock broadcast(const ScheduleStep& step) {
-    DistBlock block = is_root(step) ? local : DistBlock(step.rows, step.cols);
-    group_broadcast(comm, schedule.group(step), step.root, block, step.tag,
-                    collectives);
-    return block;
+    return group_broadcast(comm, schedule.group(step), step.root, local,
+                           step.rows, step.cols, step.tag, collectives);
   }
 
   void run(const ScheduleStep& step, int l);
@@ -113,21 +111,21 @@ void RankCtx::run(const ScheduleStep& step, int l) {
       const auto& akj = worker_akj[static_cast<std::size_t>(step.c)];
       const bool has_unit = worker_pivot >= k_begin &&
                             worker_pivot < k_end && aik && akj;
-      DistBlock contribution;
       if (is_root(step)) {
-        contribution = local;
-        if (has_unit) ops += kernels.accumulate(contribution, *aik, *akj);
-      } else {
-        CAPSP_CHECK_MSG(has_unit, "worker " << comm.rank()
-                                            << " missing unit for block ("
-                                            << step.i << "," << step.j
-                                            << ") at level " << l);
-        contribution = DistBlock(step.rows, step.cols, kernels.zero);
-        ops += kernels.accumulate(contribution, *aik, *akj);
+        // The owner folds its own unit into `local` and reduces in place.
+        if (has_unit) ops += kernels.accumulate(local, *aik, *akj);
+        group_reduce(comm, schedule.group(step), step.root, local, step.tag,
+                     kernels.combine, collectives);
+        return;
       }
+      CAPSP_CHECK_MSG(has_unit, "worker " << comm.rank()
+                                          << " missing unit for block ("
+                                          << step.i << "," << step.j
+                                          << ") at level " << l);
+      DistBlock contribution(step.rows, step.cols, kernels.zero);
+      ops += kernels.accumulate(contribution, *aik, *akj);
       group_reduce(comm, schedule.group(step), step.root, contribution,
                    step.tag, kernels.combine, collectives);
-      if (is_root(step)) local = std::move(contribution);
       return;
     }
     case StepKind::kMirror: {
@@ -264,8 +262,8 @@ SparseApspResult run_sparse_apsp_semiring(const Graph& graph,
   std::vector<std::vector<CostClock>> level_clocks(
       static_cast<std::size_t>(p));
   result.ops_per_rank.assign(static_cast<std::size_t>(p), 0);
-  DistBlock permuted(options.collect_distances ? graph.num_vertices() : 0,
-                     options.collect_distances ? graph.num_vertices() : 0);
+  if (options.collect_distances)
+    result.distances = DistBlock(graph.num_vertices(), graph.num_vertices());
   std::int64_t max_block_words = 0;
   std::mutex stats_mutex;
 
@@ -292,10 +290,12 @@ SparseApspResult run_sparse_apsp_semiring(const Graph& graph,
     apsp_clocks[static_cast<std::size_t>(comm.rank())] = comm.clock();
     comm.set_phase("collect");
     if (!options.collect_distances) return;
+    // Each rank's block travels without a copy; rank 0 writes every
+    // piece straight into original vertex order.
     const Tag collect_tag = Tag{1} << 41;
     if (comm.rank() != 0) {
       if (!local.empty())
-        comm.send_block(0, collect_tag + comm.rank(), local);
+        comm.send_block(0, collect_tag + comm.rank(), std::move(local));
     } else {
       for (RankId r = 0; r < p; ++r) {
         const auto [ii, jj] = layout.block_of(r);
@@ -303,10 +303,11 @@ SparseApspResult run_sparse_apsp_semiring(const Graph& graph,
         const VertexRange rrj = layout.range_of(jj);
         if (rri.size() == 0 || rrj.size() == 0) continue;
         const DistBlock piece =
-            (r == 0) ? local
+            (r == 0) ? std::move(local)
                      : comm.recv_block(r, collect_tag + r, rri.size(),
                                        rrj.size());
-        permuted.set_sub_block(rri.begin, rrj.begin, piece);
+        undo_dissection_into(result.distances, nd, rri.begin, rrj.begin,
+                             piece);
       }
     }
   });
@@ -341,10 +342,6 @@ SparseApspResult run_sparse_apsp_semiring(const Graph& graph,
   for (const auto& per_rank : level_clocks) {
     for (std::size_t l = 0; l < per_rank.size(); ++l)
       result.clock_after_level[l].merge(per_rank[l]);
-  }
-
-  if (options.collect_distances) {
-    result.distances = undo_dissection(permuted, nd);
   }
   return result;
 }

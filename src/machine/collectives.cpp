@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "semiring/semirings.hpp"
 #include "util/metrics.hpp"
+#include "util/prof.hpp"
 
 namespace capsp {
 namespace {
@@ -58,6 +60,14 @@ RankId member(std::span<const RankId> group, std::size_t root_pos,
   return group[(root_pos + rel) % group.size()];
 }
 
+/// The one copy a broadcast root makes: the payload every tree edge
+/// shares.  A block that already reads a payload is shared, not copied.
+Payload snapshot(const DistBlock& block) {
+  if (block.is_shared()) return block.shared_payload();
+  ProfScope prof("machine.copy");
+  return Payload::copy_of(block.data());
+}
+
 /// Word range [begin, end) of pipeline chunk `chunk` of a `words`-word
 /// payload split into `parts` chunks.
 std::pair<std::size_t, std::size_t> chunk_range(std::size_t words,
@@ -70,16 +80,28 @@ std::pair<std::size_t, std::size_t> chunk_range(std::size_t words,
 /// allgather circulates every chunk to everyone.  Message matching within
 /// a (src, dst, tag) triple is FIFO, so the whole collective uses the
 /// caller's single tag.
-void broadcast_pipelined(Comm& comm, std::span<const RankId> group,
-                         RankId root, DistBlock& block, Tag tag) {
+DistBlock broadcast_pipelined(Comm& comm, std::span<const RankId> group,
+                              RankId root, const DistBlock& source,
+                              std::int64_t rows, std::int64_t cols, Tag tag) {
   const std::size_t k = group.size();
   const std::size_t pos = position_in(group, comm.rank());
   const std::size_t root_pos = position_in(group, root);
-  auto data = block.data();
+  const bool is_root = pos == root_pos;
+  // The root reads its snapshot; the others assemble theirs from chunks.
+  DistBlock block = is_root ? DistBlock(rows, cols, snapshot(source))
+                            : DistBlock(rows, cols);
+  const std::span<const Dist> data = std::as_const(block).data();
   const std::size_t words = data.size();
+  const auto receive_chunk = [&](RankId src, std::size_t begin,
+                                 std::size_t end) {
+    const Payload piece = comm.recv(src, tag);
+    CAPSP_CHECK(piece.size() == end - begin);
+    if (!is_root)  // the root already holds every chunk
+      std::copy(piece.begin(), piece.end(), block.data().begin() + begin);
+  };
 
   // Scatter: root keeps its own chunk, ships the rest.
-  if (pos == root_pos) {
+  if (is_root) {
     for (std::size_t m = 0; m < k; ++m) {
       if (m == root_pos) continue;
       const auto [begin, end] = chunk_range(words, k, m);
@@ -87,9 +109,7 @@ void broadcast_pipelined(Comm& comm, std::span<const RankId> group,
     }
   } else {
     const auto [begin, end] = chunk_range(words, k, pos);
-    const auto piece = comm.recv(root, tag);
-    CAPSP_CHECK(piece.size() == end - begin);
-    std::copy(piece.begin(), piece.end(), data.begin() + begin);
+    receive_chunk(root, begin, end);
   }
 
   // Ring allgather: at step t, member m forwards chunk (m - t) and
@@ -102,10 +122,9 @@ void broadcast_pipelined(Comm& comm, std::span<const RankId> group,
     comm.send(right, tag, data.subspan(sb, se - sb));
     const std::size_t recv_chunk = (pos + k - 1 - t % k + k) % k;
     const auto [rb, re] = chunk_range(words, k, recv_chunk);
-    const auto piece = comm.recv(left, tag);
-    CAPSP_CHECK(piece.size() == re - rb);
-    std::copy(piece.begin(), piece.end(), data.begin() + rb);
+    receive_chunk(left, rb, re);
   }
+  return block;
 }
 
 /// Pipelined reduction: ring reduce-scatter (after k-1 steps member m owns
@@ -137,8 +156,8 @@ void reduce_pipelined(Comm& comm, std::span<const RankId> group, RankId root,
       std::copy(data.begin() + static_cast<std::ptrdiff_t>(rb),
                 data.begin() + static_cast<std::ptrdiff_t>(re),
                 mine.data().begin());
-      DistBlock theirs(1, static_cast<std::int64_t>(piece.size()));
-      std::copy(piece.begin(), piece.end(), theirs.data().begin());
+      const DistBlock theirs(1, static_cast<std::int64_t>(piece.size()),
+                             piece);
       combine(mine, theirs);
       std::copy(mine.data().begin(), mine.data().end(),
                 data.begin() + static_cast<std::ptrdiff_t>(rb));
@@ -167,30 +186,37 @@ void reduce_pipelined(Comm& comm, std::span<const RankId> group, RankId root,
 
 }  // namespace
 
-void group_broadcast(Comm& comm, std::span<const RankId> group, RankId root,
-                     DistBlock& block, Tag tag,
-                     CollectiveAlgorithm algorithm) {
+DistBlock group_broadcast(Comm& comm, std::span<const RankId> group,
+                          RankId root, const DistBlock& source,
+                          std::int64_t rows, std::int64_t cols, Tag tag,
+                          CollectiveAlgorithm algorithm) {
+  if (comm.rank() == root)
+    CAPSP_CHECK_MSG(source.rows() == rows && source.cols() == cols,
+                    "broadcast root holds " << source.rows() << "x"
+                                            << source.cols() << ", expected "
+                                            << rows << "x" << cols);
   const std::size_t k = group.size();
-  if (k <= 1) return;
+  if (k <= 1) return source;
   observe_collective(comm, root, k, algorithm, "machine.collective.bcast_group",
                      "machine.collective.bcast_depth");
   SpanGuard span(comm, "bcast");
   const CommClassScope comm_class(comm, "bcast");
-  if (algorithm == CollectiveAlgorithm::kPipelined) {
-    broadcast_pipelined(comm, group, root, block, tag);
-    return;
-  }
+  if (algorithm == CollectiveAlgorithm::kPipelined)
+    return broadcast_pipelined(comm, group, root, source, rows, cols, tag);
   const std::size_t root_pos = position_in(group, root);
   const std::size_t pos = position_in(group, comm.rank());
   const std::size_t rel = (pos + k - root_pos) % k;
 
   // Classic binomial broadcast: receive from the peer that differs in the
   // lowest set bit, then forward down the remaining bits, high to low.
+  // Every edge shares the root's one snapshot.
+  DistBlock block;
+  if (rel == 0) block = DistBlock(rows, cols, snapshot(source));
   std::size_t mask = 1;
   while (mask < k) {
     if (rel & mask) {
-      block = comm.recv_block(member(group, root_pos, rel - mask), tag,
-                              block.rows(), block.cols());
+      block = comm.recv_block(member(group, root_pos, rel - mask), tag, rows,
+                              cols);
       break;
     }
     mask <<= 1;
@@ -201,6 +227,16 @@ void group_broadcast(Comm& comm, std::span<const RankId> group, RankId root,
       comm.send_block(member(group, root_pos, rel + mask), tag, block);
     mask >>= 1;
   }
+  return block;
+}
+
+void group_broadcast(Comm& comm, std::span<const RankId> group, RankId root,
+                     DistBlock& block, Tag tag,
+                     CollectiveAlgorithm algorithm) {
+  if (group.size() <= 1) return;
+  DistBlock received = group_broadcast(comm, group, root, block, block.rows(),
+                                       block.cols(), tag, algorithm);
+  if (comm.rank() != root) block = std::move(received);
 }
 
 void group_reduce(Comm& comm, std::span<const RankId> group, RankId root,
@@ -221,9 +257,10 @@ void group_reduce(Comm& comm, std::span<const RankId> group, RankId root,
   const std::size_t pos = position_in(group, comm.rank());
   const std::size_t rel = (pos + k - root_pos) % k;
 
-  // Binomial reduction mirror-image of the broadcast.  Work on a local
-  // accumulator so non-root callers keep their contribution intact.
-  DistBlock accum = block;
+  // Binomial reduction mirror-image of the broadcast.  Non-root members
+  // work on a copy so they keep their contribution intact; the root's
+  // block is overwritten with the result anyway, so it accumulates in it.
+  DistBlock accum = rel == 0 ? std::move(block) : block;
   std::size_t mask = 1;
   bool sent = false;
   while (mask < k) {
@@ -236,7 +273,8 @@ void group_reduce(Comm& comm, std::span<const RankId> group, RankId root,
         combine(accum, contribution);
       }
     } else {
-      comm.send_block(member(group, root_pos, rel - mask), tag, accum);
+      comm.send_block(member(group, root_pos, rel - mask), tag,
+                      std::move(accum));
       sent = true;
       break;
     }

@@ -32,8 +32,23 @@ enum class CollectiveAlgorithm {
   kPipelined,
 };
 
-/// Broadcast `block` from `root` to every rank in `group`.  On non-root
-/// members `block` must be pre-shaped (rows/cols set) and is overwritten.
+/// Broadcast from `root` to every rank in `group`: returns, on every
+/// member, the rows×cols block `source` holds on the root.  `source` is
+/// read on the root only and never changed.  With the binomial tree the
+/// root snapshots `source` once into one payload — a `source` that
+/// already reads a payload is shared instead — and every tree edge
+/// forwards that payload; each member's result reads it in place, the
+/// root's included.  The pipelined algorithm assembles private blocks
+/// from its chunks.
+DistBlock group_broadcast(Comm& comm, std::span<const RankId> group,
+                          RankId root, const DistBlock& source,
+                          std::int64_t rows, std::int64_t cols, Tag tag,
+                          CollectiveAlgorithm algorithm =
+                              CollectiveAlgorithm::kBinomialTree);
+
+/// In-place form: `block` is the source on the root (left unchanged) and
+/// is replaced by the broadcast block elsewhere, where it must be
+/// pre-shaped (rows/cols set).
 void group_broadcast(Comm& comm, std::span<const RankId> group, RankId root,
                      DistBlock& block, Tag tag,
                      CollectiveAlgorithm algorithm =

@@ -199,18 +199,19 @@ FaultDecision FaultInjector::decide(RankId src) {
   return FaultDecision::kDeliver;
 }
 
-void FaultInjector::corrupt_payload(RankId src, std::vector<Dist>& payload) {
+Payload FaultInjector::corrupted_copy(RankId src, const Payload& frame) {
   auto& state = ranks_[static_cast<std::size_t>(src)];
-  if (payload.empty()) return;
-  const auto index =
-      static_cast<std::size_t>(state.rng.uniform(payload.size()));
+  if (frame.empty()) return frame;
+  const auto index = static_cast<std::size_t>(state.rng.uniform(frame.size()));
   // Flip one of the low 52 bits (the mantissa), so a finite value stays
   // finite but differs — and an infinite one becomes a NaN the checksum
   // (or, in raw mode, the victim) gets to meet.
   const auto bit = static_cast<int>(state.rng.uniform(52));
-  auto bits = std::bit_cast<std::uint64_t>(payload[index]);
+  std::vector<Dist> words(frame.begin(), frame.end());
+  auto bits = std::bit_cast<std::uint64_t>(words[index]);
   bits ^= std::uint64_t{1} << bit;
-  payload[index] = std::bit_cast<Dist>(bits);
+  words[index] = std::bit_cast<Dist>(bits);
+  return Payload(std::move(words));
 }
 
 std::vector<RankId> FaultInjector::dead_ranks() const {

@@ -26,6 +26,7 @@
 
 #include "machine/cost_model.hpp"
 #include "semiring/dist.hpp"
+#include "semiring/payload.hpp"
 #include "util/rng.hpp"
 
 namespace capsp {
@@ -110,8 +111,10 @@ class FaultInjector {
   /// rank's stream).
   FaultDecision decide(RankId src);
 
-  /// Flip one deterministic bit of `payload` (no-op when empty).
-  void corrupt_payload(RankId src, std::vector<Dist>& payload);
+  /// A private copy of `frame` with one deterministic bit flipped (`frame`
+  /// itself when empty).  Never writes `frame`: a shared payload also
+  /// reaches the sender's other receivers and the sender itself.
+  Payload corrupted_copy(RankId src, const Payload& frame);
 
   bool is_dead(RankId rank) const {
     return ranks_[static_cast<std::size_t>(rank)].dead.load();

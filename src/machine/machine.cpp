@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "util/metrics.hpp"
+#include "util/prof.hpp"
 
 namespace capsp {
 
@@ -19,7 +20,7 @@ namespace {
 using SteadyClock = std::chrono::steady_clock;
 
 struct Message {
-  std::vector<Dist> payload;
+  Payload payload;  // shared with the sender and every other hop
   CostClock clock;  // sender clock after charging this message
   // Index of the matching send event in the sender's trace timeline
   // (-1 when tracing is off) — the back-pointer blame attribution uses.
@@ -40,8 +41,14 @@ class Mailbox {
   Message take(RankId src, Tag tag) {
     std::unique_lock<std::mutex> lock(mutex_);
     const Key key{src, tag};
-    cv_.wait(lock, [&] { return aborted_ || queue_.count(key) > 0; });
     auto it = queue_.find(key);
+    if (it == queue_.end() && !aborted_) {
+      // Only a receive that really blocks gets the frame, so profiles
+      // tell time spent waiting for a peer from the region's own work.
+      ProfScope prof("machine.wait");
+      cv_.wait(lock, [&] { return aborted_ || queue_.count(key) > 0; });
+      it = queue_.find(key);
+    }
     if (it == queue_.end()) {
       CAPSP_CHECK(aborted_);
       throw check_error("machine aborted while waiting for a message");
@@ -156,11 +163,11 @@ class CommLink final : public RawLink {
  public:
   explicit CommLink(Comm& comm) : comm_(comm) {}
 
-  bool transmit(RankId dst, Tag tag, std::span<const Dist> frame,
+  bool transmit(RankId dst, Tag tag, const Payload& frame,
                 bool retransmit) override {
     return comm_.transmit(dst, tag, frame, retransmit);
   }
-  std::vector<Dist> receive(RankId src, Tag tag) override {
+  Payload receive(RankId src, Tag tag) override {
     return comm_.raw_receive(src, tag);
   }
   void charge(double latency, double words, const char* label) override {
@@ -200,9 +207,7 @@ struct Machine::Impl {
   std::unique_ptr<WaitRegistry> waits;
 };
 
-Machine::Machine(int num_ranks)
-    : num_ranks_(num_ranks),
-      impl_(std::make_unique<Impl>(num_ranks, false)) {
+Machine::Machine(int num_ranks) : num_ranks_(num_ranks) {
   CAPSP_CHECK_MSG(num_ranks >= 1 && num_ranks <= 4096,
                   "num_ranks=" << num_ranks);
 }
@@ -216,16 +221,45 @@ void Comm::on_op() {
     injector->on_op(rank_);
 }
 
-void Comm::send(RankId dst, Tag tag, std::span<const Dist> payload) {
+void Comm::send(RankId dst, Tag tag, std::span<const Dist> words) {
+  if (reliable_) {
+    // Framing copies the words once; no payload copy is needed first.
+    count_logical_send(dst, static_cast<std::int64_t>(words.size()));
+    CommLink link(*this);
+    reliable_->send(link, dst, tag, words);
+    return;
+  }
+  Payload payload;
+  {
+    ProfScope prof("machine.copy");
+    payload = Payload::copy_of(words);
+  }
+  send(dst, tag, std::move(payload));
+}
+
+void Comm::send(RankId dst, Tag tag, Payload payload) {
+  if (reliable_) {
+    send(dst, tag, payload.words());  // framed by the span path
+    return;
+  }
+  count_logical_send(dst, static_cast<std::int64_t>(payload.size()));
+  // Raw transport: fire and forget — a dropped or corrupted frame is the
+  // program's problem (that is what reliable transport is for).
+  transmit(dst, tag, payload, false);
+}
+
+void Comm::send_block(RankId dst, Tag tag, const DistBlock& block) {
+  if (block.is_shared()) {
+    send(dst, tag, block.shared_payload());
+  } else {
+    send(dst, tag, block.data());
+  }
+}
+
+void Comm::count_logical_send(RankId dst, std::int64_t words) {
   CAPSP_CHECK_MSG(dst >= 0 && dst < machine_->size(), "dst=" << dst);
   CAPSP_CHECK_MSG(dst != rank_, "self-send on rank " << rank_);
   on_op();
-  const auto words = static_cast<std::int64_t>(payload.size());
-  // Logical accounting happens here, before any transport framing:
-  // TrafficMatrix and the ledger's logical book count one message of
-  // payload-words per application send, so reliable-transport headers,
-  // retransmissions and acks never inflate them (the physical book in
-  // Comm::transmit carries those).
   auto& traffic = machine_->impl_->traffic;
   if (traffic.num_ranks > 0) {
     const auto cell = static_cast<std::size_t>(rank_) *
@@ -236,17 +270,9 @@ void Comm::send(RankId dst, Tag tag, std::span<const Dist> payload) {
   }
   if (ledger_ != nullptr)
     ledger_->record_logical(dst, tag_class_, cost_.current_phase, words);
-  if (reliable_) {
-    CommLink link(*this);
-    reliable_->send(link, dst, tag, payload);
-    return;
-  }
-  // Raw transport: fire and forget — a dropped or corrupted frame is the
-  // program's problem (that is what reliable transport is for).
-  transmit(dst, tag, payload, false);
 }
 
-bool Comm::transmit(RankId dst, Tag tag, std::span<const Dist> frame,
+bool Comm::transmit(RankId dst, Tag tag, const Payload& frame,
                     bool retransmit) {
   const auto words = static_cast<std::int64_t>(frame.size());
   std::int64_t src_event = -1;
@@ -276,7 +302,7 @@ bool Comm::transmit(RankId dst, Tag tag, std::span<const Dist> frame,
   }
   last_peer_ = dst;
   Message message;
-  message.payload.assign(frame.begin(), frame.end());
+  message.payload = frame;
   message.clock = cost_.clock;
   message.src_event = src_event;
 
@@ -298,13 +324,17 @@ bool Comm::transmit(RankId dst, Tag tag, std::span<const Dist> frame,
       inbox.put(rank_, tag, std::move(copy));
       break;
     }
-    case FaultDecision::kCorrupt:
+    case FaultDecision::kCorrupt: {
       // The mangled frame still arrives — the receiver's checksum must
       // catch it — but the link layer reports the damage to the sender.
-      injector->corrupt_payload(rank_, message.payload);
+      // The bit flips in a private copy: the shared frame also reaches
+      // the sender's other receivers and the sender itself.
+      ProfScope prof("machine.copy");
+      message.payload = injector->corrupted_copy(rank_, frame);
       inbox.put(rank_, tag, std::move(message));
       delivered = false;
       break;
+    }
     case FaultDecision::kDelay:
       machine_->impl_->delayed[static_cast<std::size_t>(rank_)].push_back(
           {dst, tag, std::move(message)});
@@ -331,7 +361,7 @@ void Comm::flush_delayed() {
   queue.clear();
 }
 
-std::vector<Dist> Comm::recv(RankId src, Tag tag) {
+Payload Comm::recv(RankId src, Tag tag) {
   CAPSP_CHECK_MSG(src >= 0 && src < machine_->size(), "src=" << src);
   CAPSP_CHECK_MSG(src != rank_, "self-recv on rank " << rank_);
   on_op();
@@ -342,7 +372,7 @@ std::vector<Dist> Comm::recv(RankId src, Tag tag) {
   return raw_receive(src, tag);
 }
 
-std::vector<Dist> Comm::raw_receive(RankId src, Tag tag) {
+Payload Comm::raw_receive(RankId src, Tag tag) {
   Machine::Impl& impl = *machine_->impl_;
   // Deliver anything this rank delayed before it can block on a peer —
   // otherwise a held-back frame could deadlock the schedule.
@@ -414,7 +444,7 @@ void Comm::flush_ledger() {
 
 DistBlock Comm::recv_block(RankId src, Tag tag, std::int64_t rows,
                            std::int64_t cols) {
-  auto payload = recv(src, tag);
+  Payload payload = recv(src, tag);
   CAPSP_CHECK_MSG(static_cast<std::int64_t>(payload.size()) == rows * cols,
                   "block payload from (src " << src << ", tag " << tag
                                              << ") on rank " << rank_
@@ -422,9 +452,7 @@ DistBlock Comm::recv_block(RankId src, Tag tag, std::int64_t rows,
                                              << " words, expected " << rows
                                              << "x" << cols << " = "
                                              << rows * cols);
-  DistBlock block(rows, cols);
-  std::copy(payload.begin(), payload.end(), block.data().begin());
-  return block;
+  return DistBlock(rows, cols, std::move(payload));
 }
 
 void Machine::run(const std::function<void(Comm&)>& program) {

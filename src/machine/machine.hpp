@@ -7,12 +7,16 @@
 // is typed point-to-point messages through per-rank mailboxes.  Message
 // matching is MPI-like: (source, tag) with program-assigned tags.  Sends
 // are buffered (never block); receives block until the matching message
-// arrives.  Deadlock-freedom is the program's responsibility; the
-// algorithms here derive every rank's operation sequence from one global
-// schedule, which makes the communication graph acyclic by construction.
-// For runs that deliberately break these guarantees — fault injection
-// (fault.hpp), the deadlock watchdog (watchdog.hpp), and the reliable
-// transport (reliable.hpp) — see docs/robustness.md.
+// arrives.  A message body is an immutable shared Payload
+// (semiring/payload.hpp): after the one copy a send of the caller's words
+// makes, every hop — mailbox, fault injector, broadcast tree edge,
+// receiving block — shares it.  Deadlock-freedom is the program's
+// responsibility; the algorithms here derive every rank's operation
+// sequence from one global schedule, which makes the communication graph
+// acyclic by construction.  For runs that deliberately break these
+// guarantees — fault injection (fault.hpp), the deadlock watchdog
+// (watchdog.hpp), and the reliable transport (reliable.hpp) — see
+// docs/robustness.md.
 #pragma once
 
 #include <cstdint>
@@ -49,17 +53,29 @@ class Comm {
   RankId rank() const { return rank_; }
   int size() const;
 
-  /// Buffered point-to-point send; never blocks.  Word count = payload
-  /// size.  Self-sends are forbidden (local data needs no message).
-  void send(RankId dst, Tag tag, std::span<const Dist> payload);
+  /// Buffered point-to-point send of the caller's words: copies them
+  /// once, so the caller may overwrite its buffer as soon as this
+  /// returns.  Never blocks.  Word count = payload size.  Self-sends are
+  /// forbidden (local data needs no message).
+  void send(RankId dst, Tag tag, std::span<const Dist> words);
 
-  /// Blocking receive of the message (src, tag).
-  std::vector<Dist> recv(RankId src, Tag tag);
+  /// Send an immutable payload: every hop shares it, nothing is copied.
+  void send(RankId dst, Tag tag, Payload payload);
 
-  /// Convenience: send a block's payload / receive into a shaped block.
-  void send_block(RankId dst, Tag tag, const DistBlock& block) {
-    send(dst, tag, block.data());
+  /// Blocking receive of the message (src, tag); the payload is the one
+  /// the sender built, shared.
+  Payload recv(RankId src, Tag tag);
+
+  /// Send a block's words: a block that reads a payload shares it, a
+  /// private block is copied once.
+  void send_block(RankId dst, Tag tag, const DistBlock& block);
+  /// Send a block the caller is done with: a private block's storage
+  /// moves into the payload, so nothing is copied.
+  void send_block(RankId dst, Tag tag, DistBlock&& block) {
+    send(dst, tag, std::move(block).release_payload());
   }
+  /// Receive a rows×cols block that reads the payload in place (no copy
+  /// until the block is written).
   DistBlock recv_block(RankId src, Tag tag, std::int64_t rows,
                        std::int64_t cols);
 
@@ -148,18 +164,25 @@ class Comm {
   /// stall this rank or throw RankKilledError.  No-op without a plan.
   void on_op();
 
+  /// Checks `dst`, counts the send as an operation (on_op) and meters
+  /// one logical message of `words` words: TrafficMatrix and the
+  /// ledger's logical book, before any transport framing, so reliable
+  /// headers, retransmissions and acks never inflate them (the physical
+  /// book in transmit() carries those).
+  void count_logical_send(RankId dst, std::int64_t words);
+
   /// One physical transmission through the (possibly faulty) network:
   /// meters the frame through the cost model, asks the injector for its
-  /// fate, and delivers accordingly.  Returns the link-layer ack — false
-  /// when the frame was dropped or arrived corrupted (the reliable layer
-  /// retries on false; the raw path ignores it).
-  bool transmit(RankId dst, Tag tag, std::span<const Dist> frame,
-                bool retransmit);
+  /// fate, and delivers accordingly.  The frame is shared, never copied
+  /// (a corrupted frame is a private copy).  Returns the link-layer ack —
+  /// false when the frame was dropped or arrived corrupted (the reliable
+  /// layer retries on false; the raw path ignores it).
+  bool transmit(RankId dst, Tag tag, const Payload& frame, bool retransmit);
 
   /// Blocking receive of the next physical frame on (src, tag), metered
   /// as today; registers with the watchdog's wait registry while blocked
   /// and flushes this rank's delayed frames before it can block.
-  std::vector<Dist> raw_receive(RankId src, Tag tag);
+  Payload raw_receive(RankId src, Tag tag);
 
   /// Reliability-protocol clock charge (acks, backoff): moves the logical
   /// clock and records a kProtocol trace event, but counts no message
@@ -254,6 +277,7 @@ struct TrafficMatrix {
 /// reset at the start of each run.
 class Machine {
  public:
+  /// CHECK-fails unless 1 <= num_ranks <= 4096.
   explicit Machine(int num_ranks);
   ~Machine();
 
@@ -359,6 +383,7 @@ class Machine {
   std::optional<FaultPlan> fault_plan_;
   ReliableOptions reliable_options_;
   std::optional<DeadlockReport> deadlock_;
+  /// Per-run state (mailboxes, ledgers, injector), built by run().
   std::unique_ptr<Impl> impl_;
   CostReport report_;
   TrafficMatrix traffic_;

@@ -72,7 +72,7 @@ DecodedFrame decode_frame(std::span<const Dist> frame) {
 void ReliableComm::send(RawLink& link, RankId dst, Tag tag,
                         std::span<const Dist> payload) {
   const std::int64_t seq = send_seq_[{dst, tag}]++;
-  const std::vector<Dist> frame = encode_frame(seq, payload);
+  const Payload frame(encode_frame(seq, payload));
   double backoff = options_.backoff_latency;
   const double backoff_cap = 64 * options_.backoff_latency;
   for (int attempt = 0;; ++attempt) {
@@ -103,18 +103,18 @@ void ReliableComm::send(RawLink& link, RankId dst, Tag tag,
   }
 }
 
-std::vector<Dist> ReliableComm::recv(RawLink& link, RankId src, Tag tag) {
+Payload ReliableComm::recv(RawLink& link, RankId src, Tag tag) {
   const StreamKey key{src, tag};
   std::int64_t& expected = recv_seq_[key];
   auto& buffer = pending_[key];
   for (;;) {
     if (const auto it = buffer.find(expected); it != buffer.end()) {
-      std::vector<Dist> payload = std::move(it->second);
+      Payload payload = std::move(it->second);
       buffer.erase(it);
       ++expected;
       return payload;
     }
-    DecodedFrame frame = decode_frame(link.receive(src, tag));
+    DecodedFrame frame = decode_frame(link.receive(src, tag).words());
     if (!frame.ok) {
       ++stats_.corrupt_rejected;  // the sender's link saw it too: a
       continue;                   // retransmission is already on its way
@@ -125,11 +125,11 @@ std::vector<Dist> ReliableComm::recv(RawLink& link, RankId src, Tag tag) {
     }
     if (frame.seq > expected) {
       ++stats_.reordered;
-      buffer.emplace(frame.seq, std::move(frame.payload));
+      buffer.emplace(frame.seq, Payload(std::move(frame.payload)));
       continue;
     }
     ++expected;
-    return std::move(frame.payload);
+    return Payload(std::move(frame.payload));
   }
 }
 

@@ -42,6 +42,7 @@
 
 #include "machine/cost_model.hpp"
 #include "semiring/dist.hpp"
+#include "semiring/payload.hpp"
 
 namespace capsp {
 
@@ -87,15 +88,16 @@ class RawLink {
  public:
   virtual ~RawLink() = default;
 
-  /// Physically transmit one frame.  Returns true when the link-layer
-  /// ack reported delivery, false on loss or detected corruption (the
-  /// protocol retries).  The implementation charges the transmission's
-  /// cost; `retransmit` only labels the trace.
-  virtual bool transmit(RankId dst, Tag tag, std::span<const Dist> frame,
+  /// Physically transmit one frame (every retransmission shares it).
+  /// Returns true when the link-layer ack reported delivery, false on
+  /// loss or detected corruption (the protocol retries).  The
+  /// implementation charges the transmission's cost; `retransmit` only
+  /// labels the trace.
+  virtual bool transmit(RankId dst, Tag tag, const Payload& frame,
                         bool retransmit) = 0;
 
   /// Blocking receive of the next physical frame on (src, tag).
-  virtual std::vector<Dist> receive(RankId src, Tag tag) = 0;
+  virtual Payload receive(RankId src, Tag tag) = 0;
 
   /// Charge protocol overhead (acks, backoff) to the local clock,
   /// labelled for the trace.
@@ -117,7 +119,7 @@ class ReliableComm {
 
   /// Next in-order payload of stream (src, tag): rejects corrupt frames,
   /// discards duplicates, buffers and reorders early frames.
-  std::vector<Dist> recv(RawLink& link, RankId src, Tag tag);
+  Payload recv(RawLink& link, RankId src, Tag tag);
 
   const ReliabilityStats& stats() const { return stats_; }
 
@@ -129,7 +131,7 @@ class ReliableComm {
   std::map<StreamKey, std::int64_t> send_seq_;
   std::map<StreamKey, std::int64_t> recv_seq_;
   /// Early (out-of-order) frames awaiting their turn, per stream.
-  std::map<StreamKey, std::map<std::int64_t, std::vector<Dist>>> pending_;
+  std::map<StreamKey, std::map<std::int64_t, Payload>> pending_;
 };
 
 }  // namespace capsp

@@ -126,16 +126,16 @@ DistributedNdResult distributed_nested_dissection(
       const RankId leader = team_lo;
       if (comm.rank() != leader) {
         comm.send(leader, tag_base + kGatherE + comm.rank() - team_lo,
-                  pack_edges(my_edges));
+                  Payload(pack_edges(my_edges)));
         comm.send(leader, tag_base + kGatherV + comm.rank() - team_lo,
-                  pack_vertices(my_vertices));
+                  Payload(pack_vertices(my_vertices)));
       } else {
         for (int m = 1; m < team_size; ++m) {
-          const auto edges =
-              unpack_edges(comm.recv(leader + m, tag_base + kGatherE + m));
+          const auto edges = unpack_edges(
+              comm.recv(leader + m, tag_base + kGatherE + m).words());
           my_edges.insert(my_edges.end(), edges.begin(), edges.end());
-          const auto vertices =
-              unpack_vertices(comm.recv(leader + m, tag_base + kGatherV + m));
+          const auto vertices = unpack_vertices(
+              comm.recv(leader + m, tag_base + kGatherV + m).words());
           my_vertices.insert(my_vertices.end(), vertices.begin(),
                              vertices.end());
         }
@@ -213,17 +213,17 @@ DistributedNdResult distributed_nested_dissection(
             my_vertices = std::move(vert_slice);
           } else {
             comm.send(team_lo + m, tag_base + kScatterE + m,
-                      pack_edges(edge_slice));
+                      Payload(pack_edges(edge_slice)));
             comm.send(team_lo + m, tag_base + kScatterV + m,
-                      pack_vertices(vert_slice));
+                      Payload(pack_vertices(vert_slice)));
           }
         }
       } else {
         const int m = comm.rank() - team_lo;
         my_edges =
-            unpack_edges(comm.recv(leader, tag_base + kScatterE + m));
-        my_vertices =
-            unpack_vertices(comm.recv(leader, tag_base + kScatterV + m));
+            unpack_edges(comm.recv(leader, tag_base + kScatterE + m).words());
+        my_vertices = unpack_vertices(
+            comm.recv(leader, tag_base + kScatterV + m).words());
       }
     }
   });

@@ -125,12 +125,22 @@ DistBlock undo_dissection(const DistBlock& reordered, const Dissection& nd) {
   const auto n = static_cast<Vertex>(nd.perm.size());
   CAPSP_CHECK(reordered.rows() == n && reordered.cols() == n);
   DistBlock original(n, n);
-  for (Vertex u = 0; u < n; ++u)
-    for (Vertex v = 0; v < n; ++v)
-      original.at(u, v) =
-          reordered.at(nd.perm[static_cast<std::size_t>(u)],
-                       nd.perm[static_cast<std::size_t>(v)]);
+  undo_dissection_into(original, nd, 0, 0, reordered);
   return original;
+}
+
+void undo_dissection_into(DistBlock& original, const Dissection& nd,
+                          Vertex row0, Vertex col0, const DistBlock& piece) {
+  const auto n = static_cast<std::int64_t>(nd.iperm.size());
+  CAPSP_CHECK(original.rows() == n && original.cols() == n);
+  CAPSP_CHECK(row0 >= 0 && col0 >= 0);
+  CAPSP_CHECK(row0 + piece.rows() <= n && col0 + piece.cols() <= n);
+  const Vertex* out_cols = nd.iperm.data() + col0;
+  for (std::int64_t a = 0; a < piece.rows(); ++a) {
+    Dist* out = original.row(nd.iperm[static_cast<std::size_t>(row0 + a)]);
+    const Dist* in = piece.row(a);
+    for (std::int64_t b = 0; b < piece.cols(); ++b) out[out_cols[b]] = in[b];
+  }
 }
 
 }  // namespace capsp

@@ -66,4 +66,12 @@ Graph apply_dissection(const Graph& graph, const Dissection& nd);
 /// the result is entry (perm[u], perm[v]) of `reordered`.
 DistBlock undo_dissection(const DistBlock& reordered, const Dissection& nd);
 
+/// undo_dissection for one piece: `piece` holds rows [row0, row0 + rows)
+/// × columns [col0, col0 + cols) of a matrix over the reordered vertices;
+/// entry (a, b) is written to (iperm[row0 + a], iperm[col0 + b]) of
+/// `original`, an n×n matrix in the original numbering.  The sparse
+/// solver's result gather writes each rank's block with it.
+void undo_dissection_into(DistBlock& original, const Dissection& nd,
+                          Vertex row0, Vertex col0, const DistBlock& piece);
+
 }  // namespace capsp

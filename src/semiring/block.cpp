@@ -16,6 +16,13 @@ DistBlock DistBlock::sub_block(std::int64_t r0, std::int64_t c0,
   return out;
 }
 
+Payload DistBlock::release_payload() && {
+  Payload payload =
+      is_shared() ? std::move(shared_) : Payload(std::move(data_));
+  *this = DistBlock();
+  return payload;
+}
+
 void DistBlock::set_sub_block(std::int64_t r0, std::int64_t c0,
                               const DistBlock& src) {
   CAPSP_CHECK(r0 >= 0 && c0 >= 0);

@@ -44,10 +44,17 @@
 //     that step runs alone in k-i-j order;
 //   * a policy without a `lanes` member runs the tile one scalar at a
 //     time through its own times/plus.
+//
+// Aliasing.  The kernels tell that A or B is C by comparing pointers.
+// Each entry point takes the view of the block it writes before its read
+// views: a C that reads a received payload (block.hpp) turns private in
+// that first step, so an A or B that is the same block then yields the
+// same pointer, and the payload's other holders never see the writes.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 
 #include "semiring/block.hpp"
 #include "semiring/microkernel.hpp"
@@ -336,7 +343,8 @@ bool semiring_all_zero(const DistBlock& a) {
 template <typename S>
 std::int64_t semiring_accumulate(DistBlock& c, const DistBlock& a,
                                  const DistBlock& b) {
-  return detail::accumulate_counted<S>(detail::view_of(c), detail::view_of(a),
+  const detail::BlockView cv = detail::view_of(c);  // first: see Aliasing
+  return detail::accumulate_counted<S>(cv, detail::view_of(a),
                                        detail::view_of(b), kernel_isa());
 }
 
@@ -354,8 +362,8 @@ template <typename S>
 void semiring_elementwise_plus(DistBlock& c, const DistBlock& other) {
   CAPSP_CHECK(c.rows() == other.rows() && c.cols() == other.cols());
   ProfScope prof("semiring.combine");
-  auto cd = c.data();
-  auto od = other.data();
+  const std::span<Dist> cd = c.data();  // first: see Aliasing
+  const std::span<const Dist> od = other.data();
   for (std::size_t i = 0; i < cd.size(); ++i) cd[i] = S::plus(cd[i], od[i]);
   prof.add_ops(static_cast<std::int64_t>(cd.size()));
   prof.add_bytes(static_cast<std::int64_t>(cd.size()) * 3 *

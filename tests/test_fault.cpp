@@ -10,6 +10,7 @@
 
 #include "core/sparse_apsp.hpp"
 #include "graph/generators.hpp"
+#include "machine/collectives.hpp"
 #include "machine/fault.hpp"
 #include "machine/machine.hpp"
 
@@ -89,8 +90,10 @@ TEST(FaultInjector, CorruptionFlipsExactlyOneBit) {
   const FaultPlan plan = FaultPlan::parse("seed=3,corrupt=1");
   FaultInjector injector(plan, 1);
   const std::vector<Dist> original{1.0, 2.0, 3.0, kInf};
-  std::vector<Dist> mangled = original;
-  injector.corrupt_payload(0, mangled);
+  const Payload frame(original);
+  const Payload mangled = injector.corrupted_copy(0, frame);
+  EXPECT_EQ(frame, original);  // the shared frame is never written
+  ASSERT_EQ(mangled.size(), original.size());
   int flipped_bits = 0;
   for (std::size_t i = 0; i < original.size(); ++i)
     flipped_bits += std::popcount(std::bit_cast<std::uint64_t>(original[i]) ^
@@ -117,6 +120,38 @@ TEST(RawTransport, CorruptionIsSilentlyVisibleToTheProgram) {
     }
   });
   EXPECT_EQ(machine.report().faults.corruptions, 1);
+}
+
+TEST(RawTransport, CorruptionOfASharedPayloadStaysPrivateToItsFrame) {
+  // The root's one broadcast payload goes out twice, and corrupt=1
+  // mangles both frames.  Each receiver sees exactly its own flipped bit;
+  // the root's result, which reads the very same payload, sees none.
+  const std::vector<RankId> group{0, 1, 2};
+  DistBlock original(2, 3);
+  for (std::int64_t r = 0; r < 2; ++r)
+    for (std::int64_t c = 0; c < 3; ++c) original.at(r, c) = 1.5 + r * 3 + c;
+  const auto flipped_bits = [&](const DistBlock& got) {
+    int bits = 0;
+    for (std::int64_t r = 0; r < 2; ++r)
+      for (std::int64_t c = 0; c < 3; ++c)
+        bits += std::popcount(std::bit_cast<std::uint64_t>(got.at(r, c)) ^
+                              std::bit_cast<std::uint64_t>(original.at(r, c)));
+    return bits;
+  };
+  Machine machine(3);
+  machine.set_fault_plan(FaultPlan::parse("seed=3,corrupt=1"));
+  machine.run([&](Comm& comm) {
+    const DistBlock source = comm.rank() == 0 ? original : DistBlock();
+    const DistBlock got = group_broadcast(comm, group, 0, source, 2, 3, 7);
+    if (comm.rank() == 0) {
+      EXPECT_TRUE(got.is_shared());  // the payload both frames carried
+      EXPECT_EQ(flipped_bits(got), 0);
+      EXPECT_EQ(flipped_bits(source), 0);
+    } else {
+      EXPECT_EQ(flipped_bits(got), 1) << "rank " << comm.rank();
+    }
+  });
+  EXPECT_EQ(machine.report().faults.corruptions, 2);
 }
 
 TEST(RawTransport, DuplicateArrivesTwice) {

@@ -1,11 +1,13 @@
 // Tests for the machine simulator: message passing semantics, logical
 // clocks / critical-path accounting, phase volumes, collectives (values
-// and cost shapes), abort behavior.
+// and cost shapes), abort behavior, and the zero-copy message contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <utility>
 
 #include "machine/collectives.hpp"
 #include "machine/machine.hpp"
@@ -62,6 +64,13 @@ TEST(Machine, SameTagDifferentSources) {
       comm.send(2, 5, payload({10.0 + comm.rank()}));
     }
   });
+}
+
+TEST(Machine, RejectsOutOfRangeRankCounts) {
+  // The range CHECK must run before anything is sized from the count;
+  // -1 would otherwise escape as std::length_error.
+  for (const int ranks : {-1, 0, 4097})
+    EXPECT_THROW(Machine machine(ranks), check_error) << ranks;
 }
 
 TEST(Machine, SelfSendRejected) {
@@ -472,6 +481,108 @@ TEST(Machine, ManyRanksStress) {
     EXPECT_EQ(got[0], static_cast<Dist>(prev));
   });
   EXPECT_EQ(machine.report().total_messages, kRanks);
+}
+
+/// Address of the words a block reads, without the copy a mutable access
+/// of a shared block would make.
+std::uintptr_t storage_of(const DistBlock& block) {
+  return reinterpret_cast<std::uintptr_t>(block.data().data());
+}
+
+DistBlock counting_block(std::int64_t rows, std::int64_t cols) {
+  DistBlock block(rows, cols);
+  for (std::int64_t i = 0; i < block.size(); ++i)
+    block.data()[static_cast<std::size_t>(i)] = 0.5 + static_cast<Dist>(i);
+  return block;
+}
+
+TEST(ZeroCopy, BroadcastFansOneAllocationOutToEveryMember) {
+  constexpr int kRanks = 8;
+  const DistBlock original = counting_block(3, 5);
+  std::vector<RankId> group(kRanks);
+  std::iota(group.begin(), group.end(), 0);
+  // Every member's result stays alive until the run ends, so equal
+  // addresses can only mean one shared buffer.
+  std::vector<DistBlock> results(kRanks);
+  std::uintptr_t source_storage = 0;
+  Machine machine(kRanks);
+  machine.run([&](Comm& comm) {
+    const DistBlock source = comm.rank() == 2 ? original : DistBlock();
+    DistBlock got = group_broadcast(comm, group, 2, source, 3, 5, 11);
+    if (comm.rank() == 2) {
+      source_storage = storage_of(source);
+      EXPECT_EQ(source, original);
+    }
+    results[static_cast<std::size_t>(comm.rank())] = std::move(got);
+  });
+  for (const DistBlock& got : results) {
+    EXPECT_TRUE(got.is_shared());
+    EXPECT_EQ(got, original);
+    EXPECT_EQ(storage_of(got), storage_of(results[0]));
+  }
+  // The root snapshot its block once; its own block stays private.
+  EXPECT_NE(storage_of(results[0]), source_storage);
+  EXPECT_EQ(machine.report().total_messages, kRanks - 1);
+}
+
+TEST(ZeroCopy, MovedBlockSendHandsItsStorageToTheReceiver) {
+  std::uintptr_t sent_storage = 0;
+  DistBlock received;
+  Machine machine(2);
+  machine.run([&](Comm& comm) {
+    if (comm.rank() == 0) {
+      DistBlock block = counting_block(4, 4);
+      sent_storage = storage_of(block);
+      comm.send_block(1, 3, std::move(block));
+    } else {
+      received = comm.recv_block(0, 3, 4, 4);
+    }
+  });
+  EXPECT_EQ(storage_of(received), sent_storage);
+  EXPECT_EQ(received, counting_block(4, 4));
+}
+
+TEST(ZeroCopy, WritingAReceivedBlockGivesItPrivateStorage) {
+  const std::vector<RankId> group{0, 1, 2, 3};
+  const DistBlock original = counting_block(2, 3);
+  std::vector<DistBlock> results(group.size());
+  Machine machine(4);
+  machine.run([&](Comm& comm) {
+    const DistBlock source = comm.rank() == 0 ? original : DistBlock();
+    DistBlock got = group_broadcast(comm, group, 0, source, 2, 3, 5);
+    if (comm.rank() == 1) {
+      const std::uintptr_t shared = storage_of(got);
+      got.at(1, 2) = -7.0;  // first write: copy, then write the copy
+      EXPECT_FALSE(got.is_shared());
+      EXPECT_NE(storage_of(got), shared);
+      EXPECT_EQ(got.at(1, 2), -7.0);
+      // Only now may the others look at their blocks.
+      for (const RankId r : {0, 2, 3}) comm.send(r, 6, payload({1.0}));
+    } else {
+      comm.recv(1, 6);
+      EXPECT_EQ(got, original);
+      EXPECT_EQ(source, comm.rank() == 0 ? original : DistBlock());
+    }
+    results[static_cast<std::size_t>(comm.rank())] = std::move(got);
+  });
+  EXPECT_EQ(storage_of(results[0]), storage_of(results[2]));
+  EXPECT_EQ(storage_of(results[0]), storage_of(results[3]));
+  EXPECT_NE(storage_of(results[1]), storage_of(results[0]));
+}
+
+TEST(ZeroCopy, SpanSendCopiesSoTheCallerMayOverwrite) {
+  Machine machine(2);
+  machine.run([](Comm& comm) {
+    if (comm.rank() == 0) {
+      std::vector<Dist> buffer{1.0, 2.0, 3.0};
+      comm.send(1, 7, buffer);
+      buffer[0] = 42.0;  // the message already in flight must not change
+      comm.send(1, 8, buffer);
+    } else {
+      EXPECT_EQ(comm.recv(0, 7), payload({1.0, 2.0, 3.0}));
+      EXPECT_EQ(comm.recv(0, 8), payload({42.0, 2.0, 3.0}));
+    }
+  });
 }
 
 }  // namespace

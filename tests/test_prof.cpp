@@ -12,6 +12,7 @@
 #include <sstream>
 #include <thread>
 
+#include "machine/machine.hpp"
 #include "semiring/microkernel.hpp"
 #include "util/buildinfo.hpp"
 #include "util/json.hpp"
@@ -119,6 +120,34 @@ TEST(Profiler, FoldedStacksNestAndAttributeSelfVsTotal) {
   std::int64_t folded_sum = 0;
   for (const FoldedStack& folded : report.folded) folded_sum += folded.count;
   EXPECT_EQ(folded_sum, report.samples);
+}
+
+TEST(Profiler, BlockedReceiveIsSampledAsMachineWait) {
+  ProfOptions options;
+  options.hz = 1997;
+  options.perf_counters = false;
+  ASSERT_TRUE(Profiler::global().start(options));
+  Machine machine(2);
+  machine.run([](Comm& comm) {
+    if (comm.rank() == 1) {
+      ProfScope region("test.prof.region");
+      comm.recv(0, 7);
+      return;
+    }
+    // Rank 1 is the only thread inside a scope, so every sample is of
+    // it; hold the message back until the sampler has seen it blocked.
+    const steady_clock::time_point until =
+        steady_clock::now() + milliseconds(3000);
+    while (Profiler::global().status().samples < 20 &&
+           steady_clock::now() < until)
+      std::this_thread::sleep_for(milliseconds(1));
+    comm.send(1, 7, std::vector<Dist>{1.0});
+  });
+  const ProfReport report = Profiler::global().stop();
+  bool saw_wait = false;
+  for (const FoldedStack& folded : report.folded)
+    if (folded.stack == "test.prof.region;machine.wait") saw_wait = true;
+  EXPECT_TRUE(saw_wait) << "blocked samples must not land as region self";
 }
 
 TEST(Profiler, WriteFoldedMatchesTheReport) {

@@ -70,24 +70,24 @@ class ScriptedLink final : public RawLink {
  public:
   std::deque<bool> ack_script;          ///< result of each transmit
   std::deque<std::vector<Dist>> inbox;  ///< frames receive() returns
-  std::vector<std::vector<Dist>> sent;  ///< every transmitted frame
+  std::vector<Payload> sent;            ///< every transmitted frame
   int retransmit_flags = 0;
   double charged_latency = 0;
   double charged_words = 0;
   std::vector<std::string> charge_labels;
 
-  bool transmit(RankId, Tag, std::span<const Dist> frame,
+  bool transmit(RankId, Tag, const Payload& frame,
                 bool retransmit) override {
-    sent.emplace_back(frame.begin(), frame.end());
+    sent.push_back(frame);
     if (retransmit) ++retransmit_flags;
     if (ack_script.empty()) return true;
     const bool ok = ack_script.front();
     ack_script.pop_front();
     return ok;
   }
-  std::vector<Dist> receive(RankId, Tag) override {
+  Payload receive(RankId, Tag) override {
     CAPSP_CHECK_MSG(!inbox.empty(), "scripted link inbox ran dry");
-    auto frame = std::move(inbox.front());
+    Payload frame(std::move(inbox.front()));
     inbox.pop_front();
     return frame;
   }
@@ -103,8 +103,9 @@ TEST(ReliableComm, RetriesUntilLinkAcks) {
   link.ack_script = {false, false, true};
   ReliableComm comm;
   comm.send(link, 1, 0, payload({9.0}));
-  EXPECT_EQ(link.sent.size(), 3u);          // identical frame, three tries
-  EXPECT_EQ(link.sent[0], link.sent[2]);
+  EXPECT_EQ(link.sent.size(), 3u);  // one frame, three tries, no copies
+  EXPECT_EQ(link.sent[0].data(), link.sent[2].data());
+  EXPECT_EQ(link.sent[0], link.sent[2].words());
   EXPECT_EQ(link.retransmit_flags, 2);
   EXPECT_EQ(comm.stats().frames_sent, 3);
   EXPECT_EQ(comm.stats().retransmissions, 2);

@@ -685,5 +685,47 @@ TEST(GraphMatrix, RectangularWindow) {
   EXPECT_TRUE(is_inf(block.at(0, 2)));
 }
 
+TEST(AdoptedBlocks, KernelsMatchAnOwnedCopyAndSpareTheOtherHolder) {
+  // A block that reads a received payload turns private at its first
+  // write.  The kernels take C's view first, so an A or B that is C
+  // itself is still seen as C: the in-place results are those of an
+  // owned block, and the payload's other holder keeps the original.
+  using S = MinPlusSemiring;
+  Rng rng(31);
+  for (const std::int64_t n : {5, 37, 70}) {
+    const DistBlock original = real_square<S>(n, rng);
+    const DistBlock other = real_square<S>(n, rng);
+    const auto check = [&](const char* what, auto kernel) {
+      const Payload shared = Payload::copy_of(original.data());
+      const DistBlock holder(n, n, shared);
+      DistBlock adopted(n, n, shared);
+      DistBlock owned = original;
+      const std::int64_t want_ops = kernel(owned);
+      EXPECT_EQ(kernel(adopted), want_ops) << what << " n=" << n;
+      EXPECT_FALSE(adopted.is_shared()) << what;
+      EXPECT_TRUE(same_bits(adopted, owned)) << what << " n=" << n;
+      EXPECT_TRUE(same_bits(holder, original)) << what << " n=" << n;
+      EXPECT_EQ(holder.data().data(), shared.data()) << what;
+    };
+    check("accumulate(c, c, b)", [&](DistBlock& c) {
+      return semiring_accumulate<S>(c, c, other);
+    });
+    check("accumulate(c, a, c)", [&](DistBlock& c) {
+      return semiring_accumulate<S>(c, other, c);
+    });
+    check("fw(c)", [](DistBlock& c) { return semiring_fw<S>(c); });
+  }
+}
+
+TEST(Block, EqualityComparesContentsWhereverTheyLive) {
+  DistBlock owned(2, 2, 1.0);
+  const DistBlock shared(2, 2, Payload::copy_of(owned.data()));
+  EXPECT_TRUE(shared.is_shared());
+  EXPECT_EQ(owned, shared);
+  owned.at(0, 1) = 2.0;
+  EXPECT_NE(owned, shared);
+  EXPECT_NE(DistBlock(1, 4, 1.0), shared);  // same words, other shape
+}
+
 }  // namespace
 }  // namespace capsp
