@@ -2,9 +2,9 @@
 // 2D-DC-APSP on the same graph.
 //
 // This example uses the *advanced* (SPMD) API — it builds the machine by
-// hand, enables traffic recording, builds Algorithm 1's schedule, and
-// drives sparse_apsp_rank / dc_apsp_rank directly — and then renders the
-// p×p communication matrix.
+// hand, builds Algorithm 1's schedule, and drives sparse_apsp_rank /
+// dc_apsp_rank directly — and then renders the p×p communication matrix
+// that Machine::traffic() folds from the run's sends.
 // The sparse algorithm's heatmap shows the eTree structure: leaf rows
 // talk only along their root paths, separator rows fan out, and most
 // rank pairs never exchange a word (the communication the algorithm
@@ -75,7 +75,6 @@ int main(int argc, char** argv) {
   const SparseSchedule schedule(layout);
   const Graph reordered = apply_dissection(graph, nd);
   Machine sparse_machine(layout.num_ranks());
-  sparse_machine.enable_traffic_recording(true);
   sparse_machine.run([&](Comm& comm) {
     const auto [i, j] = layout.block_of(comm.rank());
     DistBlock local = adjacency_block(
@@ -96,7 +95,6 @@ int main(int argc, char** argv) {
   const GridLayout grid =
       GridLayout::square(all, q, graph.num_vertices());
   Machine dense_machine(q * q);
-  dense_machine.enable_traffic_recording(true);
   dense_machine.run([&](Comm& comm) {
     const auto [gr, gc] = grid.coords_of(comm.rank());
     const IndexRect rect = grid.block_rect(gr, gc);

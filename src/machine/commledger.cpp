@@ -34,70 +34,41 @@ int CommChannelStats::size_bucket(std::int64_t words) {
   return bucket;
 }
 
-CommChannelStats& RankCommLedger::entry(RankId dst, const char* tag_class,
-                                        const std::string& phase) {
-  if (cached_stats_ != nullptr && cached_dst_ == dst &&
-      cached_class_ == tag_class && cached_phase_ == phase) {
-    return *cached_stats_;
+std::size_t fold_comm_record(
+    RankId src, const CommRecord& record, std::size_t from,
+    std::map<CommChannelKey, CommChannelStats>& channels) {
+  for (std::size_t i = from; i < record.events.size(); ++i) {
+    const CommEvent& event = record.events[i];
+    if (event.dst < 0) continue;
+    CommChannelStats& stats = channels[CommChannelKey{
+        src, event.dst, event.tag_class,
+        record.phases[static_cast<std::size_t>(event.phase)]}];
+    switch (event.kind) {
+      case CommEvent::Kind::kLogical:
+        ++stats.logical_messages;
+        stats.logical_words += event.words;
+        break;
+      case CommEvent::Kind::kFrame:
+        ++stats.physical_frames;
+        stats.physical_words += event.words;
+        ++stats.size_log2[CommChannelStats::size_bucket(event.words)];
+        if (event.retransmit) {
+          ++stats.retransmit_frames;
+          stats.retransmit_words += event.words;
+        }
+        // An injected duplicate rode the same frame: only the count is
+        // kept (it adds no sender charge).
+        stats.duplicate_frames += event.duplicated;
+        stats.dropped_frames += event.dropped;
+        break;
+      case CommEvent::Kind::kProtocol:
+        ++stats.protocol_charges;
+        stats.protocol_latency += event.latency;
+        stats.protocol_words += event.words;
+        break;
+    }
   }
-  LocalKey key{dst, tag_class, phase};
-  CommChannelStats& stats = channels_[std::move(key)];
-  cached_stats_ = &stats;
-  cached_dst_ = dst;
-  cached_class_ = tag_class;
-  cached_phase_ = phase;
-  return stats;
-}
-
-void RankCommLedger::record_logical(RankId dst, const char* tag_class,
-                                    const std::string& phase,
-                                    std::int64_t words) {
-  CommChannelStats& stats = entry(dst, tag_class, phase);
-  ++stats.logical_messages;
-  stats.logical_words += words;
-}
-
-void RankCommLedger::record_physical(RankId dst, const char* tag_class,
-                                     const std::string& phase,
-                                     std::int64_t words, bool retransmit,
-                                     bool duplicated, bool dropped) {
-  CommChannelStats& stats = entry(dst, tag_class, phase);
-  ++stats.physical_frames;
-  stats.physical_words += words;
-  ++stats.size_log2[CommChannelStats::size_bucket(words)];
-  if (retransmit) {
-    ++stats.retransmit_frames;
-    stats.retransmit_words += words;
-  }
-  if (duplicated) {
-    // The injector delivered one extra copy: it rode the same frame, so
-    // only the count is tracked (the duplicate adds no sender charge).
-    ++stats.duplicate_frames;
-  }
-  if (dropped) ++stats.dropped_frames;
-}
-
-void RankCommLedger::record_protocol(RankId dst, const char* tag_class,
-                                     const std::string& phase,
-                                     std::int64_t latency,
-                                     std::int64_t words) {
-  CommChannelStats& stats = entry(dst, tag_class, phase);
-  ++stats.protocol_charges;
-  stats.protocol_latency += latency;
-  stats.protocol_words += words;
-}
-
-void RankCommLedger::drain_into(
-    RankId src, std::map<CommChannelKey, CommChannelStats>& out) {
-  for (auto& [local, stats] : channels_) {
-    CommChannelKey key{src, local.dst, local.tag_class, local.phase};
-    out[std::move(key)] += stats;
-  }
-  channels_.clear();
-  cached_stats_ = nullptr;
-  cached_dst_ = -1;
-  cached_class_.clear();
-  cached_phase_.clear();
+  return record.events.size();
 }
 
 CommChannelStats CommLedger::totals() const {
@@ -291,16 +262,13 @@ void CommLedgerHub::publish(const CommLedger& ledger) {
 }
 
 CommLedger CommLedgerHub::snapshot() const {
-  std::function<CommLedger()> provider;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!provider_) return last_;
-    provider = provider_;
-  }
-  // Call outside the hub lock: the provider takes the machine's live
-  // ledger lock, and a rank thread holding that lock must never need
-  // the hub lock (it doesn't), so ordering is one-way.
-  return provider();
+  // The provider runs under the hub lock, so once clear_provider() returns
+  // no call into the finished run's machine is in flight, and the machine
+  // may free its live ledger.  The provider takes the machine's live
+  // ledger lock inside this one; nothing takes the two in the other order
+  // (rank threads never touch the hub).
+  std::lock_guard<std::mutex> lock(mutex_);
+  return provider_ ? provider_() : last_;
 }
 
 }  // namespace capsp

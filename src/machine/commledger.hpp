@@ -2,20 +2,18 @@
 // per-channel communication ledgers with phase-resolved (L,B)
 // accounting and physical-vs-logical attribution.
 //
-// A *channel* is the tuple (src, dst, tag-class, phase).  Each rank
-// thread owns a private RankCommLedger — no locks on the hot path — and
-// the Machine merges the per-rank maps into one deterministic
-// CommLedger after the rank threads join (the same discipline the
-// per-rank MetricsRegistry sinks use).  Phase labels come from
-// Comm::set_phase (the sparse solver's "L<l>/R1".."L<l>/R4" region
-// seams, "setup", "collect"); tag classes come from CommClassScope
-// (collectives label their traffic "bcast"/"reduce"/"gather"/
-// "scatter", everything else is "p2p").
+// A *channel* is the tuple (src, dst, tag-class, phase).  The ledger is
+// folded from the per-rank CommRecords (cost_model.hpp): live at each
+// rank's phase seams, the rest after the join, so the merged CommLedger
+// is deterministic.  Phase labels come from Comm::set_phase (the sparse
+// solver's "L<l>/R1".."L<l>/R4" region seams, "setup", "collect"); tag
+// classes come from CommClassScope (collectives label their traffic
+// "bcast"/"reduce"/"gather"/"scatter", everything else is "p2p").
 //
 // Two books are kept per channel:
 //   * logical  — what the application asked for: one message of
 //     payload-words per Comm::send.  This is the volume the paper's
-//     W/S bounds speak about, and what TrafficMatrix records.
+//     W/S bounds speak about, and what Machine::traffic() folds.
 //   * physical — what crossed the simulated wire: every transmitted
 //     frame including ReliableComm frame headers, retransmissions and
 //     fault-injector duplicates, plus protocol clock charges (acks,
@@ -23,11 +21,11 @@
 //
 // The split is what makes retries/acks attributable *distinctly* from
 // application sends: under a drop-heavy FaultPlan the logical book (and
-// TrafficMatrix) match a clean run bit-for-bit while the physical book
-// carries the overhead.  Grappa's RDMAAggregator drives aggregation
+// the traffic matrix) match a clean run bit-for-bit while the physical
+// book carries the overhead.  Grappa's RDMAAggregator drives aggregation
 // decisions from exactly this kind of per-destination size/occupancy
-// ledger — this subsystem is the measuring stick ROADMAP item 2's
-// aggregating comm layer will be judged against.
+// ledger — this subsystem is the measuring stick an aggregating comm
+// layer would be judged against.
 #pragma once
 
 #include <array>
@@ -67,8 +65,8 @@ struct CommChannelKey {
 };
 
 /// Per-channel counters.  Merging is plain field-wise addition, so the
-/// final ledger is independent of flush interleaving (each key is only
-/// ever written by its src rank; cross-rank merges never collide).
+/// final ledger is independent of fold interleaving (each key is only
+/// ever folded from its src rank; cross-rank merges never collide).
 struct CommChannelStats {
   // Log2 message-size histogram over *physical* frame sizes, matching
   // the util/metrics Histogram convention: bucket 0 holds sizes <= 1,
@@ -102,50 +100,12 @@ struct CommChannelStats {
   static int size_bucket(std::int64_t words);
 };
 
-/// One rank thread's private ledger.  Single-writer by construction
-/// (each Comm belongs to exactly one rank thread), hence "lock-cheap":
-/// the hot path is a map lookup amortised by a one-entry cache keyed on
-/// the (dst, class, phase) triple that repeated sends reuse.
-class RankCommLedger {
- public:
-  void record_logical(RankId dst, const char* tag_class,
-                      const std::string& phase, std::int64_t words);
-  void record_physical(RankId dst, const char* tag_class,
-                       const std::string& phase, std::int64_t words,
-                       bool retransmit, bool duplicated, bool dropped);
-  void record_protocol(RankId dst, const char* tag_class,
-                       const std::string& phase, std::int64_t latency,
-                       std::int64_t words);
-
-  bool empty() const { return channels_.empty(); }
-
-  /// Drain this rank's entries into `out[key_with_src]` and clear.
-  /// Called from the owning rank thread only.
-  void drain_into(RankId src,
-                  std::map<CommChannelKey, CommChannelStats>& out);
-
- private:
-  struct LocalKey {
-    RankId dst = 0;
-    std::string tag_class;
-    std::string phase;
-    friend bool operator<(const LocalKey& a, const LocalKey& b) {
-      if (a.dst != b.dst) return a.dst < b.dst;
-      if (a.tag_class != b.tag_class) return a.tag_class < b.tag_class;
-      return a.phase < b.phase;
-    }
-  };
-
-  CommChannelStats& entry(RankId dst, const char* tag_class,
-                          const std::string& phase);
-
-  std::map<LocalKey, CommChannelStats> channels_;
-  // Hot-path cache: valid while the (dst, class, phase) triple repeats.
-  CommChannelStats* cached_stats_ = nullptr;
-  RankId cached_dst_ = -1;
-  std::string cached_class_;
-  std::string cached_phase_;
-};
+/// Fold rank `src`'s events from index `from` on into `channels`, and
+/// return the index the next fold resumes from.  Protocol charges before
+/// the rank's first frame have no channel and are skipped.
+std::size_t fold_comm_record(
+    RankId src, const CommRecord& record, std::size_t from,
+    std::map<CommChannelKey, CommChannelStats>& channels);
 
 /// Per-phase rollup derived from the merged ledger: the phase-resolved
 /// (L,B) account.  `messages`/`words` are the logical book; the

@@ -12,9 +12,9 @@
 // processor can receive only one message at a time, so back-to-back
 // receives serialize — while the max() keeps disjoint concurrent transfers
 // from accumulating.  The machine-wide critical-path cost is the max of the
-// final clocks; message/word *volumes* are additionally counted per rank
-// and per algorithm phase so each lemma's per-region decomposition can be
-// checked.
+// final clocks; message/word *volumes*, per rank and per algorithm phase
+// so each lemma's per-region decomposition can be checked, are folded
+// after the run from the per-rank CommRecords below.
 #pragma once
 
 #include <algorithm>
@@ -139,28 +139,39 @@ struct PhaseVolume {
   }
 };
 
-/// Per-rank cost state, owned by the Comm handle.
-struct RankCost {
-  CostClock clock;
-  std::map<std::string, PhaseVolume> volume_by_phase;
-  /// Volumes counted before the last Comm::reset_clock(), segmented away
-  /// so setup/data-distribution traffic never pollutes the per-phase
-  /// volumes of the measured algorithm (see machine.hpp).
-  std::map<std::string, PhaseVolume> pre_reset_volume_by_phase;
-  std::string current_phase = "default";
+/// One communication event on one rank: an application send (logical), a
+/// frame handed to the network (frame), or a reliability-protocol clock
+/// charge with no frame of its own (protocol).  Plain data, no strings.
+struct CommEvent {
+  enum class Kind : std::uint8_t { kLogical, kFrame, kProtocol };
+  Kind kind = Kind::kLogical;
+  bool retransmit = false;  ///< frame: a reliable-transport retry
+  bool duplicated = false;  ///< frame: the injector delivered a second copy
+  bool dropped = false;     ///< frame: dropped or corrupted in the network
+  std::int32_t phase = 0;   ///< index into CommRecord::phases
+  RankId dst = 0;  ///< protocol: the last frame's peer, -1 before any
+  const char* tag_class = "p2p";  ///< CommClassScope label
+  std::int64_t words = 0;
+  std::int64_t latency = 0;  ///< protocol only
+};
 
-  void count_send(std::int64_t word_count) {
-    auto& v = volume_by_phase[current_phase];
-    ++v.messages;
-    v.words += word_count;
-  }
+/// Everything one rank communicated in a run, append-only and in program
+/// order: the single accounting point every volume view folds.
+struct CommRecord {
+  /// Interned Comm::set_phase labels; CommEvent::phase indexes them.
+  std::vector<std::string> phases;
+  std::vector<CommEvent> events;
+  /// Events before this index precede the rank's last Comm::reset_clock():
+  /// the setup segment (CostReport::setup_*).
+  std::size_t reset_at = 0;
 
-  /// Fold the current per-phase counts into the pre-reset segment and
-  /// start clean; called by Comm::reset_clock().
-  void segment_volumes_at_reset() {
-    for (const auto& [phase, volume] : volume_by_phase)
-      pre_reset_volume_by_phase[phase] += volume;
-    volume_by_phase.clear();
+  /// Index of `label` in `phases`, appended when new.
+  std::int32_t intern_phase(const std::string& label) {
+    const auto it = std::find(phases.begin(), phases.end(), label);
+    if (it != phases.end())
+      return static_cast<std::int32_t>(it - phases.begin());
+    phases.push_back(label);
+    return static_cast<std::int32_t>(phases.size() - 1);
   }
 };
 
@@ -191,8 +202,9 @@ struct CostReport {
   /// algorithm ran (present = false otherwise).
   OracleComparison oracle;
 
-  /// Build from the final per-rank states.
-  static CostReport aggregate(const std::vector<RankCost>& ranks);
+  /// Build from every rank's final clock and its communication record.
+  static CostReport aggregate(const std::vector<CostClock>& clocks,
+                              const std::vector<CommRecord>& records);
 };
 
 }  // namespace capsp

@@ -155,6 +155,28 @@ class WaitRegistry {
   std::vector<WaitState> states_;
 };
 
+/// machine.comm.*: every frame of the run, the setup segment included,
+/// added to the caller's sink once.
+void add_comm_metrics(MetricsRegistry& sink,
+                      const std::vector<CommRecord>& records) {
+  std::int64_t frames = 0, words = 0, retransmits = 0;
+  Histogram frame_words;
+  for (const CommRecord& record : records)
+    for (const CommEvent& event : record.events) {
+      if (event.kind != CommEvent::Kind::kFrame) continue;
+      ++frames;
+      words += event.words;
+      retransmits += event.retransmit;
+      frame_words.observe(static_cast<double>(event.words));
+    }
+  if (frames == 0) return;
+  sink.counter_add("machine.comm.frames", frames);
+  sink.counter_add("machine.comm.words", words);
+  sink.merge_histogram("machine.comm.frame_words", frame_words);
+  if (retransmits > 0)
+    sink.counter_add("machine.comm.retransmit_frames", retransmits);
+}
+
 }  // namespace
 
 /// Adapter giving ReliableComm's transport-agnostic state machine access
@@ -179,21 +201,8 @@ class CommLink final : public RawLink {
 };
 
 struct Machine::Impl {
-  Impl(int num_ranks, bool record_traffic) : mailboxes(num_ranks) {
-    if (record_traffic) {
-      const auto cells = static_cast<std::size_t>(num_ranks) *
-                         static_cast<std::size_t>(num_ranks);
-      traffic.num_ranks = num_ranks;
-      traffic.words.assign(cells, 0);
-      traffic.messages.assign(cells, 0);
-    }
-  }
+  explicit Impl(int num_ranks) : mailboxes(num_ranks) {}
   std::vector<Mailbox> mailboxes;
-  // Each rank writes only its own row, so no synchronization is needed.
-  TrafficMatrix traffic;
-  /// Per-rank comm ledgers (sized only when the ledger is enabled);
-  /// each rank thread writes only its own entry, lock-free.
-  std::vector<RankCommLedger> rank_ledgers;
   /// Live merged ledger, fed by Comm::flush_ledger at phase boundaries
   /// and snapshotted by CommLedgerHub for /comm.json mid-run.
   std::mutex ledger_mutex;
@@ -260,16 +269,7 @@ void Comm::count_logical_send(RankId dst, std::int64_t words) {
   CAPSP_CHECK_MSG(dst >= 0 && dst < machine_->size(), "dst=" << dst);
   CAPSP_CHECK_MSG(dst != rank_, "self-send on rank " << rank_);
   on_op();
-  auto& traffic = machine_->impl_->traffic;
-  if (traffic.num_ranks > 0) {
-    const auto cell = static_cast<std::size_t>(rank_) *
-                          static_cast<std::size_t>(traffic.num_ranks) +
-                      static_cast<std::size_t>(dst);
-    traffic.words[cell] += words;
-    ++traffic.messages[cell];
-  }
-  if (ledger_ != nullptr)
-    ledger_->record_logical(dst, tag_class_, cost_.current_phase, words);
+  record({.kind = CommEvent::Kind::kLogical, .dst = dst, .words = words});
 }
 
 bool Comm::transmit(RankId dst, Tag tag, const Payload& frame,
@@ -280,30 +280,20 @@ bool Comm::transmit(RankId dst, Tag tag, const Payload& frame,
     src_event = static_cast<std::int64_t>(trace_.size());
     TraceEvent event;
     event.kind = TraceEventKind::kSend;
-    event.phase = cost_.current_phase;
+    event.phase = phase();
     if (retransmit) event.label = "retransmit";
     event.peer = dst;
     event.tag = tag;
     event.words = words;
-    event.before = cost_.clock;
+    event.before = clock_;
     trace_.push_back(std::move(event));
   }
-  cost_.clock.advance(1, static_cast<double>(words));
-  if (tracing_) trace_.back().after = cost_.clock;
-  cost_.count_send(words);
-  {
-    // Rank threads run under a per-rank ScopedMetricsSink, so these hit
-    // uncontended shard locks.
-    MetricsRegistry& sink = metrics();
-    sink.counter_add("machine.comm.frames");
-    sink.counter_add("machine.comm.words", words);
-    sink.observe("machine.comm.frame_words", static_cast<double>(words));
-    if (retransmit) sink.counter_add("machine.comm.retransmit_frames");
-  }
+  clock_.advance(1, static_cast<double>(words));
+  if (tracing_) trace_.back().after = clock_;
   last_peer_ = dst;
   Message message;
   message.payload = frame;
-  message.clock = cost_.clock;
+  message.clock = clock_;
   message.src_event = src_event;
 
   FaultInjector* injector = machine_->impl_->injector.get();
@@ -343,13 +333,13 @@ bool Comm::transmit(RankId dst, Tag tag, const Payload& frame,
   // Held-back frames go out after the next frame that was not itself
   // delayed — that is what makes kDelay produce real reordering.
   if (injector && decision != FaultDecision::kDelay) flush_delayed();
-  if (ledger_ != nullptr) {
-    ledger_->record_physical(dst, tag_class_, cost_.current_phase, words,
-                             retransmit,
-                             decision == FaultDecision::kDuplicate,
-                             decision == FaultDecision::kDrop ||
-                                 decision == FaultDecision::kCorrupt);
-  }
+  record({.kind = CommEvent::Kind::kFrame,
+          .retransmit = retransmit,
+          .duplicated = decision == FaultDecision::kDuplicate,
+          .dropped = decision == FaultDecision::kDrop ||
+                     decision == FaultDecision::kCorrupt,
+          .dst = dst,
+          .words = words});
   return delivered;
 }
 
@@ -380,7 +370,7 @@ Payload Comm::raw_receive(RankId src, Tag tag) {
 
   Message message;
   if (WaitRegistry* waits = impl.waits.get()) {
-    waits->enter(rank_, src, tag, cost_.clock, cost_.current_phase);
+    waits->enter(rank_, src, tag, clock_, phase());
     try {
       message =
           impl.mailboxes[static_cast<std::size_t>(rank_)].take(src, tag);
@@ -395,18 +385,18 @@ Payload Comm::raw_receive(RankId src, Tag tag) {
 
   // Receiving serializes on this rank (+1 message, +w words), but
   // concurrent disjoint transfers merge via max — see cost_model.hpp.
-  const CostClock before = cost_.clock;
-  cost_.clock.advance(1, static_cast<double>(message.payload.size()));
-  const CostClock::MergeOutcome outcome = cost_.clock.merge(message.clock);
+  const CostClock before = clock_;
+  clock_.advance(1, static_cast<double>(message.payload.size()));
+  const CostClock::MergeOutcome outcome = clock_.merge(message.clock);
   if (tracing_) {
     TraceEvent event;
     event.kind = TraceEventKind::kRecv;
-    event.phase = cost_.current_phase;
+    event.phase = phase();
     event.peer = src;
     event.tag = tag;
     event.words = static_cast<std::int64_t>(message.payload.size());
     event.before = before;
-    event.after = cost_.clock;
+    event.after = clock_;
     event.peer_event = message.src_event;
     event.latency_from_message = outcome.latency_from_other;
     event.words_from_message = outcome.words_from_other;
@@ -419,27 +409,27 @@ void Comm::charge_protocol(double latency, double words, const char* label) {
   if (tracing_) {
     TraceEvent event;
     event.kind = TraceEventKind::kProtocol;
-    event.phase = cost_.current_phase;
+    event.phase = phase();
     event.label = label;
-    event.before = cost_.clock;
+    event.before = clock_;
     trace_.push_back(std::move(event));
   }
-  cost_.clock.advance(latency, words);
-  if (tracing_) trace_.back().after = cost_.clock;
+  clock_.advance(latency, words);
+  if (tracing_) trace_.back().after = clock_;
   // Protocol charges carry no destination; attribute them to the peer of
   // the most recent transmit — exact for ReliableComm, whose ack/backoff
   // charges immediately follow the frame they concern.
-  if (ledger_ != nullptr && last_peer_ >= 0) {
-    ledger_->record_protocol(last_peer_, tag_class_, cost_.current_phase,
-                             static_cast<std::int64_t>(latency),
-                             static_cast<std::int64_t>(words));
-  }
+  record({.kind = CommEvent::Kind::kProtocol,
+          .dst = last_peer_,
+          .words = static_cast<std::int64_t>(words),
+          .latency = static_cast<std::int64_t>(latency)});
 }
 
 void Comm::flush_ledger() {
-  if (ledger_ == nullptr || ledger_->empty()) return;
+  if (ledger_folded_ == record_.events.size()) return;
   std::lock_guard<std::mutex> lock(machine_->impl_->ledger_mutex);
-  ledger_->drain_into(rank_, machine_->impl_->live_ledger.channels);
+  ledger_folded_ = fold_comm_record(rank_, record_, ledger_folded_,
+                                    machine_->impl_->live_ledger.channels);
 }
 
 DistBlock Comm::recv_block(RankId src, Tag tag, std::int64_t rows,
@@ -459,8 +449,8 @@ void Machine::run(const std::function<void(Comm&)>& program) {
   // Fresh mailboxes so a failed/aborted previous run cannot leak messages,
   // and cleared observability state so a failed run cannot leave a stale
   // traffic matrix, trace, or deadlock report from the previous run.
-  impl_ = std::make_unique<Impl>(num_ranks_, record_traffic_);
-  traffic_ = TrafficMatrix{};
+  impl_ = std::make_unique<Impl>(num_ranks_);
+  records_.clear();
   trace_ = Trace{};
   comm_ledger_ = CommLedger{};
   deadlock_.reset();
@@ -474,7 +464,6 @@ void Machine::run(const std::function<void(Comm&)>& program) {
     }
   } hub_guard;
   if (record_comm_) {
-    impl_->rank_ledgers.resize(static_cast<std::size_t>(num_ranks_));
     impl_->live_ledger.num_ranks = num_ranks_;
     impl_->live_ledger.present = true;
     CommLedgerHub::global().set_provider(
@@ -495,14 +484,10 @@ void Machine::run(const std::function<void(Comm&)>& program) {
   std::vector<Comm> comms;
   comms.reserve(static_cast<std::size_t>(num_ranks_));
   for (RankId r = 0; r < num_ranks_; ++r)
-    comms.push_back(Comm(this, r, tracing_));
+    comms.push_back(Comm(this, r, tracing_, record_comm_));
   if (reliable_transport_)
     for (Comm& comm : comms)
       comm.reliable_ = std::make_unique<ReliableComm>(reliable_options_);
-  if (record_comm_)
-    for (RankId r = 0; r < num_ranks_; ++r)
-      comms[static_cast<std::size_t>(r)].ledger_ =
-          &impl_->rank_ledgers[static_cast<std::size_t>(r)];
 
   std::mutex error_mutex;
   std::exception_ptr first_error;
@@ -540,9 +525,9 @@ void Machine::run(const std::function<void(Comm&)>& program) {
   }
 
   // Per-rank metric sinks: every instrumentation point on a rank thread
-  // (Comm::transmit, collectives, algorithm kernels) lands in its rank's
-  // registry; the registries merge into the caller's sink after the join
-  // so totals are deterministic and shard contention stays rank-local.
+  // (collectives, algorithm kernels) lands in its rank's registry; the
+  // registries merge into the caller's sink after the join so totals are
+  // deterministic and shard contention stays rank-local.
   std::vector<MetricsRegistry> rank_metrics(
       static_cast<std::size_t>(num_ranks_));
 
@@ -583,13 +568,17 @@ void Machine::run(const std::function<void(Comm&)>& program) {
     watchdog.join();
   }
 
-  // Aggregate observability state before any throw: a deadlocked or
+  // Fold every view of the records before any throw: a deadlocked or
   // failed run still leaves its post-mortem (partial costs, traffic,
-  // traces, fault/reliability counters) readable.
-  std::vector<RankCost> costs;
-  costs.reserve(comms.size());
-  for (const auto& comm : comms) costs.push_back(comm.cost());
-  report_ = CostReport::aggregate(costs);
+  // traces, ledger, fault/reliability counters) readable.
+  std::vector<CostClock> clocks;
+  clocks.reserve(comms.size());
+  records_.reserve(comms.size());
+  for (Comm& comm : comms) {
+    clocks.push_back(comm.clock_);
+    records_.push_back(std::move(comm.record_));
+  }
+  report_ = CostReport::aggregate(clocks, records_);
   for (const Comm& comm : comms)
     if (comm.reliable_) report_.reliability += comm.reliable_->stats();
   if (impl_->injector) report_.faults = impl_->injector->counts();
@@ -597,6 +586,7 @@ void Machine::run(const std::function<void(Comm&)>& program) {
     MetricsRegistry& sink = metrics();
     for (const MetricsRegistry& rank_registry : rank_metrics)
       sink.merge_from(rank_registry);
+    add_comm_metrics(sink, records_);
     sink.gauge_max("machine.run.ranks", static_cast<double>(num_ranks_));
     sink.counter_add("machine.run.count");
     if (report_.reliability.any()) {
@@ -622,21 +612,21 @@ void Machine::run(const std::function<void(Comm&)>& program) {
       sink.counter_add("machine.fault.stalls", f.stalls);
     }
   }
-  traffic_ = std::move(impl_->traffic);
   if (tracing_) {
     trace_.per_rank.reserve(comms.size());
     for (auto& comm : comms) trace_.per_rank.push_back(std::move(comm.trace_));
   }
   if (record_comm_) {
-    // Rank threads have joined; drain whatever each rank recorded since
+    // Rank threads have joined; fold whatever each rank recorded since
     // its last phase boundary, then publish the completed ledger.  The
     // merge is deterministic: keys carry the src rank, so cross-rank
     // entries never collide and per-key sums follow program order.
     {
       std::lock_guard<std::mutex> lock(impl_->ledger_mutex);
       for (RankId r = 0; r < num_ranks_; ++r)
-        impl_->rank_ledgers[static_cast<std::size_t>(r)].drain_into(
-            r, impl_->live_ledger.channels);
+        fold_comm_record(r, records_[static_cast<std::size_t>(r)],
+                         comms[static_cast<std::size_t>(r)].ledger_folded_,
+                         impl_->live_ledger.channels);
       comm_ledger_ = impl_->live_ledger;
     }
     CommLedgerHub::global().publish(comm_ledger_);
@@ -656,6 +646,23 @@ void Machine::run(const std::function<void(Comm&)>& program) {
       CAPSP_CHECK_MSG(impl_->mailboxes[static_cast<std::size_t>(r)].empty(),
                       "undelivered messages in rank " << r << "'s mailbox");
   }
+}
+
+TrafficMatrix Machine::traffic() const {
+  TrafficMatrix traffic;
+  traffic.num_ranks = static_cast<int>(records_.size());
+  const auto cells = records_.size() * records_.size();
+  traffic.words.assign(cells, 0);
+  traffic.messages.assign(cells, 0);
+  for (std::size_t src = 0; src < records_.size(); ++src)
+    for (const CommEvent& event : records_[src].events) {
+      if (event.kind != CommEvent::Kind::kLogical) continue;
+      const std::size_t cell =
+          src * records_.size() + static_cast<std::size_t>(event.dst);
+      traffic.words[cell] += event.words;
+      ++traffic.messages[cell];
+    }
+  return traffic;
 }
 
 CommLedger Machine::live_comm_snapshot() const {

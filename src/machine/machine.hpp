@@ -84,34 +84,34 @@ class Comm {
   /// events and flight-recorder dumps carry the same phase labels as
   /// the trace slices.
   void set_phase(std::string phase) {
-    if (ledger_ != nullptr) flush_ledger();
+    if (ledger_) flush_ledger();
     if (tracing_) {
       TraceEvent event;
       event.kind = TraceEventKind::kPhase;
       event.phase = phase;
       event.label = phase;
-      event.before = event.after = cost_.clock;
+      event.before = event.after = clock_;
       trace_.push_back(std::move(event));
     }
     log_set_phase(phase);
-    cost_.current_phase = std::move(phase);
+    phase_label_ = std::move(phase);
+    phase_ = -1;
   }
 
-  /// Zero this rank's critical-path clock AND segment the per-phase
-  /// volumes: counts accumulated so far move to the pre-reset map
-  /// (CostReport::setup_*), and the post-reset per-phase volumes start
-  /// clean — so setup-phase traffic never pollutes the measured
-  /// algorithm's volumes, even if a phase label is reused.  Call after
-  /// setup/data distribution so the measured critical path covers only
-  /// the algorithm (all setup messages must already be received on this
-  /// rank).
+  /// Zero this rank's critical-path clock AND segment the volumes: the
+  /// events recorded so far become the setup segment
+  /// (CostReport::setup_*), so setup-phase traffic never pollutes the
+  /// measured algorithm's volumes, even if a phase label is reused.  Call
+  /// after setup/data distribution so the measured critical path covers
+  /// only the algorithm (all setup messages must already be received on
+  /// this rank).
   void reset_clock() {
-    cost_.clock = CostClock{};
-    cost_.segment_volumes_at_reset();
+    clock_ = CostClock{};
+    record_.reset_at = record_.events.size();
     if (tracing_) {
       TraceEvent event;
       event.kind = TraceEventKind::kClockReset;
-      event.phase = cost_.current_phase;
+      event.phase = phase();
       trace_.push_back(std::move(event));
     }
   }
@@ -124,10 +124,10 @@ class Comm {
     if (!tracing_) return;
     TraceEvent event;
     event.kind = TraceEventKind::kCompute;
-    event.phase = cost_.current_phase;
+    event.phase = phase();
     event.label = label;
     event.ops = ops;
-    event.before = event.after = cost_.clock;
+    event.before = event.after = clock_;
     trace_.push_back(std::move(event));
   }
 
@@ -141,42 +141,54 @@ class Comm {
     if (tracing_) push_span(TraceEventKind::kSpanEnd, label);
   }
 
-  const CostClock& clock() const { return cost_.clock; }
-  const RankCost& cost() const { return cost_; }
+  const CostClock& clock() const { return clock_; }
 
  private:
   friend class Machine;
   friend class CommLink;
   friend class CommClassScope;
-  Comm(Machine* machine, RankId rank, bool tracing)
-      : machine_(machine), rank_(rank), tracing_(tracing) {}
+  Comm(Machine* machine, RankId rank, bool tracing, bool ledger)
+      : machine_(machine), rank_(rank), tracing_(tracing), ledger_(ledger) {}
+
+  const std::string& phase() const { return phase_label_; }
 
   void push_span(TraceEventKind kind, const char* label) {
     TraceEvent event;
     event.kind = kind;
-    event.phase = cost_.current_phase;
+    event.phase = phase();
     event.label = label;
-    event.before = event.after = cost_.clock;
+    event.before = event.after = clock_;
     trace_.push_back(std::move(event));
+  }
+
+  /// Append one event to this rank's record under the current phase and
+  /// tag class — the only place communication is counted.  A phase label
+  /// is interned at its first event, so the table holds only the phases
+  /// this rank communicated in.
+  void record(CommEvent event) {
+    if (phase_ < 0) phase_ = record_.intern_phase(phase_label_);
+    event.phase = phase_;
+    event.tag_class = tag_class_;
+    record_.events.push_back(event);
   }
 
   /// Count one logical operation against the FaultInjector, which may
   /// stall this rank or throw RankKilledError.  No-op without a plan.
   void on_op();
 
-  /// Checks `dst`, counts the send as an operation (on_op) and meters
-  /// one logical message of `words` words: TrafficMatrix and the
-  /// ledger's logical book, before any transport framing, so reliable
-  /// headers, retransmissions and acks never inflate them (the physical
-  /// book in transmit() carries those).
+  /// Checks `dst`, counts the send as an operation (on_op) and records
+  /// one logical message of `words` words, before any transport framing,
+  /// so reliable headers, retransmissions and acks never inflate the
+  /// logical book (the frames transmit() records carry those).
   void count_logical_send(RankId dst, std::int64_t words);
 
   /// One physical transmission through the (possibly faulty) network:
-  /// meters the frame through the cost model, asks the injector for its
-  /// fate, and delivers accordingly.  The frame is shared, never copied
-  /// (a corrupted frame is a private copy).  Returns the link-layer ack —
-  /// false when the frame was dropped or arrived corrupted (the reliable
-  /// layer retries on false; the raw path ignores it).
+  /// charges the frame to the clock, asks the injector for its fate,
+  /// delivers accordingly and records the frame.  The frame is shared,
+  /// never copied (a corrupted frame is a private copy).  Returns the
+  /// link-layer ack — false when the frame was dropped or arrived
+  /// corrupted (the reliable layer retries on false; the raw path ignores
+  /// it).
   bool transmit(RankId dst, Tag tag, const Payload& frame, bool retransmit);
 
   /// Blocking receive of the next physical frame on (src, tag), metered
@@ -185,15 +197,15 @@ class Comm {
   Payload raw_receive(RankId src, Tag tag);
 
   /// Reliability-protocol clock charge (acks, backoff): moves the logical
-  /// clock and records a kProtocol trace event, but counts no message
-  /// volume (no frame crosses the network).
+  /// clock and records a kProtocol trace event and a protocol event, but
+  /// counts no message volume (no frame crosses the network).
   void charge_protocol(double latency, double words, const char* label);
 
   /// Deliver every frame a kDelay fault held back on this rank.
   void flush_delayed();
 
-  /// Drain this rank's private comm ledger into the machine's live
-  /// merged ledger (commledger.hpp), so /comm.json snapshots observe
+  /// Fold this rank's events since the last flush into the machine's
+  /// live merged ledger (commledger.hpp), so /comm.json snapshots observe
   /// mid-run progress.  Called at phase boundaries — rare enough that
   /// the mutex inside is off the hot path.
   void flush_ledger();
@@ -201,11 +213,16 @@ class Comm {
   Machine* machine_;
   RankId rank_;
   bool tracing_;
-  RankCost cost_;
+  bool ledger_;  // the machine runs with enable_comm_ledger(true)
+  CostClock clock_;
+  /// Every communication event of this rank (moved to the Machine after
+  /// the run), the current phase and its index into the record's labels
+  /// (-1 until interned), and how far flush_ledger() has folded it.
+  CommRecord record_;
+  std::string phase_label_ = "default";
+  std::int32_t phase_ = -1;
+  std::size_t ledger_folded_ = 0;
   std::vector<TraceEvent> trace_;  // this rank's timeline (if tracing)
-  /// Per-rank comm ledger (non-null only when the machine runs with
-  /// enable_comm_ledger(true)); single-writer, owned by Machine::Impl.
-  RankCommLedger* ledger_ = nullptr;
   /// Tag class attributed to subsequent traffic ("p2p" unless a
   /// CommClassScope is active — the collectives label themselves).
   const char* tag_class_ = "p2p";
@@ -222,7 +239,8 @@ class Comm {
 /// is alive is attributed to `tag_class` instead of "p2p".  The
 /// collectives wrap their bodies in one of these (next to their trace
 /// spans); nesting restores the previous class on destruction.  The
-/// string must outlive the scope (string literals in practice).
+/// recorded events keep the pointer, so the string must outlive the run
+/// (string literals in practice).
 class CommClassScope {
  public:
   CommClassScope(Comm& comm, const char* tag_class)
@@ -238,10 +256,10 @@ class CommClassScope {
   const char* previous_;
 };
 
-/// Aggregated rank-pair traffic of one run (optional recording).
-/// Row-major p×p: entry (src, dst) counts words/messages src sent to dst.
-/// This is *logical* application traffic — one message of payload-words
-/// per Comm::send, regardless of transport.  Reliable-transport frame
+/// Rank-pair traffic of one run (Machine::traffic()).  Row-major p×p:
+/// entry (src, dst) counts words/messages src sent to dst.  This is
+/// *logical* application traffic — one message of payload-words per
+/// Comm::send, regardless of transport.  Reliable-transport frame
 /// headers, retransmissions and acks do NOT inflate it; the physical
 /// wire volume lives in the CommLedger (commledger.hpp).
 struct TrafficMatrix {
@@ -259,8 +277,7 @@ struct TrafficMatrix {
  private:
   std::size_t cell(RankId src, RankId dst) const {
     CAPSP_CHECK_MSG(num_ranks > 0,
-                    "traffic matrix is empty — was "
-                    "enable_traffic_recording(true) set before run()?");
+                    "traffic matrix is empty — was it taken before run()?");
     CAPSP_CHECK_MSG(src >= 0 && src < num_ranks && dst >= 0 &&
                         dst < num_ranks,
                     "rank pair (" << src << ", " << dst
@@ -286,12 +303,6 @@ class Machine {
 
   int size() const { return num_ranks_; }
 
-  /// Record per-rank-pair traffic during subsequent run()s (off by
-  /// default; costs a p² counter table).
-  void enable_traffic_recording(bool enabled) {
-    record_traffic_ = enabled;
-  }
-
   /// Record per-rank event timelines during subsequent run()s (off by
   /// default).  Tracing is observational: the metered costs are
   /// bit-identical with tracing on or off; when off, the only overhead is
@@ -299,11 +310,12 @@ class Machine {
   void enable_tracing(bool enabled) { tracing_ = enabled; }
   bool tracing_enabled() const { return tracing_; }
 
-  /// Record the per-channel communication ledger (commledger.hpp) during
+  /// Fold the per-channel communication ledger (commledger.hpp) during
   /// subsequent run()s: per-(src, dst, tag-class, phase) frame counts,
   /// word volumes and log2 size histograms, with logical vs physical
-  /// attribution.  Observational like tracing: metered costs are
-  /// bit-identical with the ledger on or off.  Off by default.
+  /// attribution, drained live at phase seams.  Observational like
+  /// tracing: metered costs are bit-identical with the ledger on or off.
+  /// Off by default.
   void enable_comm_ledger(bool enabled) { record_comm_ = enabled; }
   bool comm_ledger_enabled() const { return record_comm_; }
 
@@ -346,9 +358,9 @@ class Machine {
   /// Cost aggregation for the most recent run().
   const CostReport& report() const { return report_; }
 
-  /// Rank-pair traffic of the most recent run (empty matrices unless
-  /// enable_traffic_recording(true) was set before run()).
-  const TrafficMatrix& traffic() const { return traffic_; }
+  /// Rank-pair traffic of the most recent run, folded on each call (a
+  /// p×p table, so only callers that ask pay for it).
+  TrafficMatrix traffic() const;
 
   /// Event timelines of the most recent run (empty unless
   /// enable_tracing(true) was set before run()).
@@ -375,7 +387,6 @@ class Machine {
   CommLedger live_comm_snapshot() const;
 
   int num_ranks_;
-  bool record_traffic_ = false;
   bool record_comm_ = false;
   bool tracing_ = false;
   bool reliable_transport_ = false;
@@ -383,10 +394,11 @@ class Machine {
   std::optional<FaultPlan> fault_plan_;
   ReliableOptions reliable_options_;
   std::optional<DeadlockReport> deadlock_;
-  /// Per-run state (mailboxes, ledgers, injector), built by run().
+  /// Per-run state (mailboxes, live ledger, injector), built by run().
   std::unique_ptr<Impl> impl_;
   CostReport report_;
-  TrafficMatrix traffic_;
+  /// Every rank's communication record from the most recent run.
+  std::vector<CommRecord> records_;
   Trace trace_;
   CommLedger comm_ledger_;
 };

@@ -186,6 +186,13 @@ void MetricsRegistry::observe(std::string_view name, double value) {
   slot(shard, name, MetricKind::kHistogram).histogram.observe(value);
 }
 
+void MetricsRegistry::merge_histogram(std::string_view name,
+                                      const Histogram& values) {
+  Shard& shard = shard_for(name);
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  slot(shard, name, MetricKind::kHistogram).histogram.merge(values);
+}
+
 void MetricsRegistry::merge_from(const MetricsRegistry& other) {
   CAPSP_CHECK_MSG(&other != this, "registry merge with itself");
   for (std::size_t s = 0; s < kShards; ++s) {

@@ -142,6 +142,8 @@ class MetricsRegistry {
   /// Gauge variant keeping the maximum of all values set so far.
   void gauge_max(std::string_view name, double value);
   void observe(std::string_view name, double value);
+  /// Merge a whole histogram of observations into `name` at once.
+  void merge_histogram(std::string_view name, const Histogram& values);
 
   /// Add every metric of `other` into this registry (counters add,
   /// gauges keep the max, histograms merge).  Kind conflicts CHECK.

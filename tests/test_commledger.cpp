@@ -4,9 +4,13 @@
 // telemetry hub, and the audit gates on a real solve.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/cost_oracle.hpp"
@@ -18,6 +22,7 @@
 #include "machine/trace_export.hpp"
 #include "semiring/block.hpp"
 #include "util/json.hpp"
+#include "util/metrics.hpp"
 
 namespace capsp {
 namespace {
@@ -60,16 +65,24 @@ TEST(CommChannelStats, AccumulateAddsEveryCounter) {
   EXPECT_EQ(b.size_log2[3], 4);
 }
 
-TEST(RankCommLedger, DrainMergesRepeatedKeysAndClears) {
-  RankCommLedger rank;
-  rank.record_logical(1, "p2p", "default", 5);
-  rank.record_physical(1, "p2p", "default", 5, false, false, false);
-  rank.record_logical(1, "p2p", "default", 3);
-  rank.record_physical(1, "p2p", "default", 3, false, false, false);
-  rank.record_logical(2, "bcast", "default", 7);
+TEST(CommRecord, LedgerFoldMergesRepeatedKeysAndResumes) {
+  CommRecord record;
+  record.phases = {"default"};
+  const auto add = [&record](CommEvent::Kind kind, RankId dst,
+                             const char* tag_class, std::int64_t words) {
+    record.events.push_back(
+        {.kind = kind, .dst = dst, .tag_class = tag_class, .words = words});
+  };
+  add(CommEvent::Kind::kLogical, 1, "p2p", 5);
+  add(CommEvent::Kind::kFrame, 1, "p2p", 5);
+  add(CommEvent::Kind::kLogical, 1, "p2p", 3);
+  add(CommEvent::Kind::kFrame, 1, "p2p", 3);
+  add(CommEvent::Kind::kLogical, 2, "bcast", 7);
+  // A protocol charge before any frame has no channel.
+  add(CommEvent::Kind::kProtocol, -1, "p2p", 1);
   std::map<CommChannelKey, CommChannelStats> merged;
-  rank.drain_into(0, merged);
-  EXPECT_TRUE(rank.empty());
+  const std::size_t folded = fold_comm_record(0, record, 0, merged);
+  EXPECT_EQ(folded, record.events.size());
   ASSERT_EQ(merged.size(), 2u);
   const CommChannelStats& to1 =
       merged.at(CommChannelKey{0, 1, "p2p", "default"});
@@ -80,8 +93,8 @@ TEST(RankCommLedger, DrainMergesRepeatedKeysAndClears) {
       merged.at(CommChannelKey{0, 2, "bcast", "default"});
   EXPECT_EQ(to2.logical_messages, 1);
   EXPECT_EQ(to2.logical_words, 7);
-  // Draining again into the same map must not double-count.
-  rank.drain_into(0, merged);
+  // Folding again from where the last fold stopped must not double-count.
+  EXPECT_EQ(fold_comm_record(0, record, folded, merged), folded);
   EXPECT_EQ(merged.at(CommChannelKey{0, 1, "p2p", "default"}).logical_words,
             8);
 }
@@ -182,9 +195,9 @@ TEST(MachineLedger, OffByDefaultAndResetBetweenRuns) {
   EXPECT_EQ(machine.comm_ledger().totals().logical_messages, 1);
 }
 
-// Satellite 2: under a drop-heavy plan the reliable layer retries, but
-// the *logical* books — TrafficMatrix and the ledger's logical side —
-// must match the clean run exactly; only the physical book inflates.
+// Under a drop-heavy plan the reliable layer retries, but the *logical*
+// books — the traffic matrix and the ledger's logical side — must match
+// the clean run exactly; only the physical book inflates.
 TEST(MachineLedger, RetriesInflatePhysicalBookOnly) {
   const auto chatter = [](Comm& comm) {
     for (int i = 0; i < 40; ++i) {
@@ -197,13 +210,11 @@ TEST(MachineLedger, RetriesInflatePhysicalBookOnly) {
   };
   Machine clean(2);
   clean.enable_reliable_transport(true);
-  clean.enable_traffic_recording(true);
   clean.enable_comm_ledger(true);
   clean.run(chatter);
 
   Machine faulty(2);
   faulty.enable_reliable_transport(true);
-  faulty.enable_traffic_recording(true);
   faulty.enable_comm_ledger(true);
   FaultPlan plan;
   plan.seed = 5;
@@ -211,8 +222,8 @@ TEST(MachineLedger, RetriesInflatePhysicalBookOnly) {
   faulty.set_fault_plan(plan);
   faulty.run(chatter);
 
-  // Logical application traffic is identical (satellite 2: no retry/ack
-  // inflation of the TrafficMatrix).
+  // Logical application traffic is identical: no retry/ack inflation of
+  // the traffic matrix.
   EXPECT_EQ(clean.traffic().words, faulty.traffic().words);
   EXPECT_EQ(clean.traffic().messages, faulty.traffic().messages);
   const CommChannelStats clean_totals = clean.comm_ledger().totals();
@@ -291,6 +302,45 @@ TEST(MachineLedger, HubServesLiveAndPublishedSnapshots) {
             machine.comm_ledger().totals().logical_words);
 }
 
+// A second thread reads the hub while a ledger-on solve runs: the ranks'
+// phase-seam folds only ever add to the live ledger, and the ledger
+// published at the end is the run's own.
+TEST(MachineLedger, HubSnapshotsGrowWhileASolveRuns) {
+  CommLedgerHub::global().publish(CommLedger{});  // forget earlier runs
+  std::atomic<bool> done{false};
+  std::vector<std::pair<std::int64_t, std::int64_t>> seen;
+  std::thread poller([&] {
+    while (!done.load()) {
+      const CommChannelStats totals =
+          CommLedgerHub::global().snapshot().totals();
+      seen.emplace_back(totals.logical_messages, totals.logical_words);
+      std::this_thread::yield();
+    }
+  });
+  Rng rng(5);
+  const Graph graph = make_grid2d(9, 9, rng);
+  SparseApspOptions options;
+  options.height = 3;
+  options.comm_ledger = true;
+  const SparseApspResult result = run_sparse_apsp(graph, options);
+  done = true;
+  poller.join();
+
+  const CommChannelStats final_totals = result.comm.totals();
+  ASSERT_FALSE(seen.empty());
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_LE(seen[i].first, final_totals.logical_messages) << i;
+    EXPECT_LE(seen[i].second, final_totals.logical_words) << i;
+    if (i == 0) continue;
+    EXPECT_GE(seen[i].first, seen[i - 1].first) << i;
+    EXPECT_GE(seen[i].second, seen[i - 1].second) << i;
+  }
+  std::ostringstream published, returned;
+  write_comm_ledger_json(published, CommLedgerHub::global().snapshot());
+  write_comm_ledger_json(returned, result.comm);
+  EXPECT_EQ(published.str(), returned.str());
+}
+
 TEST(MachineLedger, ReportAndTraceJsonCarryCommSection) {
   Machine machine(2);
   machine.enable_comm_ledger(true);
@@ -311,6 +361,128 @@ TEST(MachineLedger, ReportAndTraceJsonCarryCommSection) {
   write_chrome_trace(trace, machine.trace(), nullptr, nullptr,
                      &machine.comm_ledger());
   EXPECT_NE(trace.str().find("\"comm\""), std::string::npos);
+}
+
+// Every view of one run's communication agrees: the cost report's
+// volumes (post-reset plus setup segment), the ledger's physical book,
+// the trace's send events, the machine.comm.* metrics, and — for the
+// logical book — the traffic matrix.
+void expect_report_matches_frames(const CostReport& costs,
+                                  const CommLedger& ledger,
+                                  const MetricsSnapshot& metrics) {
+  std::map<std::string, PhaseVolume> frames;
+  for (const auto& [phase, volume] : costs.phase_total)
+    frames[phase] += volume;
+  for (const auto& [phase, volume] : costs.setup_phase_total)
+    frames[phase] += volume;
+  const auto by_phase = ledger.by_phase();
+  for (const auto& [phase, totals] : by_phase) {
+    EXPECT_EQ(frames[phase].messages, totals.physical_frames) << phase;
+    EXPECT_EQ(frames[phase].words, totals.physical_words) << phase;
+  }
+  EXPECT_EQ(frames.size(), by_phase.size());
+
+  const std::int64_t all_frames = costs.total_messages + costs.setup_messages;
+  const std::int64_t all_words = costs.total_words + costs.setup_words;
+  const CommChannelStats totals = ledger.totals();
+  EXPECT_EQ(all_frames, totals.physical_frames);
+  EXPECT_EQ(all_words, totals.physical_words);
+  ASSERT_TRUE(metrics.count("machine.comm.frames"));
+  EXPECT_EQ(metrics.at("machine.comm.frames").counter, all_frames);
+  EXPECT_EQ(metrics.at("machine.comm.words").counter, all_words);
+  const Histogram& sizes = metrics.at("machine.comm.frame_words").histogram;
+  EXPECT_EQ(sizes.count, all_frames);
+  EXPECT_EQ(sizes.sum, static_cast<double>(all_words));
+  const std::int64_t retransmits =
+      metrics.count("machine.comm.retransmit_frames")
+          ? metrics.at("machine.comm.retransmit_frames").counter
+          : 0;
+  EXPECT_EQ(retransmits, totals.retransmit_frames);
+}
+
+TEST(CommViews, AllViewsAgree) {
+  for (const CollectiveAlgorithm collectives :
+       {CollectiveAlgorithm::kBinomialTree,
+        CollectiveAlgorithm::kPipelined}) {
+    Rng rng(11);
+    const Graph graph = make_grid2d(9, 9, rng);
+    SparseApspOptions options;
+    options.height = 3;
+    options.collectives = collectives;
+    options.trace = true;
+    options.comm_ledger = true;
+    MetricsRegistry sink;
+    SparseApspResult result;
+    {
+      const ScopedMetricsSink scoped(sink);
+      result = run_sparse_apsp(graph, options);
+    }
+    expect_report_matches_frames(result.costs, result.comm, sink.snapshot());
+    // The trace's send events, per phase, are the same frames.
+    std::map<std::string, PhaseVolume> sends;
+    for (const auto& timeline : result.trace.per_rank)
+      for (const TraceEvent& event : timeline)
+        if (event.kind == TraceEventKind::kSend) {
+          ++sends[event.phase].messages;
+          sends[event.phase].words += event.words;
+        }
+    const auto by_phase = result.comm.by_phase();
+    ASSERT_EQ(sends.size(), by_phase.size());
+    for (const auto& [phase, totals] : by_phase) {
+      EXPECT_EQ(sends[phase].messages, totals.physical_frames) << phase;
+      EXPECT_EQ(sends[phase].words, totals.physical_words) << phase;
+    }
+  }
+
+  // Reliable transport under drops: headers, retries and a setup segment
+  // split the physical book from the logical one.
+  Machine machine(4);
+  machine.enable_comm_ledger(true);
+  machine.enable_reliable_transport(true);
+  FaultPlan plan;
+  plan.seed = 5;
+  plan.drop = 0.3;
+  machine.set_fault_plan(plan);
+  MetricsRegistry sink;
+  {
+    const ScopedMetricsSink scoped(sink);
+    machine.run([](Comm& comm) {
+      const int p = comm.size();
+      const RankId next = (comm.rank() + 1) % p;
+      const RankId prev = (comm.rank() + p - 1) % p;
+      comm.set_phase("ring");
+      for (int i = 0; i < 10; ++i) {
+        if (i == 3) {
+          comm.reset_clock();
+          comm.set_phase("ring");  // reused across the reset
+        }
+        comm.send(next, 100 + i, payload(1 + (i + comm.rank()) % 7));
+        comm.recv(prev, 100 + i);
+      }
+      comm.set_phase("bcast");
+      const std::vector<RankId> group{0, 1, 2, 3};
+      DistBlock block(3, 3, comm.rank() == 0 ? 1.0 : kInf);
+      group_broadcast(comm, group, 0, block, 200);
+    });
+  }
+  const CostReport& costs = machine.report();
+  const CommLedger& ledger = machine.comm_ledger();
+  EXPECT_GT(costs.setup_messages, 0);
+  EXPECT_GT(ledger.totals().retransmit_frames, 0);
+  expect_report_matches_frames(costs, ledger, sink.snapshot());
+  // The logical book is the traffic matrix, cell by cell.
+  const TrafficMatrix traffic = machine.traffic();
+  std::map<std::pair<RankId, RankId>, PhaseVolume> logical;
+  for (const auto& [key, stats] : ledger.channels) {
+    logical[{key.src, key.dst}].messages += stats.logical_messages;
+    logical[{key.src, key.dst}].words += stats.logical_words;
+  }
+  for (RankId src = 0; src < 4; ++src)
+    for (RankId dst = 0; dst < 4; ++dst) {
+      const PhaseVolume& cell = logical[std::make_pair(src, dst)];
+      EXPECT_EQ(traffic.messages_between(src, dst), cell.messages);
+      EXPECT_EQ(traffic.words_between(src, dst), cell.words);
+    }
 }
 
 TEST(CommAudit, PassesOnRealSolveWithinCheckOracleTolerance) {

@@ -25,7 +25,6 @@ TEST(SpmdApi, HandBuiltSparseRunMatchesDriver) {
   const Graph reordered = apply_dissection(graph, nd);
 
   Machine machine(layout.num_ranks());
-  machine.enable_traffic_recording(true);
   // Collect final blocks into a shared table (one writer per slot).
   std::vector<DistBlock> finals(
       static_cast<std::size_t>(layout.num_ranks()));
@@ -51,8 +50,8 @@ TEST(SpmdApi, HandBuiltSparseRunMatchesDriver) {
     for (Vertex v = 0; v < graph.num_vertices(); ++v)
       ASSERT_NEAR(assembled.at(u, v), want.at(u, v), 1e-9);
 
-  // Traffic matrix recorded and consistent with the report.
-  const TrafficMatrix& traffic = machine.traffic();
+  // Traffic matrix folded and consistent with the report.
+  const TrafficMatrix traffic = machine.traffic();
   ASSERT_EQ(traffic.num_ranks, layout.num_ranks());
   std::int64_t total = 0;
   for (RankId s = 0; s < traffic.num_ranks; ++s)
@@ -72,7 +71,6 @@ TEST(SpmdApi, SparseTrafficIsSparserThanDense) {
   const SparseSchedule schedule(layout);
   const Graph reordered = apply_dissection(graph, nd);
   Machine machine(layout.num_ranks());
-  machine.enable_traffic_recording(true);
   machine.run([&](Comm& comm) {
     const auto [i, j] = layout.block_of(comm.rank());
     DistBlock local = adjacency_block(
@@ -80,7 +78,7 @@ TEST(SpmdApi, SparseTrafficIsSparserThanDense) {
         layout.range_of(j).begin, layout.range_of(j).end);
     sparse_apsp_rank(comm, schedule, local);
   });
-  const TrafficMatrix& traffic = machine.traffic();
+  const TrafficMatrix traffic = machine.traffic();
   int used = 0;
   const int p = layout.num_ranks();
   for (RankId s = 0; s < p; ++s)

@@ -218,7 +218,6 @@ TEST(Trace, TrafficMatrixBoundsChecked) {
   EXPECT_THROW(empty.messages_between(0, 0), check_error);
 
   Machine machine(2);
-  machine.enable_traffic_recording(true);
   machine.run([](Comm& comm) {
     if (comm.rank() == 0) {
       const std::vector<Dist> payload(4, 1.0);
@@ -234,7 +233,6 @@ TEST(Trace, TrafficMatrixBoundsChecked) {
 
 TEST(Trace, RunClearsTrafficAndTraceBetweenRuns) {
   Machine machine(2);
-  machine.enable_traffic_recording(true);
   machine.enable_tracing(true);
   machine.run([](Comm& comm) {
     if (comm.rank() == 0) {

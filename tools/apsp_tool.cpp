@@ -495,9 +495,15 @@ int mode_solve(const Cli& cli, Rng& rng) {
   const Graph graph = build_graph(cli, rng);
   const std::string algorithm = cli.get_string("algorithm", "sparse");
   const bool want_trace = !cli.get_string("trace", "").empty();
-  if (want_trace && algorithm != "sparse" && algorithm != "bottleneck")
-    throw UsageError("--trace is only supported for --algorithm "
-                     "sparse|bottleneck, not '" + algorithm + "'");
+  // The trace and the comm ledger are recorded by the machine the sparse
+  // and bottleneck solvers run on; --telemetry-port serves /metrics for
+  // every algorithm.
+  if (algorithm != "sparse" && algorithm != "bottleneck")
+    for (const char* flag : {"trace", "comm-json", "comm-ledger"})
+      if (cli.has(flag))
+        throw UsageError(std::string("--") + flag +
+                         " is only supported for --algorithm "
+                         "sparse|bottleneck, not '" + algorithm + "'");
   // A bottleneck run yields widths, not distances: the distance writers
   // and the APSP certificate do not apply to it.
   if (algorithm == "bottleneck")
