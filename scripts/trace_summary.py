@@ -24,7 +24,7 @@ file is not a capsp trace, so it doubles as a CI validator.
 Also understands the robustness artifacts (docs/robustness.md): a cost
 report JSON with "reliability"/"faults" sections prints the
 retransmission summary, and a deadlock report JSON (apsp_tool exit 3)
-prints the watchdog's blocked receives and wait cycle.
+prints the blocked receives and the wait cycle.
 """
 import argparse
 import json
@@ -35,12 +35,10 @@ def summarize_deadlock(report):
     """Render a write_deadlock_report_json artifact; always exits 0 so the
     summary pipeline can run on the post-mortem of a failed run."""
     blocked = report.get("blocked", [])
-    print(f"DEADLOCK: watchdog fired after {report['budget_seconds']:g}s; "
-          f"{len(blocked)} blocked receive(s)")
+    print(f"DEADLOCK: no rank can proceed; {len(blocked)} blocked receive(s)")
     for b in blocked:
         print(f"  rank {b['rank']} <- (src {b['src']}, tag {b['tag']}) "
-              f"phase \"{b['phase']}\" clock (L={b['L']:g}, B={b['B']:g}) "
-              f"waited {b['waited_seconds']:.3f}s")
+              f"phase \"{b['phase']}\" clock (L={b['L']:g}, B={b['B']:g})")
     cycle = report.get("cycle", [])
     if cycle:
         print("  wait cycle: " + " -> ".join(str(r) for r in cycle + [cycle[0]]))
@@ -930,7 +928,7 @@ def main():
     with open(args.trace) as f:
         trace = json.load(f)
 
-    # A deadlock report (the watchdog's post-mortem) replaces the cost
+    # A deadlock report (the machine's post-mortem) replaces the cost
     # report when a run never finished; surface it instead of erroring.
     if trace.get("deadlock"):
         return summarize_deadlock(trace)

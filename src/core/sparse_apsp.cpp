@@ -257,7 +257,6 @@ SparseApspResult run_sparse_apsp_semiring(const Graph& graph,
   machine.enable_comm_ledger(options.comm_ledger);
   if (options.fault_plan) machine.set_fault_plan(*options.fault_plan);
   machine.enable_reliable_transport(options.reliable);
-  if (options.recv_timeout > 0) machine.set_recv_timeout(options.recv_timeout);
   std::vector<CostClock> apsp_clocks(static_cast<std::size_t>(p));
   std::vector<std::vector<CostClock>> level_clocks(
       static_cast<std::size_t>(p));

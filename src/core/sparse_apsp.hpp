@@ -60,14 +60,11 @@ struct SparseApspOptions {
   bool comm_ledger = false;
   /// Inject faults per this plan during the run (docs/robustness.md).
   /// Message faults need `reliable` to produce correct distances; a plan
-  /// with a kill ends in a DeadlockError carrying the watchdog's report.
+  /// with a kill ends in a DeadlockError carrying the machine's report.
   std::optional<FaultPlan> fault_plan;
   /// Route all machine traffic through the ReliableComm protocol layer;
   /// the overhead lands in SparseApspResult::costs.
   bool reliable = false;
-  /// Deadlock-watchdog budget in wall-clock seconds (0 = default: off,
-  /// or kDefaultFaultRecvTimeout when fault_plan is set).
-  double recv_timeout = 0;
 };
 
 struct SparseApspResult {

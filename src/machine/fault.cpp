@@ -63,9 +63,16 @@ void parse_rank_fault(FaultPlan& plan, const std::string& key,
     } catch (const std::exception&) {
       used = 0;
     }
-    CAPSP_CHECK_MSG(used == seconds.size() && fault.stall_seconds > 0,
-                    "fault plan: stall seconds must be positive in "
-                        << key << "=" << value);
+    // sleep_for converts S to integer nanoseconds: an infinite or huge S
+    // would overflow that conversion instead of stalling.
+    const double max_seconds =
+        std::chrono::duration<double>(std::chrono::nanoseconds::max())
+            .count();
+    CAPSP_CHECK_MSG(used == seconds.size() && fault.stall_seconds > 0 &&
+                        fault.stall_seconds < max_seconds,
+                    "fault plan: stall seconds must be positive, finite and "
+                    "below "
+                        << max_seconds << " in " << key << "=" << value);
     rest = rest.substr(0, colon);
   }
   fault.op_index = parse_int(key, rest);

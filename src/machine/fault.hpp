@@ -12,9 +12,9 @@
 // operation (Comm::send / Comm::recv entry).
 //
 // The fault model is the adversary the reliable-delivery layer
-// (reliable.hpp) is tested against and the deadlock watchdog
-// (watchdog.hpp) reports on; see docs/robustness.md for the full
-// semantics, including which fault combinations are survivable.
+// (reliable.hpp) is tested against and deadlock reports (watchdog.hpp)
+// describe; see docs/robustness.md for the full semantics, including
+// which fault combinations are survivable.
 #pragma once
 
 #include <atomic>
@@ -71,8 +71,8 @@ struct FaultPlan {
   /// Keys: seed=N, drop/dup/corrupt/delay=P (probabilities),
   /// kill=R@K (rank R dies at its K-th operation),
   /// stall=R@K:S (rank R sleeps S seconds at its K-th operation).
-  /// CHECK-fails on unknown keys, malformed values, or probability
-  /// sums > 1.
+  /// CHECK-fails on unknown keys, malformed values, probability sums > 1,
+  /// or a stall that is not finite or does not fit std::chrono::nanoseconds.
   static FaultPlan parse(const std::string& spec);
 
   /// Round-trips through parse().
@@ -82,7 +82,8 @@ struct FaultPlan {
 /// Thrown inside a rank's thread when the plan kills it.  Machine::run
 /// treats it specially: the rank's thread exits without aborting the
 /// machine, exactly as a crashed process looks to the survivors — they
-/// block on its messages until the watchdog calls the run dead.
+/// block on its messages, and once no rank can proceed the run is
+/// reported as deadlocked with this rank among the dead.
 class RankKilledError : public std::runtime_error {
  public:
   RankKilledError(RankId killed_rank, std::int64_t killed_at)
@@ -97,8 +98,8 @@ class RankKilledError : public std::runtime_error {
 
 /// Executes a FaultPlan deterministically.  Each rank draws from its own
 /// stream and mutates only its own slot, so no locking is needed on the
-/// decision path; the `dead` flags are atomic because the watchdog thread
-/// reads them while building a DeadlockReport.
+/// decision path; the `dead` flags are atomic because the rank that
+/// detects a deadlock reads them while building the DeadlockReport.
 class FaultInjector {
  public:
   FaultInjector(const FaultPlan& plan, int num_ranks);

@@ -1,7 +1,6 @@
 #include "machine/machine.hpp"
 
-#include <algorithm>
-#include <chrono>
+#include <atomic>
 #include <condition_variable>
 #include <exception>
 #include <map>
@@ -17,8 +16,6 @@ namespace capsp {
 
 namespace {
 
-using SteadyClock = std::chrono::steady_clock;
-
 struct Message {
   Payload payload;  // shared with the sender and every other hop
   CostClock clock;  // sender clock after charging this message
@@ -27,18 +24,45 @@ struct Message {
   std::int64_t src_event = -1;
 };
 
-/// One rank's inbox: blocking retrieval by (source, tag).
+/// The ranks that cannot proceed: blocked in Mailbox::take with no
+/// matching message, or finished.  The machine is closed — every message
+/// comes from a rank — so once all p are stuck nothing can ever arrive.
+/// Only the rank whose block or finish completes the count sees it, since
+/// no running rank is left to lower it; that rank runs `on_all_stuck`,
+/// Machine::run's deadlock check.
+struct StuckRanks {
+  int num_ranks = 0;
+  std::atomic<int> count{0};
+  std::function<void()> on_all_stuck;
+
+  /// One more rank is stuck; true when that makes all of them stuck.
+  bool join() { return count.fetch_add(1) + 1 == num_ranks; }
+  void leave() { count.fetch_sub(1); }
+};
+
+/// One rank's inbox: blocking retrieval by (source, tag).  A take() with
+/// no match records the one key its owner waits for, so only that
+/// message wakes the owner.
 class Mailbox {
  public:
-  void put(RankId src, Tag tag, Message message) {
+  void put(RankId src, Tag tag, Message message, StuckRanks& stuck) {
+    bool wake = false;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      queue_.emplace(Key{src, tag}, std::move(message));
+      const Key key{src, tag};
+      queue_.emplace(key, std::move(message));
+      // The owner can proceed again.  It leaves the count here, before
+      // the sender can block or finish, so the count never overstates.
+      if (waiting_ && waiting_for_ == key) {
+        waiting_ = false;
+        stuck.leave();
+        wake = true;
+      }
     }
-    cv_.notify_all();
+    if (wake) cv_.notify_one();
   }
 
-  Message take(RankId src, Tag tag) {
+  Message take(RankId src, Tag tag, StuckRanks& stuck) {
     std::unique_lock<std::mutex> lock(mutex_);
     const Key key{src, tag};
     auto it = queue_.find(key);
@@ -46,7 +70,14 @@ class Mailbox {
       // Only a receive that really blocks gets the frame, so profiles
       // tell time spent waiting for a peer from the region's own work.
       ProfScope prof("machine.wait");
-      cv_.wait(lock, [&] { return aborted_ || queue_.count(key) > 0; });
+      waiting_ = true;
+      waiting_for_ = key;
+      if (stuck.join()) {
+        lock.unlock();  // the check reads every mailbox, this one too
+        stuck.on_all_stuck();
+        lock.lock();
+      }
+      cv_.wait(lock, [&] { return aborted_ || !waiting_; });
       it = queue_.find(key);
     }
     if (it == queue_.end()) {
@@ -58,8 +89,15 @@ class Mailbox {
     return message;
   }
 
-  /// Wake any blocked take() after another rank failed, so the whole
-  /// machine unwinds instead of deadlocking on a missing message.
+  /// Calls visit(src, tag) under the lock if the owner is blocked.
+  template <class Visit>
+  void visit_wait(Visit&& visit) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (waiting_) visit(waiting_for_.first, waiting_for_.second);
+  }
+
+  /// Wake a blocked take() after another rank failed or the run
+  /// deadlocked, so the whole machine unwinds.
   void abort() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -79,6 +117,8 @@ class Mailbox {
   std::condition_variable cv_;
   std::multimap<Key, Message> queue_;
   bool aborted_ = false;
+  bool waiting_ = false;
+  Key waiting_for_;
 };
 
 /// A frame a kDelay fault held back; delivered by Comm::flush_delayed().
@@ -86,73 +126,6 @@ struct DelayedFrame {
   RankId dst = 0;
   Tag tag = 0;
   Message message;
-};
-
-/// Shared record of which ranks are blocked in raw_receive, polled by the
-/// watchdog thread.  Each rank writes only its own slot; the mutex makes
-/// the watchdog's snapshot consistent.
-class WaitRegistry {
- public:
-  explicit WaitRegistry(int num_ranks)
-      : states_(static_cast<std::size_t>(num_ranks)) {}
-
-  void enter(RankId rank, RankId src, Tag tag, const CostClock& clock,
-             std::string phase) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    WaitState& s = states_[static_cast<std::size_t>(rank)];
-    s.blocked = true;
-    s.src = src;
-    s.tag = tag;
-    s.clock = clock;
-    s.phase = std::move(phase);
-    s.since = SteadyClock::now();
-  }
-
-  void leave(RankId rank) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    states_[static_cast<std::size_t>(rank)].blocked = false;
-  }
-
-  /// Age of the longest-blocked receive, in seconds (0 when none).
-  double max_wait_seconds() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto now = SteadyClock::now();
-    double max_wait = 0;
-    for (const WaitState& s : states_)
-      if (s.blocked) max_wait = std::max(max_wait, seconds_since(s, now));
-    return max_wait;
-  }
-
-  std::vector<BlockedRecv> snapshot() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto now = SteadyClock::now();
-    std::vector<BlockedRecv> blocked;
-    for (std::size_t r = 0; r < states_.size(); ++r) {
-      const WaitState& s = states_[r];
-      if (!s.blocked) continue;
-      blocked.push_back({static_cast<RankId>(r), s.src, s.tag, s.clock,
-                         s.phase, seconds_since(s, now)});
-    }
-    return blocked;
-  }
-
- private:
-  struct WaitState {
-    bool blocked = false;
-    RankId src = 0;
-    Tag tag = 0;
-    CostClock clock;
-    std::string phase;
-    SteadyClock::time_point since;
-  };
-
-  static double seconds_since(const WaitState& s,
-                              SteadyClock::time_point now) {
-    return std::chrono::duration<double>(now - s.since).count();
-  }
-
-  mutable std::mutex mutex_;
-  std::vector<WaitState> states_;
 };
 
 /// machine.comm.*: every frame of the run, the setup segment included,
@@ -201,8 +174,11 @@ class CommLink final : public RawLink {
 };
 
 struct Machine::Impl {
-  explicit Impl(int num_ranks) : mailboxes(num_ranks) {}
+  explicit Impl(int num_ranks) : mailboxes(num_ranks) {
+    stuck.num_ranks = num_ranks;
+  }
   std::vector<Mailbox> mailboxes;
+  StuckRanks stuck;
   /// Live merged ledger, fed by Comm::flush_ledger at phase boundaries
   /// and snapshotted by CommLedgerHub for /comm.json mid-run.
   std::mutex ledger_mutex;
@@ -212,8 +188,6 @@ struct Machine::Impl {
   /// Per-rank queues of frames a kDelay fault held back (each rank
   /// touches only its own queue).
   std::vector<std::vector<DelayedFrame>> delayed;
-  /// Present when the deadlock watchdog is armed for this run.
-  std::unique_ptr<WaitRegistry> waits;
 };
 
 Machine::Machine(int num_ranks) : num_ranks_(num_ranks) {
@@ -296,22 +270,23 @@ bool Comm::transmit(RankId dst, Tag tag, const Payload& frame,
   message.clock = clock_;
   message.src_event = src_event;
 
-  FaultInjector* injector = machine_->impl_->injector.get();
+  Machine::Impl& impl = *machine_->impl_;
+  FaultInjector* injector = impl.injector.get();
   const FaultDecision decision =
       injector ? injector->decide(rank_) : FaultDecision::kDeliver;
-  Mailbox& inbox = machine_->impl_->mailboxes[static_cast<std::size_t>(dst)];
+  Mailbox& inbox = impl.mailboxes[static_cast<std::size_t>(dst)];
   bool delivered = true;
   switch (decision) {
     case FaultDecision::kDeliver:
-      inbox.put(rank_, tag, std::move(message));
+      inbox.put(rank_, tag, std::move(message), impl.stuck);
       break;
     case FaultDecision::kDrop:
       delivered = false;  // the frame vanishes in the network
       break;
     case FaultDecision::kDuplicate: {
       Message copy = message;
-      inbox.put(rank_, tag, std::move(message));
-      inbox.put(rank_, tag, std::move(copy));
+      inbox.put(rank_, tag, std::move(message), impl.stuck);
+      inbox.put(rank_, tag, std::move(copy), impl.stuck);
       break;
     }
     case FaultDecision::kCorrupt: {
@@ -321,12 +296,12 @@ bool Comm::transmit(RankId dst, Tag tag, const Payload& frame,
       // the sender's other receivers and the sender itself.
       ProfScope prof("machine.copy");
       message.payload = injector->corrupted_copy(rank_, frame);
-      inbox.put(rank_, tag, std::move(message));
+      inbox.put(rank_, tag, std::move(message), impl.stuck);
       delivered = false;
       break;
     }
     case FaultDecision::kDelay:
-      machine_->impl_->delayed[static_cast<std::size_t>(rank_)].push_back(
+      impl.delayed[static_cast<std::size_t>(rank_)].push_back(
           {dst, tag, std::move(message)});
       break;
   }
@@ -344,10 +319,11 @@ bool Comm::transmit(RankId dst, Tag tag, const Payload& frame,
 }
 
 void Comm::flush_delayed() {
-  auto& queue = machine_->impl_->delayed[static_cast<std::size_t>(rank_)];
+  Machine::Impl& impl = *machine_->impl_;
+  auto& queue = impl.delayed[static_cast<std::size_t>(rank_)];
   for (DelayedFrame& frame : queue)
-    machine_->impl_->mailboxes[static_cast<std::size_t>(frame.dst)].put(
-        rank_, frame.tag, std::move(frame.message));
+    impl.mailboxes[static_cast<std::size_t>(frame.dst)].put(
+        rank_, frame.tag, std::move(frame.message), impl.stuck);
   queue.clear();
 }
 
@@ -367,21 +343,9 @@ Payload Comm::raw_receive(RankId src, Tag tag) {
   // Deliver anything this rank delayed before it can block on a peer —
   // otherwise a held-back frame could deadlock the schedule.
   if (impl.injector) flush_delayed();
-
-  Message message;
-  if (WaitRegistry* waits = impl.waits.get()) {
-    waits->enter(rank_, src, tag, clock_, phase());
-    try {
-      message =
-          impl.mailboxes[static_cast<std::size_t>(rank_)].take(src, tag);
-    } catch (...) {
-      waits->leave(rank_);
-      throw;
-    }
-    waits->leave(rank_);
-  } else {
-    message = impl.mailboxes[static_cast<std::size_t>(rank_)].take(src, tag);
-  }
+  Message message =
+      impl.mailboxes[static_cast<std::size_t>(rank_)].take(src, tag,
+                                                           impl.stuck);
 
   // Receiving serializes on this rank (+1 message, +w words), but
   // concurrent disjoint transfers merge via max — see cost_model.hpp.
@@ -477,9 +441,6 @@ void Machine::run(const std::function<void(Comm&)>& program) {
                                                       num_ranks_);
     impl_->delayed.resize(static_cast<std::size_t>(num_ranks_));
   }
-  double budget = recv_timeout_;
-  if (budget <= 0 && faulty) budget = kDefaultFaultRecvTimeout;
-  if (budget > 0) impl_->waits = std::make_unique<WaitRegistry>(num_ranks_);
 
   std::vector<Comm> comms;
   comms.reserve(static_cast<std::size_t>(num_ranks_));
@@ -492,37 +453,28 @@ void Machine::run(const std::function<void(Comm&)>& program) {
   std::mutex error_mutex;
   std::exception_ptr first_error;
 
-  // The watchdog supervises blocked receives: past the budget it snapshots
-  // the wait-for graph into deadlock_ and aborts every mailbox so the run
-  // unwinds (docs/robustness.md).
-  std::thread watchdog;
-  std::mutex watchdog_mutex;
-  std::condition_variable watchdog_cv;
-  bool watchdog_stop = false;
-  if (budget > 0) {
-    watchdog = std::thread([&, budget] {
-      const auto poll =
-          std::chrono::duration<double>(std::min(budget / 8, 0.05));
-      std::unique_lock<std::mutex> lock(watchdog_mutex);
-      while (!watchdog_cv.wait_for(lock, poll, [&] { return watchdog_stop; })) {
-        if (impl_->waits->max_wait_seconds() < budget) continue;
-        {
-          // A rank already failed: its abort is unwinding the machine —
-          // that error, not a deadlock report, should surface.
-          std::lock_guard<std::mutex> error_lock(error_mutex);
-          if (first_error) return;
-        }
-        DeadlockReport report;
-        report.budget_seconds = budget;
-        report.blocked = impl_->waits->snapshot();
-        report.cycle = find_wait_cycle(report.blocked);
-        if (impl_->injector) report.dead = impl_->injector->dead_ranks();
-        deadlock_ = std::move(report);
-        for (Mailbox& mailbox : impl_->mailboxes) mailbox.abort();
-        return;
-      }
-    });
-  }
+  // Runs when every rank is blocked or finished (StuckRanks).  Blocked
+  // ranks then wait forever: snapshot the wait-for graph into deadlock_
+  // and abort every mailbox so the run unwinds (docs/robustness.md).
+  // Only rank threads call it, and they join before this frame ends.
+  impl_->stuck.on_all_stuck = [&] {
+    std::lock_guard<std::mutex> error_lock(error_mutex);
+    // A rank already failed, or the run was already reported: an abort
+    // is unwinding the machine, and that error or report should surface.
+    if (first_error || deadlock_) return;
+    DeadlockReport report;
+    for (RankId r = 0; r < num_ranks_; ++r)
+      impl_->mailboxes[static_cast<std::size_t>(r)].visit_wait(
+          [&](RankId src, Tag tag) {
+            const Comm& comm = comms[static_cast<std::size_t>(r)];
+            report.blocked.push_back({r, src, tag, comm.clock_, comm.phase()});
+          });
+    if (report.blocked.empty()) return;  // every rank finished
+    report.cycle = find_wait_cycle(report.blocked);
+    if (impl_->injector) report.dead = impl_->injector->dead_ranks();
+    deadlock_ = std::move(report);
+    for (Mailbox& mailbox : impl_->mailboxes) mailbox.abort();
+  };
 
   // Per-rank metric sinks: every instrumentation point on a rank thread
   // (collectives, algorithm kernels) lands in its rank's registry; the
@@ -548,7 +500,8 @@ void Machine::run(const std::function<void(Comm&)>& program) {
       } catch (const RankKilledError&) {
         // The plan killed this rank: its thread exits without aborting
         // the machine, exactly as a crashed process looks to survivors —
-        // they block on its messages until the watchdog calls it.
+        // they block on its messages, and once nothing else can run the
+        // deadlock check names it dead.
       } catch (...) {
         {
           std::lock_guard<std::mutex> lock(error_mutex);
@@ -556,17 +509,10 @@ void Machine::run(const std::function<void(Comm&)>& program) {
         }
         for (auto& mailbox : impl_->mailboxes) mailbox.abort();
       }
+      if (impl_->stuck.join()) impl_->stuck.on_all_stuck();
     });
   }
   for (auto& t : threads) t.join();
-  if (watchdog.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(watchdog_mutex);
-      watchdog_stop = true;
-    }
-    watchdog_cv.notify_all();
-    watchdog.join();
-  }
 
   // Fold every view of the records before any throw: a deadlocked or
   // failed run still leaves its post-mortem (partial costs, traffic,

@@ -13,10 +13,10 @@
 // receiving block — shares it.  Deadlock-freedom is the program's
 // responsibility; the algorithms here derive every rank's operation
 // sequence from one global schedule, which makes the communication graph
-// acyclic by construction.  For runs that deliberately break these
-// guarantees — fault injection (fault.hpp), the deadlock watchdog
-// (watchdog.hpp), and the reliable transport (reliable.hpp) — see
-// docs/robustness.md.
+// acyclic by construction.  A run that deadlocks anyway is reported the
+// moment no rank can proceed (watchdog.hpp).  For runs that deliberately
+// break these guarantees — fault injection (fault.hpp) and the reliable
+// transport (reliable.hpp) — see docs/robustness.md.
 #pragma once
 
 #include <cstdint>
@@ -41,10 +41,6 @@ namespace capsp {
 
 class Machine;
 class CommLink;
-
-/// Watchdog budget used when a FaultPlan is set but no explicit
-/// Machine::set_recv_timeout was given: fault runs must never hang.
-inline constexpr double kDefaultFaultRecvTimeout = 2.0;
 
 /// Per-rank communication handle, passed to the SPMD program.  Not
 /// thread-safe across ranks (each rank uses only its own Comm).
@@ -192,8 +188,7 @@ class Comm {
   bool transmit(RankId dst, Tag tag, const Payload& frame, bool retransmit);
 
   /// Blocking receive of the next physical frame on (src, tag), metered
-  /// as today; registers with the watchdog's wait registry while blocked
-  /// and flushes this rank's delayed frames before it can block.
+  /// as today; flushes this rank's delayed frames before it can block.
   Payload raw_receive(RankId src, Tag tag);
 
   /// Reliability-protocol clock charge (acks, backoff): moves the logical
@@ -320,21 +315,13 @@ class Machine {
   bool comm_ledger_enabled() const { return record_comm_; }
 
   /// Inject faults per `plan` during subsequent run()s (docs/robustness.md).
-  /// A non-empty plan with no explicit recv timeout arms the deadlock
-  /// watchdog with kDefaultFaultRecvTimeout so an unsurvivable plan
-  /// terminates with a DeadlockReport instead of hanging.
+  /// An unsurvivable plan ends in a DeadlockError, like any other run in
+  /// which no rank can proceed.
   void set_fault_plan(const FaultPlan& plan) { fault_plan_ = plan; }
   void clear_fault_plan() { fault_plan_.reset(); }
   const FaultPlan* fault_plan() const {
     return fault_plan_ ? &*fault_plan_ : nullptr;
   }
-
-  /// Arm the deadlock watchdog: when any rank blocks in recv for more
-  /// than `seconds` of wall-clock time, the run is aborted and run()
-  /// throws a DeadlockError carrying a structured DeadlockReport.
-  /// 0 disables (the default, unless a fault plan is set).  Pick a budget
-  /// larger than any stall fault in the plan.
-  void set_recv_timeout(double seconds) { recv_timeout_ = seconds; }
 
   /// Route all sends/receives through the ReliableComm protocol layer
   /// (reliable.hpp) during subsequent run()s, so the program survives any
@@ -344,15 +331,17 @@ class Machine {
     reliable_options_ = options;
   }
 
-  /// The watchdog's snapshot when the most recent run() deadlocked
-  /// (the same report the DeadlockError carried); nullptr otherwise.
+  /// The snapshot taken when the most recent run() deadlocked (the same
+  /// report the DeadlockError carried); nullptr otherwise.
   const DeadlockReport* deadlock_report() const {
     return deadlock_ ? &*deadlock_ : nullptr;
   }
 
   /// Execute `program` on every rank concurrently; returns when all ranks
   /// finish.  If any rank throws, the first exception is rethrown here
-  /// (after all threads have been joined).
+  /// (after all threads have been joined).  Once every rank is blocked in
+  /// a receive or finished while some rank is blocked, nothing can arrive:
+  /// the run is aborted at that moment and a DeadlockError is thrown.
   void run(const std::function<void(Comm&)>& program);
 
   /// Cost aggregation for the most recent run().
@@ -390,7 +379,6 @@ class Machine {
   bool record_comm_ = false;
   bool tracing_ = false;
   bool reliable_transport_ = false;
-  double recv_timeout_ = 0;
   std::optional<FaultPlan> fault_plan_;
   ReliableOptions reliable_options_;
   std::optional<DeadlockReport> deadlock_;

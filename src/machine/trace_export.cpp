@@ -325,7 +325,6 @@ void write_deadlock_report_json(std::ostream& out,
   JsonWriter json(out);
   json.begin_object();
   json.field("deadlock", true);
-  json.field("budget_seconds", report.budget_seconds);
   json.key("blocked");
   json.begin_array();
   for (const BlockedRecv& b : report.blocked) {
@@ -336,7 +335,6 @@ void write_deadlock_report_json(std::ostream& out,
     json.field("phase", b.phase);
     json.field("L", b.clock.latency);
     json.field("B", b.clock.words);
-    json.field("waited_seconds", b.waited_seconds);
     json.end_object();
   }
   json.end_array();

@@ -98,7 +98,7 @@ void write_cost_report_json(
     const CommLedger* comm = nullptr,
     const std::function<void(JsonWriter&)>& extra_fields = nullptr);
 
-/// Write a watchdog DeadlockReport as a JSON object ("deadlock": true,
+/// Write a DeadlockReport as a JSON object ("deadlock": true,
 /// the blocked receives with their (L, B) clocks, the wait cycle, and the
 /// dead ranks).  apsp_tool writes this in place of the cost report when a
 /// run deadlocks, so scripts/trace_summary.py can surface it.

@@ -11,9 +11,8 @@ namespace capsp {
 
 std::string DeadlockReport::to_string() const {
   std::ostringstream os;
-  os << "deadlock: watchdog fired after " << budget_seconds
-     << "s; " << blocked.size() << " blocked receive"
-     << (blocked.size() == 1 ? "" : "s");
+  os << "deadlock: no rank can proceed; " << blocked.size()
+     << " blocked receive" << (blocked.size() == 1 ? "" : "s");
   if (!dead.empty()) {
     os << ", " << dead.size() << " dead rank" << (dead.size() == 1 ? "" : "s");
   }
@@ -21,8 +20,7 @@ std::string DeadlockReport::to_string() const {
   for (const BlockedRecv& b : blocked) {
     os << "  rank " << b.rank << " <- (src " << b.src << ", tag " << b.tag
        << ") phase \"" << b.phase << "\" clock (L=" << b.clock.latency
-       << ", B=" << b.clock.words << ") waited " << b.waited_seconds
-       << "s\n";
+       << ", B=" << b.clock.words << ")\n";
   }
   if (!dead.empty()) {
     os << "  dead ranks:";
@@ -42,13 +40,12 @@ DeadlockError::DeadlockError(DeadlockReport r)
   // Post-mortem: the structured report is the exception payload; the
   // log event and the flight-recorder dump (when a dump path is
   // configured) preserve what every rank thread was doing before the
-  // watchdog fired.  kWarn, not kError: tests provoke deadlocks on
+  // run deadlocked.  kWarn, not kError: tests provoke deadlocks on
   // purpose and the error path already throws.
   CAPSP_LOG(kWarn, "machine.deadlock",
             {"blocked", report.blocked.size()},
             {"dead", report.dead.size()},
-            {"cycle", report.cycle.size()},
-            {"budget_seconds", report.budget_seconds});
+            {"cycle", report.cycle.size()});
   flightrec::dump_if_configured("deadlock");
 }
 

@@ -1,14 +1,15 @@
-// Deadlock detection for the machine simulator (docs/robustness.md).
+// Deadlock reports for the machine simulator (docs/robustness.md).
 //
 // Comm::recv blocks until the matching (src, tag) message arrives; a
-// mismatched schedule — or a rank a FaultPlan killed — therefore hangs the
-// run forever.  When Machine::set_recv_timeout gives the machine a budget,
-// a watchdog thread supervises every blocked receive: the moment any rank
-// has waited past the budget it snapshots the blocked-receive wait-for
-// graph, aborts the run, and Machine::run throws a DeadlockError carrying
-// the structured DeadlockReport below — each blocked (rank, src, tag)
-// with its (L, B) logical clock and phase from the PR-1 tracer state, the
-// dead ranks, and the wait-for cycle if one exists.
+// mismatched schedule — or a rank a FaultPlan killed — therefore blocks
+// some ranks forever.  The machine is closed (every message comes from a
+// rank), so the moment every rank is blocked or finished while some rank
+// is blocked, nothing can arrive.  The machine sees that moment exactly:
+// it snapshots the blocked-receive wait-for graph, aborts the run, and
+// Machine::run throws a DeadlockError carrying the structured
+// DeadlockReport below — each blocked (rank, src, tag) with its (L, B)
+// logical clock and phase, the dead ranks, and the wait-for cycle if one
+// exists.
 #pragma once
 
 #include <cstdint>
@@ -20,19 +21,17 @@
 
 namespace capsp {
 
-/// One receive that was blocked when the watchdog fired.
+/// One receive that was blocked when the run deadlocked.
 struct BlockedRecv {
   RankId rank = 0;   ///< the blocked receiver
   RankId src = 0;    ///< the rank it is waiting on
   Tag tag = 0;
   CostClock clock;   ///< receiver's logical (L, B) clock entering the wait
   std::string phase; ///< receiver's active phase label
-  double waited_seconds = 0;  ///< wall-clock time blocked at the snapshot
 };
 
-/// Snapshot of a run the watchdog declared dead.
+/// Snapshot of a run in which no rank could proceed.
 struct DeadlockReport {
-  double budget_seconds = 0;        ///< the recv budget that expired
   std::vector<BlockedRecv> blocked; ///< every blocked receive, by rank
   std::vector<RankId> cycle;  ///< wait-for cycle (empty when the blockage
                               ///< is a chain, e.g. into a dead rank)
@@ -42,7 +41,7 @@ struct DeadlockReport {
   std::string to_string() const;
 };
 
-/// Thrown by Machine::run when the watchdog fires.  Derives check_error so
+/// Thrown by Machine::run when the run deadlocks.  Derives check_error so
 /// existing catch sites keep working; catch DeadlockError first to get the
 /// structured report.
 class DeadlockError : public check_error {

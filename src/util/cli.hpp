@@ -80,6 +80,13 @@ class Cli {
     }
   }
 
+  /// check_unused() for the tools: a typo is a UsageError, which their
+  /// main() reports as a <tool>.usage event and exit code 2.
+  void check_flags() const {
+    for (const auto& [name, value] : flags_)
+      if (known_.count(name) == 0) throw UsageError("unknown flag --" + name);
+  }
+
  private:
   void mark_known(const std::string& name) const { known_.insert(name); }
 

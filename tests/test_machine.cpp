@@ -89,6 +89,8 @@ TEST(Machine, RankExceptionPropagatesWithoutDeadlock) {
     comm.recv(0, 0);  // would block forever without the abort path
   }),
                check_error);
+  // The failure, not a deadlock, is what surfaces.
+  EXPECT_EQ(machine.deadlock_report(), nullptr);
 }
 
 TEST(Machine, UndeliveredMessageDetected) {

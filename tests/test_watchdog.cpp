@@ -1,10 +1,11 @@
-// Tests for the deadlock watchdog (watchdog.hpp): wait-for cycle
+// Tests for deadlock detection (watchdog.hpp): wait-for cycle
 // detection, the golden hand-built recv cycle, kill/stall fault
-// interaction, and post-mortem observability.
+// interaction, and post-mortem observability.  A deadlock is reported the
+// moment no rank can proceed, so no test here sets a budget or times one.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
+#include "core/sparse_apsp.hpp"
+#include "graph/generators.hpp"
 #include "machine/machine.hpp"
 #include "machine/watchdog.hpp"
 
@@ -59,7 +60,6 @@ TEST(WaitCycle, TwoRankHandshakeDeadlock) {
 /// the cycle.
 TEST(Watchdog, ReportsHandBuiltRecvCycle) {
   Machine machine(3);
-  machine.set_recv_timeout(0.2);
   bool threw = false;
   try {
     machine.run([](Comm& comm) {
@@ -70,27 +70,19 @@ TEST(Watchdog, ReportsHandBuiltRecvCycle) {
   } catch (const DeadlockError& e) {
     threw = true;
     const DeadlockReport& report = e.report;
-    EXPECT_EQ(report.budget_seconds, 0.2);
     EXPECT_EQ(report.cycle, (std::vector<RankId>{0, 1, 2}));
     EXPECT_TRUE(report.dead.empty());
     ASSERT_EQ(report.blocked.size(), 3u);
-    // The watchdog fires once the longest wait passes the budget; a rank
-    // that entered recv a moment later has waited a little less.
-    double longest = 0;
-    for (const BlockedRecv& b : report.blocked)
-      longest = std::max(longest, b.waited_seconds);
-    EXPECT_GE(longest, 0.2);
     for (const BlockedRecv& b : report.blocked) {
       EXPECT_EQ(b.src, (b.rank + 1) % 3);
       EXPECT_EQ(b.tag, 42);
       EXPECT_EQ(b.phase, "waiting");
       EXPECT_EQ(b.clock.latency, 0);  // blocked before any traffic
-      EXPECT_GT(b.waited_seconds, 0);
-      EXPECT_LE(b.waited_seconds, longest);
     }
     // The human rendering names the pieces apsp_tool prints.
     const std::string text = report.to_string();
-    EXPECT_NE(text.find("deadlock: watchdog fired"), std::string::npos);
+    EXPECT_NE(text.find("deadlock: no rank can proceed; 3 blocked receives"),
+              std::string::npos);
     EXPECT_NE(text.find("rank 0 <- (src 1, tag 42)"), std::string::npos);
     EXPECT_NE(text.find("wait cycle: 0 -> 1 -> 2 -> 0"), std::string::npos);
   }
@@ -105,7 +97,6 @@ TEST(Watchdog, KilledRankShowsUpAsDeadNotCycle) {
   FaultPlan plan;
   plan.rank_faults[1] = RankFault{0, 0};  // rank 1 dies at its first op
   machine.set_fault_plan(plan);
-  machine.set_recv_timeout(0.2);
   bool threw = false;
   try {
     machine.run([](Comm& comm) {
@@ -127,29 +118,13 @@ TEST(Watchdog, KilledRankShowsUpAsDeadNotCycle) {
   EXPECT_EQ(machine.report().faults.kills, 1);
 }
 
-TEST(Watchdog, StallBeyondBudgetTripsTheWatchdog) {
+TEST(Watchdog, LongStallCompletesWithoutReport) {
+  // A stalled rank is a slow rank, still running: its peer waits for it
+  // however long it naps, and no deadlock is reported.
   Machine machine(2);
   FaultPlan plan;
-  plan.rank_faults[1] = RankFault{0, 0.6};  // rank 1 naps past the budget
+  plan.rank_faults[1] = RankFault{0, 0.6};
   machine.set_fault_plan(plan);
-  machine.set_recv_timeout(0.15);
-  EXPECT_THROW(machine.run([](Comm& comm) {
-                 if (comm.rank() == 0) {
-                   comm.recv(1, 7);
-                 } else {
-                   comm.send(0, 7, payload({1.0}));
-                 }
-               }),
-               DeadlockError);
-  EXPECT_EQ(machine.report().faults.stalls, 1);
-}
-
-TEST(Watchdog, StallWithinBudgetSurvives) {
-  Machine machine(2);
-  FaultPlan plan;
-  plan.rank_faults[1] = RankFault{0, 0.05};
-  machine.set_fault_plan(plan);
-  machine.set_recv_timeout(1.0);
   machine.run([](Comm& comm) {
     if (comm.rank() == 0) {
       EXPECT_EQ(comm.recv(1, 7), payload({1.0}));
@@ -159,11 +134,11 @@ TEST(Watchdog, StallWithinBudgetSurvives) {
   });
   EXPECT_EQ(machine.report().faults.stalls, 1);
   EXPECT_EQ(machine.report().faults.kills, 0);
+  EXPECT_EQ(machine.deadlock_report(), nullptr);
 }
 
 TEST(Watchdog, QuietWhenScheduleIsSound) {
   Machine machine(2);
-  machine.set_recv_timeout(0.5);
   machine.run([](Comm& comm) {
     if (comm.rank() == 0) {
       comm.send(1, 1, payload({2.0}));
@@ -178,7 +153,6 @@ TEST(Watchdog, QuietWhenScheduleIsSound) {
 TEST(Watchdog, PostMortemKeepsPartialCostsAndTrace) {
   Machine machine(2);
   machine.enable_tracing(true);
-  machine.set_recv_timeout(0.2);
   EXPECT_THROW(machine.run([](Comm& comm) {
                  if (comm.rank() == 0) {
                    comm.send(1, 1, payload({1.0, 2.0}));
@@ -200,6 +174,44 @@ TEST(Watchdog, PostMortemKeepsPartialCostsAndTrace) {
   // The blocked receive carries the rank's clock: one send = (1, 2).
   EXPECT_EQ(machine.deadlock_report()->blocked[0].clock.latency, 1);
   EXPECT_EQ(machine.deadlock_report()->blocked[0].clock.words, 2);
+}
+
+TEST(Deadlock, CleanRunScheduleBugIsReported) {
+  // No fault plan: a schedule bug alone (each rank receives from the next,
+  // nobody sends) is reported rather than left to hang.
+  Machine machine(3);
+  try {
+    machine.run([](Comm& comm) { comm.recv((comm.rank() + 1) % 3, 5); });
+    ADD_FAILURE() << "expected a DeadlockError";
+  } catch (const DeadlockError& e) {
+    EXPECT_EQ(e.report.cycle, (std::vector<RankId>{0, 1, 2}));
+    EXPECT_TRUE(e.report.dead.empty());
+    ASSERT_EQ(e.report.blocked.size(), 3u);
+    for (const BlockedRecv& b : e.report.blocked) {
+      EXPECT_EQ(b.src, (b.rank + 1) % 3);
+      EXPECT_EQ(b.tag, 5);
+    }
+  }
+}
+
+TEST(Deadlock, KillInsideGridSolveNamesTheDeadRank) {
+  // Rank 3 dies at its first operation of a 12x12 grid solve at h = 3
+  // (p = 49); the survivors that need it block, and the run is reported
+  // as soon as nothing else can run.
+  Rng rng(1);
+  const Graph graph = make_named_graph("grid", 144, rng);
+  SparseApspOptions options;
+  options.height = 3;
+  options.fault_plan = FaultPlan::parse("seed=7,kill=3@0");
+  try {
+    run_sparse_apsp(graph, options);
+    ADD_FAILURE() << "expected a DeadlockError";
+  } catch (const DeadlockError& e) {
+    EXPECT_EQ(e.report.dead, (std::vector<RankId>{3}));
+    EXPECT_FALSE(e.report.blocked.empty());
+    EXPECT_TRUE(e.report.cycle.empty());  // every chain ends at the corpse
+    for (const BlockedRecv& b : e.report.blocked) EXPECT_NE(b.rank, 3);
+  }
 }
 
 }  // namespace

@@ -23,8 +23,11 @@
 //   apsp_tool --mode solve --graph grid --n 256
 //             --fault-plan seed=7,drop=0.05 --reliable --verify
 //       run under fault injection with the reliable transport; a plan
-//       that kills a rank ends with a DeadlockReport and exit code 3 —
-//       see docs/robustness.md (--recv-timeout tunes the watchdog)
+//       that kills a rank ends with a DeadlockReport and exit code 3 the
+//       moment no rank can proceed — see docs/robustness.md
+//
+// Each mode reads all of its flags before it starts work; a flag no mode
+// reads (a typo, or a removed flag) is a usage error.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -83,7 +86,6 @@ void print_help() {
       "  --metrics-json <path>    merged metrics registry JSON (docs/metrics.md)\n"
       "  --fault-plan <spec>      inject faults, e.g. seed=7,drop=0.05\n"
       "  --reliable               acked, retrying transport\n"
-      "  --recv-timeout <sec>     deadlock watchdog budget\n"
       "\n"
       "comm observatory (solve, sparse|bottleneck; docs/cost-model.md):\n"
       "  --comm-ledger            record the per-channel (src, dst, class,\n"
@@ -131,10 +133,11 @@ void print_help() {
       "exit codes:\n"
       "  0  success\n"
       "  1  error (bad input, failed invariant CHECK, failed --verify)\n"
-      "  2  usage error (unknown --mode, contradictory or incomplete\n"
-      "     flags — e.g. --mode gen without --out)\n"
-      "  3  deadlock: the watchdog aborted the run (structured report on\n"
-      "     stderr; --report-json receives the DeadlockReport JSON)\n";
+      "  2  usage error (unknown --mode or flag, contradictory or\n"
+      "     incomplete flags — e.g. --mode gen without --out)\n"
+      "  3  deadlock: no rank could proceed, so the run was aborted at\n"
+      "     once (structured report on stderr; --report-json receives the\n"
+      "     DeadlockReport JSON)\n";
 }
 
 /// Ends the --profile session (idempotent) and caches the report so the
@@ -158,8 +161,7 @@ bool want_comm_ledger(const Cli& cli) {
 /// --telemetry-port is given: the same embedded server the serving layer
 /// uses, with /comm.json fed live from the CommLedgerHub so long solves
 /// are observable while they run.
-std::unique_ptr<TelemetryServer> start_solver_telemetry(const Cli& cli) {
-  const auto port = cli.get_int("telemetry-port", -1);
+std::unique_ptr<TelemetryServer> start_solver_telemetry(std::int64_t port) {
   if (port < 0) return nullptr;
   auto server = std::make_unique<TelemetryServer>();
   server->handle("/metrics", [](const std::string&) {
@@ -215,8 +217,7 @@ void on_linger_interrupt(int) { g_linger_interrupted = 1; }
 /// --telemetry-linger: keep the endpoint alive after the solve so
 /// scrapers (and the CI smoke) can read the final published ledger;
 /// SIGINT ends the linger early.
-void linger_telemetry(const Cli& cli, const TelemetryServer* server) {
-  const double seconds = cli.get_double("telemetry-linger", 0);
+void linger_telemetry(double seconds, const TelemetryServer* server) {
   if (server == nullptr || seconds <= 0) return;
   std::signal(SIGINT, &on_linger_interrupt);
   std::cout << "telemetry lingering " << seconds
@@ -231,7 +232,8 @@ void linger_telemetry(const Cli& cli, const TelemetryServer* server) {
 }
 
 /// Stdout digest + --comm-json artifact for a ledger-enabled solve.
-void write_comm_outputs(const Cli& cli, const SparseApspResult& result) {
+void write_comm_outputs(const std::string& path,
+                        const SparseApspResult& result) {
   if (!result.comm.present) return;
   const CommChannelStats totals = result.comm.totals();
   std::cout << "comm ledger: " << result.comm.channels.size()
@@ -248,7 +250,6 @@ void write_comm_outputs(const Cli& cli, const SparseApspResult& result) {
       std::cout << " word_optimality_factor=" << a.word_optimality_factor;
     std::cout << "\n";
   }
-  const std::string path = cli.get_string("comm-json", "");
   if (path.empty()) return;
   std::ofstream out(path);
   CAPSP_CHECK_MSG(out, "cannot write --comm-json file " << path);
@@ -264,9 +265,8 @@ void write_comm_outputs(const Cli& cli, const SparseApspResult& result) {
 
 /// --metrics-json: dump the merged registry (plus the oracle comparison
 /// when the solved algorithm attached one) as a single JSON object.
-void write_metrics(const Cli& cli, const CostReport* costs,
+void write_metrics(const std::string& path, const CostReport* costs,
                    const CommAudit* comm_audit = nullptr) {
-  const std::string path = cli.get_string("metrics-json", "");
   if (path.empty()) return;
   std::ofstream out(path);
   CAPSP_CHECK_MSG(out, "cannot write --metrics-json file " << path);
@@ -300,8 +300,9 @@ void write_metrics(const Cli& cli, const CostReport* costs,
 
 /// Stdout digest + artifact files for a --profile run: top scopes by
 /// sample count, the per-kernel roofline, and counter availability.
-void emit_profile_outputs(const Cli& cli, const ProfReport& report) {
-  const std::string folded_path = cli.get_string("profile-folded", "");
+void emit_profile_outputs(const std::string& folded_path,
+                          const std::string& json_path,
+                          const ProfReport& report) {
   if (!folded_path.empty()) {
     std::ofstream out(folded_path);
     CAPSP_CHECK_MSG(out, "cannot write --profile-folded file " << folded_path);
@@ -309,7 +310,6 @@ void emit_profile_outputs(const Cli& cli, const ProfReport& report) {
     std::cout << "wrote folded stacks (" << report.folded.size()
               << " unique) to " << folded_path << "\n";
   }
-  const std::string json_path = cli.get_string("profile-json", "");
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     CAPSP_CHECK_MSG(out, "cannot write --profile-json file " << json_path);
@@ -376,6 +376,7 @@ int mode_gen(const Cli& cli, Rng& rng) {
   const Graph graph = build_graph(cli, rng);
   const std::string out = cli.get_string("out", "");
   if (out.empty()) throw UsageError("--mode gen requires --out <path>");
+  cli.check_flags();
   save_edge_list(out, graph);
   std::cout << "wrote " << graph.num_vertices() << " vertices / "
             << graph.num_edges() << " edges to " << out << "\n";
@@ -385,6 +386,7 @@ int mode_gen(const Cli& cli, Rng& rng) {
 int mode_partition(const Cli& cli, Rng& rng) {
   const Graph graph = build_graph(cli, rng);
   const int height = static_cast<int>(cli.get_int("height", 3));
+  cli.check_flags();
   const Dissection nd = nested_dissection(graph, height, rng);
   std::cout << "nested dissection of " << graph.num_vertices()
             << " vertices into " << nd.tree.num_supernodes()
@@ -406,25 +408,22 @@ int mode_partition(const Cli& cli, Rng& rng) {
 }
 
 /// Fill the robustness options (docs/robustness.md) shared by the
-/// sparse-family algorithms: --fault-plan <spec>, --reliable,
-/// --recv-timeout <seconds>.
+/// sparse-family algorithms: --fault-plan <spec>, --reliable.
 void apply_robustness_flags(const Cli& cli, SparseApspOptions& options) {
   const std::string plan = cli.get_string("fault-plan", "");
   if (!plan.empty()) options.fault_plan = FaultPlan::parse(plan);
   options.reliable = cli.get_bool("reliable", false);
-  options.recv_timeout = cli.get_double("recv-timeout", 0);
 }
 
-/// A run the watchdog declared dead: one structured error event, the
+/// A run in which no rank could proceed: one structured error event, the
 /// full report body on stderr (the documented exit-code-3 artifact),
 /// the JSON report where the cost report would have gone, exit code 3.
-int report_deadlock(const Cli& cli, const DeadlockReport& report) {
+int report_deadlock(const std::string& report_path,
+                    const DeadlockReport& report) {
   CAPSP_LOG(kError, "apsp_tool.deadlock",
             {"blocked", report.blocked.size()}, {"dead", report.dead.size()},
-            {"cycle", report.cycle.size()},
-            {"budget_seconds", report.budget_seconds});
+            {"cycle", report.cycle.size()});
   std::cerr << report.to_string();
-  const std::string report_path = cli.get_string("report-json", "");
   if (!report_path.empty()) {
     std::ofstream out(report_path);
     CAPSP_CHECK_MSG(out, "cannot write --report-json file " << report_path);
@@ -441,7 +440,8 @@ void print_robustness(const SparseApspResult& result) {
   if (f.any()) {
     std::cout << "faults injected: " << f.drops << " dropped, "
               << f.duplicates << " duplicated, " << f.corruptions
-              << " corrupted, " << f.delays << " delayed\n";
+              << " corrupted, " << f.delays << " delayed, " << f.stalls
+              << " stalled, " << f.kills << " killed\n";
   }
   const ReliabilityStats& s = result.costs.reliability;
   if (s.any()) {
@@ -456,9 +456,9 @@ void print_robustness(const SparseApspResult& result) {
 /// Write the --trace / --report-json artifacts for a traced (or plain)
 /// sparse-family run.  The critical-path decompositions ride along in
 /// both files when a trace is available.
-void write_observability(const Cli& cli, const SparseApspResult& result) {
-  const std::string trace_path = cli.get_string("trace", "");
-  const std::string report_path = cli.get_string("report-json", "");
+void write_observability(const std::string& trace_path,
+                         const std::string& report_path,
+                         const SparseApspResult& result) {
   std::optional<CriticalPathReport> latency, bandwidth;
   if (result.trace.enabled()) {
     latency = extract_critical_path(result.trace, CostAxis::kLatency);
@@ -494,11 +494,16 @@ void write_observability(const Cli& cli, const SparseApspResult& result) {
 int mode_solve(const Cli& cli, Rng& rng) {
   const Graph graph = build_graph(cli, rng);
   const std::string algorithm = cli.get_string("algorithm", "sparse");
-  const bool want_trace = !cli.get_string("trace", "").empty();
+  const bool sparse_family =
+      algorithm == "sparse" || algorithm == "bottleneck";
+  if (!sparse_family && algorithm != "dc" && algorithm != "superfw" &&
+      algorithm != "dijkstra")
+    throw UsageError("unknown --algorithm '" + algorithm +
+                     "' (sparse|dc|superfw|dijkstra|bottleneck)");
   // The trace and the comm ledger are recorded by the machine the sparse
   // and bottleneck solvers run on; --telemetry-port serves /metrics for
   // every algorithm.
-  if (algorithm != "sparse" && algorithm != "bottleneck")
+  if (!sparse_family)
     for (const char* flag : {"trace", "comm-json", "comm-ledger"})
       if (cli.has(flag))
         throw UsageError(std::string("--") + flag +
@@ -511,12 +516,34 @@ int mode_solve(const Cli& cli, Rng& rng) {
       if (cli.has(flag))
         throw UsageError(std::string("--") + flag +
                          " is not supported for --algorithm bottleneck");
-  std::cout << "graph: " << graph.num_vertices() << " vertices, "
-            << graph.num_edges() << " edges\n";
+  // Every output flag, read before the solve so that a misspelt flag
+  // fails before any work.
+  const std::string trace_path = cli.get_string("trace", "");
+  const std::string report_path = cli.get_string("report-json", "");
+  const std::string metrics_path = cli.get_string("metrics-json", "");
+  const std::string comm_path = cli.get_string("comm-json", "");
+  const std::string save_path = cli.get_string("save-distances", "");
+  const std::string snapshot_path = cli.get_string("save-snapshot", "");
+  const auto tile = cli.get_int("tile", kDefaultTileDim);
+  const bool verify = cli.get_bool("verify", false);
+  const double linger_seconds = cli.get_double("telemetry-linger", 0);
   // --height 0 (the default "auto") picks a machine size for the graph.
   const int height_flag = static_cast<int>(cli.get_int("height", 3));
   const int height =
       height_flag > 0 ? height_flag : recommend_height(graph);
+  SparseApspOptions options;
+  if (sparse_family) {
+    options.height = height;
+    options.trace = !trace_path.empty();
+    options.comm_ledger = want_comm_ledger(cli);
+    apply_robustness_flags(cli, options);
+  }
+  const int q = algorithm == "dc" ? static_cast<int>(cli.get_int("q", 4)) : 0;
+  const std::int64_t telemetry_port = cli.get_int("telemetry-port", -1);
+  cli.check_flags();
+
+  std::cout << "graph: " << graph.num_vertices() << " vertices, "
+            << graph.num_edges() << " edges\n";
   if (height_flag <= 0)
     std::cout << "auto-selected eTree height " << height << " (p = "
               << ((1 << height) - 1) * ((1 << height) - 1) << ")\n";
@@ -527,18 +554,13 @@ int mode_solve(const Cli& cli, Rng& rng) {
   std::optional<CommAudit> solved_audit;
   // Up before the solve so /comm.json observes the run in flight.
   const std::unique_ptr<TelemetryServer> telemetry =
-      start_solver_telemetry(cli);
+      start_solver_telemetry(telemetry_port);
   if (algorithm == "bottleneck") {
-    SparseApspOptions options;
-    options.height = height;
-    options.trace = want_trace;
-    options.comm_ledger = want_comm_ledger(cli);
-    apply_robustness_flags(cli, options);
     SparseApspResult result;
     try {
       result = run_sparse_bottleneck(graph, options);
     } catch (const DeadlockError& e) {
-      return report_deadlock(cli, e.report);
+      return report_deadlock(report_path, e.report);
     }
     std::cout << "distributed bottleneck (max,min) on p="
               << result.num_ranks
@@ -546,29 +568,24 @@ int mode_solve(const Cli& cli, Rng& rng) {
               << " messages, B=" << result.costs.critical_bandwidth
               << " words\n";
     print_robustness(result);
-    write_comm_outputs(cli, result);
-    write_observability(cli, result);
-    write_metrics(cli, &result.costs,
+    write_comm_outputs(comm_path, result);
+    write_observability(trace_path, report_path, result);
+    write_metrics(metrics_path, &result.costs,
                   result.comm_audit.present ? &result.comm_audit : nullptr);
     Dist narrowest = kInf;
     for (Vertex u = 0; u < graph.num_vertices(); ++u)
       for (Vertex v = u + 1; v < graph.num_vertices(); ++v)
         narrowest = std::min(narrowest, result.distances.at(u, v));
     std::cout << "narrowest pair bottleneck: " << narrowest << "\n";
-    linger_telemetry(cli, telemetry.get());
+    linger_telemetry(linger_seconds, telemetry.get());
     return 0;
   }
   if (algorithm == "sparse") {
-    SparseApspOptions options;
-    options.height = height;
-    options.trace = want_trace;
-    options.comm_ledger = want_comm_ledger(cli);
-    apply_robustness_flags(cli, options);
     SparseApspResult result;
     try {
       result = run_sparse_apsp(graph, options);
     } catch (const DeadlockError& e) {
-      return report_deadlock(cli, e.report);
+      return report_deadlock(report_path, e.report);
     }
     distances = result.distances;
     std::cout << "2D-SPARSE-APSP on p=" << result.num_ranks
@@ -576,12 +593,11 @@ int mode_solve(const Cli& cli, Rng& rng) {
               << " messages, B=" << result.costs.critical_bandwidth
               << " words, |S|=" << result.separator_size << "\n";
     print_robustness(result);
-    write_comm_outputs(cli, result);
-    write_observability(cli, result);
+    write_comm_outputs(comm_path, result);
+    write_observability(trace_path, report_path, result);
     solved_costs = result.costs;
     if (result.comm_audit.present) solved_audit = result.comm_audit;
   } else if (algorithm == "dc") {
-    const int q = static_cast<int>(cli.get_int("q", 4));
     DistributedApspResult result = run_dc_apsp(graph, q);
     attach_oracle(result.costs,
                   predict_dc_apsp(static_cast<double>(graph.num_vertices()),
@@ -592,7 +608,6 @@ int mode_solve(const Cli& cli, Rng& rng) {
               << ": L=" << result.costs.critical_latency
               << " messages, B=" << result.costs.critical_bandwidth
               << " words\n";
-    const std::string report_path = cli.get_string("report-json", "");
     if (!report_path.empty()) {
       std::ofstream out(report_path);
       CAPSP_CHECK_MSG(out, "cannot write --report-json file " << report_path);
@@ -604,38 +619,32 @@ int mode_solve(const Cli& cli, Rng& rng) {
     const SuperFwResult result = superfw_original_order(graph, nd);
     distances = result.distances;
     std::cout << "SuperFW: " << result.ops << " scalar ops\n";
-  } else if (algorithm == "dijkstra") {
+  } else {
     distances = reference_apsp(graph);
     std::cout << "Dijkstra-per-source (sequential oracle)\n";
-  } else {
-    throw UsageError("unknown --algorithm '" + algorithm +
-                     "' (sparse|dc|superfw|dijkstra|bottleneck)");
   }
-  const std::string save_path = cli.get_string("save-distances", "");
   if (!save_path.empty()) {
     save_block(save_path, distances);
     std::cout << "saved distance matrix to " << save_path << "\n";
   }
-  const std::string snapshot_path = cli.get_string("save-snapshot", "");
   if (!snapshot_path.empty()) {
-    const auto tile = cli.get_int("tile", kDefaultTileDim);
     write_snapshot(snapshot_path, distances, tile);
     std::cout << "saved tiled snapshot (tile " << tile << ") to "
               << snapshot_path << "\n";
   }
-  if (cli.get_bool("verify", false)) {
+  if (verify) {
     const ValidationReport report = validate_apsp(graph, distances);
     CAPSP_CHECK_MSG(report.ok, "result failed the APSP certificate: "
                                    << report.problem);
     std::cout << "certificate: distances verified exact (O(n·m) check)\n";
   }
-  write_metrics(cli, solved_costs ? &*solved_costs : nullptr,
+  write_metrics(metrics_path, solved_costs ? &*solved_costs : nullptr,
                 solved_audit ? &*solved_audit : nullptr);
   const PathOracle oracle(graph, std::move(distances));
   std::cout << "diameter " << oracle.diameter() << ", radius "
             << oracle.radius() << ", mean distance "
             << oracle.mean_distance() << "\n";
-  linger_telemetry(cli, telemetry.get());
+  linger_telemetry(linger_seconds, telemetry.get());
   return 0;
 }
 
@@ -661,17 +670,21 @@ int mode_query(const Cli& cli, Rng& rng) {
   // (solve --save-snapshot / serve_tool --mode upgrade, CAPSPDB2) skips
   // the recompute; SnapshotReader dispatches on the magic.
   const std::string cached = cli.get_string("distances", "");
+  SparseApspOptions options;
+  options.height = static_cast<int>(cli.get_int("height", 2));
+  const std::string pairs_path = cli.get_string("pairs", "");
+  const auto from = static_cast<Vertex>(cli.get_int("from", 0));
+  const auto to = static_cast<Vertex>(
+      cli.get_int("to", graph.num_vertices() - 1));
+  cli.check_flags();
   std::shared_ptr<SnapshotReader> reader;
   if (!cached.empty()) {
     reader = std::make_shared<SnapshotReader>(cached);
   } else {
-    SparseApspOptions options;
-    options.height = static_cast<int>(cli.get_int("height", 2));
     reader = std::make_shared<SnapshotReader>(
         run_sparse_apsp(graph, options).distances, kDefaultTileDim);
   }
   DistanceService service(reader, graph);
-  const std::string pairs_path = cli.get_string("pairs", "");
   if (!pairs_path.empty()) {
     // Batch mode: every "u v" line of the file, one process, one service.
     std::ifstream in(pairs_path);
@@ -689,9 +702,6 @@ int mode_query(const Cli& cli, Rng& rng) {
     std::cout << answered << " queries answered\n";
     return 0;
   }
-  const auto from = static_cast<Vertex>(cli.get_int("from", 0));
-  const auto to = static_cast<Vertex>(
-      cli.get_int("to", graph.num_vertices() - 1));
   print_query(service, from, to);
   return 0;
 }
@@ -717,13 +727,17 @@ int main(int argc, char** argv) {
     flightrec::install_crash_handlers();
     flightrec::install_term_drain_handler();
     Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 1)));
+    std::string profile_folded, profile_json;
     if (cli.get_bool("profile", false)) {
       ProfOptions prof_options;
       prof_options.hz = cli.get_double("profile-hz", 497.0);
+      profile_folded = cli.get_string("profile-folded", "");
+      profile_json = cli.get_string("profile-json", "");
       CAPSP_CHECK_MSG(Profiler::global().start(prof_options),
                       "profiler already running");
     }
-    // Pre-register flags each mode may use so check_unused stays accurate.
+    // Each mode reads the rest of its flags, then calls Cli::check_flags
+    // before it starts work.
     int status;
     if (mode == "gen") {
       status = mode_gen(cli, rng);
@@ -739,7 +753,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     if (const ProfReport* prof = finish_profiler(); prof != nullptr)
-      emit_profile_outputs(cli, *prof);
+      emit_profile_outputs(profile_folded, profile_json, *prof);
     return status;
   } catch (const capsp::UsageError& e) {
     CAPSP_LOG(kError, "apsp_tool.usage", {"error", e.what()});

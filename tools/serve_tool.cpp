@@ -233,6 +233,7 @@ int mode_upgrade(const Cli& cli) {
   if (in.empty() || out.empty())
     throw UsageError("--mode upgrade requires --in and --out");
   const auto tile = cli.get_int("tile", kDefaultTileDim);
+  cli.check_flags();
   upgrade_snapshot(in, out, tile);
   const SnapshotReader reader(out);
   std::cout << "upgraded " << in << " -> " << out << ": "
@@ -255,11 +256,13 @@ int mode_sketch(const Cli& cli, Rng& rng) {
   SketchOptions options;
   options.max_landmarks = cli.get_int("landmarks", 64);
   options.top_levels = static_cast<int>(cli.get_int("top-levels", 2));
+  const bool heuristic = cli.get_bool("heuristic", false);
+  const int height = static_cast<int>(cli.get_int("height", 3));
+  cli.check_flags();
   LandmarkSketch sketch;
-  if (cli.get_bool("heuristic", false)) {
+  if (heuristic) {
     sketch = build_sketch(graph, options);
   } else {
-    const int height = static_cast<int>(cli.get_int("height", 3));
     const Dissection nd = nested_dissection(graph, height, rng);
     sketch = build_sketch(graph, nd, options);
   }
@@ -625,7 +628,8 @@ ServeFaultPlan shrink_chaos_plan(
 /// then (only on a wrong answer) plan shrinking.  Both passes run in this
 /// one process so the BenchJson registry writes their records into one
 /// BENCH_serve_chaos.json at exit.
-int run_chaos(const Cli& cli, const std::shared_ptr<SnapshotReader>& reader,
+int run_chaos(const std::string& report_path,
+              const std::shared_ptr<SnapshotReader>& reader,
               const Graph& graph, const ServeOptions& base,
               const ServeFaultPlan& plan, const std::vector<Query>& queries,
               const std::string& mix, int clients, double deadline_seconds,
@@ -663,7 +667,7 @@ int run_chaos(const Cli& cli, const std::shared_ptr<SnapshotReader>& reader,
 
   ChaosPass chaos = run_chaos_pass(reader, graph, base, plan, queries,
                                    clients, deadline_seconds, duration_s,
-                                   oracle, cli.get_string("report-json", ""));
+                                   oracle, report_path);
 
   std::cout << "chaos: faulted pass " << chaos.issued << " requests in "
             << chaos.elapsed << " s: " << chaos.ok << " ok, "
@@ -877,6 +881,15 @@ int mode_serve(const Cli& cli, Rng& rng) {
   const std::vector<Query> queries = make_workload(
       graph, mix, requests, cli.get_double("zipf-theta", 0.99),
       static_cast<std::size_t>(cli.get_int("ball", 64)), workload_rng);
+  // The outputs, read with every other flag before the service starts.
+  const std::int64_t telemetry_port = cli.get_int("telemetry-port", -1);
+  const std::string reqtrace_path = cli.get_string("reqtrace", "");
+  const std::string report_path = cli.get_string("report-json", "");
+  const std::string bench_name_flag = cli.get_string("bench-name", "");
+  const auto bench_name_or = [&](const std::string& fallback) {
+    return bench_name_flag.empty() ? fallback : bench_name_flag;
+  };
+  cli.check_flags();
 
   std::cout << "serving " << reader->header().rows << "x"
             << reader->header().cols << " snapshot ("
@@ -896,7 +909,7 @@ int mode_serve(const Cli& cli, Rng& rng) {
     if (kind != "distance" || open_loop)
       throw UsageError("--chaos is a closed-loop distance harness (it owns "
                        "the oracle comparison); drop --open-loop/--queries");
-    return run_chaos(cli, reader, graph, options, plan, queries, mix,
+    return run_chaos(report_path, reader, graph, options, plan, queries, mix,
                      clients, deadline_seconds, duration_s);
   }
   std::shared_ptr<ServeFaultInjector> injector;
@@ -923,7 +936,6 @@ int mode_serve(const Cli& cli, Rng& rng) {
               << " landmarks, stretch budget " << stretch_budget << "\n";
   }
 
-  const std::int64_t telemetry_port = cli.get_int("telemetry-port", -1);
   if (telemetry_port >= 0) {
     const int bound =
         service.start_telemetry(static_cast<int>(telemetry_port));
@@ -1204,7 +1216,6 @@ int mode_serve(const Cli& cli, Rng& rng) {
     std::cout << "reqtrace: " << traces.started << " traced, "
               << traces.slow << " slow, " << traces.sampled_kept
               << " sampled kept, " << traces.dropped << " dropped\n";
-  const std::string reqtrace_path = cli.get_string("reqtrace", "");
   if (!reqtrace_path.empty()) {
     std::ofstream out(reqtrace_path);
     CAPSP_CHECK_MSG(out, "cannot write --reqtrace file " << reqtrace_path);
@@ -1212,7 +1223,6 @@ int mode_serve(const Cli& cli, Rng& rng) {
     std::cout << "wrote request traces to " << reqtrace_path << "\n";
   }
 
-  const std::string report_path = cli.get_string("report-json", "");
   if (!report_path.empty()) {
     std::ofstream out(report_path);
     CAPSP_CHECK_MSG(out, "cannot write --report-json file " << report_path);
@@ -1232,9 +1242,9 @@ int mode_serve(const Cli& cli, Rng& rng) {
     // with the tier_*/stretch_* classes; the per-tier latencies carry
     // time-like *_ms names so the default gate skips them but CI can
     // still assert the approx-vs-exact speedup ratio.
-    const std::string bench_name = cli.get_string(
-        "bench-name", (plan.empty() ? "serve_approx_" : "serve_faulted_") +
-                          mix + "_" + kind);
+    const std::string bench_name = bench_name_or(
+        (plan.empty() ? "serve_approx_" : "serve_faulted_") + mix + "_" +
+        kind);
     bench::BenchJson::get(bench_name).add(
         {{"mix", mix},
          {"queries", kind},
@@ -1269,9 +1279,8 @@ int mode_serve(const Cli& cli, Rng& rng) {
   } else if (!open_loop && duration_s == 0) {
     // A faulted run's counts are interleaving-dependent; keep it out of
     // the gated serve_<mix>_<kind> record unless the caller names one.
-    const std::string bench_name = cli.get_string(
-        "bench-name", (plan.empty() ? "serve_" : "serve_faulted_") + mix +
-                          "_" + kind);
+    const std::string bench_name = bench_name_or(
+        (plan.empty() ? "serve_" : "serve_faulted_") + mix + "_" + kind);
     bench::BenchJson::get(bench_name).add(
         {{"mix", mix},
          {"queries", kind},
@@ -1294,10 +1303,9 @@ int mode_serve(const Cli& cli, Rng& rng) {
     // Soak record: config fields are deterministic; every count that
     // depends on wall time carries a time-like name so the default gate
     // skips it.
-    const std::string bench_name = cli.get_string(
-        "bench-name", (tiered != nullptr ? "serve_soak_approx_"
-                                         : "serve_soak_") +
-                          mix + "_" + kind);
+    const std::string bench_name = bench_name_or(
+        (tiered != nullptr ? "serve_soak_approx_" : "serve_soak_") + mix +
+        "_" + kind);
     std::vector<bench::BenchJson::Field> record{
         {"mix", mix},
         {"queries", kind},
@@ -1329,8 +1337,9 @@ int mode_serve(const Cli& cli, Rng& rng) {
 /// Whole-run profiling artifacts + stdout digest, mirroring apsp_tool's
 /// (the serving hot scopes are serve.execute.*, serve.tile_fill,
 /// serve.cache.*, serve.snapshot_read).
-void emit_profile_outputs(const Cli& cli, const ProfReport& report) {
-  const std::string folded_path = cli.get_string("profile-folded", "");
+void emit_profile_outputs(const std::string& folded_path,
+                          const std::string& json_path,
+                          const ProfReport& report) {
   if (!folded_path.empty()) {
     std::ofstream out(folded_path);
     CAPSP_CHECK_MSG(out, "cannot write --profile-folded file " << folded_path);
@@ -1338,7 +1347,6 @@ void emit_profile_outputs(const Cli& cli, const ProfReport& report) {
     std::cout << "wrote folded stacks (" << report.folded.size()
               << " unique) to " << folded_path << "\n";
   }
-  const std::string json_path = cli.get_string("profile-json", "");
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     CAPSP_CHECK_MSG(out, "cannot write --profile-json file " << json_path);
@@ -1399,12 +1407,17 @@ int main(int argc, char** argv) {
     Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 1)));
     // Start before the service spawns its workers so perf counters (when
     // the host grants them) inherit into every worker thread.
+    std::string profile_folded, profile_json;
     if (cli.get_bool("profile", false)) {
       ProfOptions prof_options;
       prof_options.hz = cli.get_double("profile-hz", 497.0);
+      profile_folded = cli.get_string("profile-folded", "");
+      profile_json = cli.get_string("profile-json", "");
       CAPSP_CHECK_MSG(Profiler::global().start(prof_options),
                       "profiler already running");
     }
+    // Each mode reads the rest of its flags, then calls Cli::check_flags
+    // before it starts work.
     int status = 2;
     if (mode == "upgrade") {
       status = mode_upgrade(cli);
@@ -1417,7 +1430,8 @@ int main(int argc, char** argv) {
                 {"expected", "serve|upgrade|sketch"});
     }
     if (Profiler::global().running())
-      emit_profile_outputs(cli, Profiler::global().stop());
+      emit_profile_outputs(profile_folded, profile_json,
+                           Profiler::global().stop());
     return status;
   } catch (const capsp::UsageError& e) {
     CAPSP_LOG(kError, "serve_tool.usage", {"error", e.what()});
