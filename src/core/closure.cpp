@@ -49,8 +49,8 @@ DistBlock bottleneck_apsp_supernodal(const Graph& graph,
                                      const Dissection& nd) {
   const Graph reordered = apply_dissection(graph, nd);
   DistBlock a = semiring_matrix<MaxMinSemiring>(reordered, &capacity);
-  return undo_dissection(
-      superfw_semiring<MaxMinSemiring>(std::move(a), nd).distances, nd);
+  superfw_eliminate(a, nd, SemiringKernels::of<MaxMinSemiring>());
+  return undo_dissection(a, nd);
 }
 
 std::vector<Dist> widest_path_sssp(const Graph& graph, Vertex source) {

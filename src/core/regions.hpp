@@ -4,7 +4,9 @@
 // Eliminating the level-l supernodes Q_l updates the region
 //   R_l = ∪_{k∈Q_l} (k ∪ A(k) ∪ D(k)) × (k ∪ A(k) ∪ D(k)),
 // split into four disjoint sub-regions handled by different schedules:
-//   R¹ diagonal blocks (k,k)            — local ClassicalFW
+//   R¹ diagonal blocks (k,k)            — local ClassicalFW; SuperFW
+//                                         over its own dissection for a
+//                                         large, well-separated leaf
 //   R² panels (i,k), (k,j)              — broadcast from the diagonal
 //   R³ blocks with a descendant side    — one computing unit each
 //   R⁴ ancestor×ancestor blocks         — 2^(a-l) units each, fanned out
@@ -103,7 +105,9 @@ std::int64_t r4_unit_count(const EliminationTree& tree, int l);
 /// broadcasts or receives the reduction, the other members receive or
 /// contribute.
 enum class StepKind : std::uint8_t {
-  kDiagonalFw,     ///< R¹ line 4: P_kk runs ClassicalFW on A(k,k)
+  kDiagonalFw,     ///< R¹ line 4: P_kk closes A(k,k) locally, with
+                   ///< ClassicalFW or, on a large, well-separated leaf,
+                   ///< SuperFW over the leaf's own dissection
   kColumnPanel,    ///< R² 5-8: A(k,k) down column k; A(i,k) ← A(i,k)⊗A(k,k)
   kRowPanel,       ///< R² 5-8: A(k,k) along row k; A(k,j) ← A(k,k)⊗A(k,j)
   kRowOperand,     ///< R³ 9-10: P_ik broadcasts A(i,k) along row i

@@ -7,6 +7,7 @@
 
 #include "core/cost_oracle.hpp"
 #include "core/regions.hpp"
+#include "core/superfw.hpp"
 #include "machine/collectives.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
@@ -16,6 +17,67 @@
 
 namespace capsp {
 namespace {
+
+// Supernodal leaves (DESIGN.md decision 11): R¹ eliminates a level-1
+// block with SuperFW over the leaf's own nested dissection when the leaf
+// is large and its part of the graph separates well; every other diagonal
+// block runs ClassicalFW.  The rule reads only the global dissection; its
+// constants come from the measured table in DESIGN.md.
+constexpr Vertex kLeafMinVertices = 512;
+/// The parent separator may hold at most 3/10 of the parent's subtree.
+constexpr std::int64_t kParentSeparatorShareTenths = 3;
+/// The local dissection stops at sub-leaves of at least this many vertices.
+constexpr Vertex kSubLeafMinVertices = 128;
+/// Fixed, so a solve stays a function of its input.
+constexpr std::uint64_t kLeafDissectionSeed = 1;
+
+/// Height of leaf k's own dissection, or 0 when its block runs ClassicalFW.
+int supernodal_leaf_height(const ApspLayout& layout, Snode k) {
+  const EliminationTree& tree = layout.tree();
+  const Vertex size = layout.size_of(k);
+  if (tree.height() == 1 || size < kLeafMinVertices) return 0;
+  const Snode parent = tree.parent(k);
+  const auto [left, right] = tree.children(parent);
+  const std::int64_t subtree = std::int64_t{layout.size_of(parent)} +
+                               layout.size_of(left) + layout.size_of(right);
+  if (10 * std::int64_t{layout.size_of(parent)} >
+      kParentSeparatorShareTenths * subtree)
+    return 0;
+  int height = 1;  // the largest with 2^(height-1) sub-leaves of >= 128
+  while ((std::int64_t{kSubLeafMinVertices} << height) <= size) ++height;
+  return height;
+}
+
+/// R¹ on a supernodal leaf: dissects the untouched block's non-0̄
+/// off-diagonal pattern, the leaf's induced subgraph, to `height` levels,
+/// runs SuperFW on the block in that order and writes the closure back
+/// in place.  Returns SuperFW's ⊗ count.
+std::int64_t eliminate_leaf(DistBlock& block, int height,
+                            const SemiringKernels& kernels) {
+  ProfScope prof("core.sparse.leaf");
+  const auto n = static_cast<Vertex>(block.rows());
+  const DistBlock& in = block;
+  const Dissection nd = [&] {
+    GraphBuilder pattern(n);
+    for (Vertex u = 0; u < n; ++u) {
+      const Dist* row = in.row(u);
+      for (Vertex v = 0; v < n; ++v)
+        if (row[v] != kernels.zero) pattern.add_edge(u, v, 1);
+    }
+    Rng rng(kLeafDissectionSeed);
+    return nested_dissection(std::move(pattern).build(), height, rng);
+  }();
+  DistBlock permuted(n, n);
+  for (Vertex a = 0; a < n; ++a) {
+    const Dist* from = in.row(nd.iperm[static_cast<std::size_t>(a)]);
+    Dist* to = permuted.row(a);
+    for (Vertex b = 0; b < n; ++b)
+      to[b] = from[nd.iperm[static_cast<std::size_t>(b)]];
+  }
+  const std::int64_t ops = superfw_eliminate(permuted, nd, kernels).ops;
+  undo_dissection_into(block, nd, 0, 0, permuted);
+  return ops;
+}
 
 /// One rank's state while it runs its steps of the schedule.
 struct RankCtx {
@@ -59,9 +121,13 @@ struct RankCtx {
 
 void RankCtx::run(const ScheduleStep& step, int l) {
   switch (step.kind) {
-    case StepKind::kDiagonalFw:
-      ops += kernels.fw(local);
+    case StepKind::kDiagonalFw: {
+      const int leaf_height =
+          l == 1 ? supernodal_leaf_height(schedule.layout(), step.k) : 0;
+      ops += leaf_height > 0 ? eliminate_leaf(local, leaf_height, kernels)
+                             : kernels.fw(local);
       return;
+    }
     case StepKind::kColumnPanel: {
       const DistBlock akk = broadcast(step);
       if (!is_root(step)) ops += kernels.accumulate(local, local, akk);

@@ -1,10 +1,8 @@
 #include "core/superfw.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "semiring/graph_matrix.hpp"
-#include "semiring/semirings.hpp"
 #include "util/metrics.hpp"
 #include "util/prof.hpp"
 
@@ -24,49 +22,41 @@ void store(DistBlock& a, const VertexRange& r, const VertexRange& c,
 
 }  // namespace
 
-template <typename S>
-SuperFwResult superfw_semiring(DistBlock matrix, const Dissection& nd) {
+SuperFwCounts superfw_eliminate(DistBlock& a, const Dissection& nd,
+                                const SemiringKernels& kernels) {
   ProfScope prof("core.superfw");
   const EliminationTree& tree = nd.tree;
-  SuperFwResult result;
-  result.distances = std::move(matrix);
-  DistBlock& a = result.distances;
-
-  result.ops_per_level.assign(static_cast<std::size_t>(tree.height()), 0);
+  const auto n_sup = static_cast<std::int64_t>(tree.num_supernodes());
+  SuperFwCounts counts;
+  counts.ops_per_level.assign(static_cast<std::size_t>(tree.height()), 0);
   for (int l = 1; l <= tree.height(); ++l) {
     // One scope per level iteration: sampled stacks attribute time to
     // "level processing" generically; the per-level split stays in the
     // exact ops_per_level metric below.
     ProfScope level_prof("core.superfw.level");
-    const std::int64_t ops_before_level = result.ops;
+    const std::int64_t ops_before_level = counts.ops;
     for (Snode k : tree.level_set(l)) {
       const VertexRange rk = nd.range_of(k);
-      // Relatives of k: ancestors + descendants (cousin blocks are
-      // structurally empty at this point and skipped — the SuperFW saving).
-      std::vector<Snode> related = tree.descendants(k);
-      {
-        const auto anc = tree.ancestors(k);
-        related.insert(related.end(), anc.begin(), anc.end());
-      }
-      std::sort(related.begin(), related.end());
-      const auto n_sup = static_cast<std::int64_t>(tree.num_supernodes());
-      result.skipped_blocks +=
-          (n_sup - 1 - static_cast<std::int64_t>(related.size())) *
-          (2 + n_sup - 1 - static_cast<std::int64_t>(related.size()));
+      // Relatives of k: ancestors + descendants.  Every update touching a
+      // cousin block is skipped (structurally empty at this point — the
+      // SuperFW saving): all N² updates but the (1 + |related|)² below.
+      const std::vector<Snode> related = tree.related_set(k);
+      const auto touched = 1 + static_cast<std::int64_t>(related.size());
+      counts.skipped_blocks += n_sup * n_sup - touched * touched;
 
       // Diagonal update.
       DistBlock akk = load(a, rk, rk);
-      result.ops += semiring_fw<S>(akk);
+      counts.ops += kernels.fw(akk);
       store(a, rk, rk, akk);
 
       // Panel updates.
       for (Snode i : related) {
         const VertexRange ri = nd.range_of(i);
         DistBlock aik = load(a, ri, rk);
-        result.ops += semiring_accumulate<S>(aik, aik, akk);
+        counts.ops += kernels.accumulate(aik, aik, akk);
         store(a, ri, rk, aik);
         DistBlock aki = load(a, rk, ri);
-        result.ops += semiring_accumulate<S>(aki, akk, aki);
+        counts.ops += kernels.accumulate(aki, akk, aki);
         store(a, rk, ri, aki);
       }
 
@@ -78,31 +68,27 @@ SuperFwResult superfw_semiring(DistBlock matrix, const Dissection& nd) {
           const VertexRange rj = nd.range_of(j);
           DistBlock aij = load(a, ri, rj);
           const DistBlock akj = load(a, rk, rj);
-          result.ops += semiring_accumulate<S>(aij, aik, akj);
+          counts.ops += kernels.accumulate(aij, aik, akj);
           store(a, ri, rj, aij);
         }
       }
     }
-    result.ops_per_level[static_cast<std::size_t>(l - 1)] =
-        result.ops - ops_before_level;
-    level_prof.add_ops(result.ops - ops_before_level);
-    metrics().observe(
-        "core.superfw.level_ops",
-        static_cast<double>(result.ops_per_level[static_cast<std::size_t>(
-            l - 1)]));
+    const std::int64_t level_ops = counts.ops - ops_before_level;
+    counts.ops_per_level[static_cast<std::size_t>(l - 1)] = level_ops;
+    level_prof.add_ops(level_ops);
+    metrics().observe("core.superfw.level_ops",
+                      static_cast<double>(level_ops));
   }
-  metrics().counter_add("core.superfw.ops", result.ops);
-  metrics().counter_add("core.superfw.skipped_blocks", result.skipped_blocks);
-  return result;
+  metrics().counter_add("core.superfw.ops", counts.ops);
+  metrics().counter_add("core.superfw.skipped_blocks", counts.skipped_blocks);
+  return counts;
 }
 
-template SuperFwResult superfw_semiring<MinPlusSemiring>(DistBlock,
-                                                         const Dissection&);
-template SuperFwResult superfw_semiring<MaxMinSemiring>(DistBlock,
-                                                        const Dissection&);
-
 SuperFwResult superfw(const Graph& reordered, const Dissection& nd) {
-  return superfw_semiring<MinPlusSemiring>(to_distance_matrix(reordered), nd);
+  DistBlock a = to_distance_matrix(reordered);
+  // Braced initializers run in order: eliminate, then move the closure.
+  return {superfw_eliminate(a, nd, SemiringKernels::of<MinPlusSemiring>()),
+          std::move(a)};
 }
 
 SuperFwResult superfw_original_order(const Graph& graph,

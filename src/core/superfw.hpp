@@ -7,8 +7,10 @@
 // This is simultaneously (a) the shared-memory baseline quoted in the
 // paper's related work, (b) the mathematical specification of what the
 // distributed algorithm computes (same elimination order, same skipped
-// updates), and (c) the op-count harness for the computation-reduction
-// experiment.
+// updates), (c) the op-count harness for the computation-reduction
+// experiment, and (d) how the distributed solver's R¹ eliminates a large,
+// well-separated leaf over the leaf's own dissection (DESIGN.md
+// decision 11).
 #pragma once
 
 #include <cstdint>
@@ -18,13 +20,17 @@
 #include "graph/graph.hpp"
 #include "partition/nested_dissection.hpp"
 #include "semiring/block.hpp"
+#include "semiring/semirings.hpp"
 
 namespace capsp {
 
-struct SuperFwResult {
-  DistBlock distances;        ///< APSP of the *reordered* graph
+/// What one SuperFW elimination did.
+struct SuperFwCounts {
   std::int64_t ops = 0;       ///< scalar ⊗ operations performed
-  std::int64_t skipped_blocks = 0;  ///< block updates avoided by sparsity
+  /// Block updates avoided by sparsity: N² − (1 + |A(k) ∪ D(k)|)² per
+  /// pivot k of the N supernodes, the diagonal, panel and outer-product
+  /// updates that touch a cousin of k.
+  std::int64_t skipped_blocks = 0;
   /// ⊗ operations per elimination level (index l-1 for level l); the
   /// sequential mirror of SparseApspResult::clock_after_level, so the
   /// distributed per-level work can be checked against the same schedule
@@ -32,13 +38,18 @@ struct SuperFwResult {
   std::vector<std::int64_t> ops_per_level;
 };
 
-/// The supernodal elimination schedule over semiring S: eliminates the
-/// supernodes of `nd` bottom-up on `matrix`, the semiring matrix of the
-/// reordered graph, and returns it as the result's `distances`.  Defined
-/// for MinPlusSemiring (superfw) and MaxMinSemiring
-/// (bottleneck_apsp_supernodal).
-template <typename S>
-SuperFwResult superfw_semiring(DistBlock matrix, const Dissection& nd);
+struct SuperFwResult : SuperFwCounts {
+  DistBlock distances;  ///< APSP of the *reordered* graph
+};
+
+/// The supernodal elimination schedule over any closed semiring:
+/// eliminates the supernodes of `nd` bottom-up on `a`, the semiring
+/// matrix of the reordered graph, in place, through `kernels`.  On return
+/// `a` holds the closure.  Every SuperFW in the repository runs this one
+/// loop: superfw (min-plus), bottleneck_apsp_supernodal (MaxMin) and the
+/// distributed solver's large leaves (sparse_apsp.cpp, any semiring).
+SuperFwCounts superfw_eliminate(DistBlock& a, const Dissection& nd,
+                                const SemiringKernels& kernels);
 
 /// Run SuperFW on the reordered graph described by `nd`.  `reordered`
 /// must be apply_dissection(graph, nd).

@@ -4,6 +4,7 @@
 // whole repository.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <string>
 
@@ -13,6 +14,7 @@
 #include "core/sparse_apsp.hpp"
 #include "core/superfw.hpp"
 #include "graph/generators.hpp"
+#include "semiring/graph_matrix.hpp"
 
 namespace capsp {
 namespace {
@@ -115,30 +117,37 @@ TEST(SparseApsp, Height4LargeGrid) {
 }
 
 TEST(SparseApsp, RealWeightsNotInteger) {
-  Rng rng(3);
+  // The 36x36 grid's leaves (612 and 648 vertices) run SuperFW over their
+  // own dissection, which may round differently from Dijkstra: within
+  // 1e-9, like every other solver pair.
   WeightOptions opts;
   opts.integer = false;
   opts.min_weight = 0.1;
   opts.max_weight = 2.0;
-  const Graph graph = make_grid2d(9, 9, rng, opts);
-  const DistBlock want = reference_apsp(graph);
-  SparseApspOptions options;
-  options.height = 3;
-  const SparseApspResult got = run_sparse_apsp(graph, options);
-  expect_apsp_eq(got.distances, want, "real weights");
+  for (const auto& [side, height] : {std::pair{9, 3}, std::pair{36, 2}}) {
+    Rng rng(3);
+    const Graph graph = make_grid2d(side, side, rng, opts);
+    SparseApspOptions options;
+    options.height = height;
+    const SparseApspResult got = run_sparse_apsp(graph, options);
+    expect_apsp_eq(got.distances, reference_apsp(graph),
+                   "real weights, side " + std::to_string(side));
+  }
 }
 
 TEST(SparseApsp, ZeroWeightEdgesAllowed) {
-  Rng rng(4);
-  WeightOptions opts;
-  opts.min_weight = 0;
-  opts.max_weight = 3;
-  const Graph graph = make_grid2d(8, 8, rng, opts);
-  const DistBlock want = reference_apsp(graph);
-  SparseApspOptions options;
-  options.height = 2;
-  const SparseApspResult got = run_sparse_apsp(graph, options);
-  expect_apsp_eq(got.distances, want, "zero weights");
+  // A 0-weight edge is an edge: the 36x36 grid's supernodal leaves must
+  // not read it as 0̄ when they dissect their pattern.
+  for (const auto& [side, max_weight] :
+       {std::pair{8, 3.0}, std::pair{36, 10.0}}) {
+    Rng rng(4);
+    const Graph graph =
+        make_grid2d(side, side, rng, WeightOptions{0, max_weight});
+    SparseApspOptions options;
+    options.height = 2;
+    const SparseApspResult got = run_sparse_apsp(graph, options);
+    EXPECT_EQ(got.distances, reference_apsp(graph)) << "side " << side;
+  }
 }
 
 TEST(SparseApsp, ReusesExternalDissection) {
@@ -187,6 +196,74 @@ TEST(SparseApsp, TinyGraphsSurviveDeepTrees) {
     expect_apsp_eq(got.distances, reference_apsp(graph),
                    "tiny n=" + std::to_string(n));
   }
+}
+
+/// One leaf of a traced solve at the default ND seed: the R¹ ⊗ count its
+/// diagonal rank P_kk recorded, and ClassicalFW's on the same block.
+struct LeafWork {
+  Vertex vertices = 0;
+  std::int64_t r1_ops = 0;
+  std::int64_t classical_ops = 0;
+};
+
+std::vector<LeafWork> leaf_work(const Graph& graph, int height) {
+  SparseApspOptions options;
+  options.height = height;
+  options.collect_distances = false;
+  options.trace = true;
+  Rng nd_rng(options.seed);
+  const Dissection nd = nested_dissection(graph, height, nd_rng);
+  const SparseApspResult result = run_sparse_apsp(graph, nd, options);
+  const ApspLayout layout(nd);
+  const Graph reordered = apply_dissection(graph, nd);
+  std::vector<LeafWork> leaves;
+  for (Snode k : nd.tree.level_set(1)) {
+    const VertexRange r = nd.range_of(k);
+    LeafWork leaf{r.size()};
+    for (const TraceEvent& e : result.trace.per_rank[static_cast<std::size_t>(
+             layout.rank_of(k, k))])
+      if (e.kind == TraceEventKind::kCompute && e.phase == "L1/R1")
+        leaf.r1_ops += e.ops;
+    DistBlock block =
+        adjacency_block(reordered, r.begin, r.end, r.begin, r.end);
+    leaf.classical_ops = semiring_fw<MinPlusSemiring>(block);
+    leaves.push_back(leaf);
+  }
+  return leaves;
+}
+
+TEST(SparseApsp, SupernodalLeavesCutR1Work) {
+  // At h = 2 a 36x36 grid has leaves of 612 and 648 vertices behind a
+  // 36-vertex separator: both run SuperFW over their own dissection, do
+  // less work than ClassicalFW and, on integer weights, give the same
+  // bits.
+  Rng rng(10);
+  const Graph graph = make_grid2d(36, 36, rng);
+  SparseApspOptions options;
+  options.height = 2;
+  EXPECT_EQ(run_sparse_apsp(graph, options).distances,
+            reference_apsp(graph));
+  for (const LeafWork& leaf : leaf_work(graph, 2)) {
+    EXPECT_GE(leaf.vertices, 512);
+    EXPECT_LT(leaf.r1_ops, leaf.classical_ops) << leaf.vertices;
+  }
+}
+
+TEST(SparseApsp, OtherLeavesKeepClassicalFw) {
+  // Controls: a 24x24 grid's leaves (288 and 264 vertices) are too small,
+  // and the Erdős–Rényi graph's large leaf sits under a parent separator
+  // holding 39% of the subtree.  Their R¹ work is ClassicalFW's exactly.
+  Rng grid_rng(11), er_rng(7);
+  const Graph grid = make_grid2d(24, 24, grid_rng);
+  const Graph er = make_named_graph("er", 1200, er_rng);
+  Vertex largest = 0;
+  for (const Graph* graph : {&grid, &er}) {
+    for (const LeafWork& leaf : leaf_work(*graph, 2)) {
+      EXPECT_EQ(leaf.r1_ops, leaf.classical_ops) << leaf.vertices;
+      if (graph == &er) largest = std::max(largest, leaf.vertices);
+    }
+  }
+  EXPECT_GE(largest, 512);
 }
 
 TEST(SparseApsp, SingleVertexGraph) {

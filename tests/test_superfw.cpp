@@ -47,15 +47,18 @@ TEST(SuperFw, OpsAreCountedNotEstimated) {
 }
 
 TEST(SuperFw, SkippedBlocksGrowWithTreeDepth) {
+  // Each pivot k skips every update touching a cousin of k: N² − (1 + R)²
+  // of the N² block updates, R = |A(k) ∪ D(k)|.  Summed over the perfect
+  // eTree, whatever the graph.
   Rng rng(5);
   const Graph graph = make_grid2d(12, 12, rng);
-  std::int64_t previous = -1;
-  for (int height : {2, 3, 4}) {
+  const std::int64_t want[] = {0, 10, 226, 2794};
+  for (int height = 1; height <= 4; ++height) {
     Rng nd_rng(6);
     const Dissection nd = nested_dissection(graph, height, nd_rng);
-    const SuperFwResult result = superfw(apply_dissection(graph, nd), nd);
-    EXPECT_GT(result.skipped_blocks, previous);
-    previous = result.skipped_blocks;
+    EXPECT_EQ(superfw(apply_dissection(graph, nd), nd).skipped_blocks,
+              want[height - 1])
+        << "h=" << height;
   }
 }
 
