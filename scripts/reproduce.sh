@@ -37,9 +37,7 @@ run_serve_benches() {
   local dir
   dir=$(mktemp -d)
   ./build/tools/apsp_tool --mode solve --graph grid --n 441 --height 2 \
-    --save-distances "$dir/serve.db1"
-  ./build/tools/serve_tool --mode upgrade --in "$dir/serve.db1" \
-    --out "$dir/serve.snap" --tile 32
+    --save-distances "$dir/serve.snap" --tile 32
   ./build/tools/serve_tool --mode serve --snapshot "$dir/serve.snap" \
     --graph grid --n 441 --threads 4 --requests 4000 \
     --mix zipf --queries distance --cache-bytes 262144
@@ -57,9 +55,7 @@ run_serve_benches() {
   # interval checked against the exact matrix.  The tier split and
   # stretch distribution in the record are deterministic.
   ./build/tools/apsp_tool --mode solve --graph grid --n 144 --height 2 \
-    --save-distances "$dir/approx.db1"
-  ./build/tools/serve_tool --mode upgrade --in "$dir/approx.db1" \
-    --out "$dir/approx.snap" --tile 16
+    --save-distances "$dir/approx.snap" --tile 16
   ./build/tools/serve_tool --mode sketch --graph grid --n 144 \
     --height 5 --top-levels 4 --landmarks 64 --out "$dir/approx.ax1"
   ./build/tools/serve_tool --mode serve --snapshot "$dir/approx.snap" \

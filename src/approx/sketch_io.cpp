@@ -1,10 +1,15 @@
 #include "approx/sketch_io.hpp"
 
+#include <cstdint>
 #include <cstring>
+#include <fstream>
+#include <span>
+#include <vector>
 
 #include "machine/reliable.hpp"
-#include "semiring/block_io.hpp"
+#include "util/bits.hpp"
 #include "util/check.hpp"
+#include "util/read_exact.hpp"
 
 namespace capsp {
 namespace {
@@ -36,101 +41,47 @@ std::int64_t row_bytes(std::int64_t n) {
   return n * static_cast<std::int64_t>(sizeof(Dist));
 }
 
-void write_i64(std::fstream& file, std::int64_t v) {
-  file.write(reinterpret_cast<const char*>(&v), sizeof(v));
+void write_i64(std::ostream& os, std::int64_t v) {
+  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
 }  // namespace
 
-SketchWriter::SketchWriter(const std::string& path, std::int64_t n,
-                           std::span<const Vertex> landmarks)
-    : path_(path), n_(n), landmarks_(landmarks.begin(), landmarks.end()) {
+void write_sketch(const std::string& path, const LandmarkSketch& sketch) {
+  const std::int64_t n = sketch.n, num = sketch.num_landmarks();
   CAPSP_CHECK_MSG(n >= 0, "sketch n " << n);
-  const auto num = static_cast<std::int64_t>(landmarks_.size());
   CAPSP_CHECK_MSG(num <= n, "sketch has " << num << " landmarks for " << n
                                           << " vertices");
-  for (std::size_t i = 0; i < landmarks_.size(); ++i) {
-    CAPSP_CHECK_MSG(landmarks_[i] >= 0 && landmarks_[i] < n,
-                    "landmark " << landmarks_[i] << " outside [0," << n
+  for (std::size_t i = 0; i < sketch.landmarks.size(); ++i) {
+    CAPSP_CHECK_MSG(sketch.landmarks[i] >= 0 && sketch.landmarks[i] < n,
+                    "landmark " << sketch.landmarks[i] << " outside [0," << n
                                 << ")");
-    CAPSP_CHECK_MSG(i == 0 || landmarks_[i - 1] < landmarks_[i],
+    CAPSP_CHECK_MSG(i == 0 || sketch.landmarks[i - 1] < sketch.landmarks[i],
                     "landmark ids must be strictly ascending");
   }
-  file_.open(path, std::ios::binary | std::ios::in | std::ios::out |
-                       std::ios::trunc);
-  CAPSP_CHECK_MSG(file_.good(), "cannot open " << path << " for writing");
-  file_.write(kMagicAx1, sizeof(kMagicAx1));
-  write_i64(file_, n_);
-  write_i64(file_, num);
-  for (const Vertex l : landmarks_)
-    write_i64(file_, static_cast<std::int64_t>(l));
-  write_i64(file_, ids_checksum(landmarks_));
-  // Placeholder index, backpatched with real checksums in close().  The
-  // offsets are fully determined by the geometry, so fill them in now.
-  checksums_.assign(static_cast<std::size_t>(num), 0);
+  CAPSP_CHECK_MSG(static_cast<std::int64_t>(sketch.rows.size()) == num * n,
+                  "sketch rows hold " << sketch.rows.size() << " entries, "
+                                      << num << " landmarks of " << n
+                                      << " want " << num * n);
+  std::ofstream file(path, std::ios::binary | std::ios::trunc);
+  CAPSP_CHECK_MSG(file.good(), "cannot open " << path << " for writing");
+  file.write(kMagicAx1, sizeof(kMagicAx1));
+  write_i64(file, n);
+  write_i64(file, num);
+  for (const Vertex l : sketch.landmarks)
+    write_i64(file, static_cast<std::int64_t>(l));
+  write_i64(file, ids_checksum(sketch.landmarks));
   std::int64_t offset = payload_offset(num);
   for (std::int64_t i = 0; i < num; ++i) {
-    write_i64(file_, offset);
-    write_i64(file_, 0);
-    offset += row_bytes(n_);
+    write_i64(file, offset);
+    write_i64(file,
+              static_cast<std::int64_t>(frame_checksum(i, sketch.row(i))));
+    offset += row_bytes(n);
   }
-  CAPSP_CHECK_MSG(file_.good(), "sketch header write failed for " << path);
-}
-
-SketchWriter::~SketchWriter() {
-  // A forgotten close() on a fully written sketch is finalized here; an
-  // abandoned half-written one is left invalid on disk (destructors must
-  // not throw), which read_sketch's structural checks will reject.
-  if (!closed_ && next_row_ == static_cast<std::int64_t>(landmarks_.size())) {
-    try {
-      close();
-    } catch (...) {  // NOLINT(bugprone-empty-catch)
-    }
-  }
-}
-
-void SketchWriter::write_row(std::span<const Dist> row) {
-  CAPSP_CHECK_MSG(!closed_, "write_row after close on " << path_);
-  const auto num = static_cast<std::int64_t>(landmarks_.size());
-  CAPSP_CHECK_MSG(next_row_ < num, "sketch " << path_ << " already has all "
-                                             << num << " rows");
-  CAPSP_CHECK_MSG(static_cast<std::int64_t>(row.size()) == n_,
-                  "row " << next_row_ << " has " << row.size()
-                         << " entries, sketch wants " << n_);
-  checksums_[static_cast<std::size_t>(next_row_)] =
-      static_cast<std::int64_t>(frame_checksum(next_row_, row));
-  if (!row.empty())
-    file_.write(reinterpret_cast<const char*>(row.data()),
-                static_cast<std::streamsize>(row.size() * sizeof(Dist)));
-  CAPSP_CHECK_MSG(file_.good(), "row write failed for " << path_);
-  ++next_row_;
-}
-
-void SketchWriter::close() {
-  if (closed_) return;
-  const auto num = static_cast<std::int64_t>(landmarks_.size());
-  CAPSP_CHECK_MSG(next_row_ == num, "sketch " << path_ << " closed after "
-                                              << next_row_ << " of " << num
-                                              << " rows");
-  file_.seekp(kHeaderBytes +
-              (num + 1) * static_cast<std::int64_t>(sizeof(std::int64_t)));
-  std::int64_t offset = payload_offset(num);
-  for (std::int64_t i = 0; i < num; ++i) {
-    write_i64(file_, offset);
-    write_i64(file_, checksums_[static_cast<std::size_t>(i)]);
-    offset += row_bytes(n_);
-  }
-  file_.flush();
-  CAPSP_CHECK_MSG(file_.good(), "sketch index write failed for " << path_);
-  file_.close();
-  closed_ = true;
-}
-
-void write_sketch(const std::string& path, const LandmarkSketch& sketch) {
-  SketchWriter writer(path, sketch.n, sketch.landmarks);
-  for (std::int64_t i = 0; i < sketch.num_landmarks(); ++i)
-    writer.write_row(sketch.row(i));
-  writer.close();
+  file.write(reinterpret_cast<const char*>(sketch.rows.data()),
+             static_cast<std::streamsize>(sketch.rows.size() * sizeof(Dist)));
+  file.close();
+  CAPSP_CHECK_MSG(file.good(), "sketch write failed for " << path);
 }
 
 LandmarkSketch read_sketch(const std::string& path) {
@@ -152,6 +103,19 @@ LandmarkSketch read_sketch(const std::string& path) {
   CAPSP_CHECK_MSG(num >= 0 && num <= sketch.n,
                   "sketch " << path << " header corrupt: " << num
                             << " landmarks for " << sketch.n << " vertices");
+  // The id table, the index and the rows are sized from the header, so
+  // the file must be able to hold each of them (an id and an index entry
+  // per landmark, a row of n doubles per landmark) before anything is
+  // allocated.
+  const std::int64_t room = file_size - kHeaderBytes;
+  const std::int64_t id_and_index_bytes =
+      static_cast<std::int64_t>(sizeof(std::int64_t)) + kIndexEntryBytes;
+  CAPSP_CHECK_MSG(product_at_most(num, id_and_index_bytes, room) &&
+                      product_at_most(num, row_bytes(sketch.n), room),
+                  "sketch " << path << " is " << file_size
+                            << " bytes, too small for " << num
+                            << " landmarks of " << sketch.n
+                            << " vertices (corrupt header)");
   sketch.landmarks.resize(static_cast<std::size_t>(num));
   for (std::int64_t i = 0; i < num; ++i) {
     std::int64_t id = 0;

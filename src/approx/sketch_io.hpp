@@ -20,53 +20,21 @@
 // check_error) rather than degrading.
 #pragma once
 
-#include <cstdint>
-#include <fstream>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "approx/sketch.hpp"
 
 namespace capsp {
 
-/// Streaming CAPSPAX1 writer: construct with the geometry and landmark
-/// ids, feed rows in landmark order (each n entries), then close().
-/// Only O(n) memory is held beyond the index, so a builder can emit
-/// rows as it computes them.
-class SketchWriter {
- public:
-  SketchWriter(const std::string& path, std::int64_t n,
-               std::span<const Vertex> landmarks);
-  ~SketchWriter();
-  SketchWriter(const SketchWriter&) = delete;
-  SketchWriter& operator=(const SketchWriter&) = delete;
-
-  /// Append the next landmark's distance row (n entries).
-  void write_row(std::span<const Dist> row);
-
-  /// Backpatch the checksum index and flush.  CHECK-fails unless every
-  /// row was written.  Called by the destructor if forgotten, but an
-  /// explicit call gives the error a useful stack.
-  void close();
-
- private:
-  std::string path_;
-  std::fstream file_;
-  std::int64_t n_ = 0;
-  std::vector<Vertex> landmarks_;
-  std::vector<std::int64_t> checksums_;
-  std::int64_t next_row_ = 0;
-  bool closed_ = false;
-};
-
-/// One-shot convenience: write an in-memory sketch to `path`.
+/// Write an in-memory sketch to `path`: the rows are contiguous, so
+/// their checksums are computed first and the file is written front to
+/// back.
 void write_sketch(const std::string& path, const LandmarkSketch& sketch);
 
-/// Load a CAPSPAX1 file, validating magic, header sanity, the id
-/// table's order and checksum, the index's offsets, the exact file
-/// size, and every row checksum.  Any mismatch CHECK-fails — a corrupt
-/// sketch is refused, not served.
+/// Load a CAPSPAX1 file, validating magic, header sanity (the file must
+/// hold what the header sizes), the id table's order and checksum, the
+/// index's offsets, the exact file size, and every row checksum.  Any
+/// mismatch CHECK-fails — a corrupt sketch is refused, not served.
 LandmarkSketch read_sketch(const std::string& path);
 
 }  // namespace capsp

@@ -34,7 +34,6 @@
 #include "partition/nested_dissection.hpp"  // IWYU pragma: export
 #include "partition/separator.hpp"       // IWYU pragma: export
 #include "semiring/block.hpp"            // IWYU pragma: export
-#include "semiring/block_io.hpp"         // IWYU pragma: export
 #include "semiring/dist.hpp"             // IWYU pragma: export
 #include "semiring/graph_matrix.hpp"     // IWYU pragma: export
 #include "semiring/semirings.hpp"        // IWYU pragma: export

@@ -8,7 +8,7 @@
 //   execute               dequeue to completion, parent of everything below
 //   tile.cache_hit        tile served from the TileCache
 //   tile.cache_miss       cache lookup that missed (the reload follows)
-//   tile.snapshot_read    tile payload IO under the SnapshotReader lock
+//   tile.snapshot_read    tile payload IO (a positional pread, no lock)
 //   tile.checksum         per-tile checksum verification
 //   path.hop              one next-hop step of shortest_path reconstruction
 //

@@ -3,27 +3,29 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <thread>
 #include <utility>
 
 #include "machine/reliable.hpp"
-#include "semiring/block_io.hpp"
 #include "serve/reqtrace.hpp"
 #include "serve/resilience.hpp"
 #include "serve/servefault.hpp"
+#include "util/bits.hpp"
 #include "util/check.hpp"
 #include "util/prof.hpp"
+#include "util/read_exact.hpp"
 
 namespace capsp {
 namespace {
 
-constexpr char kMagicV2[8] = {'C', 'A', 'P', 'S', 'P', 'D', 'B', '2'};
-constexpr char kMagicV1[8] = {'C', 'A', 'P', 'S', 'P', 'D', 'B', '1'};
+constexpr char kMagic[8] = {'C', 'A', 'P', 'S', 'P', 'D', 'B', '2'};
 
 constexpr std::int64_t kHeaderBytes =
     8 + 3 * static_cast<std::int64_t>(sizeof(std::int64_t));
@@ -42,8 +44,8 @@ std::int64_t tile_payload_bytes(const SnapshotHeader& header,
          static_cast<std::int64_t>(sizeof(Dist));
 }
 
-void check_header_sane(const SnapshotHeader& header,
-                       const std::string& path) {
+void check_header_sane(const SnapshotHeader& header, const std::string& path,
+                       std::int64_t file_size) {
   CAPSP_CHECK_MSG(header.rows >= 0 && header.cols >= 0 &&
                       header.rows < (std::int64_t{1} << 32) &&
                       header.cols < (std::int64_t{1} << 32),
@@ -53,120 +55,66 @@ void check_header_sane(const SnapshotHeader& header,
                       header.tile_dim < (std::int64_t{1} << 32),
                   "snapshot " << path << " has bad tile_dim "
                               << header.tile_dim);
+  // The index and the payloads are sized from the header, so the file
+  // must be able to hold each before anything is allocated or summed.
+  const std::int64_t room = file_size - kHeaderBytes;
+  CAPSP_CHECK_MSG(
+      product_at_most(header.tile_rows(), header.tile_cols(),
+                      room / kIndexEntryBytes) &&
+          product_at_most(header.rows, header.cols,
+                          room / static_cast<std::int64_t>(sizeof(Dist))),
+      "snapshot " << path << " is " << file_size << " bytes, too small for "
+                  << header.rows << "x" << header.cols << " in tiles of "
+                  << header.tile_dim << " (corrupt header)");
+}
+
+void write_i64s(std::ostream& os, std::span<const std::int64_t> values) {
+  os.write(reinterpret_cast<const char*>(values.data()),
+           static_cast<std::streamsize>(values.size_bytes()));
 }
 
 }  // namespace
 
-SnapshotWriter::SnapshotWriter(const std::string& path, std::int64_t rows,
-                               std::int64_t cols, std::int64_t tile_dim)
-    : header_{rows, cols, tile_dim}, path_(path) {
-  CAPSP_CHECK_MSG(rows >= 0 && cols >= 0, "snapshot dims " << rows << "x"
-                                                           << cols);
-  CAPSP_CHECK_MSG(tile_dim >= 1, "tile_dim must be >= 1, got " << tile_dim);
-  file_.open(path, std::ios::binary | std::ios::in | std::ios::out |
-                       std::ios::trunc);
-  CAPSP_CHECK_MSG(file_.good(), "cannot open " << path << " for writing");
-  file_.write(kMagicV2, sizeof(kMagicV2));
-  file_.write(reinterpret_cast<const char*>(&header_.rows),
-              sizeof(header_.rows));
-  file_.write(reinterpret_cast<const char*>(&header_.cols),
-              sizeof(header_.cols));
-  file_.write(reinterpret_cast<const char*>(&header_.tile_dim),
-              sizeof(header_.tile_dim));
-  // Placeholder index, backpatched with real checksums in close().  The
-  // offsets are fully determined by the geometry, so fill them in now.
-  offsets_.reserve(static_cast<std::size_t>(header_.num_tiles()));
-  checksums_.assign(static_cast<std::size_t>(header_.num_tiles()), 0);
-  std::int64_t offset = payload_offset(header_);
-  for (std::int64_t t = 0; t < header_.num_tiles(); ++t) {
-    offsets_.push_back(offset);
-    offset += tile_payload_bytes(header_, t);
-  }
-  for (std::int64_t t = 0; t < header_.num_tiles(); ++t) {
-    file_.write(reinterpret_cast<const char*>(&offsets_[
-                    static_cast<std::size_t>(t)]),
-                sizeof(std::int64_t));
-    const std::int64_t zero = 0;
-    file_.write(reinterpret_cast<const char*>(&zero), sizeof(zero));
-  }
-  CAPSP_CHECK_MSG(file_.good(), "snapshot header write failed for " << path);
-}
-
-SnapshotWriter::~SnapshotWriter() {
-  // A forgotten close() on a fully written snapshot is finalized here; an
-  // abandoned half-written one is left invalid on disk (destructors must
-  // not throw), which the reader's structural checks will reject.
-  if (!closed_ && next_tile_ == header_.num_tiles()) {
-    try {
-      close();
-    } catch (...) {  // NOLINT(bugprone-empty-catch)
-    }
-  }
-}
-
-void SnapshotWriter::write_tile(const DistBlock& tile) {
-  CAPSP_CHECK_MSG(!closed_, "write_tile after close on " << path_);
-  CAPSP_CHECK_MSG(next_tile_ < header_.num_tiles(),
-                  "snapshot " << path_ << " already has all "
-                              << header_.num_tiles() << " tiles");
-  const std::int64_t tr = next_tile_ / header_.tile_cols();
-  const std::int64_t tc = next_tile_ % header_.tile_cols();
-  CAPSP_CHECK_MSG(tile.rows() == header_.tile_row_dim(tr) &&
-                      tile.cols() == header_.tile_col_dim(tc),
-                  "tile " << next_tile_ << " is " << tile.rows() << "x"
-                          << tile.cols() << ", geometry wants "
-                          << header_.tile_row_dim(tr) << "x"
-                          << header_.tile_col_dim(tc));
-  checksums_[static_cast<std::size_t>(next_tile_)] =
-      static_cast<std::int64_t>(frame_checksum(next_tile_, tile.data()));
-  if (tile.size() > 0)
-    file_.write(reinterpret_cast<const char*>(tile.data().data()),
-                static_cast<std::streamsize>(tile.data().size() *
-                                             sizeof(Dist)));
-  CAPSP_CHECK_MSG(file_.good(), "tile write failed for " << path_);
-  ++next_tile_;
-}
-
-void SnapshotWriter::close() {
-  if (closed_) return;
-  CAPSP_CHECK_MSG(next_tile_ == header_.num_tiles(),
-                  "snapshot " << path_ << " closed after " << next_tile_
-                              << " of " << header_.num_tiles() << " tiles");
-  file_.seekp(kHeaderBytes);
-  for (std::int64_t t = 0; t < header_.num_tiles(); ++t) {
-    file_.write(reinterpret_cast<const char*>(&offsets_[
-                    static_cast<std::size_t>(t)]),
-                sizeof(std::int64_t));
-    file_.write(reinterpret_cast<const char*>(&checksums_[
-                    static_cast<std::size_t>(t)]),
-                sizeof(std::int64_t));
-  }
-  file_.flush();
-  CAPSP_CHECK_MSG(file_.good(), "snapshot index write failed for " << path_);
-  file_.close();
-  closed_ = true;
-}
-
 void write_snapshot(const std::string& path, const DistBlock& matrix,
                     std::int64_t tile_dim) {
-  SnapshotWriter writer(path, matrix.rows(), matrix.cols(), tile_dim);
-  const SnapshotHeader& h = writer.header();
-  for (std::int64_t tr = 0; tr < h.tile_rows(); ++tr)
-    for (std::int64_t tc = 0; tc < h.tile_cols(); ++tc)
-      writer.write_tile(matrix.sub_block(tr * tile_dim, tc * tile_dim,
-                                         h.tile_row_dim(tr),
-                                         h.tile_col_dim(tc)));
-  writer.close();
+  const SnapshotHeader h{matrix.rows(), matrix.cols(), tile_dim};
+  CAPSP_CHECK_MSG(h.rows >= 0 && h.cols >= 0,
+                  "snapshot dims " << h.rows << "x" << h.cols);
+  CAPSP_CHECK_MSG(tile_dim >= 1, "tile_dim must be >= 1, got " << tile_dim);
+  std::ofstream file(path, std::ios::binary | std::ios::trunc);
+  CAPSP_CHECK_MSG(file.good(), "cannot open " << path << " for writing");
+  file.write(kMagic, sizeof(kMagic));
+  const std::int64_t dims[] = {h.rows, h.cols, h.tile_dim};
+  write_i64s(file, dims);
+  // (offset, checksum) per tile.  The offsets follow from the geometry;
+  // the checksums are zero until their tile has been written.
+  std::vector<std::int64_t> index(static_cast<std::size_t>(2 * h.num_tiles()));
+  std::int64_t offset = payload_offset(h);
+  for (std::int64_t t = 0; t < h.num_tiles(); ++t) {
+    index[static_cast<std::size_t>(2 * t)] = offset;
+    offset += tile_payload_bytes(h, t);
+  }
+  write_i64s(file, index);
+  std::vector<Dist> tile;
+  for (std::int64_t t = 0; t < h.num_tiles(); ++t) {
+    const std::int64_t tr = t / h.tile_cols(), tc = t % h.tile_cols();
+    const std::int64_t rows = h.tile_row_dim(tr), cols = h.tile_col_dim(tc);
+    tile.resize(static_cast<std::size_t>(rows * cols));
+    for (std::int64_t r = 0; r < rows; ++r)
+      std::copy_n(matrix.row(tr * tile_dim + r) + tc * tile_dim, cols,
+                  tile.data() + r * cols);
+    index[static_cast<std::size_t>(2 * t + 1)] =
+        static_cast<std::int64_t>(frame_checksum(t, tile));
+    file.write(reinterpret_cast<const char*>(tile.data()),
+               static_cast<std::streamsize>(tile.size() * sizeof(Dist)));
+  }
+  file.seekp(kHeaderBytes);
+  write_i64s(file, index);
+  file.close();
+  CAPSP_CHECK_MSG(file.good(), "snapshot write failed for " << path);
 }
 
-void upgrade_snapshot(const std::string& db1_path,
-                      const std::string& db2_path, std::int64_t tile_dim) {
-  write_snapshot(db2_path, load_block(db1_path), tile_dim);
-}
-
-SnapshotReader::SnapshotReader(const std::string& path,
-                               std::int64_t legacy_tile_dim)
-    : path_(path) {
+SnapshotReader::SnapshotReader(const std::string& path) : path_(path) {
   std::ifstream is(path, std::ios::binary);
   CAPSP_CHECK_MSG(is.good(), "cannot open " << path);
   is.seekg(0, std::ios::end);
@@ -174,39 +122,13 @@ SnapshotReader::SnapshotReader(const std::string& path,
   is.seekg(0);
   char magic[8] = {};
   read_exact_bytes(is, magic, sizeof(magic), "snapshot magic");
-  if (std::memcmp(magic, kMagicV1, sizeof(magic)) == 0) {
-    // Legacy monolithic cache: load it whole and tile it virtually.
-    matrix_ = load_block(path);
-    header_ = {matrix_.rows(), matrix_.cols(), legacy_tile_dim};
-    check_header_sane(header_, path);
-    return;
-  }
-  CAPSP_CHECK_MSG(std::memcmp(magic, kMagicV2, sizeof(magic)) == 0,
+  CAPSP_CHECK_MSG(std::memcmp(magic, kMagic, sizeof(magic)) == 0,
                   "not a capsp snapshot (bad magic) in " << path);
   read_exact_bytes(is, &header_.rows, sizeof(header_.rows), "snapshot rows");
   read_exact_bytes(is, &header_.cols, sizeof(header_.cols), "snapshot cols");
   read_exact_bytes(is, &header_.tile_dim, sizeof(header_.tile_dim),
                    "snapshot tile_dim");
-  check_header_sane(header_, path);
-  open_tiled(is, file_size);
-  is.close();
-  fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  CAPSP_CHECK_MSG(fd_ >= 0, "cannot reopen " << path << ": "
-                                             << std::strerror(errno));
-  file_backed_ = true;
-}
-
-SnapshotReader::SnapshotReader(DistBlock matrix, std::int64_t tile_dim)
-    : matrix_(std::move(matrix)) {
-  CAPSP_CHECK_MSG(tile_dim >= 1, "tile_dim must be >= 1, got " << tile_dim);
-  header_ = {matrix_.rows(), matrix_.cols(), tile_dim};
-}
-
-SnapshotReader::~SnapshotReader() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-void SnapshotReader::open_tiled(std::istream& is, std::int64_t file_size) {
+  check_header_sane(header_, path, file_size);
   const std::int64_t tiles = header_.num_tiles();
   offsets_.resize(static_cast<std::size_t>(tiles));
   checksums_.resize(static_cast<std::size_t>(tiles));
@@ -232,6 +154,21 @@ void SnapshotReader::open_tiled(std::istream& is, std::int64_t file_size) {
                   "snapshot is " << file_size << " bytes, geometry wants "
                                  << expected
                                  << " (truncated or trailing bytes)");
+  is.close();
+  fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  CAPSP_CHECK_MSG(fd_ >= 0, "cannot reopen " << path << ": "
+                                             << std::strerror(errno));
+  file_backed_ = true;
+}
+
+SnapshotReader::SnapshotReader(DistBlock matrix, std::int64_t tile_dim)
+    : matrix_(std::move(matrix)) {
+  CAPSP_CHECK_MSG(tile_dim >= 1, "tile_dim must be >= 1, got " << tile_dim);
+  header_ = {matrix_.rows(), matrix_.cols(), tile_dim};
+}
+
+SnapshotReader::~SnapshotReader() {
+  if (fd_ >= 0) ::close(fd_);
 }
 
 std::int64_t SnapshotReader::tile_bytes(std::int64_t tile_id) const {

@@ -1,15 +1,13 @@
-// Tiled on-disk distance-matrix snapshots — the storage side of the
+// Tiled on-disk distance-matrix snapshots — the one file format for a
+// solved matrix, written by apsp_tool --save-distances and read by the
 // serving layer (docs/serving.md).
 //
-// The monolithic CAPSPDB1 cache (semiring/block_io) must be loaded whole
-// before the first query, so a matrix larger than RAM cannot be served at
-// all and a small query pays the full n² load.  CAPSPDB2 stores the same
-// matrix as fixed-size square tiles behind a seekable index, so a
-// DistanceService can fault in only the tiles a query touches and cap its
-// resident set with a tile cache:
+// The matrix is stored as fixed-size square tiles behind a seekable
+// index, so a DistanceService can fault in only the tiles a query touches
+// and cap its resident set with a tile cache:
 //
 //   bytes 0..7   magic "CAPSPDB2"
-//   int64        rows, cols, tile_dim          (native endianness, like DB1)
+//   int64        rows, cols, tile_dim          (native endianness)
 //   per tile     int64 offset, int64 checksum  (row-major over the
 //                ⌈rows/tile⌉ × ⌈cols/tile⌉ tile grid)
 //   payloads     row-major doubles per tile; edge tiles are clipped to the
@@ -23,8 +21,8 @@
 // structurally before serving from it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -60,72 +58,35 @@ struct SnapshotHeader {
   }
 };
 
-/// Streaming CAPSPDB2 writer: construct with the geometry, feed tiles in
-/// row-major tile order (each sized tile_row_dim × tile_col_dim), then
-/// close().  Only O(tile) memory is held, so a producer that computes the
-/// matrix in stripes can emit a snapshot larger than RAM.
-class SnapshotWriter {
- public:
-  SnapshotWriter(const std::string& path, std::int64_t rows,
-                 std::int64_t cols, std::int64_t tile_dim = kDefaultTileDim);
-  ~SnapshotWriter();
-  SnapshotWriter(const SnapshotWriter&) = delete;
-  SnapshotWriter& operator=(const SnapshotWriter&) = delete;
-
-  const SnapshotHeader& header() const { return header_; }
-
-  /// Append the next tile (the writer tracks the row-major cursor); the
-  /// dimensions must match the header's clipped tile geometry.
-  void write_tile(const DistBlock& tile);
-
-  /// Backpatch the checksum index and flush.  CHECK-fails unless every
-  /// tile was written.  Called by the destructor if forgotten, but an
-  /// explicit call gives the error a useful stack.
-  void close();
-
- private:
-  SnapshotHeader header_;
-  std::string path_;
-  std::fstream file_;
-  std::vector<std::int64_t> offsets_;
-  std::vector<std::int64_t> checksums_;
-  std::int64_t next_tile_ = 0;
-  bool closed_ = false;
-};
-
-/// One-shot convenience: tile an in-memory matrix into `path`.
+/// Tile an in-memory matrix into `path` in one pass, holding one tile
+/// beyond the matrix: the header and a placeholder index, then each tile
+/// extracted, checksummed and written once, then the index again with the
+/// checksums filled in.
 void write_snapshot(const std::string& path, const DistBlock& matrix,
                     std::int64_t tile_dim = kDefaultTileDim);
-
-/// Upgrade a CAPSPDB1 cache file (semiring/block_io) to a CAPSPDB2
-/// snapshot, preserving every entry bit-exactly.
-void upgrade_snapshot(const std::string& db1_path, const std::string& db2_path,
-                      std::int64_t tile_dim = kDefaultTileDim);
 
 /// Read side.  Two backings behind one interface:
 ///   * file-backed — a CAPSPDB2 file, validated structurally on open and
 ///     per-tile (checksum) on every read;
-///   * in-memory — a DistBlock tiled virtually, used for CAPSPDB1 files
-///     (kept readable per the format's compatibility promise) and for
-///     serving a freshly computed matrix without touching disk.
+///   * in-memory — a DistBlock tiled virtually, for serving a freshly
+///     computed matrix without touching disk.
 /// `read_tile` is thread-safe with no shared cursor (positional pread on
 /// the file-backed path — see docs/robustness.md), so the workers of a
 /// DistanceService share one reader without serializing their IO; each
 /// call returns a fresh tile so callers own what they cache.
 ///
-/// Failure contract: structural problems found at *open* (bad magic,
-/// corrupt index, wrong file size) CHECK-fail — a malformed snapshot is
-/// refused, not served.  A *per-read* failure (pread error, unexpected
-/// EOF, checksum mismatch, injected fault) throws TileReadError
-/// (serve/resilience), which the service's fetch path retries and
-/// quarantines; TileReadError derives from check_error, so callers that
-/// treat any failure as fatal keep their old behavior.
+/// Failure contract: structural problems found at *open* (bad magic, a
+/// header the file cannot hold, corrupt index, wrong file size)
+/// CHECK-fail — a malformed snapshot is refused, not served.  A
+/// *per-read* failure (pread error, unexpected EOF, checksum mismatch,
+/// injected fault) throws TileReadError (serve/resilience), which the
+/// service's fetch path retries and quarantines; TileReadError derives
+/// from check_error, so callers that treat any failure as fatal keep
+/// their old behavior.
 class SnapshotReader {
  public:
-  /// Open `path`, dispatching on the magic: CAPSPDB2 → file-backed,
-  /// CAPSPDB1 → loaded whole and tiled virtually with `legacy_tile_dim`.
-  explicit SnapshotReader(const std::string& path,
-                          std::int64_t legacy_tile_dim = kDefaultTileDim);
+  /// Open a CAPSPDB2 file; anything else is refused at open.
+  explicit SnapshotReader(const std::string& path);
 
   /// Serve an in-memory matrix (no file involved).
   SnapshotReader(DistBlock matrix, std::int64_t tile_dim = kDefaultTileDim);
@@ -136,7 +97,7 @@ class SnapshotReader {
 
   const SnapshotHeader& header() const { return header_; }
   /// True when tiles are faulted in from a CAPSPDB2 file (false for the
-  /// in-memory / legacy-DB1 backings, which are fully resident anyway).
+  /// in-memory backing, which is fully resident anyway).
   bool file_backed() const { return file_backed_; }
 
   /// Install a fault injector (serve/servefault) consulted on every
@@ -155,13 +116,8 @@ class SnapshotReader {
   /// span for the verification.
   DistBlock read_tile(std::int64_t tile_id,
                       RequestTrace* trace = nullptr) const;
-  DistBlock read_tile(std::int64_t tr, std::int64_t tc) const {
-    return read_tile(header_.tile_id(tr, tc));
-  }
 
  private:
-  void open_tiled(std::istream& is, std::int64_t file_size);
-
   SnapshotHeader header_;
   std::string path_;
   bool file_backed_ = false;

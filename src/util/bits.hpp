@@ -1,4 +1,5 @@
-// Small integer helpers used by the elimination-tree index arithmetic.
+// Small integer helpers: the elimination-tree index arithmetic, and the
+// overflow-safe size checks the file readers make on untrusted headers.
 #pragma once
 
 #include <bit>
@@ -44,6 +45,13 @@ constexpr std::uint64_t isqrt(std::uint64_t v) {
 constexpr std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
   CAPSP_CHECK(b > 0);
   return (a + b - 1) / b;
+}
+
+/// a·b <= limit for non-negative operands, decided without forming a·b,
+/// so a crafted file header cannot overflow the product.
+constexpr bool product_at_most(std::int64_t a, std::int64_t b,
+                               std::int64_t limit) {
+  return a == 0 || b <= limit / a;
 }
 
 }  // namespace capsp

@@ -2,12 +2,17 @@
 // file (approx/sketch_io): the bound invariant lower <= exact <= upper
 // fuzzed against the exact oracle across many random graphs, landmark
 // selection determinism, edge cases (disconnected graphs, a single
-// vertex, zero landmarks), and reader rejection of truncated or
-// corrupted files.
+// vertex, zero landmarks), the file's byte layout pinned to recorded
+// constants, the writer's argument CHECKs, and reader rejection of
+// truncated, corrupted or oversized-header files and of snapshot files
+// (and the snapshot reader's rejection of sketch files).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -17,6 +22,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "partition/nested_dissection.hpp"
+#include "serve/snapshot.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -263,6 +269,18 @@ void write_bytes(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+std::string file_hex(const std::string& path) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::ifstream in(path, std::ios::binary);
+  std::string hex;
+  for (auto it = std::istreambuf_iterator<char>(in);
+       it != std::istreambuf_iterator<char>(); ++it) {
+    hex += kDigits[(static_cast<unsigned char>(*it) >> 4) & 0xf];
+    hex += kDigits[static_cast<unsigned char>(*it) & 0xf];
+  }
+  return hex;
+}
+
 TEST(SketchIo, TruncatedFileRejected) {
   const std::string path = temp_path("trunc.ax1");
   const std::string bytes = sketch_bytes(path);
@@ -294,6 +312,101 @@ TEST(SketchIo, CorruptedFileRejected) {
   write_bytes(path, bytes + "x");
   EXPECT_THROW(read_sketch(path), check_error);
   std::remove(path.c_str());
+}
+
+// A header whose id table, index or rows the file cannot hold is refused
+// before anything is sized from it, each in a bare 24-byte file.
+TEST(SketchIo, RejectsHeaderLargerThanFile) {
+  const std::int64_t crafted[][2] = {
+      {std::int64_t{1} << 31, std::int64_t{1} << 31},
+      {(std::int64_t{1} << 32) - 1, (std::int64_t{1} << 32) - 1},
+  };
+  const std::string path = temp_path("crafted.ax1");
+  for (const auto& header : crafted) {
+    std::string bytes = "CAPSPAX1";
+    for (const std::int64_t field : header)
+      bytes.append(reinterpret_cast<const char*>(&field), sizeof(field));
+    write_bytes(path, bytes);
+    EXPECT_THROW(read_sketch(path), check_error)
+        << "n " << header[0] << ", " << header[1] << " landmarks";
+  }
+  std::remove(path.c_str());
+}
+
+// Every byte of the format, pinned to recorded constants: 2 landmarks of
+// a 4-vertex graph, with kInf, zero and negative entries.
+TEST(SketchIo, LayoutMatchesRecordedBytes) {
+  LandmarkSketch sketch;
+  sketch.n = 4;
+  sketch.landmarks = {1, 3};
+  sketch.rows = {2.5, 0, 1.25, kInf, kInf, 7, -3.5, 0};
+  const std::string path = temp_path("layout.ax1");
+  write_sketch(path, sketch);
+  EXPECT_EQ(file_hex(path),
+            "4341505350415831040000000000000002000000000000000100000000000000"
+            "0300000000000000118bf8231ebf00005000000000000000fe7a40d6d0410000"
+            "70000000000000006825532952fe000000000000000004400000000000000000"
+            "000000000000f43f000000000000f07f000000000000f07f0000000000001c40"
+            "0000000000000cc00000000000000000");
+  std::remove(path.c_str());
+}
+
+TEST(SketchIo, WriterRejectsBadLandmarks) {
+  const std::string path = temp_path("badlandmarks.ax1");
+  LandmarkSketch sketch;
+  sketch.n = 4;
+  sketch.rows.assign(8, 0);
+  sketch.landmarks = {1, 4};  // outside [0, n)
+  EXPECT_THROW(write_sketch(path, sketch), check_error);
+  sketch.landmarks = {3, 1};  // not ascending
+  EXPECT_THROW(write_sketch(path, sketch), check_error);
+  std::remove(path.c_str());
+}
+
+// The rest of the writer's argument CHECKs: a negative vertex count,
+// more landmarks than vertices, and a row table of the wrong length are
+// refused before the file is opened.
+TEST(SketchIo, WriterRejectsBadShape) {
+  const std::string path = temp_path("badshape.ax1");
+  std::remove(path.c_str());
+  LandmarkSketch negative;
+  negative.n = -1;
+  EXPECT_THROW(write_sketch(path, negative), check_error);
+  LandmarkSketch crowded;
+  crowded.n = 2;
+  crowded.landmarks = {0, 1, 2};
+  crowded.rows.assign(6, 0);
+  EXPECT_THROW(write_sketch(path, crowded), check_error);
+  LandmarkSketch short_rows;
+  short_rows.n = 4;
+  short_rows.landmarks = {1, 3};
+  short_rows.rows.assign(7, 0);  // 2 landmarks x 4 vertices want 8
+  EXPECT_THROW(write_sketch(path, short_rows), check_error);
+  EXPECT_FALSE(std::ifstream(path).good()) << "a refused sketch left a file";
+}
+
+// One file format per artifact: each reader refuses the other's file at
+// its magic, so a sketch is never served as a snapshot or the reverse.
+TEST(SketchIo, FormatsRefuseEachOther) {
+  const std::string sketch_path = temp_path("cross.ax1");
+  const std::string snapshot_path = temp_path("cross.snap");
+  sketch_bytes(sketch_path);
+  DistBlock matrix(4, 4);
+  matrix.zero_diagonal();
+  write_snapshot(snapshot_path, matrix, 2);
+  for (const auto& refuse :
+       {std::function<void()>([&] { read_sketch(snapshot_path); }),
+        std::function<void()>([&] { SnapshotReader reader(sketch_path); })}) {
+    try {
+      refuse();
+      FAIL() << "a reader accepted the other format";
+    } catch (const check_error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos)
+          << e.what();
+    }
+  }
+  std::remove(sketch_path.c_str());
+  std::remove(snapshot_path.c_str());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for the serving-side fault-tolerance primitives
-// (serve/resilience + the pread layer in semiring/block_io):
+// (serve/resilience + the pread layer in util/read_exact):
 // backoff bounds and jitter, the full QuarantineRegistry lifecycle
 // (failures → enter → blocked → probe → exit), health-state naming, and
 // pread_exact's EINTR/short-read transparency vs its hard truncation and
@@ -12,9 +12,9 @@
 #include <cstring>
 #include <vector>
 
-#include "semiring/block_io.hpp"
 #include "serve/resilience.hpp"
 #include "util/check.hpp"
+#include "util/read_exact.hpp"
 #include "util/rng.hpp"
 
 namespace capsp {
@@ -152,7 +152,7 @@ TEST(HealthState, Names) {
 }
 
 // ---------------------------------------------------------------------------
-// pread_exact (semiring/block_io) — the POSIX layer where EINTR and short
+// pread_exact (util/read_exact) — the POSIX layer where EINTR and short
 // reads are retried while genuine truncation and IO errors stay fatal.
 
 /// A scripted pread: replays `script` entries, then serves from `data`.

@@ -1,14 +1,17 @@
 // Tests for the tiled CAPSPDB2 snapshot format (serve/snapshot):
-// round-trip fidelity (including the CAPSPDB1 upgrade path), writer
-// geometry CHECKs, and reader rejection of truncated/corrupt files.
+// round-trip fidelity, the byte layout pinned to recorded constants, the
+// writer's argument CHECKs and overwrite behaviour, and reader rejection
+// of missing, truncated, padded, corrupt, oversized-header and
+// retired-format files.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "semiring/block_io.hpp"
 #include "serve/snapshot.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -27,6 +30,30 @@ DistBlock random_matrix(std::int64_t rows, std::int64_t cols,
   for (auto& v : block.data())
     v = rng.bernoulli(0.1) ? kInf : rng.uniform_real(-100, 100);
   return block;
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+void append_i64(std::string& bytes, std::int64_t v) {
+  bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+std::string hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char byte : bytes) {
+    out += kDigits[(static_cast<unsigned char>(byte) >> 4) & 0xf];
+    out += kDigits[static_cast<unsigned char>(byte) & 0xf];
+  }
+  return out;
 }
 
 /// Reassemble the full matrix from a reader's tiles.
@@ -61,13 +88,59 @@ TEST(Snapshot, RoundTripBitExact) {
   std::remove(path.c_str());
 }
 
-// The satellite fuzz requirement: CAPSPDB1 -> upgrade -> CAPSPDB2 ->
-// tiles preserves every entry bit-exactly, over random dims (including
-// degenerate ones) and tile dims (1, non-divisor, divisor, oversize).
-TEST(Snapshot, FuzzUpgradePreservesEveryEntry) {
+TEST(Snapshot, RoundTripPreservesInfinities) {
+  DistBlock matrix(3, 3);  // all kInf
+  matrix.zero_diagonal();
+  const std::string path = temp_path("inf.snap");
+  write_snapshot(path, matrix, 2);
+  const DistBlock loaded = reassemble(SnapshotReader(path));
+  for (std::int64_t r = 0; r < 3; ++r)
+    for (std::int64_t c = 0; c < 3; ++c) {
+      if (r == c) {
+        EXPECT_EQ(loaded.at(r, c), 0);
+      } else {
+        EXPECT_TRUE(is_inf(loaded.at(r, c))) << r << "," << c;
+      }
+    }
+  std::remove(path.c_str());
+}
+
+// A 0x0 matrix has no tiles, so its file is the 32-byte header alone:
+// magic, rows, cols, tile_dim, with no index and no payload.
+TEST(Snapshot, ZeroByZeroIsHeaderOnly) {
+  const std::string path = temp_path("zero.snap");
+  write_snapshot(path, DistBlock(0, 0), 4);
+  const std::string bytes = file_bytes(path);
+  EXPECT_EQ(bytes.size(), 8u + 3 * sizeof(std::int64_t));
+  EXPECT_EQ(bytes.substr(0, 8), "CAPSPDB2");
+  const SnapshotReader reader(path);
+  EXPECT_EQ(reader.header().rows, 0);
+  EXPECT_EQ(reader.header().cols, 0);
+  std::remove(path.c_str());
+}
+
+// A matrix with rows but no columns (or the reverse) keeps both
+// dimensions through the file even though it has no tiles.
+TEST(Snapshot, EmptyRowsOrColumnsKeepTheirDims) {
+  const std::string path = temp_path("flat.snap");
+  for (const auto& [rows, cols] :
+       {std::pair<std::int64_t, std::int64_t>{0, 7}, {7, 0}}) {
+    write_snapshot(path, DistBlock(rows, cols), 3);
+    EXPECT_EQ(file_bytes(path).size(), 8u + 3 * sizeof(std::int64_t));
+    const SnapshotReader reader(path);
+    EXPECT_EQ(reader.header().rows, rows);
+    EXPECT_EQ(reader.header().cols, cols);
+    EXPECT_EQ(reader.header().num_tiles(), 0);
+  }
+  std::remove(path.c_str());
+}
+
+// write_snapshot -> tiles preserves every entry bit-exactly, over random
+// dims (including degenerate ones) and tile dims (1, non-divisor,
+// divisor, oversize).
+TEST(Snapshot, FuzzRoundTripPreservesEveryEntry) {
   Rng rng(99);
-  const std::string db1 = temp_path("fuzz.db1");
-  const std::string db2 = temp_path("fuzz.snap");
+  const std::string path = temp_path("fuzz.snap");
   for (int round = 0; round < 40; ++round) {
     std::int64_t rows = 0, cols = 0;
     switch (round) {
@@ -83,27 +156,93 @@ TEST(Snapshot, FuzzUpgradePreservesEveryEntry) {
         tile_choices[rng.uniform(4)];
     const DistBlock matrix =
         random_matrix(rows, cols, 1000 + static_cast<std::uint64_t>(round));
-    save_block(db1, matrix);
-    upgrade_snapshot(db1, db2, tile);
-    const SnapshotReader reader(db2);
+    write_snapshot(path, matrix, tile);
+    const SnapshotReader reader(path);
     ASSERT_EQ(reader.header().rows, rows);
     ASSERT_EQ(reader.header().cols, cols);
     ASSERT_EQ(reassemble(reader), matrix)
         << "round " << round << ": " << rows << "x" << cols << " tile "
         << tile;
   }
-  std::remove(db1.c_str());
-  std::remove(db2.c_str());
+  std::remove(path.c_str());
 }
 
-TEST(Snapshot, LegacyDb1OpensDirectly) {
+// Every byte of the format, pinned to recorded constants: a 5x3 matrix
+// in tiles of 2 (clipped edge tiles, a kInf entry).  A writer change that
+// moves any byte fails here even when the reader still accepts the file.
+TEST(Snapshot, LayoutMatchesRecordedBytes) {
+  DistBlock matrix(5, 3);
+  for (std::int64_t r = 0; r < 5; ++r)
+    for (std::int64_t c = 0; c < 3; ++c) matrix.at(r, c) = r * 10 + c - 0.5;
+  matrix.at(3, 1) = kInf;
+  const std::string path = temp_path("layout.snap");
+  write_snapshot(path, matrix, 2);
+  EXPECT_EQ(hex(file_bytes(path)),
+            "4341505350444232050000000000000003000000000000000200000000000000"
+            "800000000000000050034c26f4dc0000a00000000000000020cd325b82600000"
+            "b00000000000000093c3e309830d0000d00000000000000022d6379ab6a60000"
+            "e000000000000000359ba55581370000f000000000000000b8e3e83ad2ca0000"
+            "000000000000e0bf000000000000e03f00000000000023400000000000002540"
+            "000000000000f83f000000000000274000000000008033400000000000803440"
+            "0000000000803d40000000000000f07f00000000008035400000000000803f40"
+            "0000000000c0434000000000004044400000000000c04440");
+  std::remove(path.c_str());
+}
+
+TEST(Snapshot, WriterRejectsBadTileDim) {
+  const std::string path = temp_path("badtile.snap");
+  EXPECT_THROW(write_snapshot(path, DistBlock(4, 4), 0), check_error);
+  std::remove(path.c_str());
+}
+
+TEST(Snapshot, WriterRejectsUnwritablePath) {
+  const std::string path =
+      ::testing::TempDir() + "/capsp_no_such_dir/unwritable.snap";
+  try {
+    write_snapshot(path, DistBlock(2, 2), 2);
+    FAIL() << "wrote into a missing directory";
+  } catch (const check_error& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot open"), std::string::npos);
+  }
+}
+
+// The writer seeks back to fill in the index, so it must truncate what
+// was there: a small snapshot written over a larger one is byte-identical
+// to the same snapshot written fresh, and a rewrite repeats every byte.
+TEST(Snapshot, OverwriteLeavesNoStaleBytes) {
+  const DistBlock small = random_matrix(5, 3, 11);
+  const std::string fresh = temp_path("fresh.snap");
+  const std::string reused = temp_path("reused.snap");
+  write_snapshot(fresh, small, 2);
+  write_snapshot(reused, random_matrix(20, 20, 12), 4);
+  write_snapshot(reused, small, 2);
+  EXPECT_EQ(file_bytes(reused), file_bytes(fresh));
+  EXPECT_EQ(reassemble(SnapshotReader(reused)), small);
+  write_snapshot(reused, small, 2);
+  EXPECT_EQ(file_bytes(reused), file_bytes(fresh));
+  std::remove(fresh.c_str());
+  std::remove(reused.c_str());
+}
+
+// The retired monolithic layout (its own magic, rows, cols, then the
+// row-major doubles with no index or checksums) is refused at open,
+// never served.
+TEST(Snapshot, Db1LayoutRefusedAtOpen) {
   const DistBlock matrix = random_matrix(9, 9, 3);
-  const std::string path = temp_path("legacy.db1");
-  save_block(path, matrix);
-  const SnapshotReader reader(path, /*legacy_tile_dim=*/4);
-  EXPECT_FALSE(reader.file_backed());
-  EXPECT_EQ(reader.header().tile_dim, 4);
-  EXPECT_EQ(reassemble(reader), matrix);
+  const char retired_magic[8] = {'C', 'A', 'P', 'S', 'P', 'D', 'B', '1'};
+  std::string bytes(retired_magic, sizeof(retired_magic));
+  append_i64(bytes, matrix.rows());
+  append_i64(bytes, matrix.cols());
+  bytes.append(reinterpret_cast<const char*>(matrix.data().data()),
+               matrix.data().size_bytes());
+  const std::string path = temp_path("retired.db1");
+  write_bytes(path, bytes);
+  try {
+    const SnapshotReader reader(path);
+    FAIL() << "a retired-format file was opened";
+  } catch (const check_error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos);
+  }
   std::remove(path.c_str());
 }
 
@@ -120,49 +259,37 @@ TEST(Snapshot, InMemoryReaderTilesVirtually) {
             3 * 1 * static_cast<std::int64_t>(sizeof(Dist)));
 }
 
-TEST(Snapshot, StreamingWriterMatchesOneShot) {
-  const DistBlock matrix = random_matrix(13, 10, 5);
-  const std::string one_shot = temp_path("oneshot.snap");
-  const std::string streamed = temp_path("streamed.snap");
-  write_snapshot(one_shot, matrix, 4);
-  {
-    SnapshotWriter writer(streamed, 13, 10, 4);
-    const SnapshotHeader& h = writer.header();
-    for (std::int64_t tr = 0; tr < h.tile_rows(); ++tr)
-      for (std::int64_t tc = 0; tc < h.tile_cols(); ++tc)
-        writer.write_tile(matrix.sub_block(tr * 4, tc * 4, h.tile_row_dim(tr),
-                                           h.tile_col_dim(tc)));
-    writer.close();
-  }
-  std::ifstream a(one_shot, std::ios::binary), b(streamed, std::ios::binary);
-  const std::string bytes_a((std::istreambuf_iterator<char>(a)),
-                            std::istreambuf_iterator<char>());
-  const std::string bytes_b((std::istreambuf_iterator<char>(b)),
-                            std::istreambuf_iterator<char>());
-  EXPECT_EQ(bytes_a, bytes_b);
-  std::remove(one_shot.c_str());
-  std::remove(streamed.c_str());
-}
-
-TEST(SnapshotWriter, RejectsWrongTileGeometry) {
-  const std::string path = temp_path("badtile.snap");
-  SnapshotWriter writer(path, 10, 10, 4);
-  EXPECT_THROW(writer.write_tile(DistBlock(3, 4)), check_error);
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotWriter, CloseBeforeAllTilesRejected) {
-  const std::string path = temp_path("short.snap");
-  SnapshotWriter writer(path, 8, 8, 4);
-  writer.write_tile(DistBlock(4, 4));
-  EXPECT_THROW(writer.close(), check_error);
-  std::remove(path.c_str());
-}
-
 TEST(SnapshotReader, RejectsBadMagic) {
   const std::string path = temp_path("badmagic.snap");
   std::ofstream(path, std::ios::binary) << "NOTADB!!garbagegarbage";
   EXPECT_THROW(SnapshotReader reader(path), check_error);
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotReader, RejectsMissingFile) {
+  const std::string path = temp_path("does_not_exist.snap");
+  std::remove(path.c_str());
+  try {
+    const SnapshotReader reader(path);
+    FAIL() << "opened a missing file";
+  } catch (const check_error& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot open"), std::string::npos);
+  }
+}
+
+// EOF inside the magic is a truncation naming what was short, not a
+// bad-magic verdict on bytes that were never read.
+TEST(SnapshotReader, RejectsTruncatedMagic) {
+  const std::string path = temp_path("shortmagic.snap");
+  write_bytes(path, "CAPS");
+  try {
+    const SnapshotReader reader(path);
+    FAIL() << "opened a 4-byte file";
+  } catch (const check_error& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("snapshot magic"),
+              std::string::npos);
+  }
   std::remove(path.c_str());
 }
 
@@ -177,13 +304,37 @@ TEST(SnapshotReader, RejectsTruncatedPayload) {
   const DistBlock matrix = random_matrix(12, 12, 6);
   const std::string path = temp_path("truncated.snap");
   write_snapshot(path, matrix, 4);
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
-  bytes.resize(bytes.size() - 16);
-  std::ofstream(path, std::ios::binary) << bytes;
-  EXPECT_THROW(SnapshotReader reader(path), check_error);
+  const std::string bytes = file_bytes(path);
+  // Two doubles short, and 4 bytes of padding: the file must be exactly
+  // the payloads' extent.
+  for (const std::string& wrong :
+       {bytes.substr(0, bytes.size() - 16), bytes + "junk"}) {
+    write_bytes(path, wrong);
+    EXPECT_THROW(SnapshotReader reader(path), check_error)
+        << wrong.size() << " bytes";
+  }
+  std::remove(path.c_str());
+}
+
+// A header whose index or payload the file cannot hold is refused before
+// anything is sized from it: an index of 2^40 entries, a tile count past
+// int64, rows past 2^32, and one tile of 2^62 doubles, each in a bare
+// 32-byte file.
+TEST(SnapshotReader, RejectsHeaderLargerThanFile) {
+  const std::int64_t crafted[][3] = {
+      {std::int64_t{1} << 20, std::int64_t{1} << 20, 1},
+      {(std::int64_t{1} << 32) - 1, (std::int64_t{1} << 32) - 1, 1},
+      {std::int64_t{1} << 32, 1, 1},
+      {std::int64_t{1} << 31, std::int64_t{1} << 31, std::int64_t{1} << 31},
+  };
+  const std::string path = temp_path("crafted.snap");
+  for (const auto& header : crafted) {
+    std::string bytes = "CAPSPDB2";
+    for (const std::int64_t field : header) append_i64(bytes, field);
+    write_bytes(path, bytes);
+    EXPECT_THROW(SnapshotReader reader(path), check_error)
+        << header[0] << "x" << header[1] << " tile " << header[2];
+  }
   std::remove(path.c_str());
 }
 

@@ -1,14 +1,19 @@
 // Unit tests for the util module: checking macros, RNG determinism and
-// distribution sanity, bit helpers, regression fitting, CLI parsing.
+// distribution sanity, bit helpers, exact-length reads, regression
+// fitting, CLI parsing.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <sstream>
+#include <string>
 
 #include "util/bits.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/fit.hpp"
+#include "util/read_exact.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -163,6 +168,47 @@ TEST(Bits, CeilDiv) {
   EXPECT_EQ(ceil_div(10, 3), 4);
   EXPECT_EQ(ceil_div(9, 3), 3);
   EXPECT_EQ(ceil_div(0, 5), 0);
+}
+
+TEST(Bits, ProductAtMostNeverOverflows) {
+  EXPECT_TRUE(product_at_most(3, 4, 12));
+  EXPECT_FALSE(product_at_most(3, 4, 11));
+  EXPECT_TRUE(product_at_most(0, INT64_MAX, 0));
+  // Products at and past 2^63 are decided by division, never formed.
+  const std::int64_t big = std::int64_t{1} << 32;
+  EXPECT_FALSE(product_at_most(big, big, INT64_MAX));
+  EXPECT_FALSE(product_at_most(big, big / 2, INT64_MAX));
+  EXPECT_TRUE(product_at_most(big, big / 2 - 1, INT64_MAX));
+}
+
+TEST(ReadExact, ReadExactBytesReportsShortfall) {
+  std::stringstream stream(std::string("abc"),
+                           std::ios::in | std::ios::binary);
+  char buffer[8];
+  try {
+    read_exact_bytes(stream, buffer, 8, "probe");
+    FAIL() << "expected a truncation CHECK";
+  } catch (const check_error& e) {
+    EXPECT_NE(std::string(e.what()).find("probe"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos);
+  }
+}
+
+// Each call takes exactly the bytes asked for and leaves the stream just
+// past them, so consecutive fields read back in order; a zero-byte read
+// at the end of the stream is not a shortfall.
+TEST(ReadExact, ReadsExactlyTheBytesAskedFor) {
+  std::stringstream stream(std::string("abcdef"),
+                           std::ios::in | std::ios::binary);
+  char head[4] = {};
+  char tail[2] = {};
+  read_exact_bytes(stream, head, 4, "head");
+  read_exact_bytes(stream, tail, 2, "tail");
+  EXPECT_EQ(std::string(head, 4), "abcd");
+  EXPECT_EQ(std::string(tail, 2), "ef");
+  EXPECT_NO_THROW(read_exact_bytes(stream, head, 0, "nothing"));
+  EXPECT_THROW(read_exact_bytes(stream, head, 1, "past the end"),
+               check_error);
 }
 
 TEST(Fit, ExactLineRecovered) {

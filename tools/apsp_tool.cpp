@@ -9,10 +9,11 @@
 //       run a chosen algorithm on a graph file
 //   apsp_tool --mode partition --file g.txt --height 3
 //       run nested dissection, print the supernode/separator profile
-//   apsp_tool --mode solve --file g.txt --save-distances g.dist --verify
-//       solve once, certify the result, cache the matrix
-//   apsp_tool --mode query --file g.txt --distances g.dist --from 0 --to 17
-//       print the shortest path between two vertices (cached matrix)
+//   apsp_tool --mode solve --file g.txt --save-distances g.snap --verify
+//       solve once, certify the result, save the matrix as a tiled
+//       snapshot (docs/serving.md)
+//   apsp_tool --mode query --file g.txt --distances g.snap --from 0 --to 17
+//       print the shortest path between two vertices (saved matrix)
 //   apsp_tool --mode gen --graph rmat --n 512 --out g.txt
 //       write a generated instance to a file
 //   apsp_tool --mode solve --graph grid --n 256 --trace t.json
@@ -75,11 +76,11 @@ void print_help() {
       "  --height <h>             eTree height, p = (2^h-1)^2 ranks; 0 = auto\n"
       "  --q <q>                  grid side for --algorithm dc (p = q^2)\n"
       "  --verify                 certify distances with the O(n·m) check\n"
-      "  --save-distances <path>  cache the distance matrix\n"
-      "  --save-snapshot <path>   tiled CAPSPDB2 snapshot for the serving\n"
-      "                           layer (--tile sets the tile dimension;\n"
-      "                           see docs/serving.md)\n"
-      "  --verify, --save-*       not available for --algorithm bottleneck\n"
+      "  --save-distances <path>  save the distance matrix as a tiled\n"
+      "                           CAPSPDB2 snapshot (docs/serving.md)\n"
+      "  --tile <dim>             snapshot tile dimension (default 64)\n"
+      "  --verify, --save-distances\n"
+      "                           not available for --algorithm bottleneck\n"
       "  --trace <path>           event trace JSON (sparse|bottleneck)\n"
       "  --report-json <path>     CostReport JSON, incl. the cost-oracle\n"
       "                           predicted-vs-measured ratios\n"
@@ -106,9 +107,9 @@ void print_help() {
       "--mode query:      --from <v> --to <v> [--distances <path>]\n"
       "                   --pairs <file>: answer every 'u v' line of the\n"
       "                   file in one process through a DistanceService\n"
-      "                   (--distances accepts CAPSPDB1 caches and\n"
-      "                   CAPSPDB2 snapshots alike; without it the graph\n"
-      "                   is solved once and served from memory)\n"
+      "                   (--distances reads a --save-distances\n"
+      "                   snapshot; without it the graph is solved once\n"
+      "                   and served from memory)\n"
       "--mode gen:        --out <path>\n"
       "\n"
       "profiling (any mode; see docs/profiling.md):\n"
@@ -512,7 +513,7 @@ int mode_solve(const Cli& cli, Rng& rng) {
   // A bottleneck run yields widths, not distances: the distance writers
   // and the APSP certificate do not apply to it.
   if (algorithm == "bottleneck")
-    for (const char* flag : {"save-distances", "save-snapshot", "verify"})
+    for (const char* flag : {"save-distances", "verify"})
       if (cli.has(flag))
         throw UsageError(std::string("--") + flag +
                          " is not supported for --algorithm bottleneck");
@@ -523,7 +524,6 @@ int mode_solve(const Cli& cli, Rng& rng) {
   const std::string metrics_path = cli.get_string("metrics-json", "");
   const std::string comm_path = cli.get_string("comm-json", "");
   const std::string save_path = cli.get_string("save-distances", "");
-  const std::string snapshot_path = cli.get_string("save-snapshot", "");
   const auto tile = cli.get_int("tile", kDefaultTileDim);
   const bool verify = cli.get_bool("verify", false);
   const double linger_seconds = cli.get_double("telemetry-linger", 0);
@@ -624,13 +624,9 @@ int mode_solve(const Cli& cli, Rng& rng) {
     std::cout << "Dijkstra-per-source (sequential oracle)\n";
   }
   if (!save_path.empty()) {
-    save_block(save_path, distances);
-    std::cout << "saved distance matrix to " << save_path << "\n";
-  }
-  if (!snapshot_path.empty()) {
-    write_snapshot(snapshot_path, distances, tile);
-    std::cout << "saved tiled snapshot (tile " << tile << ") to "
-              << snapshot_path << "\n";
+    write_snapshot(save_path, distances, tile);
+    std::cout << "saved distance matrix (tile " << tile << ") to "
+              << save_path << "\n";
   }
   if (verify) {
     const ValidationReport report = validate_apsp(graph, distances);
@@ -666,9 +662,7 @@ void print_query(DistanceService& service, Vertex u, Vertex v) {
 
 int mode_query(const Cli& cli, Rng& rng) {
   const Graph graph = build_graph(cli, rng);
-  // A cached matrix (solve --save-distances, CAPSPDB1) or tiled snapshot
-  // (solve --save-snapshot / serve_tool --mode upgrade, CAPSPDB2) skips
-  // the recompute; SnapshotReader dispatches on the magic.
+  // A matrix saved by solve --save-distances skips the recompute.
   const std::string cached = cli.get_string("distances", "");
   SparseApspOptions options;
   options.height = static_cast<int>(cli.get_int("height", 2));

@@ -1,9 +1,10 @@
-// serve_tool — snapshot management and load generation for the serving
-// layer (docs/serving.md).
+// serve_tool — landmark sketches and load generation for the serving
+// layer (docs/serving.md).  Snapshots come from apsp_tool
+// --save-distances.
 //
-//   serve_tool --mode upgrade --in g.dist --out g.snap --tile 64
-//       upgrade a CAPSPDB1 cache (apsp_tool --save-distances) to a tiled
-//       CAPSPDB2 snapshot
+//   serve_tool --mode sketch --graph grid --n 441 --landmarks 64
+//              --out g.ax1
+//       build the landmark sketch the approximate tier serves from
 //   serve_tool --mode serve --snapshot g.snap --graph grid --n 441
 //              --clients 8 --requests 20000 --mix zipf --queries distance
 //              --cache-bytes 262144 --report-json serve.json
@@ -53,7 +54,6 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "partition/nested_dissection.hpp"
-#include "semiring/block_io.hpp"
 #include "serve/reqtrace.hpp"
 #include "serve/resilience.hpp"
 #include "serve/servefault.hpp"
@@ -80,13 +80,7 @@ extern "C" void handle_interrupt(int) { g_interrupted = 1; }
 
 void print_help() {
   std::cout <<
-      "usage: serve_tool --mode serve|upgrade|sketch [flags]\n"
-      "\n"
-      "--mode upgrade:  convert a CAPSPDB1 distance cache to a tiled\n"
-      "                 CAPSPDB2 snapshot (docs/serving.md)\n"
-      "  --in <path>              input CAPSPDB1 file\n"
-      "  --out <path>             output CAPSPDB2 snapshot\n"
-      "  --tile <dim>             tile dimension (default 64)\n"
+      "usage: serve_tool --mode serve|sketch [flags]\n"
       "\n"
       "--mode sketch:  build a CAPSPAX1 landmark sketch for the approx\n"
       "                tier (docs/serving.md, \"Tiered serving\")\n"
@@ -102,7 +96,8 @@ void print_help() {
       "                           degree/coverage instead\n"
       "\n"
       "--mode serve:  drive a DistanceService with a synthetic workload\n"
-      "  --snapshot <path>        CAPSPDB2 snapshot or CAPSPDB1 cache\n"
+      "  --snapshot <path>        CAPSPDB2 snapshot (apsp_tool\n"
+      "                           --save-distances)\n"
       "  --file / --graph / --n / --seed\n"
       "                           the graph the snapshot was solved from\n"
       "                           (same flags as apsp_tool)\n"
@@ -120,7 +115,6 @@ void print_help() {
       "  --cache-bytes <b>        tile-cache budget (default 16 MiB); set\n"
       "                           below the matrix size to exercise\n"
       "                           eviction\n"
-      "  --tile-legacy <dim>      virtual tile dim for CAPSPDB1 input\n"
       "  --deadline-ms <ms>       per-request deadline (0 = none)\n"
       "  --max-queue <q>          admission bound (default 4096)\n"
       "  --open-loop --rate <qps> open-loop arrivals at a fixed rate\n"
@@ -225,22 +219,6 @@ Graph build_graph(const Cli& cli, Rng& rng) {
   if (!file.empty()) return load_graph_auto(file);
   return make_named_graph(cli.get_string("graph", "grid"),
                           static_cast<Vertex>(cli.get_int("n", 256)), rng);
-}
-
-int mode_upgrade(const Cli& cli) {
-  const std::string in = cli.get_string("in", "");
-  const std::string out = cli.get_string("out", "");
-  if (in.empty() || out.empty())
-    throw UsageError("--mode upgrade requires --in and --out");
-  const auto tile = cli.get_int("tile", kDefaultTileDim);
-  cli.check_flags();
-  upgrade_snapshot(in, out, tile);
-  const SnapshotReader reader(out);
-  std::cout << "upgraded " << in << " -> " << out << ": "
-            << reader.header().rows << "x" << reader.header().cols
-            << " in " << reader.header().num_tiles() << " tiles of "
-            << reader.header().tile_dim << "\n";
-  return 0;
 }
 
 /// --mode sketch: the offline half of the tiered serving story.  Selects
@@ -775,8 +753,7 @@ int mode_serve(const Cli& cli, Rng& rng) {
   if (snapshot_path.empty())
     throw UsageError("--mode serve requires --snapshot <path>");
   const Graph graph = build_graph(cli, rng);
-  auto reader = std::make_shared<SnapshotReader>(
-      snapshot_path, cli.get_int("tile-legacy", kDefaultTileDim));
+  auto reader = std::make_shared<SnapshotReader>(snapshot_path);
   ServeOptions options;
   options.threads = static_cast<int>(cli.get_int("threads", 4));
   options.cache_bytes = cli.get_int("cache-bytes", 16 << 20);
@@ -1419,15 +1396,13 @@ int main(int argc, char** argv) {
     // Each mode reads the rest of its flags, then calls Cli::check_flags
     // before it starts work.
     int status = 2;
-    if (mode == "upgrade") {
-      status = mode_upgrade(cli);
-    } else if (mode == "sketch") {
+    if (mode == "sketch") {
       status = mode_sketch(cli, rng);
     } else if (mode == "serve") {
       status = mode_serve(cli, rng);
     } else {
       CAPSP_LOG(kError, "serve_tool.usage", {"mode", mode},
-                {"expected", "serve|upgrade|sketch"});
+                {"expected", "serve|sketch"});
     }
     if (Profiler::global().running())
       emit_profile_outputs(profile_folded, profile_json,
