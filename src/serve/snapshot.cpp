@@ -266,4 +266,13 @@ DistBlock SnapshotReader::read_tile(std::int64_t tile_id,
   return tile;
 }
 
+DistBlock read_full_matrix(const SnapshotReader& reader) {
+  const SnapshotHeader& h = reader.header();
+  DistBlock full(h.rows, h.cols);
+  for (std::int64_t t = 0; t < h.num_tiles(); ++t)
+    full.set_sub_block((t / h.tile_cols()) * h.tile_dim,
+                       (t % h.tile_cols()) * h.tile_dim, reader.read_tile(t));
+  return full;
+}
+
 }  // namespace capsp

@@ -131,4 +131,8 @@ class SnapshotReader {
   DistBlock matrix_;
 };
 
+/// The whole matrix, reassembled from every tile `reader` serves (each
+/// file-backed read checksummed).
+DistBlock read_full_matrix(const SnapshotReader& reader);
+
 }  // namespace capsp

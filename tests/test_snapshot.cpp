@@ -56,16 +56,6 @@ std::string hex(const std::string& bytes) {
   return out;
 }
 
-/// Reassemble the full matrix from a reader's tiles.
-DistBlock reassemble(const SnapshotReader& reader) {
-  const SnapshotHeader& h = reader.header();
-  DistBlock full(h.rows, h.cols);
-  for (std::int64_t t = 0; t < h.num_tiles(); ++t)
-    full.set_sub_block((t / h.tile_cols()) * h.tile_dim,
-                       (t % h.tile_cols()) * h.tile_dim, reader.read_tile(t));
-  return full;
-}
-
 TEST(SnapshotHeader, TileGeometry) {
   const SnapshotHeader h{10, 7, 4};
   EXPECT_EQ(h.tile_rows(), 3);
@@ -84,7 +74,7 @@ TEST(Snapshot, RoundTripBitExact) {
   const SnapshotReader reader(path);
   EXPECT_TRUE(reader.file_backed());
   EXPECT_EQ(reader.header().tile_dim, 8);
-  EXPECT_EQ(reassemble(reader), matrix);
+  EXPECT_EQ(read_full_matrix(reader), matrix);
   std::remove(path.c_str());
 }
 
@@ -93,7 +83,7 @@ TEST(Snapshot, RoundTripPreservesInfinities) {
   matrix.zero_diagonal();
   const std::string path = temp_path("inf.snap");
   write_snapshot(path, matrix, 2);
-  const DistBlock loaded = reassemble(SnapshotReader(path));
+  const DistBlock loaded = read_full_matrix(SnapshotReader(path));
   for (std::int64_t r = 0; r < 3; ++r)
     for (std::int64_t c = 0; c < 3; ++c) {
       if (r == c) {
@@ -160,7 +150,7 @@ TEST(Snapshot, FuzzRoundTripPreservesEveryEntry) {
     const SnapshotReader reader(path);
     ASSERT_EQ(reader.header().rows, rows);
     ASSERT_EQ(reader.header().cols, cols);
-    ASSERT_EQ(reassemble(reader), matrix)
+    ASSERT_EQ(read_full_matrix(reader), matrix)
         << "round " << round << ": " << rows << "x" << cols << " tile "
         << tile;
   }
@@ -217,7 +207,7 @@ TEST(Snapshot, OverwriteLeavesNoStaleBytes) {
   write_snapshot(reused, random_matrix(20, 20, 12), 4);
   write_snapshot(reused, small, 2);
   EXPECT_EQ(file_bytes(reused), file_bytes(fresh));
-  EXPECT_EQ(reassemble(SnapshotReader(reused)), small);
+  EXPECT_EQ(read_full_matrix(SnapshotReader(reused)), small);
   write_snapshot(reused, small, 2);
   EXPECT_EQ(file_bytes(reused), file_bytes(fresh));
   std::remove(fresh.c_str());
@@ -251,7 +241,7 @@ TEST(Snapshot, InMemoryReaderTilesVirtually) {
   const SnapshotReader reader(matrix, 4);
   EXPECT_FALSE(reader.file_backed());
   EXPECT_EQ(reader.header().num_tiles(), 3 * 2);
-  EXPECT_EQ(reassemble(reader), matrix);
+  EXPECT_EQ(read_full_matrix(reader), matrix);
   EXPECT_EQ(reader.tile_bytes(0),
             4 * 4 * static_cast<std::int64_t>(sizeof(Dist)));
   // bottom-right tile is clipped to 3x1

@@ -6,8 +6,10 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "util/bits.hpp"
 #include "util/check.hpp"
@@ -265,7 +267,158 @@ TEST(Cli, UnknownFlagDetected) {
   const char* argv[] = {"prog", "--typo", "1"};
   const Cli cli(3, argv);
   cli.get_int("n", 0);
-  EXPECT_THROW(cli.check_unused(), check_error);
+  EXPECT_THROW(cli.check_unused(), UsageError);
+}
+
+/// `read` must throw a UsageError that names the flag and the value.
+void expect_usage_error(const std::function<void()>& read,
+                        const std::string& flag, const std::string& value) {
+  try {
+    read();
+    ADD_FAILURE() << "no UsageError for --" << flag << " '" << value << "'";
+  } catch (const UsageError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--" + flag), std::string::npos) << what;
+    EXPECT_NE(what.find(value), std::string::npos) << what;
+  }
+}
+
+TEST(Cli, NonIntegerValueIsUsageError) {
+  const char* argv[] = {"prog", "--n", "abc"};
+  const Cli cli(3, argv);
+  expect_usage_error([&] { cli.get_int("n", 256); }, "n", "abc");
+}
+
+TEST(Cli, EmptyValueIsUsageError) {
+  const char* argv[] = {"prog", "--n="};
+  const Cli cli(2, argv);
+  expect_usage_error([&] { cli.get_int("n", 256); }, "n", "''");
+}
+
+TEST(Cli, IntegerOutOfRangeIsUsageError) {
+  const char* argv[] = {"prog", "--landmarks", "99999999999999999999"};
+  const Cli cli(3, argv);
+  expect_usage_error([&] { cli.get_int("landmarks", 64); }, "landmarks",
+                     "99999999999999999999");
+}
+
+TEST(Cli, TrailingCharactersAreUsageError) {
+  const char* argv[] = {"prog", "--n", "12abc", "--rate", "0.5x"};
+  const Cli cli(5, argv);
+  expect_usage_error([&] { cli.get_int("n", 256); }, "n", "12abc");
+  expect_usage_error([&] { cli.get_double("rate", 1); }, "rate", "0.5x");
+}
+
+TEST(Cli, RealIsNotAnInteger) {
+  const char* argv[] = {"prog", "--landmarks", "1e3"};
+  const Cli cli(3, argv);
+  expect_usage_error([&] { cli.get_int("landmarks", 64); }, "landmarks",
+                     "1e3");
+  EXPECT_EQ(cli.get_double("landmarks", 0), 1000.0);
+}
+
+TEST(Cli, ValueMustFitTheStoredType) {
+  const char* argv[] = {"prog", "--top-levels", "4294967298", "--count",
+                        "-1"};
+  const Cli cli(5, argv);
+  expect_usage_error([&] { cli.get<int>("top-levels", 2); }, "top-levels",
+                     "4294967298");
+  EXPECT_EQ(cli.get<std::int64_t>("top-levels", 2), 4294967298);
+  expect_usage_error([&] { cli.get<std::size_t>("count", 1); }, "count",
+                     "-1");
+}
+
+TEST(Cli, SwitchTakesOnlyBooleanWords) {
+  const char* argv[] = {"prog", "--verify", "maybe"};
+  const Cli cli(3, argv);
+  expect_usage_error([&] { cli.get_bool("verify", false); }, "verify",
+                     "maybe");
+  for (const char* word : {"true", "1", "yes", "false", "0", "no"}) {
+    const char* set[] = {"prog", "--verify", word};
+    EXPECT_EQ(Cli(3, set).get_bool("verify", false), word[0] == 't' ||
+                                                         word[0] == '1' ||
+                                                         word[0] == 'y');
+  }
+}
+
+TEST(Cli, PositionalArgumentIsUsageError) {
+  const char* argv[] = {"prog", "solve", "--n", "4"};
+  const Cli cli(4, argv);
+  EXPECT_EQ(cli.get_int("n", 0), 4);
+  try {
+    cli.check_unused();
+    ADD_FAILURE() << "no UsageError for the positional 'solve'";
+  } catch (const UsageError& e) {
+    EXPECT_NE(std::string(e.what()).find("'solve'"), std::string::npos);
+  }
+}
+
+/// A two-mode declaration: --n in every mode, --k only in "b".
+std::vector<Flag> two_mode_flags() {
+  return {{"mode", Flag::kChoice, {"a", "b"}, "a", "what to run"},
+          {"n", Flag::kInt, {"<count>"}, "256", "size"},
+          {"k", Flag::kInt, {"<k>"}, "8", "neighbors", {"b"}},
+          {"on", Flag::kSwitch, {}, "", "a switch", {"a", "b"}}};
+}
+
+TEST(Cli, DeclaredFlagsReadTheirDefaults) {
+  const char* argv[] = {"prog", "--mode", "b"};
+  const Cli cli(3, argv, two_mode_flags());
+  cli.validate();
+  EXPECT_EQ(cli.mode(), "b");
+  EXPECT_EQ(cli.get<int>("n"), 256);
+  EXPECT_EQ(cli.get<int>("k"), 8);
+  EXPECT_FALSE(cli.get<bool>("on"));
+  cli.check_unused();
+  // Reading a flag the declarations do not give the mode is a program
+  // error, not a usage error.
+  const char* a[] = {"prog"};
+  EXPECT_THROW(Cli(1, a, two_mode_flags()).get<int>("k"), check_error);
+  EXPECT_THROW(Cli(1, a, two_mode_flags()).get<int>("undeclared"),
+               check_error);
+}
+
+TEST(Cli, ValidateRefusesWhatTheModeDoesNotRead) {
+  const auto refused = [](std::vector<const char*> argv) {
+    argv.insert(argv.begin(), "prog");
+    const Cli cli(static_cast<int>(argv.size()), argv.data(),
+                  two_mode_flags());
+    EXPECT_THROW(cli.validate(), UsageError) << argv[1];
+  };
+  refused({"--k", "3"});               // --k is read by --mode b only
+  refused({"--mode", "c"});            // not one of a|b
+  refused({"--mode", "a|b"});          // two of them, not one
+  refused({"--mode", "b", "--nn", "3"});  // undeclared
+  refused({"--mode", "b", "--n", "x"});   // does not parse
+  refused({"--on", "maybe"});
+  refused({"b"});                      // positional
+}
+
+TEST(Cli, ConditionallyUnreadFlagIsUsageError) {
+  const char* argv[] = {"prog", "--mode", "b", "--k", "3"};
+  const Cli cli(5, argv, two_mode_flags());
+  cli.validate();
+  cli.get<int>("n");
+  EXPECT_THROW(cli.check_unused(), UsageError);
+}
+
+TEST(Cli, HelpListsEachFlagOfTheModeOnceWithItsDefault) {
+  const char* argv[] = {"prog", "--mode", "b"};
+  std::ostringstream out;
+  Cli(3, argv, two_mode_flags()).print_flags(out);
+  const std::string help = out.str();
+  for (const char* line : {"--n <count>", "--k <k>", "--on", "--mode a|b"}) {
+    const std::size_t at = help.find(line);
+    ASSERT_NE(at, std::string::npos) << line << " missing:\n" << help;
+    EXPECT_EQ(help.find(line, at + 1), std::string::npos) << line;
+  }
+  EXPECT_NE(help.find("size (default 256)"), std::string::npos) << help;
+  EXPECT_NE(help.find("neighbors (default 8)"), std::string::npos) << help;
+  // Without --mode, every mode's section is printed; --mode a omits --k.
+  const char* a[] = {"prog", "--mode", "a"};
+  std::ostringstream only_a;
+  Cli(3, a, two_mode_flags()).print_flags(only_a);
+  EXPECT_EQ(only_a.str().find("--k"), std::string::npos) << only_a.str();
 }
 
 TEST(Table, AlignsAndCounts) {

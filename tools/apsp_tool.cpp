@@ -1,34 +1,12 @@
-// apsp_tool — command-line front end to the capsp library.
-//
-// Subcommand-style interface for working with graphs from files or
-// generators without writing C++:
-//
-//   apsp_tool --mode solve --graph grid --n 400 --height 3
-//       run 2D-SPARSE-APSP, print summary stats and costs
-//   apsp_tool --mode solve --file g.txt --algorithm dc --q 4
-//       run a chosen algorithm on a graph file
-//   apsp_tool --mode partition --file g.txt --height 3
-//       run nested dissection, print the supernode/separator profile
-//   apsp_tool --mode solve --file g.txt --save-distances g.snap --verify
-//       solve once, certify the result, save the matrix as a tiled
-//       snapshot (docs/serving.md)
-//   apsp_tool --mode query --file g.txt --distances g.snap --from 0 --to 17
-//       print the shortest path between two vertices (saved matrix)
-//   apsp_tool --mode gen --graph rmat --n 512 --out g.txt
-//       write a generated instance to a file
-//   apsp_tool --mode solve --graph grid --n 256 --trace t.json
-//             --report-json r.json
-//       also record the event trace (load t.json in ui.perfetto.dev or
-//       feed it to scripts/trace_summary.py) and the machine-readable
-//       cost report — see docs/observability.md
-//   apsp_tool --mode solve --graph grid --n 256
-//             --fault-plan seed=7,drop=0.05 --reliable --verify
-//       run under fault injection with the reliable transport; a plan
-//       that kills a rank ends with a DeadlockReport and exit code 3 the
-//       moment no rank can proceed — see docs/robustness.md
-//
-// Each mode reads all of its flags before it starts work; a flag no mode
-// reads (a typo, or a removed flag) is a usage error.
+// apsp_tool — command-line front end to the capsp library: solve a graph
+// from a file or a generator with any algorithm of the family, profile its
+// nested dissection, answer shortest-path queries, or write a generated
+// instance.  `apsp_tool --mode <m> --help` lists a mode's flags, each
+// declared once in the mode tables at the end of this file (or, for the
+// flags both tools share, in front_end.cpp); docs/using.md and
+// docs/observability.md show them at work.  A plan that kills a rank ends
+// with a DeadlockReport and exit code 3 the moment no rank can proceed
+// (docs/robustness.md).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -42,121 +20,22 @@
 
 #include "capsp.hpp"
 #include "core/cost_oracle.hpp"
+#include "front_end.hpp"
 #include "machine/commledger.hpp"
 #include "machine/trace_export.hpp"
 #include "serve/service.hpp"
-#include "serve/telemetry.hpp"
-#include "util/prometheus.hpp"
 #include "serve/snapshot.hpp"
+#include "serve/telemetry.hpp"
 #include "util/buildinfo.hpp"
-#include "util/cli.hpp"
-#include "util/flightrec.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
-#include "util/prof.hpp"
+#include "util/prometheus.hpp"
 #include "util/table.hpp"
 
 namespace {
 
 using namespace capsp;
-
-void print_help() {
-  std::cout <<
-      "usage: apsp_tool --mode solve|partition|query|gen [flags]\n"
-      "\n"
-      "graph input (all modes):\n"
-      "  --file <path>            load an edge-list / matrix-market file\n"
-      "  --graph <kind>           generate: grid|grid3d|er|tree|rmat|geometric\n"
-      "  --n <count>              generated-graph size (default 256)\n"
-      "  --seed <int>             generator seed (default 1)\n"
-      "\n"
-      "--mode solve:\n"
-      "  --algorithm <name>       sparse|dc|superfw|dijkstra|bottleneck\n"
-      "  --height <h>             eTree height, p = (2^h-1)^2 ranks; 0 = auto\n"
-      "  --q <q>                  grid side for --algorithm dc (p = q^2)\n"
-      "  --verify                 certify distances with the O(n·m) check\n"
-      "  --save-distances <path>  save the distance matrix as a tiled\n"
-      "                           CAPSPDB2 snapshot (docs/serving.md)\n"
-      "  --tile <dim>             snapshot tile dimension (default 64)\n"
-      "  --verify, --save-distances\n"
-      "                           not available for --algorithm bottleneck\n"
-      "  --trace <path>           event trace JSON (sparse|bottleneck)\n"
-      "  --report-json <path>     CostReport JSON, incl. the cost-oracle\n"
-      "                           predicted-vs-measured ratios\n"
-      "  --metrics-json <path>    merged metrics registry JSON (docs/metrics.md)\n"
-      "  --fault-plan <spec>      inject faults, e.g. seed=7,drop=0.05\n"
-      "  --reliable               acked, retrying transport\n"
-      "\n"
-      "comm observatory (solve, sparse|bottleneck; docs/cost-model.md):\n"
-      "  --comm-ledger            record the per-channel (src, dst, class,\n"
-      "                           phase) ledger; prints a summary and adds\n"
-      "                           \"comm\" + \"comm_audit\" to --report-json\n"
-      "  --comm-json <path>       ledger + message-optimality audit as a\n"
-      "                           standalone artifact (implies --comm-ledger;\n"
-      "                           feed to scripts/trace_summary.py comm)\n"
-      "  --telemetry-port <p>     serve /metrics /healthz /stats.json and\n"
-      "                           the live /comm.json heatmap during the\n"
-      "                           solve (implies --comm-ledger; 0 picks an\n"
-      "                           ephemeral port)\n"
-      "  --telemetry-linger <sec> keep the endpoint up after the solve so\n"
-      "                           scrapers can read the final ledger\n"
-      "                           (Ctrl-C ends the linger early)\n"
-      "\n"
-      "--mode partition:  --height <h>\n"
-      "--mode query:      --from <v> --to <v> [--distances <path>]\n"
-      "                   --pairs <file>: answer every 'u v' line of the\n"
-      "                   file in one process through a DistanceService\n"
-      "                   (--distances reads a --save-distances\n"
-      "                   snapshot; without it the graph is solved once\n"
-      "                   and served from memory)\n"
-      "--mode gen:        --out <path>\n"
-      "\n"
-      "profiling (any mode; see docs/profiling.md):\n"
-      "  --profile                sample the run's ProfScope stacks and\n"
-      "                           print hot scopes + a kernel roofline\n"
-      "  --profile-hz <hz>        sampling rate (default 497)\n"
-      "  --profile-folded <path>  flamegraph-ready folded stacks\n"
-      "  --profile-json <path>    full ProfReport JSON (also embedded in\n"
-      "                           --metrics-json next to the oracle section)\n"
-      "\n"
-      "logging (any mode; see docs/observability.md):\n"
-      "  --log-level <level>      structured-log sink threshold: trace|\n"
-      "                           debug|info|warn|error|off (default warn;\n"
-      "                           overrides CAPSP_LOG_LEVEL)\n"
-      "  --log-json               JSON-lines log output (or CAPSP_LOG_JSON=1)\n"
-      "  --flightrec <path>       arm the black-box flight recorder: CHECK\n"
-      "                           failures, deadlocks, fatal signals and\n"
-      "                           SIGTERM dump the last events of every\n"
-      "                           thread here (or CAPSP_FLIGHTREC_DUMP)\n"
-      "  --version                build/host provenance, then exit\n"
-      "\n"
-      "exit codes:\n"
-      "  0  success\n"
-      "  1  error (bad input, failed invariant CHECK, failed --verify)\n"
-      "  2  usage error (unknown --mode or flag, contradictory or\n"
-      "     incomplete flags — e.g. --mode gen without --out)\n"
-      "  3  deadlock: no rank could proceed, so the run was aborted at\n"
-      "     once (structured report on stderr; --report-json receives the\n"
-      "     DeadlockReport JSON)\n";
-}
-
-/// Ends the --profile session (idempotent) and caches the report so the
-/// metrics JSON, the artifact files, and the stdout summary all describe
-/// the same window.
-const ProfReport* finish_profiler() {
-  static std::optional<ProfReport> report;
-  if (Profiler::global().running()) report = Profiler::global().stop();
-  return report ? &*report : nullptr;
-}
-
-/// --comm-ledger / --comm-json / --telemetry-port all need the machine
-/// to record the per-channel ledger.
-bool want_comm_ledger(const Cli& cli) {
-  return cli.get_bool("comm-ledger", false) ||
-         !cli.get_string("comm-json", "").empty() ||
-         cli.get_int("telemetry-port", -1) >= 0;
-}
 
 /// Start the solver-side telemetry endpoint (docs/telemetry.md) when
 /// --telemetry-port is given: the same embedded server the serving layer
@@ -251,133 +130,60 @@ void write_comm_outputs(const std::string& path,
       std::cout << " word_optimality_factor=" << a.word_optimality_factor;
     std::cout << "\n";
   }
-  if (path.empty()) return;
-  std::ofstream out(path);
-  CAPSP_CHECK_MSG(out, "cannot write --comm-json file " << path);
-  JsonWriter json(out);
-  json.begin_object();
-  write_comm_fields(json, result.comm);
-  if (result.comm_audit.present)
-    write_comm_audit_fields(json, result.comm_audit);
-  json.end_object();
-  out << "\n";
-  std::cout << "wrote comm ledger to " << path << "\n";
+  write_output(path, "comm-json", "comm ledger", [&](std::ostream& out) {
+    JsonWriter json(out);
+    json.begin_object();
+    write_comm_fields(json, result.comm);
+    if (result.comm_audit.present)
+      write_comm_audit_fields(json, result.comm_audit);
+    json.end_object();
+    out << "\n";
+  });
 }
 
 /// --metrics-json: dump the merged registry (plus the oracle comparison
 /// when the solved algorithm attached one) as a single JSON object.
 void write_metrics(const std::string& path, const CostReport* costs,
                    const CommAudit* comm_audit = nullptr) {
-  if (path.empty()) return;
-  std::ofstream out(path);
-  CAPSP_CHECK_MSG(out, "cannot write --metrics-json file " << path);
-  JsonWriter json(out);
-  json.begin_object();
-  write_metrics_fields(json, MetricsRegistry::global().snapshot());
-  if (costs != nullptr && costs->oracle.present) {
-    const OracleComparison& o = costs->oracle;
-    json.key("oracle");
+  write_output(path, "metrics-json", "metrics", [&](std::ostream& out) {
+    JsonWriter json(out);
     json.begin_object();
-    json.field("model", o.model);
-    json.field("predicted_bandwidth", o.predicted_bandwidth);
-    json.field("predicted_latency", o.predicted_latency);
-    json.field("measured_bandwidth", costs->critical_bandwidth);
-    json.field("measured_latency", costs->critical_latency);
-    json.field("bandwidth_ratio", o.bandwidth_ratio);
-    json.field("latency_ratio", o.latency_ratio);
+    write_metrics_fields(json, MetricsRegistry::global().snapshot());
+    if (costs != nullptr && costs->oracle.present) {
+      const OracleComparison& o = costs->oracle;
+      json.key("oracle");
+      json.begin_object();
+      json.field("model", o.model);
+      json.field("predicted_bandwidth", o.predicted_bandwidth);
+      json.field("predicted_latency", o.predicted_latency);
+      json.field("measured_bandwidth", costs->critical_bandwidth);
+      json.field("measured_latency", costs->critical_latency);
+      json.field("bandwidth_ratio", o.bandwidth_ratio);
+      json.field("latency_ratio", o.latency_ratio);
+      json.end_object();
+    }
+    if (comm_audit != nullptr && comm_audit->present)
+      write_comm_audit_fields(json, *comm_audit);
+    // A --profile run lands its report here too, so the compute roofline
+    // sits next to the oracle's communication comparison in one document.
+    if (const ProfReport* prof = finish_profiler(); prof != nullptr)
+      write_prof_fields(json, *prof);
+    write_build_info_fields(json);
     json.end_object();
-  }
-  if (comm_audit != nullptr && comm_audit->present)
-    write_comm_audit_fields(json, *comm_audit);
-  // A --profile run lands its report here too, so the compute roofline
-  // sits next to the oracle's communication comparison in one document.
-  if (const ProfReport* prof = finish_profiler(); prof != nullptr)
-    write_prof_fields(json, *prof);
-  write_build_info_fields(json);
-  json.end_object();
-  out << "\n";
-  std::cout << "wrote metrics to " << path << "\n";
-}
-
-/// Stdout digest + artifact files for a --profile run: top scopes by
-/// sample count, the per-kernel roofline, and counter availability.
-void emit_profile_outputs(const std::string& folded_path,
-                          const std::string& json_path,
-                          const ProfReport& report) {
-  if (!folded_path.empty()) {
-    std::ofstream out(folded_path);
-    CAPSP_CHECK_MSG(out, "cannot write --profile-folded file " << folded_path);
-    report.write_folded(out);
-    std::cout << "wrote folded stacks (" << report.folded.size()
-              << " unique) to " << folded_path << "\n";
-  }
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    CAPSP_CHECK_MSG(out, "cannot write --profile-json file " << json_path);
-    write_prof_report_json(out, report);
-    std::cout << "wrote profile report to " << json_path << "\n";
-  }
-
-  std::cout << "\nprofile: " << report.samples << " samples @ " << report.hz
-            << " Hz over " << report.duration_seconds << " s";
-  if (report.perf.any_available) {
-    std::cout << " (perf counters: ";
-    bool first = true;
-    for (const PerfCounter& c : report.perf.counters) {
-      if (!c.available) continue;
-      std::cout << (first ? "" : " ") << c.name << "=" << c.value;
-      first = false;
-    }
-    std::cout << ")";
-  } else if (report.perf.attempted) {
-    std::cout << " (perf counters unavailable; see docs/profiling.md)";
-  }
-  std::cout << "\n";
-
-  std::vector<std::pair<std::string, std::int64_t>> top(
-      report.total_samples.begin(), report.total_samples.end());
-  std::sort(top.begin(), top.end(), [](const auto& a, const auto& b) {
-    return a.second > b.second;
+    out << "\n";
   });
-  const std::size_t shown = std::min<std::size_t>(top.size(), 8);
-  for (std::size_t i = 0; i < shown; ++i) {
-    const auto self = report.self_samples.find(top[i].first);
-    std::cout << "  " << top[i].first << ": " << top[i].second << " total, "
-              << (self == report.self_samples.end() ? 0 : self->second)
-              << " self\n";
-  }
-  if (!report.kernels.empty()) {
-    std::cout << "kernel roofline (machine peak "
-              << report.peak.minplus_ops_per_second << " ops/s, "
-              << report.peak.stream_bytes_per_second << " bytes/s):\n";
-    for (const auto& [name, k] : report.kernels) {
-      if (k.ops == 0 && k.bytes == 0) continue;
-      std::cout << "  " << name << ": " << k.calls << " calls, "
-                << k.ops_per_second() << " ops/s";
-      if (report.peak.minplus_ops_per_second > 0 && k.ops > 0)
-        std::cout << " ("
-                  << 100.0 * k.ops_per_second() /
-                         report.peak.minplus_ops_per_second
-                  << "% of peak)";
-      if (report.ops_per_cycle(k) > 0)
-        std::cout << ", " << report.ops_per_cycle(k) << " ops/cycle";
-      std::cout << "\n";
-    }
-  }
 }
 
-Graph build_graph(const Cli& cli, Rng& rng) {
-  const std::string file = cli.get_string("file", "");
-  if (!file.empty()) return load_graph_auto(file);
-  return make_named_graph(cli.get_string("graph", "grid"),
-                          static_cast<Vertex>(cli.get_int("n", 256)), rng);
+/// --height, where 0 (or less) picks a machine size for the graph.
+int resolve_height(int height, const Graph& graph) {
+  return height > 0 ? height : recommend_height(graph);
 }
 
 int mode_gen(const Cli& cli, Rng& rng) {
   const Graph graph = build_graph(cli, rng);
-  const std::string out = cli.get_string("out", "");
+  const std::string out = cli.get<std::string>("out");
   if (out.empty()) throw UsageError("--mode gen requires --out <path>");
-  cli.check_flags();
+  cli.check_unused();
   save_edge_list(out, graph);
   std::cout << "wrote " << graph.num_vertices() << " vertices / "
             << graph.num_edges() << " edges to " << out << "\n";
@@ -386,8 +192,8 @@ int mode_gen(const Cli& cli, Rng& rng) {
 
 int mode_partition(const Cli& cli, Rng& rng) {
   const Graph graph = build_graph(cli, rng);
-  const int height = static_cast<int>(cli.get_int("height", 3));
-  cli.check_flags();
+  const int height = resolve_height(cli.get<int>("height"), graph);
+  cli.check_unused();
   const Dissection nd = nested_dissection(graph, height, rng);
   std::cout << "nested dissection of " << graph.num_vertices()
             << " vertices into " << nd.tree.num_supernodes()
@@ -406,14 +212,6 @@ int mode_partition(const Cli& cli, Rng& rng) {
                    std::sqrt(static_cast<double>(graph.num_vertices()))
             << "·√n\n";
   return 0;
-}
-
-/// Fill the robustness options (docs/robustness.md) shared by the
-/// sparse-family algorithms: --fault-plan <spec>, --reliable.
-void apply_robustness_flags(const Cli& cli, SparseApspOptions& options) {
-  const std::string plan = cli.get_string("fault-plan", "");
-  if (!plan.empty()) options.fault_plan = FaultPlan::parse(plan);
-  options.reliable = cli.get_bool("reliable", false);
 }
 
 /// A run in which no rank could proceed: one structured error event, the
@@ -468,39 +266,33 @@ void write_observability(const std::string& trace_path,
   const CriticalPathReport* lat = latency ? &*latency : nullptr;
   const CriticalPathReport* bw = bandwidth ? &*bandwidth : nullptr;
   const CommLedger* comm = result.comm.present ? &result.comm : nullptr;
-  if (!trace_path.empty()) {
-    CAPSP_CHECK_MSG(result.trace.enabled(),
-                    "--trace requires a traced run");
-    std::ofstream out(trace_path);
-    CAPSP_CHECK_MSG(out, "cannot write --trace file " << trace_path);
-    write_chrome_trace(out, result.trace, lat, bw, comm);
-    std::cout << "wrote event trace (" << result.trace.num_events()
-              << " events) to " << trace_path << "\n";
-  }
-  if (!report_path.empty()) {
-    std::ofstream out(report_path);
-    CAPSP_CHECK_MSG(out, "cannot write --report-json file " << report_path);
-    // The comm audit lives in the core layer, which trace_export (a
-    // machine-layer facility) cannot name; append it via the hook.
-    std::function<void(JsonWriter&)> extra;
-    if (result.comm_audit.present)
-      extra = [&result](JsonWriter& json) {
-        write_comm_audit_fields(json, result.comm_audit);
-      };
-    write_cost_report_json(out, result.costs, lat, bw, comm, extra);
-    std::cout << "wrote cost report to " << report_path << "\n";
-  }
+  CAPSP_CHECK_MSG(trace_path.empty() || result.trace.enabled(),
+                  "--trace requires a traced run");
+  write_output(trace_path, "trace",
+               "event trace (" + std::to_string(result.trace.num_events()) +
+                   " events)",
+               [&](std::ostream& out) {
+                 write_chrome_trace(out, result.trace, lat, bw, comm);
+               });
+  // The comm audit lives in the core layer, which trace_export (a
+  // machine-layer facility) cannot name; append it via the hook.
+  std::function<void(JsonWriter&)> extra;
+  if (result.comm_audit.present)
+    extra = [&result](JsonWriter& json) {
+      write_comm_audit_fields(json, result.comm_audit);
+    };
+  write_output(report_path, "report-json", "cost report",
+               [&](std::ostream& out) {
+                 write_cost_report_json(out, result.costs, lat, bw, comm,
+                                        extra);
+               });
 }
 
 int mode_solve(const Cli& cli, Rng& rng) {
   const Graph graph = build_graph(cli, rng);
-  const std::string algorithm = cli.get_string("algorithm", "sparse");
+  const std::string algorithm = cli.get<std::string>("algorithm");
   const bool sparse_family =
       algorithm == "sparse" || algorithm == "bottleneck";
-  if (!sparse_family && algorithm != "dc" && algorithm != "superfw" &&
-      algorithm != "dijkstra")
-    throw UsageError("unknown --algorithm '" + algorithm +
-                     "' (sparse|dc|superfw|dijkstra|bottleneck)");
   // The trace and the comm ledger are recorded by the machine the sparse
   // and bottleneck solvers run on; --telemetry-port serves /metrics for
   // every algorithm.
@@ -519,28 +311,31 @@ int mode_solve(const Cli& cli, Rng& rng) {
                          " is not supported for --algorithm bottleneck");
   // Every output flag, read before the solve so that a misspelt flag
   // fails before any work.
-  const std::string trace_path = cli.get_string("trace", "");
-  const std::string report_path = cli.get_string("report-json", "");
-  const std::string metrics_path = cli.get_string("metrics-json", "");
-  const std::string comm_path = cli.get_string("comm-json", "");
-  const std::string save_path = cli.get_string("save-distances", "");
-  const auto tile = cli.get_int("tile", kDefaultTileDim);
-  const bool verify = cli.get_bool("verify", false);
-  const double linger_seconds = cli.get_double("telemetry-linger", 0);
-  // --height 0 (the default "auto") picks a machine size for the graph.
-  const int height_flag = static_cast<int>(cli.get_int("height", 3));
-  const int height =
-      height_flag > 0 ? height_flag : recommend_height(graph);
+  const std::string trace_path = cli.get<std::string>("trace");
+  const std::string report_path = cli.get<std::string>("report-json");
+  const std::string metrics_path = cli.get<std::string>("metrics-json");
+  const std::string comm_path = cli.get<std::string>("comm-json");
+  const std::string save_path = cli.get<std::string>("save-distances");
+  const auto tile = cli.get<std::int64_t>("tile");
+  const bool verify = cli.get<bool>("verify");
+  const double linger_seconds = cli.get<double>("telemetry-linger");
+  const auto telemetry_port = cli.get<int>("telemetry-port");
+  const int height_flag = cli.get<int>("height");
+  const int height = resolve_height(height_flag, graph);
   SparseApspOptions options;
   if (sparse_family) {
     options.height = height;
     options.trace = !trace_path.empty();
-    options.comm_ledger = want_comm_ledger(cli);
-    apply_robustness_flags(cli, options);
+    // The solver's telemetry endpoint serves the live ledger.
+    options.comm_ledger = cli.get<bool>("comm-ledger") ||
+                          !comm_path.empty() || telemetry_port >= 0;
+    // Robustness (docs/robustness.md).
+    if (const auto plan = cli.get<std::string>("fault-plan"); !plan.empty())
+      options.fault_plan = FaultPlan::parse(plan);
+    options.reliable = cli.get<bool>("reliable");
   }
-  const int q = algorithm == "dc" ? static_cast<int>(cli.get_int("q", 4)) : 0;
-  const std::int64_t telemetry_port = cli.get_int("telemetry-port", -1);
-  cli.check_flags();
+  const int q = algorithm == "dc" ? cli.get<int>("q") : 0;
+  cli.check_unused();
 
   std::cout << "graph: " << graph.num_vertices() << " vertices, "
             << graph.num_edges() << " edges\n";
@@ -555,48 +350,29 @@ int mode_solve(const Cli& cli, Rng& rng) {
   // Up before the solve so /comm.json observes the run in flight.
   const std::unique_ptr<TelemetryServer> telemetry =
       start_solver_telemetry(telemetry_port);
-  if (algorithm == "bottleneck") {
+  if (sparse_family) {
     SparseApspResult result;
     try {
-      result = run_sparse_bottleneck(graph, options);
+      result = algorithm == "sparse" ? run_sparse_apsp(graph, options)
+                                     : run_sparse_bottleneck(graph, options);
     } catch (const DeadlockError& e) {
       return report_deadlock(report_path, e.report);
     }
-    std::cout << "distributed bottleneck (max,min) on p="
-              << result.num_ranks
-              << ": L=" << result.costs.critical_latency
+    std::cout << (algorithm == "sparse" ? "2D-SPARSE-APSP on p="
+                                        : "distributed bottleneck (max,min) "
+                                          "on p=")
+              << result.num_ranks << ": L=" << result.costs.critical_latency
               << " messages, B=" << result.costs.critical_bandwidth
-              << " words\n";
-    print_robustness(result);
-    write_comm_outputs(comm_path, result);
-    write_observability(trace_path, report_path, result);
-    write_metrics(metrics_path, &result.costs,
-                  result.comm_audit.present ? &result.comm_audit : nullptr);
-    Dist narrowest = kInf;
-    for (Vertex u = 0; u < graph.num_vertices(); ++u)
-      for (Vertex v = u + 1; v < graph.num_vertices(); ++v)
-        narrowest = std::min(narrowest, result.distances.at(u, v));
-    std::cout << "narrowest pair bottleneck: " << narrowest << "\n";
-    linger_telemetry(linger_seconds, telemetry.get());
-    return 0;
-  }
-  if (algorithm == "sparse") {
-    SparseApspResult result;
-    try {
-      result = run_sparse_apsp(graph, options);
-    } catch (const DeadlockError& e) {
-      return report_deadlock(report_path, e.report);
-    }
-    distances = result.distances;
-    std::cout << "2D-SPARSE-APSP on p=" << result.num_ranks
-              << ": L=" << result.costs.critical_latency
-              << " messages, B=" << result.costs.critical_bandwidth
-              << " words, |S|=" << result.separator_size << "\n";
+              << " words";
+    if (algorithm == "sparse")
+      std::cout << ", |S|=" << result.separator_size;
+    std::cout << "\n";
     print_robustness(result);
     write_comm_outputs(comm_path, result);
     write_observability(trace_path, report_path, result);
     solved_costs = result.costs;
     if (result.comm_audit.present) solved_audit = result.comm_audit;
+    distances = std::move(result.distances);
   } else if (algorithm == "dc") {
     DistributedApspResult result = run_dc_apsp(graph, q);
     attach_oracle(result.costs,
@@ -608,12 +384,10 @@ int mode_solve(const Cli& cli, Rng& rng) {
               << ": L=" << result.costs.critical_latency
               << " messages, B=" << result.costs.critical_bandwidth
               << " words\n";
-    if (!report_path.empty()) {
-      std::ofstream out(report_path);
-      CAPSP_CHECK_MSG(out, "cannot write --report-json file " << report_path);
-      write_cost_report_json(out, result.costs);
-      std::cout << "wrote cost report to " << report_path << "\n";
-    }
+    write_output(report_path, "report-json", "cost report",
+                 [&](std::ostream& out) {
+                   write_cost_report_json(out, result.costs);
+                 });
   } else if (algorithm == "superfw") {
     const Dissection nd = nested_dissection(graph, height, rng);
     const SuperFwResult result = superfw_original_order(graph, nd);
@@ -636,10 +410,19 @@ int mode_solve(const Cli& cli, Rng& rng) {
   }
   write_metrics(metrics_path, solved_costs ? &*solved_costs : nullptr,
                 solved_audit ? &*solved_audit : nullptr);
-  const PathOracle oracle(graph, std::move(distances));
-  std::cout << "diameter " << oracle.diameter() << ", radius "
-            << oracle.radius() << ", mean distance "
-            << oracle.mean_distance() << "\n";
+  if (algorithm == "bottleneck") {
+    // Widths, not distances: report the narrowest pair.
+    Dist narrowest = kInf;
+    for (Vertex u = 0; u < graph.num_vertices(); ++u)
+      for (Vertex v = u + 1; v < graph.num_vertices(); ++v)
+        narrowest = std::min(narrowest, distances.at(u, v));
+    std::cout << "narrowest pair bottleneck: " << narrowest << "\n";
+  } else {
+    const PathOracle oracle(graph, std::move(distances));
+    std::cout << "diameter " << oracle.diameter() << ", radius "
+              << oracle.radius() << ", mean distance "
+              << oracle.mean_distance() << "\n";
+  }
   linger_telemetry(linger_seconds, telemetry.get());
   return 0;
 }
@@ -663,18 +446,18 @@ void print_query(DistanceService& service, Vertex u, Vertex v) {
 int mode_query(const Cli& cli, Rng& rng) {
   const Graph graph = build_graph(cli, rng);
   // A matrix saved by solve --save-distances skips the recompute.
-  const std::string cached = cli.get_string("distances", "");
-  SparseApspOptions options;
-  options.height = static_cast<int>(cli.get_int("height", 2));
-  const std::string pairs_path = cli.get_string("pairs", "");
-  const auto from = static_cast<Vertex>(cli.get_int("from", 0));
-  const auto to = static_cast<Vertex>(
-      cli.get_int("to", graph.num_vertices() - 1));
-  cli.check_flags();
+  const std::string cached = cli.get<std::string>("distances");
+  const int height = cli.get<int>("height");
+  const std::string pairs_path = cli.get<std::string>("pairs");
+  const auto from = cli.get<Vertex>("from");
+  const Vertex to = cli.get<Vertex>("to", graph.num_vertices() - 1);
+  cli.check_unused();
   std::shared_ptr<SnapshotReader> reader;
   if (!cached.empty()) {
     reader = std::make_shared<SnapshotReader>(cached);
   } else {
+    SparseApspOptions options;
+    options.height = resolve_height(height, graph);
     reader = std::make_shared<SnapshotReader>(
         run_sparse_apsp(graph, options).distances, kDefaultTileDim);
   }
@@ -700,60 +483,57 @@ int mode_query(const Cli& cli, Rng& rng) {
   return 0;
 }
 
+using enum Flag::Kind;
+const std::vector<Flag> kSolveFlags = {
+    {"algorithm", kChoice,
+     {"sparse", "dc", "superfw", "dijkstra", "bottleneck"}, "sparse",
+     "the solver"},
+    {"q", kInt, {"<q>"}, "4", "--algorithm dc grid side, p = q^2"},
+    {"verify", kSwitch, {}, "", "certify the distances, O(n·m)"},
+    {"save-distances", kText, {"<path>"}, "", "tiled CAPSPDB2 snapshot"},
+    {"tile", kInt, {"<dim>"}, "64", "snapshot tile dimension"},
+    {"trace", kText, {"<path>"}, "", "event trace JSON"},
+    {"report-json", kText, {"<path>"}, "", "CostReport JSON, oracle ratios"},
+    {"metrics-json", kText, {"<path>"}, "", "merged metrics registry JSON"},
+    {"fault-plan", kText, {"<spec>"}, "", "faults, e.g. seed=7,drop=0.05"},
+    {"reliable", kSwitch, {}, "", "acked, retrying transport"},
+    {"comm-ledger", kSwitch, {}, "", "per-channel comm ledger and audit"},
+    {"comm-json", kText, {"<path>"}, "", "ledger + audit file (a ledger run)"},
+    {"telemetry-port", kInt, {"<port>"}, "-1",
+     "endpoint + ledger; 0 = any, -1 = off"},
+    {"telemetry-linger", kReal, {"<sec>"}, "0", "keep it up after the solve"},
+};
+const std::vector<Flag> kQueryFlags = {
+    {"distances", kText, {"<path>"}, "", "answer from this snapshot"},
+    {"pairs", kText, {"<file>"}, "", "answer every 'u v' line of the file"},
+    {"from", kInt, {"<v>"}, "0", "source vertex"},
+    {"to", kInt, {"<v>"}, "", "target vertex (default: the last)"},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    const Cli cli(argc, argv);
-    if (cli.get_bool("help", false)) {
-      print_help();
-      return 0;
-    }
-    if (cli.get_bool("version", false)) {
-      std::cout << version_string("apsp_tool");
-      return 0;
-    }
-    const std::string mode = cli.get_string("mode", "solve");
-    log_configure_tool(cli.get_string("log-level", ""),
-                       cli.get_bool("log-json", false), "warn");
-    const std::string flightrec = cli.get_string("flightrec", "");
-    if (!flightrec.empty()) flightrec::set_dump_path(flightrec);
-    flightrec::install_crash_handlers();
-    flightrec::install_term_drain_handler();
-    Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 1)));
-    std::string profile_folded, profile_json;
-    if (cli.get_bool("profile", false)) {
-      ProfOptions prof_options;
-      prof_options.hz = cli.get_double("profile-hz", 497.0);
-      profile_folded = cli.get_string("profile-folded", "");
-      profile_json = cli.get_string("profile-json", "");
-      CAPSP_CHECK_MSG(Profiler::global().start(prof_options),
-                      "profiler already running");
-    }
-    // Each mode reads the rest of its flags, then calls Cli::check_flags
-    // before it starts work.
-    int status;
-    if (mode == "gen") {
-      status = mode_gen(cli, rng);
-    } else if (mode == "partition") {
-      status = mode_partition(cli, rng);
-    } else if (mode == "solve") {
-      status = mode_solve(cli, rng);
-    } else if (mode == "query") {
-      status = mode_query(cli, rng);
-    } else {
-      CAPSP_LOG(kError, "apsp_tool.usage", {"mode", mode},
-                {"expected", "solve|partition|query|gen"});
-      return 2;
-    }
-    if (const ProfReport* prof = finish_profiler(); prof != nullptr)
-      emit_profile_outputs(profile_folded, profile_json, *prof);
-    return status;
-  } catch (const capsp::UsageError& e) {
-    CAPSP_LOG(kError, "apsp_tool.usage", {"error", e.what()});
-    return 2;
-  } catch (const capsp::check_error& e) {
-    CAPSP_LOG(kError, "apsp_tool.fatal", {"what", e.what()});
-    return 1;
-  }
+  return run_tool(
+      argc, argv,
+      {"apsp_tool",
+       "apsp_tool.usage",
+       "apsp_tool.fatal",
+       {{"solve", "run a solver; print summary stats and costs", mode_solve,
+         kSolveFlags},
+        {"partition", "nested dissection; print the supernode profile",
+         mode_partition},
+        {"query", "shortest paths from a saved or freshly solved matrix",
+         mode_query, kQueryFlags},
+        {"gen", "write a generated graph to a file", mode_gen,
+         {{"out", kText, {"<path>"}, "", "output edge list (required)"}}}},
+       {{"height", kInt, {"<h>"}, "3", "eTree height, p = (2^h-1)^2; 0 = auto",
+         {"solve", "partition", "query"}}},
+       "  0  success\n"
+       "  1  error (bad input, failed invariant CHECK, failed --verify)\n"
+       "  2  usage error (unknown --mode or flag, a value that does not\n"
+       "     parse, contradictory or incomplete flags: e.g. --mode gen\n"
+       "     without --out)\n"
+       "  3  deadlock: no rank could proceed, so the run was aborted at\n"
+       "     once (structured report on stderr; --report-json receives the\n"
+       "     DeadlockReport JSON)\n"});
 }

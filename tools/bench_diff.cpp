@@ -12,7 +12,9 @@
 
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "util/bench_compare.hpp"
 #include "util/check.hpp"
@@ -21,34 +23,32 @@
 
 namespace {
 
-void print_help() {
+using capsp::Flag;
+using enum Flag::Kind;
+
+const std::vector<Flag> kFlags = capsp::with_help_and_log({
+    {"baseline", kText, {"<dir>"}, "", "reference dumps (required)"},
+    {"candidate", kText, {"<dir>"}, "", "fresh dumps (required)"},
+    {"tolerance", kReal, {"<frac>"}, "0", "allowed relative change"},
+    {"metric-tolerance", kText, {"name=frac[,...]"}, "",
+     "per-metric --tolerance"},
+    {"metric-class", kText, {"pattern=frac|skip[,...]"}, "",
+     "per '*' glob; first match wins"},
+    {"compare-time", kSwitch, {}, "", "also compare *_ms, *_seconds, ..."},
+    {"require-all", kSwitch, {}, "", "a missing candidate bench fails"},
+    {"report-md", kText, {"<path>"}, "", "markdown summary"},
+    {"report-json", kText, {"<path>"}, "", "machine-readable report"},
+});
+
+void print_help(const capsp::Cli& cli) {
   std::cout << R"(usage: bench_diff --baseline <dir> --candidate <dir> [flags]
 
 Compares BENCH_*.json benchmark dumps (written by the bench binaries when
 CAPSP_BENCH_JSON_DIR is set) between two directories and exits non-zero
 when metrics drift beyond tolerance.  See docs/metrics.md.
-
-flags:
-  --baseline <dir>        reference directory (e.g. bench/baselines)
-  --candidate <dir>       directory with the freshly produced dumps
-  --tolerance <frac>      allowed relative change for every metric
-                          (default 0: any change fails)
-  --metric-tolerance name=frac[,name=frac...]
-                          per-metric overrides of --tolerance
-  --metric-class pattern=frac|skip[,pattern=...]
-                          tolerance classes: every metric matching the
-                          glob pattern ('*' wildcards) gets the given
-                          tolerance, or is skipped entirely with =skip.
-                          Consulted after --metric-tolerance, first
-                          match wins (e.g. 'ops_per_*=0.5,*_misses=skip'
-                          for noisy hardware-counter metrics)
-  --compare-time          also compare wall-clock-ish fields (*_ms,
-                          *_seconds, ...); skipped by default
-  --require-all           fail if the candidate is missing a baseline bench
-                          (default: missing benches are reported as skipped)
-  --report-md <path>      write a markdown summary
-  --report-json <path>    write a machine-readable report
-
+)";
+  cli.print_flags(std::cout);
+  std::cout << R"(
 exit codes:
   0  all compared metrics within tolerance
   1  at least one metric moved beyond tolerance
@@ -57,48 +57,17 @@ exit codes:
 )";
 }
 
-/// Parses "name=0.1,other=0.5" into per-metric tolerances.
-void parse_metric_tolerances(const std::string& spec,
-                             capsp::BenchDiffOptions& options) {
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string item = spec.substr(pos, comma - pos);
-    const std::size_t eq = item.find('=');
-    CAPSP_CHECK_MSG(eq != std::string::npos && eq > 0,
-                    "bad --metric-tolerance item '"
-                        << item << "' (expected name=fraction)");
-    options.metric_tolerance[item.substr(0, eq)] =
-        std::stod(item.substr(eq + 1));
-    pos = comma + 1;
-  }
-}
-
-/// Parses "ops_per_*=0.5,*_misses=skip" into ordered tolerance classes.
-void parse_metric_classes(const std::string& spec,
-                          capsp::BenchDiffOptions& options) {
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string item = spec.substr(pos, comma - pos);
+/// Calls add(key, value) for each item of a "key=value,key=value" spec.
+template <class Add>
+void for_each_item(const std::string& flag, const std::string& spec,
+                   const Add& add) {
+  std::istringstream items(spec);
+  for (std::string item; std::getline(items, item, ',');) {
     const std::size_t eq = item.rfind('=');
-    CAPSP_CHECK_MSG(eq != std::string::npos && eq > 0,
-                    "bad --metric-class item '"
-                        << item << "' (expected pattern=fraction|skip)");
-    capsp::MetricClass cls;
-    cls.pattern = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    if (value == "skip") {
-      cls.skip = true;
-    } else {
-      cls.tolerance = std::stod(value);
-      CAPSP_CHECK_MSG(cls.tolerance >= 0, "--metric-class tolerance must be "
-                                              << ">= 0, got " << value);
-    }
-    options.metric_classes.push_back(std::move(cls));
-    pos = comma + 1;
+    if (eq == std::string::npos || eq == 0)
+      throw capsp::UsageError("--" + flag + " expects key=value items, got '" +
+                              item + "'");
+    add(item.substr(0, eq), item.substr(eq + 1));
   }
 }
 
@@ -106,32 +75,48 @@ void parse_metric_classes(const std::string& spec,
 
 int main(int argc, char** argv) {
   try {
-    const capsp::Cli cli(argc, argv);
-    if (cli.get_bool("help", false)) {
-      print_help();
+    const capsp::Cli cli(argc, argv, kFlags);
+    if (cli.get<bool>("help")) {
+      print_help(cli);
+      cli.validate();
       return 0;
     }
-    capsp::log_configure_tool(cli.get_string("log-level", ""),
-                              cli.get_bool("log-json", false), "warn");
-    const std::string baseline = cli.get_string("baseline", "");
-    const std::string candidate = cli.get_string("candidate", "");
-    if (baseline.empty() || candidate.empty()) {
-      CAPSP_LOG(kError, "bench_diff.usage",
-                {"what", "--baseline and --candidate are required "
-                         "(--help for usage)"});
-      return 2;
-    }
+    cli.validate();
+    capsp::log_configure_tool(cli.get<std::string>("log-level"),
+                              cli.get<bool>("log-json"), "warn");
+    const std::string baseline = cli.get<std::string>("baseline");
+    const std::string candidate = cli.get<std::string>("candidate");
+    if (baseline.empty() || candidate.empty())
+      throw capsp::UsageError(
+          "--baseline and --candidate are required (--help for usage)");
 
     capsp::BenchDiffOptions options;
-    options.tolerance = cli.get_double("tolerance", 0.0);
+    options.tolerance = cli.get<double>("tolerance");
     CAPSP_CHECK_MSG(options.tolerance >= 0,
                     "--tolerance must be >= 0, got " << options.tolerance);
-    parse_metric_tolerances(cli.get_string("metric-tolerance", ""), options);
-    parse_metric_classes(cli.get_string("metric-class", ""), options);
-    options.ignore_time_like = !cli.get_bool("compare-time", false);
-    options.require_all = cli.get_bool("require-all", false);
-    const std::string report_md = cli.get_string("report-md", "");
-    const std::string report_json = cli.get_string("report-json", "");
+    for_each_item("metric-tolerance", cli.get<std::string>("metric-tolerance"),
+                  [&](const std::string& name, const std::string& value) {
+                    options.metric_tolerance[name] =
+                        capsp::Cli::parse<double>("metric-tolerance", value);
+                  });
+    // "ops_per_*=0.5,*_misses=skip": ordered tolerance classes.
+    for_each_item(
+        "metric-class", cli.get<std::string>("metric-class"),
+        [&](const std::string& pattern, const std::string& value) {
+          capsp::MetricClass cls;
+          cls.pattern = pattern;
+          cls.skip = value == "skip";
+          if (!cls.skip)
+            cls.tolerance = capsp::Cli::parse<double>("metric-class", value);
+          CAPSP_CHECK_MSG(cls.tolerance >= 0,
+                          "--metric-class tolerance must be >= 0, got "
+                              << value);
+          options.metric_classes.push_back(std::move(cls));
+        });
+    options.ignore_time_like = !cli.get<bool>("compare-time");
+    options.require_all = cli.get<bool>("require-all");
+    const std::string report_md = cli.get<std::string>("report-md");
+    const std::string report_json = cli.get<std::string>("report-json");
     cli.check_unused();
 
     const capsp::BenchDiffReport report =
@@ -170,8 +155,8 @@ int main(int argc, char** argv) {
               << " problems -> "
               << (report.exit_code() == 0 ? "PASS" : "FAIL") << "\n";
     return report.exit_code();
-  } catch (const capsp::check_error& e) {
-    CAPSP_LOG(kError, "bench_diff.fatal", {"what", e.what()});
+  } catch (const capsp::UsageError& e) {
+    CAPSP_LOG(kError, "bench_diff.usage", {"error", e.what()});
     return 2;
   } catch (const std::exception& e) {
     CAPSP_LOG(kError, "bench_diff.fatal", {"what", e.what()});

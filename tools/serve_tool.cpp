@@ -1,49 +1,24 @@
 // serve_tool — landmark sketches and load generation for the serving
-// layer (docs/serving.md).  Snapshots come from apsp_tool
-// --save-distances.
+// layer (docs/serving.md, docs/telemetry.md, docs/robustness.md).
+// Snapshots come from apsp_tool --save-distances.  `serve_tool --mode <m>
+// --help` lists a mode's flags, each declared once in its mode's table
+// (kServeFlags, kSketchFlags; the flags both tools share are in
+// front_end.cpp).
 //
-//   serve_tool --mode sketch --graph grid --n 441 --landmarks 64
-//              --out g.ax1
-//       build the landmark sketch the approximate tier serves from
-//   serve_tool --mode serve --snapshot g.snap --graph grid --n 441
-//              --clients 8 --requests 20000 --mix zipf --queries distance
-//              --cache-bytes 262144 --report-json serve.json
-//       closed-loop load test: 8 client threads issue 20k Zipf-skewed
-//       distance queries against a DistanceService whose tile cache is
-//       capped below the matrix size; prints throughput, latency
-//       percentiles, and cache behaviour, and writes the service's JSON
-//       summary (scripts/trace_summary.py serve renders it)
-//   serve_tool --mode serve ... --open-loop --rate 20000 --deadline-ms 5
-//       open-loop driver: queries arrive on a fixed schedule regardless of
-//       completions, so an undersized service visibly sheds load with
-//       structured overload/deadline errors instead of queueing forever
-//   serve_tool --mode serve ... --duration-s 10
-//       soak: clients replay the workload cyclically for a wall-clock
-//       budget; SIGINT/SIGTERM drains cleanly and still emits the
-//       summary.  Counts depend on timing, so the soak BENCH record
-//       (serve_soak_*) carries only config fields plus wall-clock-named
-//       fields the bench_diff gate skips.
-//   serve_tool --mode serve ... --telemetry-port 0 --trace-sample 64
-//              --slow-ms 5 --reqtrace traces.json --slo-latency-ms 2
-//       live observability (docs/telemetry.md): /metrics + /healthz +
-//       /stats.json on an ephemeral port, 1-in-64 request-trace
-//       sampling plus a slow log, Perfetto-loadable span trees, and
-//       latency/availability SLO tracking in the summary
-//
-// Closed-loop runs mirror their (deterministic) outcome into the PR-3
+// Closed-loop runs mirror their (deterministic) outcome into the
 // BenchJson registry: set CAPSP_BENCH_JSON_DIR and the run writes
-// BENCH_serve_<mix>_<queries>.json for the bench_diff regression gate.
+// BENCH_serve_<mix>_<queries>.json for the bench_diff regression gate.  A
+// soak's record (serve_soak_*) carries only config fields plus
+// wall-clock-named fields the gate skips.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <csignal>
-#include <deque>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,8 +26,7 @@
 #include "approx/sketch.hpp"
 #include "approx/sketch_io.hpp"
 #include "bench_common.hpp"
-#include "graph/generators.hpp"
-#include "graph/io.hpp"
+#include "front_end.hpp"
 #include "partition/nested_dissection.hpp"
 #include "serve/reqtrace.hpp"
 #include "serve/resilience.hpp"
@@ -60,13 +34,9 @@
 #include "serve/service.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/tiered.hpp"
-#include "util/buildinfo.hpp"
-#include "util/cli.hpp"
 #include "util/flightrec.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
-#include "util/prof.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
@@ -78,147 +48,19 @@ volatile std::sig_atomic_t g_interrupted = 0;
 
 extern "C" void handle_interrupt(int) { g_interrupted = 1; }
 
-void print_help() {
-  std::cout <<
-      "usage: serve_tool --mode serve|sketch [flags]\n"
-      "\n"
-      "--mode sketch:  build a CAPSPAX1 landmark sketch for the approx\n"
-      "                tier (docs/serving.md, \"Tiered serving\")\n"
-      "  --out <path>             output CAPSPAX1 sketch (required)\n"
-      "  --file / --graph / --n / --seed\n"
-      "                           the graph to sketch (same flags as serve)\n"
-      "  --landmarks <k>          landmark budget (default 64)\n"
-      "  --height <h>             ND hierarchy height for landmark\n"
-      "                           selection (default 3)\n"
-      "  --top-levels <l>         separator levels drawn from, root first\n"
-      "                           (default 2)\n"
-      "  --heuristic              skip the ND hierarchy; pick landmarks by\n"
-      "                           degree/coverage instead\n"
-      "\n"
-      "--mode serve:  drive a DistanceService with a synthetic workload\n"
-      "  --snapshot <path>        CAPSPDB2 snapshot (apsp_tool\n"
-      "                           --save-distances)\n"
-      "  --file / --graph / --n / --seed\n"
-      "                           the graph the snapshot was solved from\n"
-      "                           (same flags as apsp_tool)\n"
-      "  --threads <t>            service worker threads (default 4)\n"
-      "  --clients <c>            closed-loop client threads (default 8)\n"
-      "  --requests <q>           workload size (default 10000)\n"
-      "  --duration-s <sec>       soak: replay workload for a wall-clock\n"
-      "                           budget instead of a fixed count\n"
-      "  --mix uniform|zipf|bfs   query-pair distribution (default zipf)\n"
-      "  --zipf-theta <t>         Zipf skew (default 0.99)\n"
-      "  --ball <b>               BFS-locality ball size (default 64)\n"
-      "  --queries distance|path|knear\n"
-      "                           request type (default distance)\n"
-      "  --k <k>                  neighbors for --queries knear (default 8)\n"
-      "  --cache-bytes <b>        tile-cache budget (default 16 MiB); set\n"
-      "                           below the matrix size to exercise\n"
-      "                           eviction\n"
-      "  --deadline-ms <ms>       per-request deadline (0 = none)\n"
-      "  --max-queue <q>          admission bound (default 4096)\n"
-      "  --open-loop --rate <qps> open-loop arrivals at a fixed rate\n"
-      "  --workload-seed <int>    workload RNG seed (default 1)\n"
-      "  --verify                 check every distance against the full\n"
-      "                           matrix (bit-exact)\n"
-      "  --report-json <path>     service summary JSON\n"
-      "  --bench-name <name>      BENCH_<name>.json record name\n"
-      "                           (default serve_<mix>_<queries>)\n"
-      "\n"
-      "tiered serving (docs/serving.md, \"Tiered serving\"):\n"
-      "  --sketch <path>          CAPSPAX1 landmark sketch (--mode sketch);\n"
-      "                           routes distance/knear queries through the\n"
-      "                           approximate tier\n"
-      "  --tier approx|exact|auto tier policy (default auto: answer from\n"
-      "                           the sketch, escalate to the tile path\n"
-      "                           when the certified interval is wider\n"
-      "                           than the stretch budget)\n"
-      "  --stretch-budget <f>     max accepted relative gap\n"
-      "                           (upper-lower)/lower (default 0.25)\n"
-      "  --verify-stretch         closed-loop distance runs only: check\n"
-      "                           lower <= exact <= upper for every ok\n"
-      "                           answer against the full matrix and fail\n"
-      "                           on any violation\n"
-      "\n"
-      "observability (docs/telemetry.md):\n"
-      "  --telemetry-port <p>     serve /metrics /healthz /stats.json on\n"
-      "                           127.0.0.1:<p> (0 = ephemeral; default\n"
-      "                           off)\n"
-      "  --trace-sample <N>       trace every Nth request (0 = off)\n"
-      "  --slow-ms <ms>           slow-request log threshold (0 = off)\n"
-      "  --reqtrace <path>        write kept request traces as Chrome\n"
-      "                           trace JSON (Perfetto-loadable)\n"
-      "  --window-s <sec>         rolling telemetry window (default 10)\n"
-      "  --slo-latency-ms <ms>    latency SLO threshold (0 = off)\n"
-      "  --slo-target <f>         latency SLO target (default 0.99)\n"
-      "  --slo-availability <f>   availability SLO target (default 0.999)\n"
-      "\n"
-      "resilience / chaos (docs/robustness.md):\n"
-      "  --fault-plan <spec>      inject disk/process faults into the run\n"
-      "                           (seed=N,read_error=P,eintr=P,short=P,\n"
-      "                           flip=P,delay=P,delay_ms=M,alloc=P,\n"
-      "                           bad_tile=T:K,stuck=W@J:S)\n"
-      "  --chaos                  chaos harness: a fault-free oracle pass,\n"
-      "                           then the same closed-loop distance\n"
-      "                           workload under --fault-plan (or a\n"
-      "                           default plan); every ok answer is\n"
-      "                           checked bit-exact against the oracle,\n"
-      "                           and a wrong answer shrinks the plan to a\n"
-      "                           minimal reproducer and exits 1\n"
-      "  --retry-max <n>          read attempts per tile fetch (default 4)\n"
-      "  --retry-base-ms <ms>     first-retry backoff (default 0.2)\n"
-      "  --quarantine-threshold <k>\n"
-      "                           consecutive failed fetches before a tile\n"
-      "                           is quarantined (default 3; 0 = off)\n"
-      "  --quarantine-cooldown-ms <ms>\n"
-      "                           quiet period before a re-probe\n"
-      "                           (default 50)\n"
-      "  --stuck-threshold-ms <ms>\n"
-      "                           watchdog: replace a worker wedged longer\n"
-      "                           than this (default off; 20 under\n"
-      "                           --chaos)\n"
-      "  --no-resilience          pre-resilience contract: no retries, no\n"
-      "                           quarantine, tile-read failures propagate\n"
-      "\n"
-      "profiling (docs/profiling.md):\n"
-      "  --profile                sample worker/client ProfScope stacks\n"
-      "                           for the whole run; prints hot scopes\n"
-      "                           and kernel throughput at exit\n"
-      "  --profile-hz <hz>        sampling rate (default 497)\n"
-      "  --profile-folded <path>  flamegraph-ready folded stacks\n"
-      "  --profile-json <path>    full ProfReport JSON\n"
-      "  (a live service also exposes /profile?seconds=N on the\n"
-      "   --telemetry-port endpoint for windowed captures)\n"
-      "\n"
-      "logging (docs/observability.md):\n"
-      "  --log-level <level>      structured-log sink threshold: trace|\n"
-      "                           debug|info|warn|error|off (default warn;\n"
-      "                           overrides CAPSP_LOG_LEVEL)\n"
-      "  --log-json               JSON-lines log output (or CAPSP_LOG_JSON=1)\n"
-      "  --flightrec <path>       arm the black-box flight recorder: CHECK\n"
-      "                           failures, fatal signals and SIGTERM dump\n"
-      "                           the last events of every thread here (or\n"
-      "                           CAPSP_FLIGHTREC_DUMP); a fault plan also\n"
-      "                           raises the recorder to trace so the dump\n"
-      "                           carries per-request events\n"
-      "  (a live service also exposes /logs?n=N and /debug/flightrec on\n"
-      "   the --telemetry-port endpoint)\n"
-      "  --version                build/host provenance, then exit\n"
-      "\n"
-      "exit codes:\n"
-      "  0  success\n"
-      "  1  error (bad input, failed invariant CHECK, failed --verify or\n"
-      "     --verify-stretch, chaos harness caught a wrong ok answer)\n"
-      "  2  usage error (unknown --mode, contradictory or incomplete\n"
-      "     flags — e.g. --tier without --sketch, --mode serve without\n"
-      "     --snapshot)\n";
+/// While a soak or a chaos run drives its clients, SIGINT/SIGTERM drain
+/// them (`on`); afterwards they kill the process again.
+void drain_on_signal(bool on) {
+  std::signal(SIGINT, on ? handle_interrupt : SIG_DFL);
+  std::signal(SIGTERM, on ? handle_interrupt : SIG_DFL);
 }
 
-Graph build_graph(const Cli& cli, Rng& rng) {
-  const std::string file = cli.get_string("file", "");
-  if (!file.empty()) return load_graph_auto(file);
-  return make_named_graph(cli.get_string("graph", "grid"),
-                          static_cast<Vertex>(cli.get_int("n", 256)), rng);
+/// After a drain: says so, and writes the flight recorder, since the
+/// drain preempted its own SIGTERM handler.
+void report_drain(const char* run) {
+  if (g_interrupted == 0) return;
+  std::cout << run << "interrupted; drained clients, emitting summary\n";
+  flightrec::dump_if_configured("sigterm_drain");
 }
 
 /// --mode sketch: the offline half of the tiered serving story.  Selects
@@ -228,15 +70,15 @@ Graph build_graph(const Cli& cli, Rng& rng) {
 /// the sequential solver, and writes the checksummed CAPSPAX1 file that
 /// --mode serve --sketch loads.
 int mode_sketch(const Cli& cli, Rng& rng) {
-  const std::string out = cli.get_string("out", "");
+  const std::string out = cli.get<std::string>("out");
   if (out.empty()) throw UsageError("--mode sketch requires --out <path>");
   const Graph graph = build_graph(cli, rng);
   SketchOptions options;
-  options.max_landmarks = cli.get_int("landmarks", 64);
-  options.top_levels = static_cast<int>(cli.get_int("top-levels", 2));
-  const bool heuristic = cli.get_bool("heuristic", false);
-  const int height = static_cast<int>(cli.get_int("height", 3));
-  cli.check_flags();
+  options.max_landmarks = cli.get<std::int64_t>("landmarks");
+  options.top_levels = cli.get<int>("top-levels");
+  const bool heuristic = cli.get<bool>("heuristic");
+  const int height = cli.get<int>("height");
+  cli.check_unused();
   LandmarkSketch sketch;
   if (heuristic) {
     sketch = build_sketch(graph, options);
@@ -309,39 +151,35 @@ std::vector<Vertex> bfs_ball(const Graph& graph, Vertex center,
 }
 
 std::vector<Query> make_workload(const Graph& graph, const std::string& mix,
-                                 std::int64_t count, double zipf_theta,
+                                 std::size_t count, double zipf_theta,
                                  std::size_t ball_size, Rng& rng) {
   const Vertex n = graph.num_vertices();
   CAPSP_CHECK_MSG(n > 0, "cannot generate a workload on an empty graph");
   std::vector<Query> queries;
-  queries.reserve(static_cast<std::size_t>(count));
+  queries.reserve(count);
   if (mix == "uniform") {
-    for (std::int64_t i = 0; i < count; ++i)
+    for (std::size_t i = 0; i < count; ++i)
       queries.push_back(
           {static_cast<Vertex>(rng.uniform(static_cast<std::uint64_t>(n))),
            static_cast<Vertex>(rng.uniform(static_cast<std::uint64_t>(n)))});
   } else if (mix == "zipf") {
     ZipfSampler zipf(n, zipf_theta, rng);
-    for (std::int64_t i = 0; i < count; ++i)
+    for (std::size_t i = 0; i < count; ++i)
       queries.push_back({zipf.draw(rng), zipf.draw(rng)});
-  } else if (mix == "bfs") {
-    // Locality mix: bursts of queries inside one BFS ball, like map
-    // clients panning a region, with the ball recentered between bursts.
+  } else {
+    // bfs, the locality mix: bursts of queries inside one BFS ball, like
+    // map clients panning a region, with the ball recentered between
+    // bursts.
     constexpr std::size_t kQueriesPerBall = 32;
-    while (queries.size() < static_cast<std::size_t>(count)) {
+    while (queries.size() < count) {
       const auto center =
           static_cast<Vertex>(rng.uniform(static_cast<std::uint64_t>(n)));
       const std::vector<Vertex> ball = bfs_ball(graph, center, ball_size);
-      for (std::size_t i = 0;
-           i < kQueriesPerBall &&
-           queries.size() < static_cast<std::size_t>(count);
+      for (std::size_t i = 0; i < kQueriesPerBall && queries.size() < count;
            ++i)
         queries.push_back({ball[rng.uniform(ball.size())],
                            ball[rng.uniform(ball.size())]});
     }
-  } else {
-    CAPSP_CHECK_MSG(false,
-                    "unknown --mix '" << mix << "' (uniform|zipf|bfs)");
   }
   return queries;
 }
@@ -364,72 +202,226 @@ struct Outcome {
 Outcome issue(DistanceService& service, TieredDistanceService* tiered,
               const Query& query, const std::string& kind, int k,
               double deadline_seconds) {
-  Outcome outcome;
-  if (kind == "distance") {
-    if (tiered != nullptr) {
-      const TieredDistanceReply reply =
-          tiered->distance(query.u, query.v, deadline_seconds);
-      outcome.error = reply.error;
-      outcome.distance = reply.estimate;
-      outcome.tier = reply.tier;
-      outcome.escalated = reply.escalated;
-      outcome.lower = reply.lower_bound;
-      outcome.upper = reply.upper_bound;
-      return outcome;
-    }
+  if (kind == "path") {
+    const PathReply reply =
+        service.shortest_path(query.u, query.v, deadline_seconds);
+    return {reply.error, reply.distance,
+            reply.path.empty()
+                ? 0
+                : static_cast<std::int64_t>(reply.path.size()) - 1};
+  }
+  if (kind == "distance" && tiered == nullptr) {
     const DistanceReply reply =
         service.distance(query.u, query.v, deadline_seconds);
-    outcome.error = reply.error;
-    outcome.distance = reply.distance;
-  } else if (kind == "path") {
-    PathReply reply =
-        service.shortest_path(query.u, query.v, deadline_seconds);
-    outcome.error = reply.error;
-    outcome.distance = reply.distance;
-    outcome.hops = reply.path.empty()
-                       ? 0
-                       : static_cast<std::int64_t>(reply.path.size()) - 1;
-  } else {
-    if (tiered != nullptr) {
-      const TieredKNearestReply reply =
-          tiered->k_nearest(query.u, k, deadline_seconds);
-      outcome.error = reply.error;
-      outcome.distance = 0;
-      for (const NearVertex& near : reply.nearest)
-        outcome.distance += near.distance;
-      outcome.hops = static_cast<std::int64_t>(reply.nearest.size());
-      outcome.tier = reply.tier;
-      outcome.escalated = reply.escalated;
-      return outcome;
-    }
-    const KNearestReply reply =
-        service.k_nearest(query.u, k, deadline_seconds);
-    outcome.error = reply.error;
-    outcome.distance = 0;
-    for (const NearVertex& near : reply.nearest)
-      outcome.distance += near.distance;
-    outcome.hops = static_cast<std::int64_t>(reply.nearest.size());
+    return {reply.error, reply.distance};
   }
+  if (kind == "distance") {
+    const TieredDistanceReply reply =
+        tiered->distance(query.u, query.v, deadline_seconds);
+    return {reply.error,     reply.estimate,  0,
+            reply.tier,      reply.escalated, reply.lower_bound,
+            reply.upper_bound};
+  }
+  // knear: the sum of the k distances, and how many were found.
+  const auto knear = [](ServeError error,
+                        const std::vector<NearVertex>& nearest) {
+    Outcome outcome{error, 0, static_cast<std::int64_t>(nearest.size())};
+    for (const NearVertex& near : nearest) outcome.distance += near.distance;
+    return outcome;
+  };
+  if (tiered == nullptr) {
+    const KNearestReply reply = service.k_nearest(query.u, k, deadline_seconds);
+    return knear(reply.error, reply.nearest);
+  }
+  const TieredKNearestReply reply =
+      tiered->k_nearest(query.u, k, deadline_seconds);
+  Outcome outcome = knear(reply.error, reply.nearest);
+  outcome.tier = reply.tier;
+  outcome.escalated = reply.escalated;
   return outcome;
+}
+
+/// How a run's clients issue its query list.
+struct Workload {
+  std::vector<Query> queries;
+  std::string mix;
+  std::string kind;  ///< distance|path|knear
+  int k = 8;
+  int clients = 8;
+  double deadline_seconds = -1;
+  double duration_s = 0;  ///< > 0: a soak that replays the list this long
+  bool open_loop = false;
+  double rate = 0;  ///< open-loop arrivals per second
+};
+
+/// A run's replies by outcome.  Checked against the exact matrix, an ok
+/// approx-tier answer's certified interval must contain the truth and any
+/// other ok answer must equal it bit for bit; the first miss is kept.
+struct Tally {
+  std::int64_t issued = 0;
+  std::int64_t ok = 0;
+  std::int64_t overloaded = 0;
+  std::int64_t expired = 0;
+  std::int64_t degraded = 0;
+  std::int64_t mismatches = 0;
+  Query first_bad{};
+  Outcome bad{};
+  Dist want = 0;
+
+  void add(const Query& query, const Outcome& outcome,
+           const DistBlock* exact) {
+    ++issued;
+    switch (outcome.error) {
+      case ServeError::kOk: ++ok; break;
+      case ServeError::kOverloaded: ++overloaded; break;
+      case ServeError::kDeadlineExceeded: ++expired; break;
+      case ServeError::kDegraded: ++degraded; break;
+      case ServeError::kShutdown: break;
+    }
+    // Only ok answers carry the exactness contract: a degraded or shed
+    // reply is never compared (that is the point of degradation).
+    if (exact == nullptr || outcome.error != ServeError::kOk) return;
+    const Dist truth = exact->at(query.u, query.v);
+    // Rounding slack for real weights; truth == inf propagates cleanly
+    // (inf <= inf when the sketch proved disconnection).
+    const Dist eps = is_inf(truth) ? 0 : 1e-9 * std::max(1.0, std::abs(truth));
+    const bool right =
+        outcome.tier == Tier::kApprox
+            ? outcome.lower <= truth + eps && truth <= outcome.upper + eps
+            : outcome.distance == truth;
+    if (!right && mismatches++ == 0) {
+      first_bad = query;
+      bad = outcome;
+      want = truth;
+    }
+  }
+
+  void merge(const Tally& other) {
+    issued += other.issued;
+    ok += other.ok;
+    overloaded += other.overloaded;
+    expired += other.expired;
+    degraded += other.degraded;
+    if (mismatches == 0 && other.mismatches > 0) {
+      first_bad = other.first_bad;
+      bad = other.bad;
+      want = other.want;
+    }
+    mismatches += other.mismatches;
+  }
+};
+
+/// What one run of the client driver yields.
+struct Run {
+  std::vector<Outcome> outcomes;  ///< one slot per query, except in a soak
+  Tally tally;
+  double elapsed = 0;
+};
+
+/// The client driver of every run, chaos passes included.  Closed loop:
+/// each client thread issues its stride of the list back-to-back into one
+/// slot per query, so aggregation can run in index order.  Soak: the
+/// clients replay the list at random until the wall-clock budget is spent.
+/// Open loop: arrivals on a fixed schedule regardless of completions, so
+/// an undersized service visibly sheds load.  Clients stop early once
+/// SIGINT/SIGTERM sets g_interrupted.  A non-null `exact` checks every ok
+/// answer against it.
+Run drive(DistanceService& service, TieredDistanceService* tiered,
+          const Workload& w, const DistBlock* exact) {
+  Run run;
+  const auto start = std::chrono::steady_clock::now();
+  const bool soak = !w.open_loop && w.duration_s > 0;
+  if (!soak) run.outcomes.resize(w.queries.size());
+  if (w.open_loop) {
+    const auto interval = std::chrono::duration_cast<
+        std::chrono::steady_clock::duration>(
+        std::chrono::duration<double>(1.0 / w.rate));
+    std::vector<std::future<DistanceReply>> futures;
+    futures.reserve(w.queries.size());
+    auto next = start;
+    for (const Query& query : w.queries) {
+      std::this_thread::sleep_until(next);
+      next += interval;
+      futures.push_back(
+          service.distance_async(query.u, query.v, w.deadline_seconds));
+    }
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      const DistanceReply reply = futures[i].get();
+      run.outcomes[i] = {reply.error, reply.distance, 0};
+      run.tally.add(w.queries[i], run.outcomes[i], exact);
+    }
+  } else {
+    const auto stop_at =
+        start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                    std::chrono::duration<double>(w.duration_s));
+    std::vector<Tally> tallies(static_cast<std::size_t>(w.clients));
+    std::vector<std::thread> pool;
+    pool.reserve(tallies.size());
+    for (int c = 0; c < w.clients; ++c) {
+      pool.emplace_back([&, c] {
+        Tally tally;  // the thread's own, merged after the join
+        Rng pick(static_cast<std::uint64_t>(c) * 7919 + 13);
+        while (soak && std::chrono::steady_clock::now() < stop_at &&
+               g_interrupted == 0) {
+          const Query& query = w.queries[pick.uniform(w.queries.size())];
+          tally.add(query,
+                    issue(service, tiered, query, w.kind, w.k,
+                          w.deadline_seconds),
+                    exact);
+        }
+        for (std::size_t i = static_cast<std::size_t>(c);
+             !soak && i < w.queries.size() && g_interrupted == 0;
+             i += static_cast<std::size_t>(w.clients)) {
+          run.outcomes[i] = issue(service, tiered, w.queries[i], w.kind, w.k,
+                                  w.deadline_seconds);
+          tally.add(w.queries[i], run.outcomes[i], exact);
+        }
+        tallies[static_cast<std::size_t>(c)] = tally;
+      });
+    }
+    for (std::thread& t : pool) t.join();
+    for (const Tally& tally : tallies) run.tally.merge(tally);
+  }
+  run.elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  return run;
 }
 
 // ---------------------------------------------------------------------------
 // Chaos harness (--chaos / --fault-plan; docs/robustness.md).
 
 /// Default --chaos plan: a hostile but survivable disk.  Every read-fault
-/// class is represented.  bad_tile=0:40 is sized against the default
-/// retry/quarantine knobs: with at most `clients` concurrent fetches each
-/// burning 4 attempts, the first three fetches of tile 0 to complete all
-/// land inside the 40-attempt failure budget, so the tile enters
-/// quarantine regardless of interleaving; background probes then burn the
-/// rest of the budget (one attempt per --quarantine-cooldown-ms, 10 under
-/// --chaos) and the tile heals — the full enter→probe→exit lifecycle in a
-/// bounded fraction of a second.  Worker 1 wedges on its 5th job long
-/// enough for the watchdog (--stuck-threshold-ms defaults to 20 under
-/// --chaos) to abandon and replace it.
+/// class is represented.  bad_tile=0:40 is sized against the resilience
+/// settings below: with at most `clients` concurrent fetches each burning
+/// 4 attempts, the first three fetches of tile 0 to complete all land
+/// inside the 40-attempt failure budget, so the tile enters quarantine
+/// regardless of interleaving; background probes then burn the rest of
+/// the budget (one attempt per 10 ms chaos cooldown) and the tile heals —
+/// the full enter→probe→exit lifecycle in a bounded fraction of a second.
+/// Worker 1 wedges on its 5th job long enough for the 20 ms chaos
+/// watchdog to abandon and replace it.
 constexpr const char* kDefaultChaosPlan =
     "seed=7,read_error=0.02,eintr=0.03,short=0.03,flip=0.02,"
     "delay=0.04,delay_ms=1,bad_tile=0:40,stuck=1@5:0.08";
+
+/// Resilience settings (docs/robustness.md).  Every run makes 4 read
+/// attempts per tile fetch with backoff from 0.2 ms, and quarantines a
+/// tile after 3 failed fetches; a plain run re-probes it after 50 ms and
+/// has no watchdog.
+constexpr RetryOptions kRetry{.max_attempts = 4, .backoff_base_ms = 0.2};
+constexpr QuarantineOptions kQuarantine{.threshold = 3, .cooldown_ms = 50};
+/// Under --chaos: a 10 ms quarantine cooldown, and a watchdog that
+/// replaces a worker wedged for 20 ms.
+constexpr double kChaosCooldownMs = 10;
+constexpr double kChaosStuckWorkerMs = 20;
+
+/// --report-json: the service's summary, once it has stopped.
+void write_summary(const DistanceService& service, const std::string& path) {
+  write_output(path, "report-json", "serve summary", [&](std::ostream& out) {
+    service.write_summary_json(out);
+  });
+}
 
 std::int64_t counter_of(const MetricsSnapshot& metrics,
                         const std::string& name) {
@@ -437,18 +429,10 @@ std::int64_t counter_of(const MetricsSnapshot& metrics,
   return it == metrics.end() ? 0 : it->second.counter;
 }
 
-/// Everything one chaos pass yields.  Every ok answer is compared against
-/// the oracle matrix inline, so a pass is self-verifying; a degraded or
-/// shed reply is never compared (that is the point of degradation).
+/// Everything one chaos pass yields.  Every ok answer is checked against
+/// the oracle matrix, so a pass is self-verifying.
 struct ChaosPass {
-  std::int64_t issued = 0;
-  std::int64_t ok = 0;
-  std::int64_t degraded = 0;
-  std::int64_t errors = 0;  ///< overloaded + deadline_exceeded
-  std::int64_t mismatches = 0;
-  Query first_bad{};
-  Dist got = 0;
-  Dist want = 0;
+  Tally tally;
   double elapsed = 0;
   HealthState final_health = HealthState::kOk;
   ServeFaultInjector::Counts injected;
@@ -460,78 +444,20 @@ struct ChaosPass {
 };
 
 /// One pass: a fresh service (fault-injected when `plan` is non-empty)
-/// driven by `clients` closed-loop threads over `queries` — cyclically
-/// for `duration_s` seconds when that is set, one stride each otherwise.
+/// driven over the workload by the shared client driver.
 ChaosPass run_chaos_pass(const std::shared_ptr<SnapshotReader>& reader,
                          const Graph& graph, const ServeOptions& base,
-                         const ServeFaultPlan& plan,
-                         const std::vector<Query>& queries, int clients,
-                         double deadline_seconds, double duration_s,
+                         const ServeFaultPlan& plan, const Workload& workload,
                          const DistBlock& oracle,
                          const std::string& report_path) {
   ServeOptions options = base;
-  std::shared_ptr<ServeFaultInjector> injector;
-  if (!plan.empty()) {
-    injector = std::make_shared<ServeFaultInjector>(plan);
-    options.fault_injector = injector;
-  }
+  if (!plan.empty())
+    options.fault_injector = std::make_shared<ServeFaultInjector>(plan);
   DistanceService service(reader, graph, options);
 
   ChaosPass pass;
-  std::mutex bad_mutex;
-  std::atomic<std::int64_t> issued{0}, ok{0}, degraded{0}, errors{0},
-      mismatches{0};
   const auto start = std::chrono::steady_clock::now();
-  const auto stop_at =
-      start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double>(duration_s));
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(clients));
-  for (int c = 0; c < clients; ++c) {
-    pool.emplace_back([&, c] {
-      Rng pick(static_cast<std::uint64_t>(c) * 104729 + 17);
-      std::size_t next = static_cast<std::size_t>(c);
-      while (g_interrupted == 0) {
-        Query query;
-        if (duration_s > 0) {
-          // Soak: replay cyclically until the wall-clock budget is spent.
-          if (std::chrono::steady_clock::now() >= stop_at) break;
-          query = queries[pick.uniform(queries.size())];
-        } else {
-          if (next >= queries.size()) break;
-          query = queries[next];
-          next += static_cast<std::size_t>(clients);
-        }
-        const DistanceReply reply =
-            service.distance(query.u, query.v, deadline_seconds);
-        issued.fetch_add(1, std::memory_order_relaxed);
-        switch (reply.error) {
-          case ServeError::kOk: {
-            ok.fetch_add(1, std::memory_order_relaxed);
-            const Dist want = oracle.at(query.u, query.v);
-            if (reply.distance != want &&
-                mismatches.fetch_add(1, std::memory_order_relaxed) == 0) {
-              const std::lock_guard<std::mutex> lock(bad_mutex);
-              pass.first_bad = query;
-              pass.got = reply.distance;
-              pass.want = want;
-            }
-            break;
-          }
-          case ServeError::kDegraded:
-            degraded.fetch_add(1, std::memory_order_relaxed);
-            break;
-          case ServeError::kOverloaded:
-          case ServeError::kDeadlineExceeded:
-            errors.fetch_add(1, std::memory_order_relaxed);
-            break;
-          case ServeError::kShutdown:
-            break;
-        }
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
+  pass.tally = drive(service, nullptr, workload, &oracle).tally;
   // A deterministic bad tile is still quarantined when the workload
   // drains (its failure budget outlasts the clients by design).  Hold the
   // service open so the background probes finish burning the budget and
@@ -548,11 +474,6 @@ ChaosPass run_chaos_pass(const std::shared_ptr<SnapshotReader>& reader,
   pass.elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  pass.issued = issued.load();
-  pass.ok = ok.load();
-  pass.degraded = degraded.load();
-  pass.errors = errors.load();
-  pass.mismatches = mismatches.load();
   pass.final_health = service.health();
   const MetricsSnapshot metrics = service.metrics_snapshot();
   pass.retry_attempts = counter_of(metrics, "serve.retry.attempts");
@@ -561,13 +482,9 @@ ChaosPass run_chaos_pass(const std::shared_ptr<SnapshotReader>& reader,
   pass.quarantine = service.quarantine_stats();
   pass.workers = service.worker_stats();
   service.stop();
-  if (!report_path.empty()) {
-    std::ofstream out(report_path);
-    CAPSP_CHECK_MSG(out, "cannot write --report-json file " << report_path);
-    service.write_summary_json(out);
-    std::cout << "wrote serve summary to " << report_path << "\n";
-  }
-  if (injector != nullptr) pass.injected = injector->counts();
+  write_summary(service, report_path);
+  if (options.fault_injector != nullptr)
+    pass.injected = options.fault_injector->counts();
   return pass;
 }
 
@@ -609,48 +526,38 @@ ServeFaultPlan shrink_chaos_plan(
 int run_chaos(const std::string& report_path,
               const std::shared_ptr<SnapshotReader>& reader,
               const Graph& graph, const ServeOptions& base,
-              const ServeFaultPlan& plan, const std::vector<Query>& queries,
-              const std::string& mix, int clients, double deadline_seconds,
-              double duration_s) {
+              const ServeFaultPlan& plan, const Workload& workload) {
   // The fault-free oracle, reassembled before any injector can touch the
   // reader: under chaos, "correct" means bit-exact against this matrix.
-  const SnapshotHeader& h = reader->header();
-  DistBlock oracle(h.rows, h.cols);
-  for (std::int64_t t = 0; t < h.num_tiles(); ++t)
-    oracle.set_sub_block((t / h.tile_cols()) * h.tile_dim,
-                         (t % h.tile_cols()) * h.tile_dim,
-                         reader->read_tile(t));
+  const DistBlock oracle = read_full_matrix(*reader);
 
   // SIGINT/SIGTERM drain the clients and still print the summary — the
   // same operator contract as a plain soak.
-  std::signal(SIGINT, handle_interrupt);
-  std::signal(SIGTERM, handle_interrupt);
+  drain_on_signal(true);
 
   std::cout << "chaos: plan '" << plan.to_string() << "'\n";
   // Clean pass first: the fault-free half of the BENCH_serve_chaos pair,
   // and proof the harness itself is green before faults muddy the water.
   // A soak spends its wall-clock budget on the *faulted* pass; the clean
   // pass only needs to be long enough to prove itself.
-  const double clean_duration =
-      duration_s > 0 ? std::min(duration_s, 0.5) : 0;
-  const ChaosPass clean =
-      run_chaos_pass(reader, graph, base, ServeFaultPlan{}, queries, clients,
-                     deadline_seconds, clean_duration, oracle, "");
-  CAPSP_CHECK_MSG(clean.mismatches == 0,
+  Workload clean_workload = workload;
+  clean_workload.duration_s = std::min(workload.duration_s, 0.5);
+  const ChaosPass clean = run_chaos_pass(reader, graph, base, ServeFaultPlan{},
+                                         clean_workload, oracle, "");
+  CAPSP_CHECK_MSG(clean.tally.mismatches == 0,
                   "fault-free pass diverged from the oracle — the snapshot "
                   "or harness is broken, not the fault tolerance");
-  std::cout << "chaos: clean pass " << clean.issued << " requests, "
-            << clean.ok << " ok, all bit-exact (" << clean.elapsed
+  std::cout << "chaos: clean pass " << clean.tally.issued << " requests, "
+            << clean.tally.ok << " ok, all bit-exact (" << clean.elapsed
             << " s)\n";
 
-  ChaosPass chaos = run_chaos_pass(reader, graph, base, plan, queries,
-                                   clients, deadline_seconds, duration_s,
-                                   oracle, report_path);
-
-  std::cout << "chaos: faulted pass " << chaos.issued << " requests in "
-            << chaos.elapsed << " s: " << chaos.ok << " ok, "
-            << chaos.degraded << " degraded, " << chaos.errors
-            << " overloaded/expired\n";
+  const ChaosPass chaos = run_chaos_pass(reader, graph, base, plan, workload,
+                                         oracle, report_path);
+  const Tally& faulted = chaos.tally;
+  std::cout << "chaos: faulted pass " << faulted.issued << " requests in "
+            << chaos.elapsed << " s: " << faulted.ok << " ok, "
+            << faulted.degraded << " degraded, "
+            << faulted.overloaded + faulted.expired << " overloaded/expired\n";
   const ServeFaultInjector::Counts& in = chaos.injected;
   std::cout << "chaos: injected eio=" << in.eio << " eintr=" << in.eintr
             << " short=" << in.short_reads << " flip=" << in.flips
@@ -665,14 +572,8 @@ int run_chaos(const std::string& report_path,
             << "\n";
   std::cout << "chaos: final health " << to_string(chaos.final_health)
             << "\n";
-  if (g_interrupted != 0) {
-    std::cout << "chaos: interrupted; drained clients, emitting summary\n";
-    // The graceful drain preempts the flight recorder's own SIGTERM
-    // handler, so a soak killed mid-run writes its black box here.
-    flightrec::dump_if_configured("sigterm_drain");
-  }
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
+  report_drain("chaos: ");
+  drain_on_signal(false);
 
   // BENCH pair (closed loop only — a soak's counts are wall-clock-bound).
   // Which attempt each thread draws depends on interleaving, so every
@@ -680,100 +581,93 @@ int run_chaos(const std::string& report_path,
   // --metric-class 'chaos_*=skip'; `mismatches` stays unprefixed on
   // purpose — it is 0 by contract, and a baseline diff should scream if
   // it ever is not.
-  if (duration_s == 0) {
-    const auto n = static_cast<std::int64_t>(graph.num_vertices());
-    bench::BenchJson::get("serve_chaos").add(
-        {{"phase", "clean"},
-         {"mix", mix},
-         {"n", n},
-         {"tile", h.tile_dim},
-         {"cache_bytes", base.cache_bytes},
-         {"threads", static_cast<std::int64_t>(base.threads)},
-         {"clients", static_cast<std::int64_t>(clients)},
-         {"requests", static_cast<std::int64_t>(queries.size())},
-         {"ok", clean.ok},
-         {"mismatches", clean.mismatches},
-         {"elapsed_seconds", clean.elapsed},
-         {"qps_wall",
-          clean.elapsed > 0
-              ? static_cast<double>(clean.issued) / clean.elapsed
-              : 0.0}});
-    bench::BenchJson::get("serve_chaos").add(
-        {{"phase", "chaos"},
-         {"mix", mix},
-         {"n", n},
-         {"tile", h.tile_dim},
-         {"cache_bytes", base.cache_bytes},
-         {"threads", static_cast<std::int64_t>(base.threads)},
-         {"clients", static_cast<std::int64_t>(clients)},
-         {"requests", static_cast<std::int64_t>(queries.size())},
-         {"plan", plan.to_string()},
-         {"mismatches", chaos.mismatches},
-         {"chaos_ok", chaos.ok},
-         {"chaos_degraded", chaos.degraded},
-         {"chaos_retry_attempts", chaos.retry_attempts},
-         {"chaos_retry_success", chaos.retry_success},
-         {"chaos_retry_exhausted", chaos.retry_exhausted},
-         {"chaos_quarantine_enters", chaos.quarantine.enters},
-         {"chaos_quarantine_exits", chaos.quarantine.exits},
-         {"chaos_injected_reads",
-          in.eio + in.eintr + in.short_reads + in.flips + in.delays},
-         {"chaos_workers_replaced", chaos.workers.replaced},
-         {"elapsed_seconds", chaos.elapsed},
-         {"qps_wall",
-          chaos.elapsed > 0
-              ? static_cast<double>(chaos.issued) / chaos.elapsed
-              : 0.0}});
+  if (workload.duration_s == 0) {
+    using Field = bench::BenchJson::Field;
+    const auto record = [&](const char* phase,
+                            std::initializer_list<Field> fields) {
+      std::vector<Field> all{
+          {"phase", phase},
+          {"mix", workload.mix},
+          {"n", static_cast<std::int64_t>(graph.num_vertices())},
+          {"tile", reader->header().tile_dim},
+          {"cache_bytes", base.cache_bytes},
+          {"threads", static_cast<std::int64_t>(base.threads)},
+          {"clients", static_cast<std::int64_t>(workload.clients)},
+          {"requests", static_cast<std::int64_t>(workload.queries.size())}};
+      all.insert(all.end(), fields);
+      bench::BenchJson::get("serve_chaos").add(all);
+    };
+    const auto qps = [](const ChaosPass& pass) {
+      return pass.elapsed > 0
+                 ? static_cast<double>(pass.tally.issued) / pass.elapsed
+                 : 0.0;
+    };
+    record("clean", {{"ok", clean.tally.ok},
+                     {"mismatches", clean.tally.mismatches},
+                     {"elapsed_seconds", clean.elapsed},
+                     {"qps_wall", qps(clean)}});
+    record("chaos",
+           {{"plan", plan.to_string()},
+            {"mismatches", faulted.mismatches},
+            {"chaos_ok", faulted.ok},
+            {"chaos_degraded", faulted.degraded},
+            {"chaos_retry_attempts", chaos.retry_attempts},
+            {"chaos_retry_success", chaos.retry_success},
+            {"chaos_retry_exhausted", chaos.retry_exhausted},
+            {"chaos_quarantine_enters", chaos.quarantine.enters},
+            {"chaos_quarantine_exits", chaos.quarantine.exits},
+            {"chaos_injected_reads",
+             in.eio + in.eintr + in.short_reads + in.flips + in.delays},
+            {"chaos_workers_replaced", chaos.workers.replaced},
+            {"elapsed_seconds", chaos.elapsed},
+            {"qps_wall", qps(chaos)}});
   }
 
-  if (chaos.mismatches > 0) {
-    std::cout << "chaos: " << chaos.mismatches
-              << " WRONG ok answers; first: (" << chaos.first_bad.u << ","
-              << chaos.first_bad.v << ") got " << chaos.got << " want "
-              << chaos.want << "\n";
+  if (faulted.mismatches > 0) {
+    std::cout << "chaos: " << faulted.mismatches
+              << " WRONG ok answers; first: (" << faulted.first_bad.u << ","
+              << faulted.first_bad.v << ") got " << faulted.bad.distance
+              << " want " << faulted.want << "\n";
     std::cout << "chaos: shrinking plan to a minimal reproducer...\n";
     const ServeFaultPlan minimal =
         shrink_chaos_plan(plan, [&](const ServeFaultPlan& candidate) {
-          return run_chaos_pass(reader, graph, base, candidate, queries,
-                                clients, deadline_seconds, duration_s,
+          return run_chaos_pass(reader, graph, base, candidate, workload,
                                 oracle, "")
-                     .mismatches > 0;
+                     .tally.mismatches > 0;
         });
     std::cout << "chaos: minimal failing plan '" << minimal.to_string()
               << "'\n";
     return 1;
   }
-  std::cout << "chaos: all " << chaos.ok
+  std::cout << "chaos: all " << faulted.ok
             << " ok answers bit-exact vs the fault-free oracle\n";
   return 0;
 }
 
 int mode_serve(const Cli& cli, Rng& rng) {
-  const std::string snapshot_path = cli.get_string("snapshot", "");
+  const std::string snapshot_path = cli.get<std::string>("snapshot");
   if (snapshot_path.empty())
     throw UsageError("--mode serve requires --snapshot <path>");
   const Graph graph = build_graph(cli, rng);
   auto reader = std::make_shared<SnapshotReader>(snapshot_path);
   ServeOptions options;
-  options.threads = static_cast<int>(cli.get_int("threads", 4));
-  options.cache_bytes = cli.get_int("cache-bytes", 16 << 20);
-  options.max_queue =
-      static_cast<std::size_t>(cli.get_int("max-queue", 4096));
-  options.trace_sample_every = cli.get_int("trace-sample", 0);
-  options.slow_trace_ms = cli.get_double("slow-ms", 0);
-  options.window_seconds = cli.get_double("window-s", 10);
-  options.slo.latency_ms = cli.get_double("slo-latency-ms", 0);
-  options.slo.latency_target = cli.get_double("slo-target", 0.99);
-  options.slo.availability_target =
-      cli.get_double("slo-availability", 0.999);
+  options.threads = cli.get<int>("threads");
+  options.cache_bytes = cli.get<std::int64_t>("cache-bytes");
+  options.max_queue = cli.get<std::size_t>("max-queue");
+  options.trace_sample_every = cli.get<std::int64_t>("trace-sample");
+  options.slow_trace_ms = cli.get<double>("slow-ms");
+  options.window_seconds = cli.get<double>("window-s");
+  options.slo.latency_ms = cli.get<double>("slo-latency-ms");
+  options.slo.latency_target = cli.get<double>("slo-target");
+  options.slo.availability_target = cli.get<double>("slo-availability");
   options.slo.window_seconds = options.window_seconds;
 
-  // Fault tolerance knobs (docs/robustness.md) and the fault plan.  A
-  // bare --fault-plan runs the normal driver with injection live (every
-  // mode, every query kind); --chaos runs the self-verifying harness.
-  const bool chaos = cli.get_bool("chaos", false);
+  // The fault plan (docs/robustness.md).  A bare --fault-plan runs the
+  // normal driver with injection live (every mode, every query kind);
+  // --chaos runs the self-verifying harness.
+  const bool chaos = cli.get<bool>("chaos");
   const std::string plan_spec =
-      cli.get_string("fault-plan", chaos ? kDefaultChaosPlan : "");
+      cli.get<std::string>("fault-plan", chaos ? kDefaultChaosPlan : "");
   const ServeFaultPlan plan = plan_spec.empty()
                                   ? ServeFaultPlan{}
                                   : ServeFaultPlan::parse(plan_spec);
@@ -783,42 +677,34 @@ int mode_serve(const Cli& cli, Rng& rng) {
   // untouched: the rings are cheap, the console stays quiet.
   if (!plan_spec.empty())
     Logger::global().set_ring_level(LogLevel::kTrace);
-  options.resilience = !cli.get_bool("no-resilience", false);
-  options.retry.max_attempts =
-      static_cast<int>(cli.get_int("retry-max", 4));
-  options.retry.backoff_base_ms = cli.get_double("retry-base-ms", 0.2);
-  options.quarantine.threshold =
-      static_cast<int>(cli.get_int("quarantine-threshold", 3));
-  options.quarantine.cooldown_ms =
-      cli.get_double("quarantine-cooldown-ms", chaos ? 10 : 50);
-  options.stuck_worker_ms =
-      cli.get_double("stuck-threshold-ms", chaos ? 20 : 0);
+  options.resilience = !cli.get<bool>("no-resilience");
+  options.retry = kRetry;
+  options.quarantine = kQuarantine;
+  if (chaos) {
+    options.quarantine.cooldown_ms = kChaosCooldownMs;
+    options.stuck_worker_ms = kChaosStuckWorkerMs;
+  }
 
-  const std::string mix = cli.get_string("mix", "zipf");
-  if (mix != "uniform" && mix != "zipf" && mix != "bfs")
-    throw UsageError("unknown --mix '" + mix + "' (uniform|zipf|bfs)");
-  const std::string kind = cli.get_string("queries", "distance");
-  if (kind != "distance" && kind != "path" && kind != "knear")
-    throw UsageError("unknown --queries '" + kind +
-                     "' (distance|path|knear)");
-  const std::int64_t requests = cli.get_int("requests", 10000);
-  const int clients =
-      std::max(1, static_cast<int>(cli.get_int("clients", 8)));
-  const int k = static_cast<int>(cli.get_int("k", 8));
-  const double deadline_ms = cli.get_double("deadline-ms", 0);
-  const double deadline_seconds = deadline_ms > 0 ? deadline_ms / 1000 : -1;
-  const double duration_s = cli.get_double("duration-s", 0);
-  const bool open_loop = cli.get_bool("open-loop", false);
-  const double rate = cli.get_double("rate", 20000);
+  Workload w;
+  w.mix = cli.get<std::string>("mix");
+  w.kind = cli.get<std::string>("queries");
+  const auto requests = cli.get<std::size_t>("requests");
+  w.clients = std::max(1, cli.get<int>("clients"));
+  w.k = cli.get<int>("k");
+  const double deadline_ms = cli.get<double>("deadline-ms");
+  w.deadline_seconds = deadline_ms > 0 ? deadline_ms / 1000 : -1;
+  w.duration_s = cli.get<double>("duration-s");
+  w.open_loop = cli.get<bool>("open-loop");
+  w.rate = cli.get<double>("rate");
+  const bool closed_distance_run =
+      w.kind == "distance" && !w.open_loop && w.duration_s <= 0;
 
   // Tiered-serving flags (docs/serving.md, "Tiered serving").  Every
   // contradictory combination is a usage error up front — the run has
   // not started, so nothing is lost by refusing.
-  const std::string sketch_path = cli.get_string("sketch", "");
-  const std::string tier_name = cli.get_string("tier", "auto");
+  const std::string sketch_path = cli.get<std::string>("sketch");
   TierMode tier_mode = TierMode::kAuto;
-  if (!parse_tier_mode(tier_name, &tier_mode))
-    throw UsageError("unknown --tier '" + tier_name + "' (approx|exact|auto)");
+  CAPSP_CHECK(parse_tier_mode(cli.get<std::string>("tier"), &tier_mode));
   if (sketch_path.empty()) {
     if (cli.has("tier"))
       throw UsageError("--tier needs --sketch <path> (the approximate tier "
@@ -826,16 +712,17 @@ int mode_serve(const Cli& cli, Rng& rng) {
                        "builds one)");
     if (cli.has("stretch-budget"))
       throw UsageError("--stretch-budget needs --sketch <path>");
-    if (cli.get_bool("verify-stretch", false))
+    if (cli.get<bool>("verify-stretch"))
       throw UsageError("--verify-stretch needs --sketch <path>");
   }
-  const double stretch_budget = cli.get_double("stretch-budget", 0.25);
-  const bool verify_stretch = cli.get_bool("verify-stretch", false);
-  if (verify_stretch && (kind != "distance" || open_loop || duration_s > 0))
+  const double stretch_budget = cli.get<double>("stretch-budget");
+  const bool verify_stretch = cli.get<bool>("verify-stretch");
+  if (verify_stretch && !closed_distance_run)
     throw UsageError("--verify-stretch needs a closed-loop distance run "
                      "(drop --open-loop/--duration-s/--queries)");
-  if (cli.get_bool("verify", false)) {
-    if (kind != "distance" || open_loop || duration_s > 0)
+  const bool verify = cli.get<bool>("verify");
+  if (verify) {
+    if (!closed_distance_run)
       throw UsageError("--verify needs a closed-loop distance run");
     if (!sketch_path.empty() && tier_mode != TierMode::kExact)
       throw UsageError("--verify is bit-exact; with --sketch use "
@@ -845,28 +732,36 @@ int mode_serve(const Cli& cli, Rng& rng) {
     if (chaos)
       throw UsageError("--chaos is exact-only (its oracle comparison is "
                        "bit-exact); drop --sketch");
-    if (open_loop)
+    if (w.open_loop)
       throw UsageError("--open-loop drives the exact tier's async API; "
                        "drop --sketch");
-    if (kind == "path")
+    if (w.kind == "path")
       throw UsageError("--sketch serves distance|knear queries (path "
                        "reconstruction is exact-only)");
   }
+  if (chaos && (w.kind != "distance" || w.open_loop))
+    throw UsageError("--chaos is a closed-loop distance harness (it owns "
+                     "the oracle comparison); drop --open-loop/--queries");
+  if (w.open_loop && w.rate <= 0)
+    throw UsageError("--open-loop requires --rate > 0");
+  if (w.duration_s > 0 && requests == 0)
+    throw UsageError("--duration-s replays the workload: --requests must be "
+                     "> 0");
 
   Rng workload_rng(
-      static_cast<std::uint64_t>(cli.get_int("workload-seed", 1)));
-  const std::vector<Query> queries = make_workload(
-      graph, mix, requests, cli.get_double("zipf-theta", 0.99),
-      static_cast<std::size_t>(cli.get_int("ball", 64)), workload_rng);
+      static_cast<std::uint64_t>(cli.get<std::int64_t>("workload-seed")));
+  w.queries = make_workload(graph, w.mix, requests,
+                            cli.get<double>("zipf-theta"),
+                            cli.get<std::size_t>("ball"), workload_rng);
   // The outputs, read with every other flag before the service starts.
-  const std::int64_t telemetry_port = cli.get_int("telemetry-port", -1);
-  const std::string reqtrace_path = cli.get_string("reqtrace", "");
-  const std::string report_path = cli.get_string("report-json", "");
-  const std::string bench_name_flag = cli.get_string("bench-name", "");
+  const auto telemetry_port = cli.get<int>("telemetry-port");
+  const std::string reqtrace_path = cli.get<std::string>("reqtrace");
+  const std::string report_path = cli.get<std::string>("report-json");
+  const std::string bench_name_flag = cli.get<std::string>("bench-name");
   const auto bench_name_or = [&](const std::string& fallback) {
     return bench_name_flag.empty() ? fallback : bench_name_flag;
   };
-  cli.check_flags();
+  cli.check_unused();
 
   std::cout << "serving " << reader->header().rows << "x"
             << reader->header().cols << " snapshot ("
@@ -875,24 +770,21 @@ int mode_serve(const Cli& cli, Rng& rng) {
             << (reader->file_backed() ? ", file-backed" : ", in-memory")
             << ") with " << options.threads << " workers, cache budget "
             << options.cache_bytes << " bytes\n";
-  std::cout << "workload: " << queries.size() << " " << mix << " " << kind
-            << " queries, "
-            << (open_loop
+  std::cout << "workload: " << w.queries.size() << " " << w.mix << " "
+            << w.kind << " queries, "
+            << (w.open_loop
                     ? "open loop"
-                    : duration_s > 0 ? "closed-loop soak" : "closed loop")
-            << ", " << clients << " clients\n";
+                    : w.duration_s > 0 ? "closed-loop soak" : "closed loop")
+            << ", " << w.clients << " clients\n";
 
-  if (chaos) {
-    if (kind != "distance" || open_loop)
-      throw UsageError("--chaos is a closed-loop distance harness (it owns "
-                       "the oracle comparison); drop --open-loop/--queries");
-    return run_chaos(report_path, reader, graph, options, plan, queries, mix,
-                     clients, deadline_seconds, duration_s);
-  }
-  std::shared_ptr<ServeFaultInjector> injector;
+  if (chaos)
+    return run_chaos(report_path, reader, graph, options, plan, w);
+  // The matrix --verify and --verify-stretch check answers against, read
+  // before the service can install an injector on the reader.
+  std::optional<DistBlock> exact;
+  if (verify || verify_stretch) exact = read_full_matrix(*reader);
   if (!plan.empty()) {
-    injector = std::make_shared<ServeFaultInjector>(plan);
-    options.fault_injector = injector;
+    options.fault_injector = std::make_shared<ServeFaultInjector>(plan);
     std::cout << "fault plan: " << plan.to_string() << "\n";
   }
   DistanceService service(reader, graph, options);
@@ -920,77 +812,14 @@ int mode_serve(const Cli& cli, Rng& rng) {
               << " (/metrics /healthz /stats.json)\n";
   }
 
-  std::vector<Outcome> outcomes(queries.size());
-  std::atomic<std::int64_t> soak_issued{0};
-  const auto start = std::chrono::steady_clock::now();
-  if (open_loop) {
-    // Open loop: arrivals on a fixed schedule, regardless of completions.
-    if (rate <= 0) throw UsageError("--open-loop requires --rate > 0");
-    const auto interval = std::chrono::duration_cast<
-        std::chrono::steady_clock::duration>(
-        std::chrono::duration<double>(1.0 / rate));
-    std::vector<std::future<DistanceReply>> futures;
-    futures.reserve(queries.size());
-    auto next = start;
-    for (const Query& query : queries) {
-      std::this_thread::sleep_until(next);
-      next += interval;
-      futures.push_back(
-          service.distance_async(query.u, query.v, deadline_seconds));
-    }
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-      const DistanceReply reply = futures[i].get();
-      outcomes[i] = {reply.error, reply.distance, 0};
-    }
-  } else if (duration_s > 0) {
-    // Soak: replay the workload cyclically until the wall-clock budget is
-    // spent or an operator interrupt arrives; either way the clients
-    // drain and the summary below still runs.
-    std::signal(SIGINT, handle_interrupt);
-    std::signal(SIGTERM, handle_interrupt);
-    const auto stop_at =
-        start + std::chrono::duration_cast<
-                    std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double>(duration_s));
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(clients));
-    for (int c = 0; c < clients; ++c) {
-      pool.emplace_back([&, c] {
-        Rng pick(static_cast<std::uint64_t>(c) * 7919 + 13);
-        while (std::chrono::steady_clock::now() < stop_at &&
-               g_interrupted == 0) {
-          const Query& query = queries[pick.uniform(queries.size())];
-          issue(service, tiered.get(), query, kind, k, deadline_seconds);
-          soak_issued.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-    for (std::thread& t : pool) t.join();
-    std::signal(SIGINT, SIG_DFL);
-    std::signal(SIGTERM, SIG_DFL);
-    if (g_interrupted != 0) {
-      std::cout << "soak interrupted; drained clients, emitting summary\n";
-      flightrec::dump_if_configured("sigterm_drain");
-    }
-  } else {
-    // Closed loop: each client issues its stride of the workload
-    // back-to-back; slot-per-query results keep aggregation
-    // deterministic.
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(clients));
-    for (int c = 0; c < clients; ++c) {
-      pool.emplace_back([&, c] {
-        for (std::size_t i = static_cast<std::size_t>(c);
-             i < queries.size(); i += static_cast<std::size_t>(clients))
-          outcomes[i] = issue(service, tiered.get(), queries[i], kind, k,
-                              deadline_seconds);
-      });
-    }
-    for (std::thread& t : pool) t.join();
-  }
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  // A soak drains its clients on SIGINT/SIGTERM and still emits the
+  // summary below.
+  if (w.duration_s > 0) drain_on_signal(true);
+  const Run run = drive(service, tiered.get(), w, exact ? &*exact : nullptr);
+  if (w.duration_s > 0) drain_on_signal(false);
+  report_drain("soak ");
+  const Tally& tally = run.tally;
+  const double elapsed = run.elapsed;
   // Capture the rolling windows before the drain quiesces them, then
   // stop: after stop() every in-flight trace is routed and the telemetry
   // endpoint has served its last scrape, so the reports below are final.
@@ -998,19 +827,15 @@ int mode_serve(const Cli& cli, Rng& rng) {
   const WindowStats error_window = service.error_window();
   service.stop();
 
-  // Aggregate in index order (see Outcome).
-  std::int64_t ok = 0, overloaded = 0, expired = 0, degraded = 0,
-               unreachable = 0;
-  std::int64_t path_hops = 0;
-  double distance_sum = 0;
-  for (const Outcome& outcome : outcomes) {
-    switch (outcome.error) {
-      case ServeError::kOk: ++ok; break;
-      case ServeError::kOverloaded: ++overloaded; break;
-      case ServeError::kDeadlineExceeded: ++expired; break;
-      case ServeError::kDegraded: ++degraded; break;
-      case ServeError::kShutdown: break;
-    }
+  // Aggregate in index order (see Outcome).  The tier split and the
+  // observed-stretch distribution are interleaving-independent too: the
+  // sketch is immutable, so which tier answered and how wide its interval
+  // was depend only on the query, never on timing.
+  std::int64_t unreachable = 0, path_hops = 0;
+  std::int64_t tier_approx = 0, tier_exact = 0, tier_escalated = 0;
+  double distance_sum = 0, gap_sum = 0;
+  std::vector<double> gaps;
+  for (const Outcome& outcome : run.outcomes) {
     if (outcome.error != ServeError::kOk) continue;
     if (is_inf(outcome.distance)) {
       ++unreachable;
@@ -1018,119 +843,59 @@ int mode_serve(const Cli& cli, Rng& rng) {
       distance_sum += outcome.distance;
     }
     path_hops += outcome.hops;
-  }
-  const std::int64_t issued =
-      duration_s > 0 ? soak_issued.load() : static_cast<std::int64_t>(
-                                                outcomes.size());
-
-  // Tier split and observed-stretch distribution, both in index order so
-  // a closed-loop run's numbers are interleaving-independent: the sketch
-  // is immutable, so which tier answered and how wide its interval was
-  // depend only on the query, never on timing.
-  std::int64_t tier_approx = 0, tier_exact = 0, tier_escalated = 0;
-  std::vector<double> gaps;
-  double gap_sum = 0;
-  if (tiered != nullptr) {
-    for (const Outcome& outcome : outcomes) {
-      if (outcome.error != ServeError::kOk) continue;
-      if (outcome.tier == Tier::kApprox) ++tier_approx; else ++tier_exact;
-      if (outcome.escalated) ++tier_escalated;
-      if (outcome.tier == Tier::kApprox && kind == "distance" &&
-          !is_inf(outcome.upper) && outcome.lower > 0) {
-        const double gap = (outcome.upper - outcome.lower) / outcome.lower;
-        gaps.push_back(gap);
-        gap_sum += gap;
-      }
+    if (tiered == nullptr) continue;
+    if (outcome.tier == Tier::kApprox) ++tier_approx; else ++tier_exact;
+    if (outcome.escalated) ++tier_escalated;
+    if (outcome.tier == Tier::kApprox && w.kind == "distance" &&
+        !is_inf(outcome.upper) && outcome.lower > 0) {
+      const double gap = (outcome.upper - outcome.lower) / outcome.lower;
+      gaps.push_back(gap);
+      gap_sum += gap;
     }
   }
-  std::vector<double> sorted_gaps = gaps;
-  std::sort(sorted_gaps.begin(), sorted_gaps.end());
-  const auto gap_at = [&sorted_gaps](double q) {
-    if (sorted_gaps.empty()) return 0.0;
-    const auto rank = static_cast<std::size_t>(
-        q * static_cast<double>(sorted_gaps.size() - 1));
-    return sorted_gaps[rank];
+  std::sort(gaps.begin(), gaps.end());
+  const auto gap_at = [&gaps](double q) {
+    if (gaps.empty()) return 0.0;
+    const auto rank =
+        static_cast<std::size_t>(q * static_cast<double>(gaps.size() - 1));
+    return gaps[rank];
   };
   const double gap_mean =
       gaps.empty() ? 0.0 : gap_sum / static_cast<double>(gaps.size());
 
-  if (cli.get_bool("verify", false)) {
-    // Reassemble the full matrix from tiles and recheck every answer
-    // bit-exactly (the acceptance bar for the serving layer).
-    const SnapshotHeader& h = reader->header();
-    DistBlock full(h.rows, h.cols);
-    for (std::int64_t t = 0; t < h.num_tiles(); ++t)
-      full.set_sub_block((t / h.tile_cols()) * h.tile_dim,
-                         (t % h.tile_cols()) * h.tile_dim, reader->read_tile(t));
-    // Only ok answers carry the exactness contract: under a fault plan a
-    // request may legitimately come back degraded, and checking its
-    // placeholder distance would punish correct load shedding.
-    std::int64_t checked = 0;
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      if (outcomes[i].error != ServeError::kOk) continue;
-      ++checked;
-      CAPSP_CHECK_MSG(outcomes[i].distance ==
-                          full.at(queries[i].u, queries[i].v),
-                      "served distance for (" << queries[i].u << ","
-                                              << queries[i].v
-                                              << ") diverged from matrix");
-    }
-    std::cout << "verify: all " << checked << " of " << queries.size()
+  // The serving layer's acceptance bars, checked answer by answer by the
+  // driver: a single miss means the service, the sketch math or the
+  // escalation policy is wrong — fail loudly.
+  const Outcome& bad = tally.bad;
+  CAPSP_CHECK_MSG(
+      tally.mismatches == 0,
+      "answer for (" << tally.first_bad.u << "," << tally.first_bad.v
+                     << ") diverged from the matrix: got " << bad.distance
+                     << (bad.tier == Tier::kApprox
+                             ? " in [" + std::to_string(bad.lower) + ", " +
+                                   std::to_string(bad.upper) + "]"
+                             : "")
+                     << ", want " << tally.want);
+  if (verify)
+    std::cout << "verify: all " << tally.ok << " of " << w.queries.size()
               << " ok distances bit-exact vs the matrix\n";
-  }
-
-  if (verify_stretch) {
-    // The stretch certificate's acceptance bar: every ok answer's
-    // interval must contain the exact distance, and an exact-tier answer
-    // must BE the exact distance.  A single violation means the sketch
-    // math (or the escalation policy) is wrong — fail loudly.
-    const SnapshotHeader& h = reader->header();
-    DistBlock full(h.rows, h.cols);
-    for (std::int64_t t = 0; t < h.num_tiles(); ++t)
-      full.set_sub_block((t / h.tile_cols()) * h.tile_dim,
-                         (t % h.tile_cols()) * h.tile_dim,
-                         reader->read_tile(t));
-    std::int64_t checked = 0;
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      const Outcome& outcome = outcomes[i];
-      if (outcome.error != ServeError::kOk) continue;
-      ++checked;
-      const Dist exact = full.at(queries[i].u, queries[i].v);
-      if (outcome.tier == Tier::kExact) {
-        CAPSP_CHECK_MSG(outcome.distance == exact,
-                        "exact-tier answer for (" << queries[i].u << ","
-                                                  << queries[i].v
-                                                  << ") diverged from matrix");
-        continue;
-      }
-      // Rounding slack for real weights; exact==inf propagates cleanly
-      // (inf <= inf on both sides when the sketch proved disconnection).
-      const Dist eps =
-          is_inf(exact) ? 0 : 1e-9 * std::max(1.0, std::abs(exact));
-      CAPSP_CHECK_MSG(outcome.lower <= exact + eps && exact <= outcome.upper + eps,
-                      "stretch bound violated at (" << queries[i].u << ","
-                                                    << queries[i].v << "): ["
-                                                    << outcome.lower << ", "
-                                                    << outcome.upper
-                                                    << "] does not contain "
-                                                    << exact);
-    }
-    std::cout << "verify-stretch: all " << checked << " of "
-              << queries.size()
+  if (verify_stretch)
+    std::cout << "verify-stretch: all " << tally.ok << " of "
+              << w.queries.size()
               << " ok answers inside their certified interval (0 "
                  "violations)\n";
-  }
 
   const TileCache::Stats cache = service.cache_stats();
   const MetricsSnapshot metrics = service.metrics_snapshot();
+  const std::int64_t issued = tally.issued;
   std::cout << "completed " << issued << " requests in " << elapsed
             << " s (" << (elapsed > 0 ? static_cast<double>(issued) / elapsed
                                       : 0)
             << " qps)\n";
-  if (duration_s == 0)
-    std::cout << "ok " << ok << ", overloaded " << overloaded
-              << ", deadline_exceeded " << expired << ", degraded "
-              << degraded << ", unreachable " << unreachable << "\n";
+  if (w.duration_s == 0)
+    std::cout << "ok " << tally.ok << ", overloaded " << tally.overloaded
+              << ", deadline_exceeded " << tally.expired << ", degraded "
+              << tally.degraded << ", unreachable " << unreachable << "\n";
   if (const auto it = metrics.find("serve.request.latency_us");
       it != metrics.end()) {
     const Histogram& hist = it->second.histogram;
@@ -1157,7 +922,7 @@ int mode_serve(const Cli& cli, Rng& rng) {
     if (!gaps.empty())
       std::cout << "stretch: " << gaps.size() << " certified answers, mean "
                 << gap_mean << ", p50 " << gap_at(0.50) << ", p99 "
-                << gap_at(0.99) << ", max " << sorted_gaps.back() << "\n";
+                << gap_at(0.99) << ", max " << gaps.back() << "\n";
   }
   const std::int64_t lookups = cache.hits + cache.misses;
   std::cout << "cache: " << cache.hits << " hits / " << lookups
@@ -1193,51 +958,68 @@ int mode_serve(const Cli& cli, Rng& rng) {
     std::cout << "reqtrace: " << traces.started << " traced, "
               << traces.slow << " slow, " << traces.sampled_kept
               << " sampled kept, " << traces.dropped << " dropped\n";
-  if (!reqtrace_path.empty()) {
-    std::ofstream out(reqtrace_path);
-    CAPSP_CHECK_MSG(out, "cannot write --reqtrace file " << reqtrace_path);
-    service.trace_log().write_chrome_json(out);
-    std::cout << "wrote request traces to " << reqtrace_path << "\n";
-  }
-
-  if (!report_path.empty()) {
-    std::ofstream out(report_path);
-    CAPSP_CHECK_MSG(out, "cannot write --report-json file " << report_path);
-    service.write_summary_json(out);
-    std::cout << "wrote serve summary to " << report_path << "\n";
-  }
+  write_output(reqtrace_path, "reqtrace", "request traces",
+               [&](std::ostream& out) {
+                 service.trace_log().write_chrome_json(out);
+               });
+  write_summary(service, report_path);
 
   // Only the fully deterministic closed-loop counts become a gated BENCH
   // record; hit/miss splits and timings depend on thread interleaving and
   // stay out of the regression gate (qps_wall/elapsed_seconds are
   // time-like names, which bench_diff skips unless asked to
-  // --compare-time — how CI bounds the cost of tracing).
-  if (!open_loop && duration_s == 0 && tiered != nullptr) {
-    // Tiered closed-loop record (BENCH_serve_approx_*): the tier split,
-    // escalation count, and stretch distribution are deterministic (the
-    // sketch fully determines them per query), so bench_diff gates them
-    // with the tier_*/stretch_* classes; the per-tier latencies carry
-    // time-like *_ms names so the default gate skips them but CI can
-    // still assert the approx-vs-exact speedup ratio.
-    const std::string bench_name = bench_name_or(
-        (plan.empty() ? "serve_approx_" : "serve_faulted_") + mix + "_" +
-        kind);
-    bench::BenchJson::get(bench_name).add(
-        {{"mix", mix},
-         {"queries", kind},
-         {"n", static_cast<std::int64_t>(graph.num_vertices())},
-         {"tile", reader->header().tile_dim},
-         {"cache_bytes", options.cache_bytes},
-         {"threads", static_cast<std::int64_t>(options.threads)},
-         {"clients", static_cast<std::int64_t>(clients)},
-         {"requests", static_cast<std::int64_t>(outcomes.size())},
+  // --compare-time — how CI bounds the cost of tracing).  A faulted run's
+  // counts are interleaving-dependent too, so it gets its own
+  // serve_faulted_* record unless the caller names one.
+  const double qps_wall =
+      elapsed > 0 ? static_cast<double>(issued) / elapsed : 0.0;
+  std::vector<bench::BenchJson::Field> record{
+      {"mix", w.mix},
+      {"queries", w.kind},
+      {"n", static_cast<std::int64_t>(graph.num_vertices())},
+      {"tile", reader->header().tile_dim},
+      {"cache_bytes", options.cache_bytes},
+      {"threads", static_cast<std::int64_t>(options.threads)},
+      {"clients", static_cast<std::int64_t>(w.clients)}};
+  const std::string suffix = w.mix + "_" + w.kind;
+  const auto requests_run = static_cast<std::int64_t>(run.outcomes.size());
+  const std::int64_t errors = tally.overloaded + tally.expired + tally.degraded;
+  std::string bench_name;
+  if (w.duration_s > 0) {
+    // Soak record: every count that depends on wall time carries a
+    // time-like name (*_wall) so the default gate skips it.
+    bench_name = (tiered != nullptr ? "serve_soak_approx_" : "serve_soak_") +
+                 suffix;
+    record.insert(record.end(), {{"interrupted", g_interrupted != 0},
+                                 {"elapsed_seconds", elapsed},
+                                 {"requests_wall", issued},
+                                 {"qps_wall", qps_wall}});
+    if (tiered != nullptr) {
+      const TieredDistanceService::Stats tier_stats = tiered->stats();
+      record.insert(record.end(),
+                    {{"tier_policy", std::string(to_string(tier_mode))},
+                     {"stretch_budget", stretch_budget},
+                     {"tier_approx_wall", tier_stats.approx},
+                     {"tier_exact_wall", tier_stats.exact},
+                     {"tier_escalated_wall", tier_stats.escalated}});
+    }
+  } else if (!w.open_loop && tiered != nullptr) {
+    // The tier split, escalation count and stretch distribution are
+    // deterministic (the sketch fully determines them per query), so
+    // bench_diff gates them with the tier_*/stretch_* classes; the
+    // per-tier latencies carry time-like *_ms names so the default gate
+    // skips them but CI can still assert the approx-vs-exact ratio.
+    bench_name = (plan.empty() ? "serve_approx_" : "serve_faulted_") + suffix;
+    record.insert(
+        record.end(),
+        {{"requests", requests_run},
          {"tier_policy", std::string(to_string(tier_mode))},
          {"landmarks", tiered->sketch() == nullptr
                            ? std::int64_t{0}
                            : tiered->sketch()->num_landmarks()},
          {"stretch_budget", stretch_budget},
-         {"ok", ok},
-         {"errors", overloaded + expired + degraded},
+         {"ok", tally.ok},
+         {"errors", errors},
          {"unreachable", unreachable},
          {"tier_approx", tier_approx},
          {"tier_exact", tier_exact},
@@ -1246,173 +1028,92 @@ int mode_serve(const Cli& cli, Rng& rng) {
          {"stretch_mean", gap_mean},
          {"stretch_p50", gap_at(0.50)},
          {"stretch_p99", gap_at(0.99)},
-         {"stretch_max", sorted_gaps.empty() ? 0.0 : sorted_gaps.back()},
+         {"stretch_max", gaps.empty() ? 0.0 : gaps.back()},
          {"distance_sum", distance_sum},
          {"approx_p50_ms", approx_p50_us / 1000.0},
          {"exact_p50_ms", exact_p50_us / 1000.0},
          {"elapsed_seconds", elapsed},
-         {"qps_wall", elapsed > 0 ? static_cast<double>(issued) / elapsed
-                                  : 0.0}});
-  } else if (!open_loop && duration_s == 0) {
-    // A faulted run's counts are interleaving-dependent; keep it out of
-    // the gated serve_<mix>_<kind> record unless the caller names one.
-    const std::string bench_name = bench_name_or(
-        (plan.empty() ? "serve_" : "serve_faulted_") + mix + "_" + kind);
-    bench::BenchJson::get(bench_name).add(
-        {{"mix", mix},
-         {"queries", kind},
-         {"n", static_cast<std::int64_t>(graph.num_vertices())},
-         {"tile", reader->header().tile_dim},
-         {"cache_bytes", options.cache_bytes},
-         {"threads", static_cast<std::int64_t>(options.threads)},
-         {"clients", static_cast<std::int64_t>(clients)},
-         {"requests", static_cast<std::int64_t>(outcomes.size())},
-         {"ok", ok},
-         {"errors", overloaded + expired + degraded},
-         {"unreachable", unreachable},
-         {"tile_lookups", lookups},
-         {"distance_sum", distance_sum},
-         {"path_hops", path_hops},
-         {"elapsed_seconds", elapsed},
-         {"qps_wall", elapsed > 0 ? static_cast<double>(issued) / elapsed
-                                  : 0.0}});
-  } else if (duration_s > 0) {
-    // Soak record: config fields are deterministic; every count that
-    // depends on wall time carries a time-like name so the default gate
-    // skips it.
-    const std::string bench_name = bench_name_or(
-        (tiered != nullptr ? "serve_soak_approx_" : "serve_soak_") + mix +
-        "_" + kind);
-    std::vector<bench::BenchJson::Field> record{
-        {"mix", mix},
-        {"queries", kind},
-        {"n", static_cast<std::int64_t>(graph.num_vertices())},
-        {"tile", reader->header().tile_dim},
-        {"cache_bytes", options.cache_bytes},
-        {"threads", static_cast<std::int64_t>(options.threads)},
-        {"clients", static_cast<std::int64_t>(clients)},
-        {"interrupted", g_interrupted != 0},
-        {"elapsed_seconds", elapsed},
-        {"requests_wall", issued},
-        {"qps_wall", elapsed > 0 ? static_cast<double>(issued) / elapsed
-                                 : 0.0}};
-    if (tiered != nullptr) {
-      // Soak counts are wall-clock-bound; the *_wall names keep them out
-      // of the default gate, like requests_wall above.
-      const TieredDistanceService::Stats tier_stats = tiered->stats();
-      record.push_back({"tier_policy", std::string(to_string(tier_mode))});
-      record.push_back({"stretch_budget", stretch_budget});
-      record.push_back({"tier_approx_wall", tier_stats.approx});
-      record.push_back({"tier_exact_wall", tier_stats.exact});
-      record.push_back({"tier_escalated_wall", tier_stats.escalated});
-    }
-    bench::BenchJson::get(bench_name).add(record);
+         {"qps_wall", qps_wall}});
+  } else if (!w.open_loop) {
+    bench_name = (plan.empty() ? "serve_" : "serve_faulted_") + suffix;
+    record.insert(record.end(), {{"requests", requests_run},
+                                 {"ok", tally.ok},
+                                 {"errors", errors},
+                                 {"unreachable", unreachable},
+                                 {"tile_lookups", lookups},
+                                 {"distance_sum", distance_sum},
+                                 {"path_hops", path_hops},
+                                 {"elapsed_seconds", elapsed},
+                                 {"qps_wall", qps_wall}});
   }
+  if (!bench_name.empty())
+    bench::BenchJson::get(bench_name_or(bench_name)).add(record);
   return 0;
 }
 
-/// Whole-run profiling artifacts + stdout digest, mirroring apsp_tool's
-/// (the serving hot scopes are serve.execute.*, serve.tile_fill,
-/// serve.cache.*, serve.snapshot_read).
-void emit_profile_outputs(const std::string& folded_path,
-                          const std::string& json_path,
-                          const ProfReport& report) {
-  if (!folded_path.empty()) {
-    std::ofstream out(folded_path);
-    CAPSP_CHECK_MSG(out, "cannot write --profile-folded file " << folded_path);
-    report.write_folded(out);
-    std::cout << "wrote folded stacks (" << report.folded.size()
-              << " unique) to " << folded_path << "\n";
-  }
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    CAPSP_CHECK_MSG(out, "cannot write --profile-json file " << json_path);
-    write_prof_report_json(out, report);
-    std::cout << "wrote profile report to " << json_path << "\n";
-  }
-  std::cout << "profile: " << report.samples << " samples @ " << report.hz
-            << " Hz over " << report.duration_seconds << " s"
-            << (report.perf.any_available
-                    ? ""
-                    : (report.perf.attempted ? " (perf counters unavailable)"
-                                             : ""))
-            << "\n";
-  std::vector<std::pair<std::string, std::int64_t>> top(
-      report.total_samples.begin(), report.total_samples.end());
-  std::sort(top.begin(), top.end(), [](const auto& a, const auto& b) {
-    return a.second > b.second;
-  });
-  for (std::size_t i = 0; i < std::min<std::size_t>(top.size(), 8); ++i) {
-    const auto self = report.self_samples.find(top[i].first);
-    std::cout << "  " << top[i].first << ": " << top[i].second << " total, "
-              << (self == report.self_samples.end() ? 0 : self->second)
-              << " self\n";
-  }
-  for (const auto& [name, k] : report.kernels) {
-    if (k.bytes == 0 && k.ops == 0) continue;
-    std::cout << "  " << name << ": " << k.calls << " calls, "
-              << k.bytes_per_second() << " bytes/s";
-    if (report.peak.stream_bytes_per_second > 0 && k.bytes > 0)
-      std::cout << " ("
-                << 100.0 * k.bytes_per_second() /
-                       report.peak.stream_bytes_per_second
-                << "% of stream peak)";
-    std::cout << "\n";
-  }
-}
+using enum Flag::Kind;
+const std::vector<Flag> kSketchFlags = {
+    {"out", kText, {"<path>"}, "", "output CAPSPAX1 sketch (required)"},
+    {"landmarks", kInt, {"<k>"}, "64", "landmark budget"},
+    {"height", kInt, {"<h>"}, "3", "ND height for landmark choice"},
+    {"top-levels", kInt, {"<l>"}, "2", "separator levels, root first"},
+    {"heuristic", kSwitch, {}, "", "by degree and coverage, not ND"},
+};
+const std::vector<Flag> kServeFlags = {
+    {"snapshot", kText, {"<path>"}, "", "CAPSPDB2 snapshot (required)"},
+    {"threads", kInt, {"<t>"}, "4", "service worker threads"},
+    {"clients", kInt, {"<c>"}, "8", "client threads"},
+    {"requests", kInt, {"<q>"}, "10000", "workload size"},
+    {"duration-s", kReal, {"<sec>"}, "0", "soak: replay the workload so long"},
+    {"mix", kChoice, {"uniform", "zipf", "bfs"}, "zipf", "query pairs"},
+    {"zipf-theta", kReal, {"<t>"}, "0.99", "Zipf skew"},
+    {"ball", kInt, {"<b>"}, "64", "BFS-locality ball size"},
+    {"queries", kChoice, {"distance", "path", "knear"}, "distance",
+     "request type"},
+    {"k", kInt, {"<k>"}, "8", "neighbors for --queries knear"},
+    {"cache-bytes", kInt, {"<b>"}, "16777216", "tile-cache budget"},
+    {"deadline-ms", kReal, {"<ms>"}, "0", "per-request deadline, 0 = none"},
+    {"max-queue", kInt, {"<q>"}, "4096", "admission bound"},
+    {"open-loop", kSwitch, {}, "", "arrivals at --rate"},
+    {"rate", kReal, {"<qps>"}, "20000", "open-loop arrival rate"},
+    {"workload-seed", kInt, {"<int>"}, "1", "workload RNG seed"},
+    {"verify", kSwitch, {}, "", "check each ok distance bit-exact"},
+    {"report-json", kText, {"<path>"}, "", "service summary JSON"},
+    {"bench-name", kText, {"<name>"}, "", "BENCH_<name>.json record name"},
+    {"sketch", kText, {"<path>"}, "", "CAPSPAX1 sketch: the approx tier"},
+    {"tier", kChoice, {"approx", "exact", "auto"}, "auto", "tier policy"},
+    {"stretch-budget", kReal, {"<f>"}, "0.25", "auto: max (upper-lower)/lower"},
+    {"verify-stretch", kSwitch, {}, "", "check each ok answer's interval"},
+    {"telemetry-port", kInt, {"<p>"}, "-1", "live endpoint; 0 = any, -1 = off"},
+    {"trace-sample", kInt, {"<N>"}, "0", "trace every Nth request, 0 = off"},
+    {"slow-ms", kReal, {"<ms>"}, "0", "slow-request threshold, 0 = off"},
+    {"reqtrace", kText, {"<path>"}, "", "kept request traces, Chrome JSON"},
+    {"window-s", kReal, {"<sec>"}, "10", "rolling telemetry window"},
+    {"slo-latency-ms", kReal, {"<ms>"}, "0", "latency SLO bound, 0 = off"},
+    {"slo-target", kReal, {"<f>"}, "0.99", "latency SLO target"},
+    {"slo-availability", kReal, {"<f>"}, "0.999", "availability SLO target"},
+    {"fault-plan", kText, {"<spec>"}, "", "e.g. seed=7,flip=0.02; see --chaos"},
+    {"chaos", kSwitch, {}, "", "clean, then faulted pass (built-in plan)"},
+    {"no-resilience", kSwitch, {}, "", "no retries or quarantine"},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    const Cli cli(argc, argv);
-    if (cli.get_bool("help", false)) {
-      print_help();
-      return 0;
-    }
-    if (cli.get_bool("version", false)) {
-      std::cout << version_string("serve_tool");
-      return 0;
-    }
-    const std::string mode = cli.get_string("mode", "serve");
-    log_configure_tool(cli.get_string("log-level", ""),
-                       cli.get_bool("log-json", false), "warn");
-    const std::string flightrec = cli.get_string("flightrec", "");
-    if (!flightrec.empty()) flightrec::set_dump_path(flightrec);
-    flightrec::install_crash_handlers();
-    flightrec::install_term_drain_handler();
-    Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 1)));
-    // Start before the service spawns its workers so perf counters (when
-    // the host grants them) inherit into every worker thread.
-    std::string profile_folded, profile_json;
-    if (cli.get_bool("profile", false)) {
-      ProfOptions prof_options;
-      prof_options.hz = cli.get_double("profile-hz", 497.0);
-      profile_folded = cli.get_string("profile-folded", "");
-      profile_json = cli.get_string("profile-json", "");
-      CAPSP_CHECK_MSG(Profiler::global().start(prof_options),
-                      "profiler already running");
-    }
-    // Each mode reads the rest of its flags, then calls Cli::check_flags
-    // before it starts work.
-    int status = 2;
-    if (mode == "sketch") {
-      status = mode_sketch(cli, rng);
-    } else if (mode == "serve") {
-      status = mode_serve(cli, rng);
-    } else {
-      CAPSP_LOG(kError, "serve_tool.usage", {"mode", mode},
-                {"expected", "serve|sketch"});
-    }
-    if (Profiler::global().running())
-      emit_profile_outputs(profile_folded, profile_json,
-                           Profiler::global().stop());
-    return status;
-  } catch (const capsp::UsageError& e) {
-    CAPSP_LOG(kError, "serve_tool.usage", {"error", e.what()});
-    return 2;
-  } catch (const capsp::check_error& e) {
-    CAPSP_LOG(kError, "serve_tool.fatal", {"what", e.what()});
-    return 1;
-  }
+  return run_tool(
+      argc, argv,
+      {"serve_tool",
+       "serve_tool.usage",
+       "serve_tool.fatal",
+       {{"serve", "drive a DistanceService with a synthetic workload",
+         mode_serve, kServeFlags},
+        {"sketch", "build a CAPSPAX1 landmark sketch for the approx tier",
+         mode_sketch, kSketchFlags}},
+       {},
+       "  0  success\n"
+       "  1  error (bad input, failed invariant CHECK, failed --verify or\n"
+       "     --verify-stretch, chaos harness caught a wrong ok answer)\n"
+       "  2  usage error (unknown --mode or flag, a value that does not\n"
+       "     parse, contradictory or incomplete flags: e.g. --tier without\n"
+       "     --sketch, --mode serve without --snapshot)\n"});
 }
