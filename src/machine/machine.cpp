@@ -9,6 +9,7 @@
 #include <thread>
 #include <utility>
 
+#include "util/context.hpp"
 #include "util/metrics.hpp"
 #include "util/prof.hpp"
 
@@ -488,11 +489,11 @@ void Machine::run(const std::function<void(Comm&)>& program) {
   for (RankId r = 0; r < num_ranks_; ++r) {
     threads.emplace_back([&, r] {
       Comm& comm = comms[static_cast<std::size_t>(r)];
-      const ScopedMetricsSink metrics_sink(
-          rank_metrics[static_cast<std::size_t>(r)]);
-      // Correlate this thread's log events / flight-recorder entries
-      // with the simulated rank (docs/observability.md, "Logs").
-      const LogRankScope log_rank(static_cast<std::int32_t>(r));
+      // The rank's context: its log fields, metrics sink, flight-recorder
+      // ring and profiler stack (util/context.hpp).
+      const RankContextScope context(
+          static_cast<std::int32_t>(r),
+          &rank_metrics[static_cast<std::size_t>(r)]);
       try {
         program(comm);
         // A finished rank still owes its delayed frames to the network.

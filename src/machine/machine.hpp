@@ -76,7 +76,7 @@ class Comm {
                        std::int64_t cols);
 
   /// Label subsequent sends for per-phase volume attribution.  Also
-  /// mirrored into the rank thread's log context (util/log.hpp), so log
+  /// mirrored into the rank's context (util/context.hpp), so log
   /// events and flight-recorder dumps carry the same phase labels as
   /// the trace slices.
   void set_phase(std::string phase) {

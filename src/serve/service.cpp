@@ -120,7 +120,7 @@ DistanceService::DistanceService(std::shared_ptr<SnapshotReader> snapshot,
     : graph_(std::move(graph)),
       snapshot_(std::move(snapshot)),
       options_(options),
-      cache_({options.cache_bytes, options.cache_shards}, registry_),
+      cache_({options.cache_bytes}, registry_),
       trace_log_({options.trace_sample_every, options.slow_trace_ms * 1000.0,
                   options.trace_keep, options.slow_trace_keep}),
       slo_(options.slo),
@@ -397,7 +397,7 @@ bool DistanceService::submit(Job job,
   // thread), refuse new work up front — a fast structured "degraded"
   // spends far less error budget than a slow failure per request.
   const bool shedding =
-      resilience_on_ && options_.shed_when_unhealthy &&
+      resilience_on_ &&
       health_.load(std::memory_order_relaxed) ==
           static_cast<int>(HealthState::kUnhealthy);
   {

@@ -78,7 +78,6 @@ struct ServeOptions {
   /// Tile-cache budget; make it smaller than the matrix to bound resident
   /// memory (the whole point of the tiled snapshot format).
   std::int64_t cache_bytes = 16 << 20;
-  int cache_shards = 8;
   /// Admission bound: requests beyond this queue depth are rejected with
   /// kOverloaded instead of queued without bound (0 admits nothing —
   /// every request is rejected, which makes overload handling testable).
@@ -105,8 +104,10 @@ struct ServeOptions {
 
   /// Fault tolerance (serve/resilience, docs/robustness.md).  On by
   /// default: with a healthy disk the only cost is one quarantine-map
-  /// lookup per cache miss.  Off = the pre-resilience contract, where a
-  /// tile-read failure propagates out of the worker.
+  /// lookup per cache miss, and while health is kUnhealthy new work is
+  /// rejected with kDegraded instead of burning the whole error budget
+  /// on requests that will fail anyway.  Off = the pre-resilience
+  /// contract, where a tile-read failure propagates out of the worker.
   bool resilience = true;
   /// Bounded exponential backoff for failed tile reads.
   RetryOptions retry;
@@ -120,9 +121,6 @@ struct ServeOptions {
   /// Cadence of the maintenance thread (watchdog scan + quarantine
   /// probes + health refresh).
   double maintenance_interval_ms = 20;
-  /// Reject new work with kDegraded while health is kUnhealthy, instead
-  /// of burning the whole error budget on requests that will fail anyway.
-  bool shed_when_unhealthy = true;
   /// Chaos hook (serve/servefault): wired into the snapshot reader at
   /// construction.  nullptr = no injection.
   std::shared_ptr<ServeFaultInjector> fault_injector;

@@ -22,9 +22,10 @@ class check_error : public std::logic_error {
 namespace detail {
 
 /// Out of line (util/check.cpp) so failures can gather context this
-/// header cannot depend on: the OS thread id, the active ProfScope
-/// stack (util/prof.hpp), and a flight-recorder event + crash dump when
-/// one is configured (util/flightrec.hpp).
+/// header cannot depend on: the OS thread id, the installed rank
+/// context's rank, phase and ProfScope stack (util/context.hpp), and a
+/// flight-recorder event + crash dump when one is configured
+/// (util/flightrec.hpp).
 [[noreturn]] void check_failed(const char* expr, const char* file, int line,
                                const std::string& msg);
 

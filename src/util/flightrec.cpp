@@ -10,36 +10,18 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <mutex>
 #include <vector>
 
+#include "util/context.hpp"
 #include "util/log.hpp"
-
-#if defined(__linux__)
-#include <sys/syscall.h>
-#endif
 
 namespace capsp {
 namespace flightrec {
-namespace {
-
-std::uint64_t os_thread_id() {
-#if defined(__linux__)
-  return static_cast<std::uint64_t>(::syscall(SYS_gettid));
-#else
-  return static_cast<std::uint64_t>(::getpid());
-#endif
-}
 
 // ---------------------------------------------------------------------------
-// Ring registry: a lock-free list of never-freed nodes (see header).
-//
-// Locking discipline: the per-ring mutex orders the owner's slot writes
-// against normal-context readers (dump_string, /logs, stats) so the
-// TSan soak is race-free.  The *crash* dump path alone walks the slots
-// without the mutex — a signal handler must not block on a lock the
-// crashing thread may hold; a torn slot there costs one garbled detail
-// string in a dump the process writes while dying.
+// Ring pool (see header for the locking discipline).
 
 struct Ring {
   std::atomic<bool> in_use{false};
@@ -48,53 +30,24 @@ struct Ring {
   std::mutex mutex;                    ///< guards slots (non-crash paths)
   Event slots[kRingCapacity];
   Ring* next = nullptr;  ///< immutable once the node is published
+  Ring* next_parked = nullptr;
 };
 
-std::atomic<Ring*> g_rings{nullptr};
-std::atomic<std::int64_t> g_ring_nodes{0};
+namespace {
+
+constinit NodePool<Ring> g_rings;
 std::atomic<std::int64_t> g_recorded{0};
-std::atomic<std::int64_t> g_dumps{0};
 
 Ring* claim_ring() {
-  for (Ring* ring = g_rings.load(std::memory_order_acquire);
-       ring != nullptr; ring = ring->next) {
-    bool expected = false;
-    if (ring->in_use.compare_exchange_strong(expected, true,
-                                             std::memory_order_acq_rel)) {
-      // A reused node still holds the previous owner's events; reset the
-      // head so readers see an empty ring rather than a dead thread's
-      // history attributed to this one.
-      std::lock_guard<std::mutex> lock(ring->mutex);
-      ring->head.store(0, std::memory_order_release);
-      ring->tid.store(os_thread_id(), std::memory_order_release);
-      return ring;
-    }
-  }
-  auto* fresh = new Ring();  // leaked deliberately: dumpable at any time
-  fresh->in_use.store(true, std::memory_order_relaxed);
-  fresh->tid.store(os_thread_id(), std::memory_order_relaxed);
-  Ring* head = g_rings.load(std::memory_order_relaxed);
-  do {
-    fresh->next = head;
-  } while (!g_rings.compare_exchange_weak(head, fresh,
-                                          std::memory_order_release,
-                                          std::memory_order_relaxed));
-  g_ring_nodes.fetch_add(1, std::memory_order_relaxed);
-  return fresh;
-}
-
-/// Parks the ring for reuse when the owning thread exits.
-struct RingHolder {
-  Ring* ring = nullptr;
-  ~RingHolder() {
-    if (ring != nullptr) ring->in_use.store(false, std::memory_order_release);
-  }
-};
-
-Ring& thread_ring() {
-  thread_local RingHolder holder;
-  if (holder.ring == nullptr) holder.ring = claim_ring();
-  return *holder.ring;
+  Ring* ring = g_rings.claim();
+  // A reused ring still holds the previous owner's events; reset the
+  // head so readers see an empty ring rather than a parked context's
+  // history attributed to this one.
+  std::lock_guard<std::mutex> lock(ring->mutex);
+  ring->head.store(0, std::memory_order_release);
+  ring->tid.store(os_thread_id(), std::memory_order_release);
+  ring->in_use.store(true, std::memory_order_release);
+  return ring;
 }
 
 // ---------------------------------------------------------------------------
@@ -159,11 +112,28 @@ std::size_t format_ts(char* buf, double value) {
 }
 
 /// Minimal sink the dump renderer writes through: an fd (crash path)
-/// or a growing string (endpoints, tests).
+/// or a growing string (endpoints, tests; it allocates, so never on the
+/// crash path).
 class Writer {
  public:
-  virtual ~Writer() = default;
-  virtual bool write(const char* data, std::size_t n) = 0;
+  explicit Writer(int fd) : fd_(fd) {}
+  explicit Writer(std::string& text) : text_(&text) {}
+  bool write(const char* data, std::size_t n) {
+    if (text_ != nullptr) {
+      text_->append(data, n);
+      return true;
+    }
+    while (n > 0) {
+      const ::ssize_t wrote = ::write(fd_, data, n);
+      if (wrote < 0) {
+        if (errno == EINTR) continue;
+        return false;
+      }
+      data += wrote;
+      n -= static_cast<std::size_t>(wrote);
+    }
+    return true;
+  }
   bool str(const char* s) { return write(s, std::strlen(s)); }
   bool u64(std::uint64_t v) {
     char buf[24];
@@ -200,36 +170,10 @@ class Writer {
     }
     return str("\"");
   }
-};
-
-class FdWriter : public Writer {
- public:
-  explicit FdWriter(int fd) : fd_(fd) {}
-  bool write(const char* data, std::size_t n) override {
-    while (n > 0) {
-      const ::ssize_t wrote = ::write(fd_, data, n);
-      if (wrote < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      data += wrote;
-      n -= static_cast<std::size_t>(wrote);
-    }
-    return true;
-  }
 
  private:
-  int fd_;
-};
-
-/// Not async-signal-safe (allocates); used only off the crash path.
-class StringWriter : public Writer {
- public:
-  bool write(const char* data, std::size_t n) override {
-    out.append(data, n);
-    return true;
-  }
-  std::string out;
+  int fd_ = -1;
+  std::string* text_ = nullptr;
 };
 
 double wall_clock_now() {
@@ -278,7 +222,7 @@ bool dump_core(Writer& out, const char* reason, bool take_locks) {
             out.str(",\"ring_capacity\":") && out.i64(kRingCapacity) &&
             out.str(",\"threads\":[");
   bool first_thread = true;
-  for (Ring* ring = g_rings.load(std::memory_order_acquire);
+  for (Ring* ring = g_rings.first();
        ok && ring != nullptr; ring = ring->next) {
     const std::uint64_t head = ring->head.load(std::memory_order_acquire);
     const bool live = ring->in_use.load(std::memory_order_acquire);
@@ -302,16 +246,15 @@ bool dump_core(Writer& out, const char* reason, bool take_locks) {
     }
     ok = ok && out.str("]}");
   }
-  ok = ok && out.str("]}}\n");
-  if (ok) g_dumps.fetch_add(1, std::memory_order_relaxed);
-  return ok;
+  return ok && out.str("]}}\n");
 }
 
-bool dump_to_configured_path(const char* reason, bool take_locks) noexcept {
-  if (g_dump_path[0] == '\0') return false;
-  const int fd = ::open(g_dump_path, O_CREAT | O_TRUNC | O_WRONLY, 0644);
+bool dump_to_path(const char* path, const char* reason,
+                  bool take_locks) noexcept {
+  if (path[0] == '\0') return false;
+  const int fd = ::open(path, O_CREAT | O_TRUNC | O_WRONLY, 0644);
   if (fd < 0) return false;
-  FdWriter out(fd);
+  Writer out(fd);
   const bool ok = dump_core(out, reason, take_locks);
   ::close(fd);
   return ok;
@@ -331,7 +274,7 @@ const char* signal_reason(int sig) {
 }
 
 void crash_handler(int sig) {
-  dump_to_configured_path(signal_reason(sig), /*take_locks=*/false);
+  dump_to_path(g_dump_path, signal_reason(sig), /*take_locks=*/false);
   // SA_RESETHAND restored the default disposition on entry; re-raise so
   // the process still dies with the original signal (core dumps, wait
   // status, and CI failure detection all stay intact).
@@ -339,17 +282,35 @@ void crash_handler(int sig) {
 }
 
 void term_handler(int sig) {
-  dump_to_configured_path("SIGTERM", /*take_locks=*/false);
+  dump_to_path(g_dump_path, "SIGTERM", /*take_locks=*/false);
   ::raise(sig);  // SA_RESETHAND: the default disposition terminates us
 }
 
 std::atomic<bool> g_handlers_installed{false};
 std::atomic<bool> g_term_handler_installed{false};
 
+/// Installs `handler` once for `signals` (`installed` latches); false when
+/// no dump path is configured.
+bool install_handler(void (*handler)(int), std::initializer_list<int> signals,
+                     std::atomic<bool>& installed) {
+  load_env_path();
+  if (g_dump_path[0] == '\0') return false;
+  if (installed.exchange(true)) return true;
+  struct sigaction action;
+  std::memset(&action, 0, sizeof(action));
+  action.sa_handler = handler;
+  action.sa_flags = SA_RESETHAND | SA_NODEFER;
+  sigemptyset(&action.sa_mask);
+  for (const int sig : signals) ::sigaction(sig, &action, nullptr);
+  return true;
+}
+
 }  // namespace
 
 void record(const Event& event) {
-  Ring& ring = thread_ring();
+  RankContext& context = current_context();
+  if (context.ring == nullptr) context.ring = claim_ring();
+  Ring& ring = *context.ring;
   std::lock_guard<std::mutex> lock(ring.mutex);
   const std::uint64_t head = ring.head.load(std::memory_order_relaxed);
   Event& slot = ring.slots[head % kRingCapacity];
@@ -360,74 +321,47 @@ void record(const Event& event) {
   g_recorded.fetch_add(1, std::memory_order_relaxed);
 }
 
+void park_ring(Ring* ring) {
+  ring->in_use.store(false, std::memory_order_release);
+  g_rings.park(ring);
+}
+
 void set_dump_path(const std::string& path) {
   load_env_path();  // consume the once-flag so env cannot overwrite us
   std::strncpy(g_dump_path, path.c_str(), sizeof(g_dump_path) - 1);
   g_dump_path[sizeof(g_dump_path) - 1] = '\0';
 }
 
-std::string dump_path() {
-  load_env_path();
-  return g_dump_path;
-}
-
 bool install_crash_handlers() {
-  load_env_path();
-  if (g_dump_path[0] == '\0') return false;
-  if (g_handlers_installed.exchange(true)) return true;
-  struct sigaction action;
-  std::memset(&action, 0, sizeof(action));
-  action.sa_handler = crash_handler;
-  action.sa_flags = SA_RESETHAND | SA_NODEFER;
-  sigemptyset(&action.sa_mask);
-  for (const int sig : {SIGSEGV, SIGABRT, SIGBUS, SIGFPE}) {
-    ::sigaction(sig, &action, nullptr);
-  }
-  return true;
+  return install_handler(crash_handler, {SIGSEGV, SIGABRT, SIGBUS, SIGFPE},
+                         g_handlers_installed);
 }
 
 bool install_term_drain_handler() {
-  load_env_path();
-  if (g_dump_path[0] == '\0') return false;
-  if (g_term_handler_installed.exchange(true)) return true;
-  struct sigaction action;
-  std::memset(&action, 0, sizeof(action));
-  action.sa_handler = term_handler;
-  action.sa_flags = SA_RESETHAND | SA_NODEFER;
-  sigemptyset(&action.sa_mask);
-  ::sigaction(SIGTERM, &action, nullptr);
-  return true;
-}
-
-bool dump_fd(int fd, const char* reason) noexcept {
-  FdWriter out(fd);
-  return dump_core(out, reason, /*take_locks=*/true);
+  return install_handler(term_handler, {SIGTERM}, g_term_handler_installed);
 }
 
 bool dump_file(const std::string& path, const char* reason) {
-  const int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  if (fd < 0) return false;
-  const bool ok = dump_fd(fd, reason);
-  ::close(fd);
-  return ok;
+  return dump_to_path(path.c_str(), reason, /*take_locks=*/true);
 }
 
 std::string dump_string(const char* reason) {
-  StringWriter out;
+  std::string text;
+  Writer out(text);
   dump_core(out, reason, /*take_locks=*/true);
-  return std::move(out.out);
+  return text;
 }
 
 bool dump_if_configured(const char* reason) noexcept {
   load_env_path();
-  return dump_to_configured_path(reason, /*take_locks=*/true);
+  return dump_to_path(g_dump_path, reason, /*take_locks=*/true);
 }
 
 std::string recent_events_json(std::int64_t max_events) {
   // Ordinary code path: copy every ring's tail under its lock, then
   // merge by timestamp.
   std::vector<Event> events;
-  for (Ring* ring = g_rings.load(std::memory_order_acquire);
+  for (Ring* ring = g_rings.first();
        ring != nullptr; ring = ring->next) {
     std::lock_guard<std::mutex> lock(ring->mutex);
     const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
@@ -445,7 +379,8 @@ std::string recent_events_json(std::int64_t max_events) {
                  events.end() - static_cast<std::ptrdiff_t>(max_events));
   }
 
-  StringWriter out;
+  std::string text;
+  Writer out(text);
   out.str("{\"logs\":{\"recorded\":");
   out.i64(g_recorded.load(std::memory_order_relaxed));
   out.str(",\"returned\":");
@@ -455,19 +390,11 @@ std::string recent_events_json(std::int64_t max_events) {
     write_event_json(out, events[i], i == 0);
   }
   out.str("]}}\n");
-  return std::move(out.out);
+  return text;
 }
 
 Stats stats() {
-  Stats result;
-  result.threads = g_ring_nodes.load(std::memory_order_relaxed);
-  for (Ring* ring = g_rings.load(std::memory_order_acquire);
-       ring != nullptr; ring = ring->next) {
-    if (ring->in_use.load(std::memory_order_relaxed)) ++result.live;
-  }
-  result.recorded = g_recorded.load(std::memory_order_relaxed);
-  result.dumps = g_dumps.load(std::memory_order_relaxed);
-  return result;
+  return {g_rings.made(), g_recorded.load(std::memory_order_relaxed)};
 }
 
 }  // namespace flightrec

@@ -1,19 +1,18 @@
 // Black-box flight recorder (docs/observability.md, "Logs").
 //
-// Every thread that logs gets a fixed-size ring of the last
-// kRingCapacity events — pre-rendered into fixed char buffers, no heap
-// anywhere on the record path.  The rings are the process's black box:
-// when something dies, the dump shows what every thread was doing in
-// the seconds before, even events the sink never printed.
+// Every rank context that logs (util/context.hpp) gets a fixed-size ring
+// of the last kRingCapacity events — pre-rendered into fixed char
+// buffers, no heap anywhere on the record path.  The rings are the
+// process's black box: when something dies, the dump shows what every
+// rank and thread was doing in the seconds before, even events the sink
+// never printed.
 //
-// Concurrency model: the owning thread is the only writer to its ring;
+// Concurrency model: the owning context is the only writer to its ring;
 // slot writes are ordered against normal-context readers (the /logs
 // endpoint, dump_string, stats) by a per-ring mutex that is uncontended
-// on the record path, so the whole machinery is TSan-clean under
-// emission × thread churn × concurrent scrapes.  The registry of rings
-// is a lock-free singly-linked list of never-freed nodes (leaky
-// singleton, like prof.cpp's ThreadRegistry): a dying thread parks its
-// node, a new thread re-claims a parked node with a CAS.
+// on the record path.  Rings are a pool of never-freed nodes (NodePool,
+// util/context.hpp), claimed by a context at its first record and
+// parked with it; a reused ring starts empty.
 //
 // The *crash* path is the exception to the locking rule: a signal
 // handler must not block on a mutex the crashing thread may hold, so
@@ -45,7 +44,7 @@ enum class LogLevel : std::int32_t;
 
 namespace flightrec {
 
-/// Events kept per thread.  Power of two so head % capacity is a mask.
+/// Events kept per ring.  Power of two so head % capacity is a mask.
 inline constexpr std::int64_t kRingCapacity = 256;
 
 /// One recorded event, fully rendered at record time so the crash path
@@ -53,7 +52,7 @@ inline constexpr std::int64_t kRingCapacity = 256;
 struct Event {
   double ts = 0;                  ///< seconds since the Unix epoch
   std::uint64_t tid = 0;          ///< OS thread id of the recorder
-  std::int64_t request_id = -1;   ///< LogThreadContext correlation
+  std::int64_t request_id = -1;   ///< RankContext correlation
   const char* file = nullptr;
   const char* event = nullptr;
   std::int32_t line = 0;
@@ -63,18 +62,22 @@ struct Event {
   char detail[96] = {0};          ///< "k=v k=v", truncated to fit
 };
 
-/// Record one event into the calling thread's ring (no allocation; one
-/// uncontended lock).  Called by Logger::log for events at or above the
-/// ring level; callable directly for events that must never reach a
-/// sink (check failures).  Zero `ts`/`tid` are filled in.
+/// Record one event into the calling context's ring (one uncontended
+/// lock; the context claims a ring at its first record).  Called by
+/// Logger::log for events at or above the ring level; callable directly
+/// for events that must never reach a sink (check failures).  Zero
+/// `ts`/`tid` are filled in.
 void record(const Event& event);
+
+/// A parking context gives its ring back (util/context.cpp).
+struct Ring;
+void park_ring(Ring* ring);
 
 /// Where crash-triggered dumps go.  Empty (the default) disables the
 /// crash/check/deadlock dump paths entirely.  Also read once from
 /// CAPSP_FLIGHTREC_DUMP on first use.  Not async-signal-safe; call
 /// during startup, before install_crash_handlers().
 void set_dump_path(const std::string& path);
-std::string dump_path();
 
 /// Install SIGSEGV/SIGABRT/SIGBUS/SIGFPE handlers that dump to the
 /// configured path and then re-raise with the default disposition.
@@ -88,12 +91,9 @@ bool install_crash_handlers();
 /// no-op (returns false) when no dump path is configured.
 bool install_term_drain_handler();
 
-/// Dump every thread's ring as {"flightrec": {...}} JSON to `fd`.
-/// Async-signal-safe: open-coded formatting, write() only.  Returns
-/// false when fd writes fail.
-bool dump_fd(int fd, const char* reason) noexcept;
-
-/// Convenience wrappers over dump_fd for the non-crash paths.
+/// Dump every ring as {"flightrec": {...}} JSON (non-crash paths; the
+/// crash path writes the same document with async-signal-safe calls).
+/// dump_file returns false when the file cannot be written.
 bool dump_file(const std::string& path, const char* reason);
 std::string dump_string(const char* reason);
 
@@ -102,16 +102,14 @@ std::string dump_string(const char* reason);
 /// Returns true when a dump was written.
 bool dump_if_configured(const char* reason) noexcept;
 
-/// The last `max_events` events across all threads, merged and
+/// The last `max_events` events across all rings, merged and
 /// time-sorted, as {"logs": {...}} JSON — the /logs endpoint body.
 /// Ordinary (non-signal) code path.
 std::string recent_events_json(std::int64_t max_events);
 
 struct Stats {
-  std::int64_t threads = 0;    ///< rings ever claimed (live + parked)
-  std::int64_t live = 0;       ///< rings owned by a live thread
-  std::int64_t recorded = 0;   ///< events recorded process-wide
-  std::int64_t dumps = 0;      ///< dumps written (any trigger)
+  std::int64_t rings = 0;     ///< rings ever made (held + parked)
+  std::int64_t recorded = 0;  ///< events recorded process-wide
 };
 Stats stats();
 

@@ -1,7 +1,5 @@
 #include "util/log.hpp"
 
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -10,12 +8,9 @@
 #include <sstream>
 
 #include "util/check.hpp"
+#include "util/context.hpp"
 #include "util/flightrec.hpp"
 #include "util/json.hpp"
-
-#if defined(__linux__)
-#include <sys/syscall.h>
-#endif
 
 namespace capsp {
 
@@ -44,13 +39,8 @@ LogLevel log_level_from_string(const std::string& name) {
   return LogLevel::kOff;  // unreachable
 }
 
-LogThreadContext& log_thread_context() {
-  thread_local LogThreadContext context;
-  return context;
-}
-
 void log_set_phase(const std::string& phase) {
-  LogThreadContext& context = log_thread_context();
+  RankContext& context = current_context();
   const std::size_t n =
       std::min(phase.size(), sizeof(context.phase) - 1);
   std::memcpy(context.phase, phase.data(), n);
@@ -71,14 +61,6 @@ void log_configure_tool(const std::string& flag_level, bool flag_json,
 }
 
 namespace {
-
-std::uint64_t os_thread_id() {
-#if defined(__linux__)
-  return static_cast<std::uint64_t>(::syscall(SYS_gettid));
-#else
-  return std::hash<std::thread::id>{}(std::this_thread::get_id());
-#endif
-}
 
 void append_value_text(std::string& out, const LogValue& value) {
   char buf[32];
@@ -179,7 +161,7 @@ void Logger::log(LogLevel level, log_detail::Site& site, const char* file,
     drained_suppressed = site.suppressed.exchange(0);
   }
 
-  const LogThreadContext& context = log_thread_context();
+  const RankContext& context = current_context();
 
   // Render once for the flight recorder: fixed-size, "k=v k=v" detail.
   if (static_cast<std::int32_t>(level) >=

@@ -15,11 +15,11 @@
 //     JSON-lines sink is machine-digestible (scripts/trace_summary.py
 //     logs) and the human sink is still readable.
 //
-//  3. Correlated.  A thread-local context (rank, phase, request id) is
-//     stamped on every event.  The machine layer sets rank/phase for its
-//     rank threads, the serving workers set the request id from the
-//     in-flight RequestTrace, so a chaos run's log tells a causal story
-//     across threads.
+//  3. Correlated.  The installed rank context (util/context.hpp: rank,
+//     phase, request id) is stamped on every event.  The machine layer
+//     sets rank/phase for its ranks, the serving workers set the request
+//     id from the in-flight RequestTrace, so a chaos run's log tells a
+//     causal story across ranks and threads.
 //
 //  4. Rate-limited per call site.  Each CAPSP_LOG expansion owns a
 //     static token bucket; a hot loop can keep its log line without
@@ -27,7 +27,7 @@
 //     emitted event ("suppressed": N), so nothing is silently lost.
 //
 // Every logged event is also recorded into the flight recorder's
-// per-thread ring (util/flightrec.hpp) when it meets the (lower) ring
+// per-context ring (util/flightrec.hpp) when it meets the (lower) ring
 // level, independent of whether the sink printed it — the ring is the
 // black box, the sink is the live feed.
 //
@@ -46,6 +46,8 @@
 #include <ostream>
 #include <string>
 #include <type_traits>
+
+#include "util/context.hpp"
 
 namespace capsp {
 
@@ -104,43 +106,15 @@ struct LogField {
   LogValue value;
 };
 
-// ---------------------------------------------------------------------------
-// Thread-local correlation context
-
-/// Context stamped on every event logged from this thread.  Set via the
-/// RAII scopes below, not directly.
-struct LogThreadContext {
-  std::int64_t request_id = -1;  ///< in-flight RequestTrace id, -1 = none
-  std::int32_t rank = -1;        ///< simulated machine rank, -1 = none
-  char phase[32] = {0};          ///< machine phase label, "" = none
-};
-
-LogThreadContext& log_thread_context();
-
-/// Stamps the simulated rank on this thread's events for the scope's
-/// lifetime (machine rank threads).
-class LogRankScope {
- public:
-  explicit LogRankScope(std::int32_t rank)
-      : previous_(log_thread_context().rank) {
-    log_thread_context().rank = rank;
-  }
-  ~LogRankScope() { log_thread_context().rank = previous_; }
-  LogRankScope(const LogRankScope&) = delete;
-  LogRankScope& operator=(const LogRankScope&) = delete;
-
- private:
-  std::int32_t previous_;
-};
-
-/// Stamps the in-flight request id (serving workers).
+/// Stamps the in-flight request id on the installed rank context
+/// (util/context.hpp) for the scope's lifetime (serving workers).
 class LogRequestScope {
  public:
   explicit LogRequestScope(std::int64_t request_id)
-      : previous_(log_thread_context().request_id) {
-    log_thread_context().request_id = request_id;
+      : previous_(current_context().request_id) {
+    current_context().request_id = request_id;
   }
-  ~LogRequestScope() { log_thread_context().request_id = previous_; }
+  ~LogRequestScope() { current_context().request_id = previous_; }
   LogRequestScope(const LogRequestScope&) = delete;
   LogRequestScope& operator=(const LogRequestScope&) = delete;
 
@@ -148,7 +122,7 @@ class LogRequestScope {
   std::int64_t previous_;
 };
 
-/// Copies `phase` (truncating) into the context; the machine's
+/// Copies `phase` (truncating) into the installed context; the machine's
 /// Comm::set_phase calls this so solver-phase labels (L2/R3) correlate
 /// log events with trace slices.
 void log_set_phase(const std::string& phase);
@@ -196,7 +170,7 @@ class Logger {
   }
 
   /// Flight-recorder threshold: events at or above it are recorded into
-  /// the per-thread ring even when the sink is quiet.  Default kDebug.
+  /// the context's ring even when the sink is quiet.  Default kDebug.
   void set_ring_level(LogLevel level) {
     ring_level_.store(static_cast<std::int32_t>(level),
                       std::memory_order_relaxed);

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/check.hpp"
+#include "util/context.hpp"
 #include "util/json.hpp"
 
 namespace capsp {
@@ -40,8 +41,6 @@ const char* kind_name(MetricKind kind) {
   }
   return "?";
 }
-
-thread_local MetricsRegistry* tl_sink = nullptr;
 
 }  // namespace
 
@@ -235,15 +234,9 @@ MetricsRegistry& MetricsRegistry::global() {
 }
 
 MetricsRegistry& metrics() {
-  return tl_sink != nullptr ? *tl_sink : MetricsRegistry::global();
+  MetricsRegistry* sink = current_context().metrics;
+  return sink != nullptr ? *sink : MetricsRegistry::global();
 }
-
-ScopedMetricsSink::ScopedMetricsSink(MetricsRegistry& registry)
-    : previous_(tl_sink) {
-  tl_sink = &registry;
-}
-
-ScopedMetricsSink::~ScopedMetricsSink() { tl_sink = previous_; }
 
 void write_metrics_fields(JsonWriter& json, const MetricsSnapshot& snapshot) {
   json.key("metrics");

@@ -1,14 +1,14 @@
 // Lock-sharded metrics registry: counters, gauges, and log-scale
 // histograms with cheap percentile estimates (docs/metrics.md).
 //
-// The machine simulator runs one thread per rank, so every layer that
-// wants to count something (partitioner, semiring kernels, superFW, the
-// comm fabric itself) may be running on any rank thread.  Each rank gets
-// its own registry for the duration of `Machine::run` (installed via
-// `ScopedMetricsSink`), and the per-rank registries are merged into the
-// caller's registry when the run ends — so cross-rank contention is
-// limited to name-shard locks within one rank's registry, and the merged
-// totals are deterministic for deterministic programs.
+// Every layer that wants to count something (partitioner, semiring
+// kernels, superFW, the comm fabric itself) may be running on any rank.
+// Each rank gets its own registry for the duration of `Machine::run` (the
+// rank's context carries it, util/context.hpp), and the per-rank
+// registries are merged into the caller's registry in rank order when the
+// run ends — so cross-rank contention is limited to name-shard locks
+// within one rank's registry, and the merged totals are deterministic for
+// deterministic programs.
 //
 // Naming convention: `layer.component.metric`, e.g.
 // `partition.nd.separator_size` or `machine.comm.frame_words`.
@@ -152,8 +152,8 @@ class MetricsRegistry {
   MetricsSnapshot snapshot() const;
   void clear();
 
-  /// Process-wide default sink (used when no ScopedMetricsSink is
-  /// installed on the current thread).
+  /// Process-wide default sink (used when the installed context names
+  /// no registry).
   static MetricsRegistry& global();
 
  private:
@@ -169,23 +169,9 @@ class MetricsRegistry {
   std::array<Shard, kShards> shards_;
 };
 
-/// The registry instrumentation points write to: the innermost
-/// ScopedMetricsSink on this thread, else the global registry.
+/// The registry instrumentation points write to: the installed context's
+/// (RankContext::metrics), else the global registry.
 MetricsRegistry& metrics();
-
-/// RAII redirection of this thread's `metrics()` to a specific registry.
-/// `Machine::run` installs one per rank thread so per-rank counts stay
-/// isolated until the end-of-run merge.
-class ScopedMetricsSink {
- public:
-  explicit ScopedMetricsSink(MetricsRegistry& registry);
-  ~ScopedMetricsSink();
-  ScopedMetricsSink(const ScopedMetricsSink&) = delete;
-  ScopedMetricsSink& operator=(const ScopedMetricsSink&) = delete;
-
- private:
-  MetricsRegistry* previous_;
-};
 
 /// Emit `"metrics": { name: {...}, ... }` into an already-open JSON
 /// object (composable with other sections, e.g. apsp_tool adds the

@@ -1,7 +1,11 @@
 #include "util/prof.hpp"
 
+#include <time.h>
+
 #include <algorithm>
+#include <array>
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -9,6 +13,7 @@
 
 #include "semiring/microkernel.hpp"
 #include "util/check.hpp"
+#include "util/context.hpp"
 #include "util/json.hpp"
 
 #if defined(__linux__)
@@ -21,46 +26,7 @@
 namespace capsp {
 
 namespace prof_detail {
-
 std::atomic<bool> g_enabled{false};
-
-namespace {
-
-/// Registry of live thread states.  Leaky singleton: thread-local
-/// destructors can run during process teardown after function-local
-/// statics are gone, so the registry is never destroyed.
-struct ThreadRegistry {
-  std::mutex mutex;
-  std::vector<ThreadState*> threads;
-};
-
-ThreadRegistry& registry() {
-  static ThreadRegistry* r = new ThreadRegistry();
-  return *r;
-}
-
-struct ThreadStateHolder {
-  ThreadState* state;
-  ThreadStateHolder() : state(new ThreadState()) {
-    ThreadRegistry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mutex);
-    r.threads.push_back(state);
-  }
-  ~ThreadStateHolder() {
-    ThreadRegistry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mutex);
-    r.threads.erase(std::find(r.threads.begin(), r.threads.end(), state));
-    delete state;  // sampler walks only under the same lock
-  }
-};
-
-}  // namespace
-
-ThreadState& thread_state() {
-  thread_local ThreadStateHolder holder;
-  return *holder.state;
-}
-
 }  // namespace prof_detail
 
 namespace {
@@ -120,6 +86,15 @@ KernelTable& kernel_table() {
   return *t;
 }
 
+/// On-CPU seconds of the calling thread: a kernel's time excludes the
+/// time its thread sat runnable while ranks outnumber cores.
+double thread_cpu_seconds() {
+  timespec now{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) +
+         static_cast<double>(now.tv_nsec) * 1e-9;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -127,27 +102,22 @@ KernelTable& kernel_table() {
 
 void ProfScope::enter(const char* name) {
   name_ = name;
-  active_ = true;
   timed_ = prof_enabled();
-  prof_detail::ThreadState& ts = prof_detail::thread_state();
-  const std::int32_t depth = ts.depth.load(std::memory_order_relaxed);
-  if (depth < prof_detail::kMaxDepth)
-    ts.frames[depth].store(name, std::memory_order_release);
-  // Depth may exceed kMaxDepth (deep recursion): frames beyond the array
-  // are not recorded but the counter keeps push/pop balanced.
-  ts.depth.store(depth + 1, std::memory_order_release);
+  context_ = &current_context();
+  const std::int32_t depth = context_->depth.load(std::memory_order_relaxed);
+  if (depth < RankContext::kMaxDepth)
+    context_->frames[depth].store(name, std::memory_order_release);
+  context_->depth.store(depth + 1, std::memory_order_release);
   // The clock reads stay gated: the always-on part of a scope (the
   // frame stack, which CHECK failures report) is just the stores above.
-  if (timed_) start_ = Clock::now();
+  if (timed_) start_cpu_seconds_ = thread_cpu_seconds();
 }
 
 void ProfScope::leave() {
   const double seconds =
-      timed_ ? std::chrono::duration<double>(Clock::now() - start_).count()
-             : 0;
-  prof_detail::ThreadState& ts = prof_detail::thread_state();
-  const std::int32_t depth = ts.depth.load(std::memory_order_relaxed);
-  ts.depth.store(depth - 1, std::memory_order_release);
+      timed_ ? thread_cpu_seconds() - start_cpu_seconds_ : 0;
+  const std::int32_t depth = context_->depth.load(std::memory_order_relaxed);
+  context_->depth.store(depth - 1, std::memory_order_release);
   // A session may have stopped mid-scope; drop the tail record so the
   // next session starts from a clean table.
   if (timed_ && prof_enabled())
@@ -373,7 +343,7 @@ namespace {
 
 struct RawSample {
   std::int32_t depth = 0;
-  std::array<const char*, prof_detail::kMaxDepth> frames{};
+  std::array<const char*, RankContext::kMaxDepth> frames{};
 };
 
 }  // namespace
@@ -413,25 +383,24 @@ struct Profiler::Session {
 
   void tick() {
     bool any = false;
-    {
-      auto& reg = prof_detail::registry();
-      std::lock_guard<std::mutex> lock(reg.mutex);
-      for (prof_detail::ThreadState* ts : reg.threads) {
-        std::int32_t depth = ts->depth.load(std::memory_order_acquire);
-        if (depth <= 0) continue;
-        depth = std::min(depth, static_cast<std::int32_t>(prof_detail::kMaxDepth));
-        if (ring_used >= ring.size()) {
-          ++dropped;  // unreachable while the sampler self-drains
-          continue;
-        }
-        RawSample& sample = ring[ring_used];
-        sample.depth = depth;
-        for (std::int32_t d = 0; d < depth; ++d)
-          sample.frames[d] = ts->frames[d].load(std::memory_order_acquire);
-        ++ring_used;
-        samples.fetch_add(1, std::memory_order_relaxed);
-        any = true;
+    // Lock-free: contexts are never freed, and a parked one has an empty
+    // stack.
+    for (const RankContext* context = context_pool().first();
+         context != nullptr; context = context->next) {
+      std::int32_t depth = context->depth.load(std::memory_order_acquire);
+      if (depth <= 0) continue;
+      depth = std::min(depth, RankContext::kMaxDepth);
+      if (ring_used >= ring.size()) {
+        ++dropped;  // unreachable while the sampler self-drains
+        continue;
       }
+      RawSample& sample = ring[ring_used];
+      sample.depth = depth;
+      for (std::int32_t d = 0; d < depth; ++d)
+        sample.frames[d] = context->frames[d].load(std::memory_order_acquire);
+      ++ring_used;
+      samples.fetch_add(1, std::memory_order_relaxed);
+      any = true;
     }
     if (!any) ++idle_ticks;
     if (ring_used >= ring.size() / 2) fold_ring();

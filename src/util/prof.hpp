@@ -4,19 +4,19 @@
 // Three cooperating pieces:
 //
 //  1. ProfScope — RAII markers on the hot paths (min-plus kernels,
-//     superFW levels, serving execute path).  Each thread keeps a
-//     fixed-depth stack of interned scope names in atomics; push/pop is
-//     a couple of relaxed/release stores.  The stack is maintained even
-//     with the profiler off (CAPSP_CHECK failures report it as context,
-//     util/check.cpp); everything beyond those stores — clock reads,
-//     kernel accounting — is skipped, so the markers can stay compiled
-//     into release builds.  Scopes on kernel
-//     paths also report work (`add_ops`/`add_bytes`), which feeds exact
-//     per-kernel throughput accounting (two steady_clock reads per call,
-//     only while profiling).
+//     superFW levels, serving execute path), pushed on the rank
+//     context's scope stack (util/context.hpp) with a couple of
+//     relaxed/release stores.  The stack is kept even with the profiler
+//     off (CAPSP_CHECK failures report it, util/check.cpp); clock reads
+//     and kernel accounting are skipped then, so the markers can stay
+//     compiled into release builds.  Scopes on kernel paths also report
+//     work (`add_ops`/`add_bytes`) for exact per-kernel throughput; a
+//     kernel's seconds are its thread's on-CPU seconds (two
+//     CLOCK_THREAD_CPUTIME_ID reads per call, only while profiling), so
+//     a rank waiting for a core is not billed to its kernel.
 //
 //  2. Profiler — a background sampler thread wakes at the configured Hz
-//     and walks every registered thread's scope stack, writing raw
+//     and walks every rank context's scope stack, writing raw
 //     samples into a lock-free single-producer ring and periodically
 //     folding the ring into an aggregate stack→count map (so arbitrarily
 //     long sessions lose nothing while the ring stays bounded).  Started
@@ -44,9 +44,7 @@
 // communication rooflines read side by side.
 #pragma once
 
-#include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -58,25 +56,13 @@
 namespace capsp {
 
 class JsonWriter;
+struct RankContext;
 
 // ---------------------------------------------------------------------------
 // Scope markers
 
 namespace prof_detail {
 extern std::atomic<bool> g_enabled;  // flipped by Profiler start/stop
-
-constexpr int kMaxDepth = 24;
-
-/// Per-thread scope stack.  The owning thread writes depth/frames with
-/// release stores; the sampler reads with acquire loads.  Frames hold
-/// interned string literals, so a racy read can at worst see a stale but
-/// valid pointer (the sample lands one frame off, never crashes).
-struct ThreadState {
-  std::atomic<std::int32_t> depth{0};
-  std::array<std::atomic<const char*>, kMaxDepth> frames{};
-};
-
-ThreadState& thread_state();  // registers this thread on first use
 }  // namespace prof_detail
 
 /// True while a profiling session is running (one relaxed load).
@@ -96,9 +82,7 @@ inline bool prof_enabled() {
 class ProfScope {
  public:
   explicit ProfScope(const char* name) { enter(name); }
-  ~ProfScope() {
-    if (active_) leave();
-  }
+  ~ProfScope() { leave(); }
   ProfScope(const ProfScope&) = delete;
   ProfScope& operator=(const ProfScope&) = delete;
 
@@ -112,11 +96,11 @@ class ProfScope {
   void leave();
 
   const char* name_ = nullptr;
-  bool active_ = false;
+  RankContext* context_ = nullptr;  ///< whose stack holds the frame
   bool timed_ = false;  ///< a session was running when the scope opened
   std::int64_t ops_ = 0;
   std::int64_t bytes_ = 0;
-  std::chrono::steady_clock::time_point start_{};
+  double start_cpu_seconds_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -153,7 +137,8 @@ struct MachinePeak {
 const MachinePeak& machine_peak();
 
 /// Exact accounting for one instrumented kernel scope, accumulated by
-/// ProfScope destructors while profiling.
+/// ProfScope destructors while profiling.  `seconds` are on-CPU seconds
+/// of the scopes' threads.
 struct KernelStats {
   std::int64_t calls = 0;
   std::int64_t ops = 0;

@@ -21,6 +21,7 @@
 #include "machine/machine.hpp"
 #include "machine/trace_export.hpp"
 #include "semiring/block.hpp"
+#include "util/context.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
 
@@ -414,7 +415,7 @@ TEST(CommViews, AllViewsAgree) {
     MetricsRegistry sink;
     SparseApspResult result;
     {
-      const ScopedMetricsSink scoped(sink);
+      const RankContextScope scoped(-1, &sink);
       result = run_sparse_apsp(graph, options);
     }
     expect_report_matches_frames(result.costs, result.comm, sink.snapshot());
@@ -445,7 +446,7 @@ TEST(CommViews, AllViewsAgree) {
   machine.set_fault_plan(plan);
   MetricsRegistry sink;
   {
-    const ScopedMetricsSink scoped(sink);
+    const RankContextScope scoped(-1, &sink);
     machine.run([](Comm& comm) {
       const int p = comm.size();
       const RankId next = (comm.rank() + 1) % p;

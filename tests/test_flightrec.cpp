@@ -24,6 +24,7 @@
 #include "serve/service.hpp"
 #include "serve/snapshot.hpp"
 #include "util/check.hpp"
+#include "util/context.hpp"
 #include "util/flightrec.hpp"
 #include "util/log.hpp"
 #include "util/prof.hpp"
@@ -88,8 +89,8 @@ TEST(FlightRecorder, RecentEventsAreTimeSortedAndBounded) {
 
 TEST(FlightRecorder, ThreadChurnReclaimsParkedRings) {
   // Sequential short-lived threads must reuse parked rings, not grow
-  // the registry without bound.
-  const std::int64_t threads_before = flightrec::stats().threads;
+  // the ring pool without bound.
+  const std::int64_t rings_before = flightrec::stats().rings;
   for (int i = 0; i < 16; ++i) {
     std::thread([] {
       flightrec::record(make_event("test.churn", ""));
@@ -97,7 +98,7 @@ TEST(FlightRecorder, ThreadChurnReclaimsParkedRings) {
   }
   const flightrec::Stats stats = flightrec::stats();
   // All 16 ran one-at-a-time: at most one new ring was ever needed.
-  EXPECT_LE(stats.threads - threads_before, 1);
+  EXPECT_LE(stats.rings - rings_before, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -246,7 +247,7 @@ TEST(FlightRecorderSoak, ConcurrentRecordDumpAndChurn) {
   writers.reserve(4);
   for (int t = 0; t < 4; ++t) {
     writers.emplace_back([&stop, t] {
-      const LogRankScope rank(t);
+      const RankContextScope context(t, nullptr);
       std::int64_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         CAPSP_LOG(kDebug, "test.soak", {"i", i++});

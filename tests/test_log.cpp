@@ -1,7 +1,7 @@
 // Tests for the structured logging subsystem (util/log.hpp): level
 // filtering with the errors-always-print rule, JSON-lines vs human sink
 // formats, per-call-site rate limiting with the drained suppressed
-// counter, the injectable clock, thread-context correlation (rank /
+// counter, the injectable clock, rank-context correlation (rank /
 // request id / phase), env + flag configuration precedence, and the
 // logger↔flight-recorder seam (docs/observability.md).
 //
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "util/check.hpp"
+#include "util/context.hpp"
 #include "util/flightrec.hpp"
 #include "util/log.hpp"
 
@@ -153,7 +154,7 @@ TEST(Logger, RankRequestAndPhaseContextFlowIntoLines) {
   LoggerSandbox sandbox;
   Logger::global().set_level(LogLevel::kInfo);
   {
-    const LogRankScope rank(3);
+    const RankContextScope context(3, nullptr);
     const LogRequestScope request(91);
     log_set_phase("L2/R4");
     CAPSP_LOG(kInfo, "test.context");
@@ -167,7 +168,8 @@ TEST(Logger, RankRequestAndPhaseContextFlowIntoLines) {
   EXPECT_NE(line1.find("rank=3"), std::string::npos);
   EXPECT_NE(line1.find("req=91"), std::string::npos);
   EXPECT_NE(line1.find("phase=L2/R4"), std::string::npos);
-  // Scopes restore on exit: the second line carries no stale context.
+  // The scope restores the previous context on exit: the second line
+  // carries no stale rank, request or phase.
   EXPECT_EQ(line2.find("rank="), std::string::npos);
   EXPECT_EQ(line2.find("req="), std::string::npos);
   EXPECT_EQ(line2.find("phase="), std::string::npos);
@@ -176,9 +178,9 @@ TEST(Logger, RankRequestAndPhaseContextFlowIntoLines) {
 TEST(Logger, ScopesNestAndRestoreThePreviousContext) {
   LoggerSandbox sandbox;
   Logger::global().set_level(LogLevel::kInfo);
-  const LogRankScope outer(1);
+  const RankContextScope outer(1, nullptr);
   {
-    const LogRankScope inner(2);
+    const RankContextScope inner(2, nullptr);
     CAPSP_LOG(kInfo, "test.inner");
   }
   CAPSP_LOG(kInfo, "test.outer");
@@ -269,7 +271,7 @@ TEST(Logger, ConcurrentEmissionFromManyThreadsStaysLineAtomic) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([t] {
-      const LogRankScope rank(t);
+      const RankContextScope context(t, nullptr);
       for (int i = 0; i < kPerThread; ++i)
         CAPSP_LOG(kInfo, "test.concurrent", {"i", i});
     });

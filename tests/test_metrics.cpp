@@ -1,5 +1,5 @@
 // The metrics registry (docs/metrics.md): counters / gauges / log-scale
-// histograms, thread-safety of the sharded locks, ScopedMetricsSink
+// histograms, thread-safety of the sharded locks, RankContextScope sink
 // redirection, the per-rank merge at the end of Machine::run, and the
 // JSON round-trip through util/json_parse.hpp.
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 
 #include "machine/machine.hpp"
 #include "util/check.hpp"
+#include "util/context.hpp"
 #include "util/json_parse.hpp"
 #include "util/metrics.hpp"
 
@@ -119,10 +120,10 @@ TEST(Metrics, ClearEmpties) {
 TEST(Metrics, ScopedSinkRedirectsAndRestores) {
   MetricsRegistry outer;
   MetricsRegistry inner;
-  const ScopedMetricsSink outer_sink(outer);
+  const RankContextScope outer_context(-1, &outer);
   metrics().counter_add("hit");
   {
-    const ScopedMetricsSink inner_sink(inner);
+    const RankContextScope inner_context(-1, &inner);
     metrics().counter_add("hit", 10);
   }
   metrics().counter_add("hit");
@@ -158,7 +159,7 @@ TEST(Metrics, ThreadSafetyUnderConcurrentUpdates) {
 
 TEST(Metrics, MachineRunMergesPerRankSinks) {
   MetricsRegistry caller;
-  const ScopedMetricsSink sink(caller);
+  const RankContextScope context(-1, &caller);
   Machine machine(4);
   machine.run([](Comm& comm) {
     metrics().counter_add("test.rank.ticks", comm.rank() + 1);

@@ -15,6 +15,7 @@
 #include "machine/machine.hpp"
 #include "semiring/microkernel.hpp"
 #include "util/buildinfo.hpp"
+#include "util/context.hpp"
 #include "util/json.hpp"
 #include "util/json_parse.hpp"
 #include "util/prof.hpp"
@@ -93,6 +94,23 @@ TEST(Profiler, KernelAccountingIsExact) {
   EXPECT_EQ(it->second.bytes, 8000);
   EXPECT_GE(it->second.seconds, 0.0);
   EXPECT_DOUBLE_EQ(it->second.intensity(), 1000.0 / 8000.0);
+}
+
+TEST(Profiler, KernelSecondsAreOnCpuSeconds) {
+  // A scope whose thread sleeps is not billed for the sleep: with more
+  // ranks than cores, time spent waiting for a core is not kernel time.
+  ProfOptions options;
+  options.hz = 61;
+  options.perf_counters = false;
+  ASSERT_TRUE(Profiler::global().start(options));
+  {
+    const ProfScope scope("test.prof.sleep");
+    std::this_thread::sleep_for(milliseconds(50));
+  }
+  const ProfReport report = Profiler::global().stop();
+  const auto it = report.kernels.find("test.prof.sleep");
+  ASSERT_NE(it, report.kernels.end());
+  EXPECT_LT(it->second.seconds, 0.005);
 }
 
 TEST(Profiler, FoldedStacksNestAndAttributeSelfVsTotal) {
@@ -289,7 +307,7 @@ TEST(Profiler, DeepRecursionClampsAtMaxDepthWithoutCorruption) {
     // No stack can exceed the clamp (kMaxDepth frames of the same name).
     std::size_t frames = 1;
     for (char c : folded.stack) frames += (c == ';') ? 1 : 0;
-    EXPECT_LE(frames, static_cast<std::size_t>(prof_detail::kMaxDepth));
+    EXPECT_LE(frames, static_cast<std::size_t>(RankContext::kMaxDepth));
   }
   const auto it = report.kernels.find("test.prof.deep");
   ASSERT_NE(it, report.kernels.end());
