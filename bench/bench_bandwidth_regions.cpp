@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "bench_common.hpp"
+#include "core/regions.hpp"
 #include "core/sparse_apsp.hpp"
 
 namespace capsp::bench {
@@ -32,13 +33,12 @@ void run(Vertex n_target, int height) {
   TextTable table({"phase", "max-rank words", "max-rank msgs", "model",
                    "words/model"});
   for (int l = 1; l <= height; ++l) {
-    for (const char* region : {"R2", "R3", "R4"}) {
-      const std::string phase =
-          "L" + std::to_string(l) + "/" + region;
+    for (int region = 2; region <= 4; ++region) {
+      const std::string phase = region_phase(l, region);
       if (!result.costs.phase_max_rank.count(phase)) continue;
       const auto volume = result.costs.phase_max_rank.at(phase);
       const double model =
-          (l == 1 && std::string(region) == "R2")
+          (l == 1 && region == 2)
               ? n * n / p * log2p
               : (n * s / std::sqrt(p) + s * s) * log2p;
       table.add_row({phase, TextTable::num(volume.words),

@@ -7,6 +7,16 @@
 
 namespace capsp {
 
+std::string region_phase(int l, int r) {
+  // Appended piece by piece: GCC 12 at -O3 reports a false -Wrestrict in
+  // an inlined "L" + std::string.
+  std::string phase = "L";
+  phase += std::to_string(l);
+  phase += "/R";
+  phase += std::to_string(r);
+  return phase;
+}
+
 std::vector<BlockId> region_r1(const EliminationTree& tree, int l) {
   std::vector<BlockId> out;
   for (Snode k : tree.level_set(l)) out.push_back({k, k});
@@ -339,8 +349,7 @@ SparseSchedule::SparseSchedule(const ApspLayout& layout, R4Strategy strategy)
       add_r4_workers(table, l, strategy);
     }
     close_region();
-    for (int r = 1; r <= 4; ++r)
-      phases_.push_back("L" + std::to_string(l) + "/R" + std::to_string(r));
+    for (int r = 1; r <= 4; ++r) phases_.push_back(region_phase(l, r));
   }
   steps_ = std::move(table.steps);
   members_ = std::move(table.members);

@@ -66,6 +66,10 @@ struct ComputingUnit {
                          const ComputingUnit&) = default;
 };
 
+/// Phase label of region r of level l, "L<l>/R<r>": the label a rank's
+/// traffic in that region carries in cost reports and traces.
+std::string region_phase(int l, int r);
+
 /// R¹_l: diagonal blocks (k,k), k ∈ Q_l.
 std::vector<BlockId> region_r1(const EliminationTree& tree, int l);
 
@@ -160,7 +164,7 @@ struct ScheduleStep {
 ///
 /// Building costs O(S + Σ|group|) for S steps; executing costs each rank
 /// O(own steps + h).  The table is immutable after construction, so
-/// rank threads share one instance.
+/// all ranks share one instance.
 class SparseSchedule {
  public:
   explicit SparseSchedule(const ApspLayout& layout,

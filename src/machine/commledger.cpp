@@ -266,7 +266,7 @@ CommLedger CommLedgerHub::snapshot() const {
   // no call into the finished run's machine is in flight, and the machine
   // may free its live ledger.  The provider takes the machine's live
   // ledger lock inside this one; nothing takes the two in the other order
-  // (rank threads never touch the hub).
+  // (ranks never touch the hub).
   std::lock_guard<std::mutex> lock(mutex_);
   return provider_ ? provider_() : last_;
 }

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <sstream>
-#include <thread>
 
 #include "util/check.hpp"
 #include "util/log.hpp"
@@ -63,8 +62,8 @@ void parse_rank_fault(FaultPlan& plan, const std::string& key,
     } catch (const std::exception&) {
       used = 0;
     }
-    // sleep_for converts S to integer nanoseconds: an infinite or huge S
-    // would overflow that conversion instead of stalling.
+    // The timed park converts S to integer nanoseconds: an infinite or
+    // huge S would overflow that conversion instead of stalling.
     const double max_seconds =
         std::chrono::duration<double>(std::chrono::nanoseconds::max())
             .count();
@@ -154,19 +153,17 @@ FaultInjector::FaultInjector(const FaultPlan& plan, int num_ranks)
                          (0x9e3779b97f4a7c15ull * (r + 1)));
 }
 
-void FaultInjector::on_op(RankId rank) {
+double FaultInjector::on_op(RankId rank) {
   auto& state = ranks_[static_cast<std::size_t>(rank)];
   const std::int64_t index = state.ops++;
   const auto it = plan_.rank_faults.find(rank);
-  if (it == plan_.rank_faults.end() || index != it->second.op_index) return;
+  if (it == plan_.rank_faults.end() || index != it->second.op_index) return 0;
   if (it->second.stall_seconds > 0) {
     ++state.counts.stalls;
     CAPSP_LOG(kWarn, "machine.fault.stall", {"rank", rank},
               {"op_index", index},
               {"seconds", it->second.stall_seconds});
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(it->second.stall_seconds));
-    return;
+    return it->second.stall_seconds;
   }
   ++state.counts.kills;
   state.dead.store(true);

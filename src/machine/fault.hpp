@@ -42,8 +42,9 @@ enum class FaultDecision : std::uint8_t {
 
 /// A per-rank process fault: at logical operation `op_index` (counting
 /// this rank's Comm::send/Comm::recv calls from 0), the rank stalls for
-/// `stall_seconds` — or, when `stall_seconds` is 0, dies (its thread
-/// unwinds silently; messages it owed are never sent).
+/// `stall_seconds` (a timed park of its fiber) — or, when `stall_seconds`
+/// is 0, dies (its fiber unwinds silently; messages it owed are never
+/// sent).
 struct RankFault {
   std::int64_t op_index = 0;
   double stall_seconds = 0;  ///< 0 means kill
@@ -70,7 +71,7 @@ struct FaultPlan {
   ///   "seed=7,drop=0.05,dup=0.01,corrupt=0.02,delay=0.05,kill=3@120"
   /// Keys: seed=N, drop/dup/corrupt/delay=P (probabilities),
   /// kill=R@K (rank R dies at its K-th operation),
-  /// stall=R@K:S (rank R sleeps S seconds at its K-th operation).
+  /// stall=R@K:S (rank R parks S seconds at its K-th operation).
   /// CHECK-fails on unknown keys, malformed values, probability sums > 1,
   /// or a stall that is not finite or does not fit std::chrono::nanoseconds.
   static FaultPlan parse(const std::string& spec);
@@ -79,8 +80,8 @@ struct FaultPlan {
   std::string to_string() const;
 };
 
-/// Thrown inside a rank's thread when the plan kills it.  Machine::run
-/// treats it specially: the rank's thread exits without aborting the
+/// Thrown inside a rank's fiber when the plan kills it.  Machine::run
+/// treats it specially: the rank's fiber finishes without aborting the
 /// machine, exactly as a crashed process looks to the survivors — they
 /// block on its messages, and once no rank can proceed the run is
 /// reported as deadlocked with this rank among the dead.
@@ -104,9 +105,10 @@ class FaultInjector {
  public:
   FaultInjector(const FaultPlan& plan, int num_ranks);
 
-  /// Count one logical operation on `rank`; stalls or throws
-  /// RankKilledError when the plan says so.
-  void on_op(RankId rank);
+  /// Count one logical operation on `rank`.  Returns the seconds the
+  /// rank stalls there (0: none; the machine parks it that long), or
+  /// throws RankKilledError when the plan kills it.
+  double on_op(RankId rank);
 
   /// Decide the fate of `src`'s next physical transmission (advances the
   /// rank's stream).

@@ -1,14 +1,13 @@
 #include "machine/machine.hpp"
 
 #include <atomic>
-#include <condition_variable>
 #include <exception>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <utility>
 
+#include "machine/fibers.hpp"
 #include "util/context.hpp"
 #include "util/metrics.hpp"
 #include "util/prof.hpp"
@@ -25,12 +24,13 @@ struct Message {
   std::int64_t src_event = -1;
 };
 
-/// The ranks that cannot proceed: blocked in Mailbox::take with no
-/// matching message, or finished.  The machine is closed — every message
-/// comes from a rank — so once all p are stuck nothing can ever arrive.
-/// Only the rank whose block or finish completes the count sees it, since
-/// no running rank is left to lower it; that rank runs `on_all_stuck`,
-/// Machine::run's deadlock check.
+/// The ranks that cannot proceed: parked in Mailbox::take with no
+/// matching message, or finished.  A rank in a timed park (a fault plan's
+/// stall) is not among them.  The machine is closed — every message comes
+/// from a rank — so once all p are stuck no fiber is runnable or sleeping,
+/// and nothing can ever arrive.  Only the rank whose park or finish
+/// completes the count sees it, since no running rank is left to lower
+/// it; that rank runs `on_all_stuck`, Machine::run's deadlock check.
 struct StuckRanks {
   int num_ranks = 0;
   std::atomic<int> count{0};
@@ -41,44 +41,57 @@ struct StuckRanks {
   void leave() { count.fetch_sub(1); }
 };
 
-/// One rank's inbox: blocking retrieval by (source, tag).  A take() with
-/// no match records the one key its owner waits for, so only that
-/// message wakes the owner.
+/// One rank's inbox: blocking retrieval by (source, tag).  Its one waiter
+/// is its owner's fiber.  A take() with no match records the one key the
+/// owner waits for and parks the fiber, so only that message (or an
+/// abort) makes it runnable again.
 class Mailbox {
  public:
-  void put(RankId src, Tag tag, Message message, StuckRanks& stuck) {
+  void attach(RankId owner, Fibers& fibers, StuckRanks& stuck) {
+    owner_ = owner;
+    fibers_ = &fibers;
+    stuck_ = &stuck;
+  }
+
+  void put(RankId src, Tag tag, Message message) {
     bool wake = false;
     {
-      std::lock_guard<std::mutex> lock(mutex_);
+      const std::lock_guard<SpinLock> lock(mutex_);
       const Key key{src, tag};
       queue_.emplace(key, std::move(message));
       // The owner can proceed again.  It leaves the count here, before
-      // the sender can block or finish, so the count never overstates.
+      // the sender can park or finish, so the count never overstates.
       if (waiting_ && waiting_for_ == key) {
         waiting_ = false;
-        stuck.leave();
-        wake = true;
+        stuck_->leave();
+        wake = std::exchange(parked_, false);
       }
     }
-    if (wake) cv_.notify_one();
+    if (wake) fibers_->wake(owner_);
   }
 
-  Message take(RankId src, Tag tag, StuckRanks& stuck) {
-    std::unique_lock<std::mutex> lock(mutex_);
+  Message take(RankId src, Tag tag) {
+    std::unique_lock<SpinLock> lock(mutex_);
     const Key key{src, tag};
     auto it = queue_.find(key);
     if (it == queue_.end() && !aborted_) {
-      // Only a receive that really blocks gets the frame, so profiles
+      // Only a receive that really parks gets the frame, so profiles
       // tell time spent waiting for a peer from the region's own work.
       ProfScope prof("machine.wait");
       waiting_ = true;
       waiting_for_ = key;
-      if (stuck.join()) {
+      if (stuck_->join()) {
         lock.unlock();  // the check reads every mailbox, this one too
-        stuck.on_all_stuck();
+        stuck_->on_all_stuck();
         lock.lock();
       }
-      cv_.wait(lock, [&] { return aborted_ || !waiting_; });
+      while (waiting_ && !aborted_) {
+        // The carrier releases the lock once the switch has saved this
+        // fiber, so a put() that sees it parked may wake it at once.
+        parked_ = true;
+        fibers_->park(owner_, *lock.release());
+        lock = std::unique_lock<SpinLock>(mutex_);
+      }
       it = queue_.find(key);
     }
     if (it == queue_.end()) {
@@ -92,33 +105,38 @@ class Mailbox {
 
   /// Calls visit(src, tag) under the lock if the owner is blocked.
   template <class Visit>
-  void visit_wait(Visit&& visit) const {
-    std::lock_guard<std::mutex> lock(mutex_);
+  void visit_wait(Visit&& visit) {
+    const std::lock_guard<SpinLock> lock(mutex_);
     if (waiting_) visit(waiting_for_.first, waiting_for_.second);
   }
 
-  /// Wake a blocked take() after another rank failed or the run
+  /// Wake a parked take() after another rank failed or the run
   /// deadlocked, so the whole machine unwinds.
   void abort() {
+    bool wake = false;
     {
-      std::lock_guard<std::mutex> lock(mutex_);
+      const std::lock_guard<SpinLock> lock(mutex_);
       aborted_ = true;
+      wake = std::exchange(parked_, false);
     }
-    cv_.notify_all();
+    if (wake) fibers_->wake(owner_);
   }
 
-  bool empty() const {
-    std::lock_guard<std::mutex> lock(mutex_);
+  bool empty() {
+    const std::lock_guard<SpinLock> lock(mutex_);
     return queue_.empty();
   }
 
  private:
   using Key = std::pair<RankId, Tag>;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
+  SpinLock mutex_;
   std::multimap<Key, Message> queue_;
+  RankId owner_ = 0;
+  Fibers* fibers_ = nullptr;
+  StuckRanks* stuck_ = nullptr;
   bool aborted_ = false;
-  bool waiting_ = false;
+  bool waiting_ = false;  ///< the owner waits for waiting_for_ (and is stuck)
+  bool parked_ = false;   ///< the owner's fiber is switched out in take()
   Key waiting_for_;
 };
 
@@ -175,11 +193,14 @@ class CommLink final : public RawLink {
 };
 
 struct Machine::Impl {
-  explicit Impl(int num_ranks) : mailboxes(num_ranks) {
+  explicit Impl(int num_ranks) : mailboxes(num_ranks), fibers(num_ranks) {
     stuck.num_ranks = num_ranks;
+    for (RankId r = 0; r < num_ranks; ++r)
+      mailboxes[static_cast<std::size_t>(r)].attach(r, fibers, stuck);
   }
   std::vector<Mailbox> mailboxes;
   StuckRanks stuck;
+  Fibers fibers;
   /// Live merged ledger, fed by Comm::flush_ledger at phase boundaries
   /// and snapshotted by CommLedgerHub for /comm.json mid-run.
   std::mutex ledger_mutex;
@@ -201,8 +222,10 @@ Machine::~Machine() = default;
 int Comm::size() const { return machine_->size(); }
 
 void Comm::on_op() {
-  if (FaultInjector* injector = machine_->impl_->injector.get())
-    injector->on_op(rank_);
+  Machine::Impl& impl = *machine_->impl_;
+  if (!impl.injector) return;
+  if (const double stall = impl.injector->on_op(rank_); stall > 0)
+    impl.fibers.sleep_for(rank_, stall);
 }
 
 void Comm::send(RankId dst, Tag tag, std::span<const Dist> words) {
@@ -279,15 +302,15 @@ bool Comm::transmit(RankId dst, Tag tag, const Payload& frame,
   bool delivered = true;
   switch (decision) {
     case FaultDecision::kDeliver:
-      inbox.put(rank_, tag, std::move(message), impl.stuck);
+      inbox.put(rank_, tag, std::move(message));
       break;
     case FaultDecision::kDrop:
       delivered = false;  // the frame vanishes in the network
       break;
     case FaultDecision::kDuplicate: {
       Message copy = message;
-      inbox.put(rank_, tag, std::move(message), impl.stuck);
-      inbox.put(rank_, tag, std::move(copy), impl.stuck);
+      inbox.put(rank_, tag, std::move(message));
+      inbox.put(rank_, tag, std::move(copy));
       break;
     }
     case FaultDecision::kCorrupt: {
@@ -297,7 +320,7 @@ bool Comm::transmit(RankId dst, Tag tag, const Payload& frame,
       // the sender's other receivers and the sender itself.
       ProfScope prof("machine.copy");
       message.payload = injector->corrupted_copy(rank_, frame);
-      inbox.put(rank_, tag, std::move(message), impl.stuck);
+      inbox.put(rank_, tag, std::move(message));
       delivered = false;
       break;
     }
@@ -324,7 +347,7 @@ void Comm::flush_delayed() {
   auto& queue = impl.delayed[static_cast<std::size_t>(rank_)];
   for (DelayedFrame& frame : queue)
     impl.mailboxes[static_cast<std::size_t>(frame.dst)].put(
-        rank_, frame.tag, std::move(frame.message), impl.stuck);
+        rank_, frame.tag, std::move(frame.message));
   queue.clear();
 }
 
@@ -345,8 +368,7 @@ Payload Comm::raw_receive(RankId src, Tag tag) {
   // otherwise a held-back frame could deadlock the schedule.
   if (impl.injector) flush_delayed();
   Message message =
-      impl.mailboxes[static_cast<std::size_t>(rank_)].take(src, tag,
-                                                           impl.stuck);
+      impl.mailboxes[static_cast<std::size_t>(rank_)].take(src, tag);
 
   // Receiving serializes on this rank (+1 message, +w words), but
   // concurrent disjoint transfers merge via max — see cost_model.hpp.
@@ -457,7 +479,7 @@ void Machine::run(const std::function<void(Comm&)>& program) {
   // Runs when every rank is blocked or finished (StuckRanks).  Blocked
   // ranks then wait forever: snapshot the wait-for graph into deadlock_
   // and abort every mailbox so the run unwinds (docs/robustness.md).
-  // Only rank threads call it, and they join before this frame ends.
+  // Only rank fibers call it, and they finish before this frame ends.
   impl_->stuck.on_all_stuck = [&] {
     std::lock_guard<std::mutex> error_lock(error_mutex);
     // A rank already failed, or the run was already reported: an abort
@@ -477,43 +499,41 @@ void Machine::run(const std::function<void(Comm&)>& program) {
     for (Mailbox& mailbox : impl_->mailboxes) mailbox.abort();
   };
 
-  // Per-rank metric sinks: every instrumentation point on a rank thread
+  // Per-rank metric sinks: every instrumentation point on a rank
   // (collectives, algorithm kernels) lands in its rank's registry; the
-  // registries merge into the caller's sink after the join so totals are
+  // registries merge into the caller's sink after the run so totals are
   // deterministic and shard contention stays rank-local.
   std::vector<MetricsRegistry> rank_metrics(
       static_cast<std::size_t>(num_ranks_));
+  // The ranks' contexts: log fields, metrics sink, flight-recorder ring,
+  // profiler stack and CPU clock (util/context.hpp).  A carrier installs
+  // rank r's while it runs fiber r, and parks it when the rank ends.
+  std::vector<RankContext*> contexts;
+  contexts.reserve(static_cast<std::size_t>(num_ranks_));
+  for (RankId r = 0; r < num_ranks_; ++r)
+    contexts.push_back(
+        claim_context(r, &rank_metrics[static_cast<std::size_t>(r)]));
 
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(num_ranks_));
-  for (RankId r = 0; r < num_ranks_; ++r) {
-    threads.emplace_back([&, r] {
-      Comm& comm = comms[static_cast<std::size_t>(r)];
-      // The rank's context: its log fields, metrics sink, flight-recorder
-      // ring and profiler stack (util/context.hpp).
-      const RankContextScope context(
-          static_cast<std::int32_t>(r),
-          &rank_metrics[static_cast<std::size_t>(r)]);
-      try {
-        program(comm);
-        // A finished rank still owes its delayed frames to the network.
-        if (impl_->injector) comm.flush_delayed();
-      } catch (const RankKilledError&) {
-        // The plan killed this rank: its thread exits without aborting
-        // the machine, exactly as a crashed process looks to survivors —
-        // they block on its messages, and once nothing else can run the
-        // deadlock check names it dead.
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
-        for (auto& mailbox : impl_->mailboxes) mailbox.abort();
+  impl_->fibers.run(contexts, [&](int r) {
+    Comm& comm = comms[static_cast<std::size_t>(r)];
+    try {
+      program(comm);
+      // A finished rank still owes its delayed frames to the network.
+      if (impl_->injector) comm.flush_delayed();
+    } catch (const RankKilledError&) {
+      // The plan killed this rank: its fiber finishes without aborting
+      // the machine, exactly as a crashed process looks to survivors —
+      // they block on its messages, and once nothing else can run the
+      // deadlock check names it dead.
+    } catch (...) {
+      {
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (!first_error) first_error = std::current_exception();
       }
-      if (impl_->stuck.join()) impl_->stuck.on_all_stuck();
-    });
-  }
-  for (auto& t : threads) t.join();
+      for (auto& mailbox : impl_->mailboxes) mailbox.abort();
+    }
+    if (impl_->stuck.join()) impl_->stuck.on_all_stuck();
+  });
 
   // Fold every view of the records before any throw: a deadlocked or
   // failed run still leaves its post-mortem (partial costs, traffic,
@@ -564,7 +584,7 @@ void Machine::run(const std::function<void(Comm&)>& program) {
     for (auto& comm : comms) trace_.per_rank.push_back(std::move(comm.trace_));
   }
   if (record_comm_) {
-    // Rank threads have joined; fold whatever each rank recorded since
+    // Every rank has finished; fold whatever each rank recorded since
     // its last phase boundary, then publish the completed ledger.  The
     // merge is deterministic: keys carry the src rank, so cross-rank
     // entries never collide and per-key sums follow program order.

@@ -2,12 +2,13 @@
 //
 // Substitutes for an MPI cluster (none is available in this environment,
 // and the paper's claims are communication *counts*, which this machine
-// meters exactly — see DESIGN.md).  Each rank runs the SPMD program on its
-// own std::thread with private state; the only interaction between ranks
+// meters exactly — see DESIGN.md).  Each rank runs the SPMD program as a
+// fiber with private state, on min(p, CPUs) carrier threads
+// (fibers.hpp, DESIGN.md decision 15); the only interaction between ranks
 // is typed point-to-point messages through per-rank mailboxes.  Message
 // matching is MPI-like: (source, tag) with program-assigned tags.  Sends
-// are buffered (never block); receives block until the matching message
-// arrives.  A message body is an immutable shared Payload
+// are buffered (never block); a receive parks its rank's fiber until the
+// matching message arrives.  A message body is an immutable shared Payload
 // (semiring/payload.hpp): after the one copy a send of the caller's words
 // makes, every hop — mailbox, fault injector, broadcast tree edge,
 // receiving block — shares it.  Deadlock-freedom is the program's
@@ -337,11 +338,12 @@ class Machine {
     return deadlock_ ? &*deadlock_ : nullptr;
   }
 
-  /// Execute `program` on every rank concurrently; returns when all ranks
-  /// finish.  If any rank throws, the first exception is rethrown here
-  /// (after all threads have been joined).  Once every rank is blocked in
-  /// a receive or finished while some rank is blocked, nothing can arrive:
-  /// the run is aborted at that moment and a DeadlockError is thrown.
+  /// Execute `program` on every rank concurrently, one fiber per rank;
+  /// returns when all ranks finish.  If any rank throws, the first
+  /// exception is rethrown here (after every rank has finished).  Once
+  /// every rank is blocked in a receive or finished while some rank is
+  /// blocked, nothing can arrive: the run is aborted at that moment and a
+  /// DeadlockError is thrown.
   void run(const std::function<void(Comm&)>& program);
 
   /// Cost aggregation for the most recent run().

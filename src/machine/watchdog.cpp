@@ -39,7 +39,7 @@ DeadlockError::DeadlockError(DeadlockReport r)
     : check_error(r.to_string()), report(std::move(r)) {
   // Post-mortem: the structured report is the exception payload; the
   // log event and the flight-recorder dump (when a dump path is
-  // configured) preserve what every rank thread was doing before the
+  // configured) preserve what every rank was doing before the
   // run deadlocked.  kWarn, not kError: tests provoke deadlocks on
   // purpose and the error path already throws.
   CAPSP_LOG(kWarn, "machine.deadlock",

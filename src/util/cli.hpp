@@ -262,9 +262,15 @@ class Cli {
       if (mode_name.empty() ? !flag.modes.empty()
                             : !contains(flag.modes, mode_name))
         continue;
-      out << "  " << std::left << std::setw(24)
-          << "--" + flag.name + (flag.arg.empty() ? "" : " " + join(flag.arg))
-          << " " << flag.help;
+      // Appended piece by piece: GCC 12 at -O3 reports a false -Wrestrict
+      // in an inlined "literal" + std::string.
+      std::string label = "--";
+      label += flag.name;
+      if (!flag.arg.empty()) {
+        label += ' ';
+        label += join(flag.arg);
+      }
+      out << "  " << std::left << std::setw(24) << label << " " << flag.help;
       if (!flag.fallback.empty() && flag.kind != Flag::kSwitch)
         out << " (default " << flag.fallback << ")";
       out << "\n";

@@ -1,6 +1,7 @@
 #include "util/context.hpp"
 
 #include <thread>
+#include <utility>
 
 #include "util/flightrec.hpp"
 
@@ -13,21 +14,6 @@ namespace capsp {
 namespace {
 
 constinit NodePool<RankContext> g_contexts;
-
-RankContext* claim_context(std::int32_t rank, MetricsRegistry* metrics) {
-  RankContext* context = g_contexts.claim();
-  context->rank = rank;
-  context->request_id = -1;
-  context->phase[0] = '\0';
-  context->metrics = metrics;
-  return context;
-}
-
-void park_context(RankContext* context) {
-  if (context->ring != nullptr) flightrec::park_ring(context->ring);
-  context->ring = nullptr;
-  g_contexts.park(context);
-}
 
 /// `installed` is what every facility reads; `own` is the thread's
 /// default context, parked at thread exit.  A use after that (the main
@@ -67,15 +53,25 @@ RankContext& current_context() {
 
 const NodePool<RankContext>& context_pool() { return g_contexts; }
 
-RankContextScope::RankContextScope(std::int32_t rank,
-                                   MetricsRegistry* metrics)
-    : context_(claim_context(rank, metrics)), previous_(tl_slot.installed) {
-  tl_slot.installed = context_;
+RankContext* claim_context(std::int32_t rank, MetricsRegistry* metrics) {
+  RankContext* context = g_contexts.claim();
+  context->rank = rank;
+  context->request_id = -1;
+  context->phase[0] = '\0';
+  context->metrics = metrics;
+  context->cpu_seconds = 0;
+  context->slice_start_cpu = 0;
+  return context;
 }
 
-RankContextScope::~RankContextScope() {
-  tl_slot.installed = previous_;
-  park_context(context_);
+void park_context(RankContext* context) {
+  if (context->ring != nullptr) flightrec::park_ring(context->ring);
+  context->ring = nullptr;
+  g_contexts.park(context);
+}
+
+RankContext* install_context(RankContext* context) {
+  return std::exchange(tl_slot.installed, context);
 }
 
 }  // namespace capsp

@@ -1,9 +1,11 @@
 // One context per rank (DESIGN.md decision 14): the log correlation
-// fields, the `metrics()` sink, the flight-recorder ring and the
-// profiler's scope stack.  Every facility reads the context installed on
-// the calling thread through one thread-local slot (context.cpp).
-// `Machine::run` installs a pooled context per rank (RankContextScope);
-// any other thread claims its own on first use and parks it at exit.
+// fields, the `metrics()` sink, the flight-recorder ring, the profiler's
+// scope stack and its CPU clock.  Every facility reads the context
+// installed on the calling thread through one thread-local slot
+// (context.cpp).  `Machine::run` claims a pooled context per rank, and a
+// carrier thread installs a rank fiber's context for as long as it runs
+// the fiber (machine/fibers.hpp, DESIGN.md decision 15); any other thread
+// claims its own on first use and parks it at exit.
 #pragma once
 
 #include <array>
@@ -85,6 +87,15 @@ struct RankContext {
   std::atomic<std::int32_t> depth{0};
   std::array<std::atomic<const char*>, kMaxDepth> frames{};
 
+  /// The profiler's CPU clock (util/prof.cpp), touched only by whoever
+  /// runs the context: the CPU seconds it ran in earlier slices on
+  /// carriers, and the running thread's CPU clock when the current slice
+  /// began (kUnclocked until read).  A thread's own context is one slice
+  /// from 0, so it reads the thread's clock.
+  static constexpr double kUnclocked = -1;
+  double cpu_seconds = 0;
+  double slice_start_cpu = 0;
+
   RankContext* next = nullptr;
   RankContext* next_parked = nullptr;
 };
@@ -95,14 +106,30 @@ RankContext& current_context();
 /// Every context ever made; parked ones have an empty scope stack.
 const NodePool<RankContext>& context_pool();
 
-/// Claims a context for `rank` and `metrics` (nullptr = the global
-/// registry) with request id -1, an empty phase and an empty stack, and
-/// installs it.  The destructor reinstalls the previous context and
-/// parks this one with its ring.
+/// Claims a pooled context for `rank` and `metrics` (nullptr = the
+/// global registry) with request id -1, an empty phase, an empty stack
+/// and no CPU time.
+RankContext* claim_context(std::int32_t rank, MetricsRegistry* metrics);
+
+/// Parks a claimed context with its ring.  It must not be installed.
+void park_context(RankContext* context);
+
+/// Installs `context` on the calling thread and returns the one it
+/// replaces (nullptr: none yet; the thread's own is made on first use).
+RankContext* install_context(RankContext* context);
+
+/// A rank context on a thread of its own: claims one for `rank` and
+/// `metrics` and installs it; the destructor reinstalls the previous
+/// context and parks this one with its ring.
 class RankContextScope {
  public:
-  RankContextScope(std::int32_t rank, MetricsRegistry* metrics);
-  ~RankContextScope();
+  RankContextScope(std::int32_t rank, MetricsRegistry* metrics)
+      : context_(claim_context(rank, metrics)),
+        previous_(install_context(context_)) {}
+  ~RankContextScope() {
+    install_context(previous_);
+    park_context(context_);
+  }
   RankContextScope(const RankContextScope&) = delete;
   RankContextScope& operator=(const RankContextScope&) = delete;
 

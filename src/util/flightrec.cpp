@@ -299,7 +299,10 @@ bool install_handler(void (*handler)(int), std::initializer_list<int> signals,
   struct sigaction action;
   std::memset(&action, 0, sizeof(action));
   action.sa_handler = handler;
-  action.sa_flags = SA_RESETHAND | SA_NODEFER;
+  // On the thread's alternate signal stack where it has one: a rank fiber
+  // that overflows into its guard page faults with no stack left, and its
+  // carrier's sigaltstack (machine/fibers.cpp) is where the dump runs.
+  action.sa_flags = SA_RESETHAND | SA_NODEFER | SA_ONSTACK;
   sigemptyset(&action.sa_mask);
   for (const int sig : signals) ::sigaction(sig, &action, nullptr);
   return true;

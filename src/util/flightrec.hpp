@@ -51,7 +51,8 @@ inline constexpr std::int64_t kRingCapacity = 256;
 /// only copies bytes.  `file` and `event` are interned literals.
 struct Event {
   double ts = 0;                  ///< seconds since the Unix epoch
-  std::uint64_t tid = 0;          ///< OS thread id of the recorder
+  std::uint64_t tid = 0;          ///< OS thread id of the recorder (a
+                                  ///< rank fiber's carrier)
   std::int64_t request_id = -1;   ///< RankContext correlation
   const char* file = nullptr;
   const char* event = nullptr;
@@ -80,8 +81,10 @@ void park_ring(Ring* ring);
 void set_dump_path(const std::string& path);
 
 /// Install SIGSEGV/SIGABRT/SIGBUS/SIGFPE handlers that dump to the
-/// configured path and then re-raise with the default disposition.
-/// Idempotent.  No-op (returns false) when no dump path is configured.
+/// configured path and then re-raise with the default disposition.  They
+/// run on the thread's alternate signal stack when it has one, so a rank
+/// fiber's stack overflow still leaves a dump.  Idempotent.  No-op
+/// (returns false) when no dump path is configured.
 bool install_crash_handlers();
 
 /// Install a SIGTERM handler that dumps to the configured path and then

@@ -86,13 +86,24 @@ KernelTable& kernel_table() {
   return *t;
 }
 
-/// On-CPU seconds of the calling thread: a kernel's time excludes the
-/// time its thread sat runnable while ranks outnumber cores.
-double thread_cpu_seconds() {
+/// The calling thread's CPU clock (a syscall, not vDSO: read only while
+/// profiling).
+double thread_clock() {
   timespec now{};
   ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
   return static_cast<double>(now.tv_sec) +
          static_cast<double>(now.tv_nsec) * 1e-9;
+}
+
+/// On-CPU seconds of `context`: its earlier slices plus the running
+/// thread's time since the current slice began.  A kernel's time excludes
+/// the time its rank sat runnable or parked.  A slice that began before
+/// the session starts its clock at the first read.
+double context_cpu_seconds(RankContext& context) {
+  const double now = thread_clock();
+  if (context.slice_start_cpu == RankContext::kUnclocked)
+    context.slice_start_cpu = now;
+  return context.cpu_seconds + (now - context.slice_start_cpu);
 }
 
 }  // namespace
@@ -110,18 +121,29 @@ void ProfScope::enter(const char* name) {
   context_->depth.store(depth + 1, std::memory_order_release);
   // The clock reads stay gated: the always-on part of a scope (the
   // frame stack, which CHECK failures report) is just the stores above.
-  if (timed_) start_cpu_seconds_ = thread_cpu_seconds();
+  if (timed_) start_cpu_seconds_ = context_cpu_seconds(*context_);
 }
 
 void ProfScope::leave() {
   const double seconds =
-      timed_ ? thread_cpu_seconds() - start_cpu_seconds_ : 0;
+      timed_ ? context_cpu_seconds(*context_) - start_cpu_seconds_ : 0;
   const std::int32_t depth = context_->depth.load(std::memory_order_relaxed);
   context_->depth.store(depth - 1, std::memory_order_release);
   // A session may have stopped mid-scope; drop the tail record so the
   // next session starts from a clean table.
   if (timed_ && prof_enabled())
     kernel_table().record(name_, ops_, bytes_, seconds);
+}
+
+void prof_switch_in(RankContext& context) {
+  context.slice_start_cpu =
+      prof_enabled() ? thread_clock() : RankContext::kUnclocked;
+}
+
+void prof_switch_out(RankContext& context) {
+  if (context.slice_start_cpu == RankContext::kUnclocked) return;
+  context.cpu_seconds += thread_clock() - context.slice_start_cpu;
+  context.slice_start_cpu = RankContext::kUnclocked;
 }
 
 // ---------------------------------------------------------------------------

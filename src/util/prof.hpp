@@ -11,9 +11,11 @@
 //     and kernel accounting are skipped then, so the markers can stay
 //     compiled into release builds.  Scopes on kernel paths also report
 //     work (`add_ops`/`add_bytes`) for exact per-kernel throughput; a
-//     kernel's seconds are its thread's on-CPU seconds (two
+//     kernel's seconds are its rank context's on-CPU seconds (two
 //     CLOCK_THREAD_CPUTIME_ID reads per call, only while profiling), so
-//     a rank waiting for a core is not billed to its kernel.
+//     a rank waiting for a core is not billed to its kernel, and a rank
+//     fiber parked inside a scope is not billed for the other fibers its
+//     carrier runs meanwhile (prof_switch_in/prof_switch_out).
 //
 //  2. Profiler — a background sampler thread wakes at the configured Hz
 //     and walks every rank context's scope stack, writing raw
@@ -103,6 +105,14 @@ class ProfScope {
   double start_cpu_seconds_ = 0;
 };
 
+/// A carrier thread switches a rank fiber's context in and out
+/// (machine/fibers.cpp).  While a profiling session runs, the carrier's
+/// CPU time between the two is added to the context, so ProfScope bills
+/// a fiber only its own CPU on whichever carriers ran it.  Without a
+/// session neither reads a clock.
+void prof_switch_in(RankContext& context);
+void prof_switch_out(RankContext& context);
+
 // ---------------------------------------------------------------------------
 // Report types
 
@@ -138,7 +148,7 @@ const MachinePeak& machine_peak();
 
 /// Exact accounting for one instrumented kernel scope, accumulated by
 /// ProfScope destructors while profiling.  `seconds` are on-CPU seconds
-/// of the scopes' threads.
+/// of the scopes' rank contexts.
 struct KernelStats {
   std::int64_t calls = 0;
   std::int64_t ops = 0;

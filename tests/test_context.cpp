@@ -27,8 +27,7 @@ TEST(RankContext, ASecondRunReusesTheParkedContextsAndStartsThemClean) {
   constexpr int kRanks = 49;
   current_context();  // the calling thread's own context, made up front
   std::vector<int> clean(kRanks, 0);
-  std::atomic<int> arrived{0};
-  const auto program = [&clean, &arrived](Comm& comm) {
+  const auto program = [&clean](Comm& comm) {
     const RankContext& context = current_context();
     clean[static_cast<std::size_t>(comm.rank())] =
         context.rank == comm.rank() && context.request_id == -1 &&
@@ -39,9 +38,15 @@ TEST(RankContext, ASecondRunReusesTheParkedContextsAndStartsThemClean) {
     current_context().request_id = 7;
     CAPSP_LOG(kDebug, "test.context.rank");  // claims a ring
     // Hold every rank's context and ring at once, so the first run
-    // reaches the most a run of 49 ranks can claim.
-    arrived.fetch_add(1);
-    while (arrived.load() < kRanks) std::this_thread::yield();
+    // reaches the most a run of 49 ranks can claim: a message barrier
+    // (every rank reports to rank 0, which answers each once all have).
+    if (comm.rank() == 0) {
+      for (RankId r = 1; r < kRanks; ++r) comm.recv(r, 0);
+      for (RankId r = 1; r < kRanks; ++r) comm.send(r, 1, std::vector<Dist>{});
+    } else {
+      comm.send(0, 0, std::vector<Dist>{});
+      comm.recv(0, 1);
+    }
   };
 
   Machine(kRanks).run(program);
@@ -50,7 +55,6 @@ TEST(RankContext, ASecondRunReusesTheParkedContextsAndStartsThemClean) {
   for (int r = 0; r < kRanks; ++r) EXPECT_TRUE(clean[r]) << "rank " << r;
 
   clean.assign(kRanks, 0);
-  arrived.store(0);
   Machine(kRanks).run(program);
   EXPECT_EQ(context_pool().made(), contexts) << "the pool grew";
   EXPECT_EQ(flightrec::stats().rings, rings) << "the ring pool grew";

@@ -8,6 +8,7 @@
 
 #include "baseline/dc_apsp.hpp"
 #include "baseline/fw2d.hpp"
+#include "core/regions.hpp"
 #include "core/sparse_apsp.hpp"
 #include "graph/generators.hpp"
 #include "util/fit.hpp"
@@ -131,9 +132,8 @@ TEST(Costs, PerLevelLatencyIsLogP) {
   const int h = result.height;
   const double log_p = std::log2(static_cast<double>(result.num_ranks));
   for (int l = 1; l <= h; ++l) {
-    for (const char* region : {"R2", "R3", "R4"}) {
-      const std::string phase =
-          "L" + std::to_string(l) + "/" + region;
+    for (int region = 2; region <= 4; ++region) {
+      const std::string phase = region_phase(l, region);
       if (!result.costs.phase_max_rank.count(phase)) continue;
       const auto volume = result.costs.phase_max_rank.at(phase);
       EXPECT_LE(volume.messages, 6 * log_p) << phase;

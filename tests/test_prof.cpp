@@ -149,11 +149,15 @@ TEST(Profiler, BlockedReceiveIsSampledAsMachineWait) {
   machine.run([](Comm& comm) {
     if (comm.rank() == 1) {
       ProfScope region("test.prof.region");
+      comm.send(0, 6, std::vector<Dist>{});  // ready: about to block
       comm.recv(0, 7);
       return;
     }
-    // Rank 1 is the only thread inside a scope, so every sample is of
-    // it; hold the message back until the sampler has seen it blocked.
+    // Once rank 1 is ready it is in, or entering, its blocking receive;
+    // on one carrier it is parked before this receive returns.  Rank 1 is
+    // then the only rank inside a scope, so every sample is of it; hold
+    // the message back until the sampler has seen it blocked.
+    comm.recv(1, 6);
     const steady_clock::time_point until =
         steady_clock::now() + milliseconds(3000);
     while (Profiler::global().status().samples < 20 &&
