@@ -64,7 +64,7 @@ struct SketchOptions {
 
 /// The sketch itself: landmark ids (original vertex numbering, strictly
 /// ascending) and an L × n row-major matrix of exact landmark→all
-/// distances.  Plain data so the CAPSPAX1 reader/writer (sketch_io) can
+/// distances.  Plain data so the CAPSPAX2 reader/writer (sketch_io) can
 /// round-trip it bit-exactly.
 struct LandmarkSketch {
   std::int64_t n = 0;                ///< vertices in the sketched graph

@@ -1,9 +1,9 @@
 #include "approx/sketch_io.hpp"
 
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "machine/reliable.hpp"
@@ -14,7 +14,7 @@
 namespace capsp {
 namespace {
 
-constexpr char kMagicAx1[8] = {'C', 'A', 'P', 'S', 'P', 'A', 'X', '1'};
+static_assert(kSketchMagic.size() == 8);
 
 constexpr std::int64_t kHeaderBytes =
     8 + 2 * static_cast<std::int64_t>(sizeof(std::int64_t));
@@ -65,7 +65,7 @@ void write_sketch(const std::string& path, const LandmarkSketch& sketch) {
                                       << " want " << num * n);
   std::ofstream file(path, std::ios::binary | std::ios::trunc);
   CAPSP_CHECK_MSG(file.good(), "cannot open " << path << " for writing");
-  file.write(kMagicAx1, sizeof(kMagicAx1));
+  file.write(kSketchMagic.data(), kSketchMagic.size());
   write_i64(file, n);
   write_i64(file, num);
   for (const Vertex l : sketch.landmarks)
@@ -92,7 +92,7 @@ LandmarkSketch read_sketch(const std::string& path) {
   is.seekg(0);
   char magic[8] = {};
   read_exact_bytes(is, magic, sizeof(magic), "sketch magic");
-  CAPSP_CHECK_MSG(std::memcmp(magic, kMagicAx1, sizeof(magic)) == 0,
+  CAPSP_CHECK_MSG(std::string_view(magic, sizeof(magic)) == kSketchMagic,
                   "not a capsp sketch (bad magic) in " << path);
   LandmarkSketch sketch;
   std::int64_t num = 0;

@@ -208,8 +208,8 @@ Payload FaultInjector::corrupted_copy(RankId src, const Payload& frame) {
   if (frame.empty()) return frame;
   const auto index = static_cast<std::size_t>(state.rng.uniform(frame.size()));
   // Flip one of the low 52 bits (the mantissa), so a finite value stays
-  // finite but differs — and an infinite one becomes a NaN the checksum
-  // (or, in raw mode, the victim) gets to meet.
+  // finite but differs and an infinite one becomes a NaN.  The frame
+  // checksum catches any single-bit flip; in raw mode the victim meets it.
   const auto bit = static_cast<int>(state.rng.uniform(52));
   std::vector<Dist> words(frame.begin(), frame.end());
   auto bits = std::bit_cast<std::uint64_t>(words[index]);

@@ -20,21 +20,62 @@ bool is_exact_count(double v) {
          v == std::floor(v);
 }
 
-void fnv_mix(std::uint64_t& hash, std::uint64_t word) {
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (word >> (8 * byte)) & 0xff;
-    hash *= 0x100000001b3ull;  // FNV-1a 64 prime
-  }
+// XXH64's primes (xxhash_spec.md).
+constexpr std::uint64_t kPrime1 = 0x9e3779b185ebca87ull;
+constexpr std::uint64_t kPrime2 = 0xc2b2ae3d27d4eb4full;
+constexpr std::uint64_t kPrime3 = 0x165667b19e3779f9ull;
+constexpr std::uint64_t kPrime4 = 0x85ebca77c2b2ae63ull;
+constexpr std::uint64_t kPrime5 = 0x27d4eb2f165667c5ull;
+
+/// XXH64's round: a bijection of `acc` for any word.  The rotation moves
+/// a difference in the top bits down before the next multiply, so two
+/// top-bit flips one stripe apart in the same lane do not cancel, as
+/// they would under a plain (acc ^ word) * odd.
+constexpr std::uint64_t xxh_round(std::uint64_t acc, std::uint64_t word) {
+  return std::rotl(acc + word * kPrime2, 31) * kPrime1;
+}
+
+constexpr std::uint64_t xxh_merge(std::uint64_t acc, std::uint64_t lane) {
+  return (acc ^ xxh_round(0, lane)) * kPrime1 + kPrime4;
+}
+
+std::uint64_t word_at(std::span<const Dist> payload, std::size_t i) {
+  return std::bit_cast<std::uint64_t>(payload[i]);
 }
 
 }  // namespace
 
+// XXH64 over the payload words, seeded with seq: four lanes take one word
+// each per stripe of four, so their multiplies run in parallel.
 std::uint64_t frame_checksum(std::int64_t seq,
                              std::span<const Dist> payload) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a 64 offset basis
-  fnv_mix(hash, static_cast<std::uint64_t>(seq));
-  for (const Dist d : payload) fnv_mix(hash, std::bit_cast<std::uint64_t>(d));
-  return (hash ^ (hash >> 48)) & kChecksumMask;
+  const auto seed = static_cast<std::uint64_t>(seq);
+  const std::size_t words = payload.size();
+  std::size_t i = 0;
+  std::uint64_t hash = seed + kPrime5;
+  if (words >= 4) {
+    std::uint64_t a = seed + kPrime1 + kPrime2, b = seed + kPrime2;
+    std::uint64_t c = seed, d = seed - kPrime1;
+    for (; i + 4 <= words; i += 4) {
+      a = xxh_round(a, word_at(payload, i));
+      b = xxh_round(b, word_at(payload, i + 1));
+      c = xxh_round(c, word_at(payload, i + 2));
+      d = xxh_round(d, word_at(payload, i + 3));
+    }
+    hash = std::rotl(a, 1) + std::rotl(b, 7) + std::rotl(c, 12) +
+           std::rotl(d, 18);
+    for (const std::uint64_t lane : {a, b, c, d}) hash = xxh_merge(hash, lane);
+  }
+  hash += 8 * static_cast<std::uint64_t>(words);  // the length in bytes
+  for (; i < words; ++i)
+    hash = std::rotl(hash ^ xxh_round(0, word_at(payload, i)), 27) * kPrime1 +
+           kPrime4;
+  hash ^= hash >> 33;
+  hash *= kPrime2;
+  hash ^= hash >> 29;
+  hash *= kPrime3;
+  hash ^= hash >> 32;
+  return hash & kChecksumMask;
 }
 
 std::vector<Dist> encode_frame(std::int64_t seq,

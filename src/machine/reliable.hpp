@@ -9,8 +9,8 @@
 //                          stream sequence number; the receiver delivers
 //                          in order, buffers early frames, and discards
 //                          duplicates;
-//   * payload checksums  — a 48-bit FNV-1a checksum over the sequence
-//                          number and payload; frames that fail it are
+//   * payload checksums  — a 48-bit XXH64 of the payload, seeded with the
+//                          sequence number; frames that fail it are
 //                          rejected at the receiver (and the link layer
 //                          reports the loss to the sender);
 //   * ack + bounded retry with backoff
@@ -63,9 +63,12 @@ struct ReliableOptions {
 /// Words prepended to every payload on the wire: [seq, checksum].
 inline constexpr std::int64_t kFrameHeaderWords = 2;
 
-/// 48-bit FNV-1a over the sequence number and payload bit patterns.
-/// 48 bits so the checksum is exactly representable as a double (the
-/// wire format carries doubles only).
+/// XXH64 of the payload's bit patterns with `seq` as the seed, truncated
+/// to 48 bits so the checksum is exactly representable as a double (the
+/// wire format carries doubles only).  Portable arithmetic with no ISA
+/// dispatch, so a snapshot or sketch checksummed by one build verifies
+/// under any other; on a little-endian host it equals XXH64 of the
+/// payload's bytes.
 std::uint64_t frame_checksum(std::int64_t seq, std::span<const Dist> payload);
 
 /// [seq, checksum, payload...] — both header words exact in a double.

@@ -46,7 +46,7 @@ class TileReadError : public check_error {
  public:
   enum class Kind : std::uint8_t {
     kIo,        ///< pread failed (EIO, unexpected EOF, torn read)
-    kChecksum,  ///< payload read fine but failed its FNV checksum
+    kChecksum,  ///< payload read fine but failed its tile checksum
     kAlloc,     ///< tile buffer allocation failed
   };
 

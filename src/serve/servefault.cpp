@@ -244,8 +244,8 @@ void ServeFaultInjector::flip_payload(std::int64_t tile_id,
   Rng rng = decision_rng(tile_id, /*attempt=*/0, /*salt=*/0x666c6970ull);
   const auto index =
       static_cast<std::size_t>(rng.uniform(payload.size()));
-  // Low 52 bits only (the mantissa): finite stays finite, the FNV
-  // checksum catches it either way.
+  // Low 52 bits only (the mantissa): finite stays finite, and the tile
+  // checksum catches any single-bit flip.
   const auto bit = static_cast<int>(rng.uniform(52));
   auto bits = std::bit_cast<std::uint64_t>(payload[index]);
   bits ^= std::uint64_t{1} << bit;

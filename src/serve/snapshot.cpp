@@ -25,7 +25,7 @@
 namespace capsp {
 namespace {
 
-constexpr char kMagic[8] = {'C', 'A', 'P', 'S', 'P', 'D', 'B', '2'};
+static_assert(kSnapshotMagic.size() == 8);
 
 constexpr std::int64_t kHeaderBytes =
     8 + 3 * static_cast<std::int64_t>(sizeof(std::int64_t));
@@ -83,7 +83,7 @@ void write_snapshot(const std::string& path, const DistBlock& matrix,
   CAPSP_CHECK_MSG(tile_dim >= 1, "tile_dim must be >= 1, got " << tile_dim);
   std::ofstream file(path, std::ios::binary | std::ios::trunc);
   CAPSP_CHECK_MSG(file.good(), "cannot open " << path << " for writing");
-  file.write(kMagic, sizeof(kMagic));
+  file.write(kSnapshotMagic.data(), kSnapshotMagic.size());
   const std::int64_t dims[] = {h.rows, h.cols, h.tile_dim};
   write_i64s(file, dims);
   // (offset, checksum) per tile.  The offsets follow from the geometry;
@@ -122,7 +122,7 @@ SnapshotReader::SnapshotReader(const std::string& path) : path_(path) {
   is.seekg(0);
   char magic[8] = {};
   read_exact_bytes(is, magic, sizeof(magic), "snapshot magic");
-  CAPSP_CHECK_MSG(std::memcmp(magic, kMagic, sizeof(magic)) == 0,
+  CAPSP_CHECK_MSG(std::string_view(magic, sizeof(magic)) == kSnapshotMagic,
                   "not a capsp snapshot (bad magic) in " << path);
   read_exact_bytes(is, &header_.rows, sizeof(header_.rows), "snapshot rows");
   read_exact_bytes(is, &header_.cols, sizeof(header_.cols), "snapshot cols");

@@ -6,7 +6,7 @@
 // index, so a DistanceService can fault in only the tiles a query touches
 // and cap its resident set with a tile cache:
 //
-//   bytes 0..7   magic "CAPSPDB2"
+//   bytes 0..7   magic "CAPSPDB3"
 //   int64        rows, cols, tile_dim          (native endianness)
 //   per tile     int64 offset, int64 checksum  (row-major over the
 //                ⌈rows/tile⌉ × ⌈cols/tile⌉ tile grid)
@@ -14,7 +14,7 @@
 //                matrix, so payload sizes vary but are fully determined by
 //                the header
 //
-// The per-tile checksum is the 48-bit FNV-1a `frame_checksum` from
+// The per-tile checksum is the 48-bit XXH64 `frame_checksum` from
 // machine/reliable, keyed by the tile id, so a flipped bit or swapped tile
 // is caught on read, not served as a wrong distance.  Offsets are derivable
 // from the header; storing them anyway lets the reader cross-check the file
@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "semiring/block.hpp"
@@ -33,6 +34,8 @@ namespace capsp {
 class RequestTrace;
 class ServeFaultInjector;
 
+/// The first 8 bytes of a snapshot file; the reader refuses any other.
+inline constexpr std::string_view kSnapshotMagic = "CAPSPDB3";
 inline constexpr std::int64_t kDefaultTileDim = 64;
 
 /// Geometry of a tiled snapshot: matrix dimensions plus the tile grid
@@ -66,7 +69,7 @@ void write_snapshot(const std::string& path, const DistBlock& matrix,
                     std::int64_t tile_dim = kDefaultTileDim);
 
 /// Read side.  Two backings behind one interface:
-///   * file-backed — a CAPSPDB2 file, validated structurally on open and
+///   * file-backed — a CAPSPDB3 file, validated structurally on open and
 ///     per-tile (checksum) on every read;
 ///   * in-memory — a DistBlock tiled virtually, for serving a freshly
 ///     computed matrix without touching disk.
@@ -85,7 +88,7 @@ void write_snapshot(const std::string& path, const DistBlock& matrix,
 /// their old behavior.
 class SnapshotReader {
  public:
-  /// Open a CAPSPDB2 file; anything else is refused at open.
+  /// Open a CAPSPDB3 file; anything else is refused at open.
   explicit SnapshotReader(const std::string& path);
 
   /// Serve an in-memory matrix (no file involved).
@@ -96,7 +99,7 @@ class SnapshotReader {
   SnapshotReader& operator=(const SnapshotReader&) = delete;
 
   const SnapshotHeader& header() const { return header_; }
-  /// True when tiles are faulted in from a CAPSPDB2 file (false for the
+  /// True when tiles are faulted in from a CAPSPDB3 file (false for the
   /// in-memory backing, which is fully resident anyway).
   bool file_backed() const { return file_backed_; }
 

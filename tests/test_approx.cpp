@@ -1,11 +1,11 @@
-// Tests for the landmark sketch (approx/sketch) and the CAPSPAX1 sketch
+// Tests for the landmark sketch (approx/sketch) and the CAPSPAX2 sketch
 // file (approx/sketch_io): the bound invariant lower <= exact <= upper
 // fuzzed against the exact oracle across many random graphs, landmark
 // selection determinism, edge cases (disconnected graphs, a single
 // vertex, zero landmarks), the file's byte layout pinned to recorded
 // constants, the writer's argument CHECKs, and reader rejection of
-// truncated, corrupted or oversized-header files and of snapshot files
-// (and the snapshot reader's rejection of sketch files).
+// truncated, corrupted, oversized-header and retired-format files and of
+// snapshot files (and the snapshot reader's rejection of sketch files).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -281,6 +281,33 @@ std::string file_hex(const std::string& path) {
   return hex;
 }
 
+std::string unhex(const std::string& digits) {
+  std::string bytes;
+  for (std::size_t i = 0; i + 1 < digits.size(); i += 2)
+    bytes += static_cast<char>(std::stoi(digits.substr(i, 2), nullptr, 16));
+  return bytes;
+}
+
+/// The sketch whose file the layout tests pin: 2 landmarks of a 4-vertex
+/// graph, with kInf, zero and negative entries.
+LandmarkSketch layout_sketch() {
+  LandmarkSketch sketch;
+  sketch.n = 4;
+  sketch.landmarks = {1, 3};
+  sketch.rows = {2.5, 0, 1.25, kInf, kInf, 7, -3.5, 0};
+  return sketch;
+}
+
+/// What read_sketch(path) refuses the file with ("" when it loads).
+std::string refusal(const std::string& path) {
+  try {
+    read_sketch(path);
+  } catch (const check_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(SketchIo, TruncatedFileRejected) {
   const std::string path = temp_path("trunc.ax1");
   const std::string bytes = sketch_bytes(path);
@@ -323,29 +350,53 @@ TEST(SketchIo, RejectsHeaderLargerThanFile) {
   };
   const std::string path = temp_path("crafted.ax1");
   for (const auto& header : crafted) {
-    std::string bytes = "CAPSPAX1";
+    std::string bytes(kSketchMagic);
     for (const std::int64_t field : header)
       bytes.append(reinterpret_cast<const char*>(&field), sizeof(field));
     write_bytes(path, bytes);
-    EXPECT_THROW(read_sketch(path), check_error)
-        << "n " << header[0] << ", " << header[1] << " landmarks";
+    const std::string what = refusal(path);
+    EXPECT_NE(what.find("corrupt header"), std::string::npos)
+        << "n " << header[0] << ", " << header[1] << " landmarks: " << what;
   }
   std::remove(path.c_str());
 }
 
-// Every byte of the format, pinned to recorded constants: 2 landmarks of
-// a 4-vertex graph, with kInf, zero and negative entries.
+// The retired CAPSPAX1 layout differs from CAPSPAX2 only in its magic and
+// its FNV-1a checksums.  The layout sketch's file as the CAPSPAX1 writer
+// recorded it, valid in every other byte, is refused at open.
+TEST(SketchIo, Ax1LayoutRefusedAtOpen) {
+  const std::string path = temp_path("retired.ax1");
+  std::string ax1 = unhex(
+      "4341505350415831040000000000000002000000000000000100000000000000"
+      "0300000000000000118bf8231ebf00005000000000000000fe7a40d6d0410000"
+      "70000000000000006825532952fe000000000000000004400000000000000000"
+      "000000000000f43f000000000000f07f000000000000f07f0000000000001c40"
+      "0000000000000cc00000000000000000");
+  write_bytes(path, ax1);
+  EXPECT_NE(refusal(path).find("bad magic"), std::string::npos);
+  // Outside the magic's last byte and the checksum words of the id table
+  // and the two rows, CAPSPAX2 writes the same bytes.
+  write_sketch(path, layout_sketch());
+  std::ifstream in(path, std::ios::binary);
+  std::string ax2((std::istreambuf_iterator<char>(in)),
+                  std::istreambuf_iterator<char>());
+  ASSERT_EQ(ax2.size(), ax1.size());
+  for (std::string* bytes : {&ax1, &ax2}) {
+    (*bytes)[7] = 0;
+    for (const std::size_t at : {40, 56, 72}) bytes->replace(at, 8, 8, '\0');
+  }
+  EXPECT_EQ(ax1, ax2);
+  std::remove(path.c_str());
+}
+
+// Every byte of the format, pinned to recorded constants.
 TEST(SketchIo, LayoutMatchesRecordedBytes) {
-  LandmarkSketch sketch;
-  sketch.n = 4;
-  sketch.landmarks = {1, 3};
-  sketch.rows = {2.5, 0, 1.25, kInf, kInf, 7, -3.5, 0};
   const std::string path = temp_path("layout.ax1");
-  write_sketch(path, sketch);
+  write_sketch(path, layout_sketch());
   EXPECT_EQ(file_hex(path),
-            "4341505350415831040000000000000002000000000000000100000000000000"
-            "0300000000000000118bf8231ebf00005000000000000000fe7a40d6d0410000"
-            "70000000000000006825532952fe000000000000000004400000000000000000"
+            "4341505350415832040000000000000002000000000000000100000000000000"
+            "03000000000000008677a40feb7600005000000000000000453e550740590000"
+            "700000000000000069622759c78c000000000000000004400000000000000000"
             "000000000000f43f000000000000f07f000000000000f07f0000000000001c40"
             "0000000000000cc00000000000000000");
   std::remove(path.c_str());

@@ -12,6 +12,7 @@
 #include "graph/generators.hpp"
 #include "machine/machine.hpp"
 #include "machine/reliable.hpp"
+#include "util/rng.hpp"
 
 namespace capsp {
 namespace {
@@ -42,21 +43,117 @@ TEST(FrameFormat, ChecksumCoversSequenceNumber) {
   EXPECT_NE(frame_checksum(0, data), frame_checksum(1, data));
 }
 
+void flip(Dist& word, int bit) {
+  word = std::bit_cast<Dist>(std::bit_cast<std::uint64_t>(word) ^
+                             (std::uint64_t{1} << bit));
+}
+
+/// `words` payload words: finite values of both signs, zeros and kInf.
+std::vector<Dist> sample_payload(std::size_t words) {
+  Rng rng(words);
+  std::vector<Dist> data(words);
+  for (Dist& d : data)
+    d = rng.bernoulli(0.1) ? kInf
+        : rng.bernoulli(0.1) ? 0.0
+                             : rng.uniform_real(-1e6, 1e6);
+  return data;
+}
+
+/// One 64x64 tile, the unit the snapshot reader checksums.
+constexpr std::size_t kTileWords = 64 * 64;
+
+// Flip any one bit of a frame of 0..9 payload words, header or payload,
+// and the decode must fail (this is what the injector's kCorrupt does).
+// Frames of 4 words and more run the hash's four lanes.
 TEST(FrameFormat, DetectsAnySingleBitFlip) {
-  const std::vector<Dist> data{1.0, 2.0, 3.0};
-  const std::vector<Dist> frame = encode_frame(5, data);
-  // Flip one bit anywhere in the frame — header or payload — and the
-  // decode must fail (this is what the injector's kCorrupt does).
-  for (std::size_t word = 0; word < frame.size(); ++word) {
-    for (int bit = 0; bit < 52; bit += 13) {
-      std::vector<Dist> mangled = frame;
-      auto bits = std::bit_cast<std::uint64_t>(mangled[word]);
-      bits ^= std::uint64_t{1} << bit;
-      mangled[word] = std::bit_cast<Dist>(bits);
-      EXPECT_FALSE(decode_frame(mangled).ok)
-          << "flip of bit " << bit << " in word " << word << " undetected";
+  for (std::size_t words = 0; words <= 9; ++words) {
+    const std::vector<Dist> frame = encode_frame(5, sample_payload(words));
+    for (std::size_t word = 0; word < frame.size(); ++word) {
+      for (int bit = 0; bit < 64; ++bit) {
+        std::vector<Dist> mangled = frame;
+        flip(mangled[word], bit);
+        EXPECT_FALSE(decode_frame(mangled).ok)
+            << "flip of bit " << bit << " in word " << word << " of a "
+            << words << "-word frame undetected";
+      }
     }
   }
+}
+
+// Every one of the 262,144 single-bit flips of a tile changes its
+// checksum.
+TEST(FrameFormat, ChecksumCatchesEveryBitFlipOfATile) {
+  std::vector<Dist> tile = sample_payload(kTileWords);
+  const std::uint64_t clean = frame_checksum(3, tile);
+  std::int64_t missed = 0;
+  for (std::size_t word = 0; word < tile.size(); ++word) {
+    for (int bit = 0; bit < 64; ++bit) {
+      flip(tile[word], bit);
+      if (frame_checksum(3, tile) == clean) {
+        ADD_FAILURE() << "flip of bit " << bit << " in word " << word
+                      << " undetected";
+        if (++missed == 10) return;
+      }
+      flip(tile[word], bit);
+    }
+  }
+}
+
+// Words i and i + 4 feed the same lane.  Flipping one bit in both must
+// change the checksum: under a lane of (acc ^ word) * odd, the two bit-63
+// differences cancel, since a multiply carries a difference only upward.
+TEST(FrameFormat, ChecksumCatchesPairedFlipsInOneLane) {
+  std::vector<Dist> tile = sample_payload(kTileWords);
+  const std::uint64_t clean = frame_checksum(3, tile);
+  std::int64_t missed = 0;
+  for (const int bit : {0, 31, 52, 63}) {
+    for (std::size_t word = 0; word + 4 < tile.size(); ++word) {
+      flip(tile[word], bit);
+      flip(tile[word + 4], bit);
+      if (frame_checksum(3, tile) == clean) {
+        ADD_FAILURE() << "bit " << bit << " flipped in words " << word
+                      << " and " << word + 4 << " undetected";
+        if (++missed == 10) return;
+      }
+      flip(tile[word], bit);
+      flip(tile[word + 4], bit);
+    }
+  }
+}
+
+// A zero word appended to (or dropped from) a payload changes its
+// checksum: the length is hashed, not just the words.
+TEST(FrameFormat, ChecksumCoversPayloadLength) {
+  const auto appending_a_zero_changes_it = [](std::size_t words) {
+    std::vector<Dist> data = sample_payload(words);
+    const std::uint64_t shorter = frame_checksum(3, data);
+    data.push_back(0.0);
+    return frame_checksum(3, data) != shorter;
+  };
+  for (std::size_t words = 0; words <= 9; ++words)
+    EXPECT_TRUE(appending_a_zero_changes_it(words)) << words << " words";
+  EXPECT_TRUE(appending_a_zero_changes_it(kTileWords - 1));
+}
+
+// Snapshot and sketch files on disk must verify against these values
+// under any compiler, flag or optimisation level.  Each is XXH64 of the
+// payload's little-endian bytes, seeded with seq, masked to 48 bits; the
+// empty payload's is XXH64's published empty-input value 0xef46db3751d8e999
+// masked.  The payloads are built from formulas, not from a generator,
+// so they cannot drift either.
+TEST(FrameFormat, ChecksumMatchesRecordedValues) {
+  std::vector<Dist> tile(kTileWords);
+  for (std::size_t i = 0; i < tile.size(); ++i)
+    tile[i] = i % 17 == 0 ? kInf : 0.25 * static_cast<double>(i) - 100;
+  EXPECT_EQ(frame_checksum(0, {}), 0xdb3751d8e999ull);
+  EXPECT_EQ(frame_checksum(-1, payload({1.0})), 0x4c95513a19f7ull);
+  EXPECT_EQ(frame_checksum(7, payload({1.5, -2.0, kInf})), 0xb8ad301563a2ull);
+  EXPECT_EQ(frame_checksum(12345, payload({0.0, 1.0, 2.0, 3.0})),
+            0x19de7228ab6bull);
+  EXPECT_EQ(frame_checksum(std::int64_t{1} << 40,
+                           payload({-0.5, 1e300, -0.0, kInf, 42.0})),
+            0xd6be261a1a6aull);
+  EXPECT_EQ(frame_checksum(63, tile), 0x61de956c89e6ull);
 }
 
 TEST(FrameFormat, RejectsTruncatedFrame) {

@@ -199,7 +199,7 @@ TEST(SnapshotInjection, FlipIsCaughtByTheChecksum) {
     f.reader->read_tile(2);
     FAIL() << "expected TileReadError";
   } catch (const TileReadError& e) {
-    // The flipped bit never reaches a caller as data: the per-tile FNV
+    // The flipped bit never reaches a caller as data: the per-tile
     // checksum turns it into a recoverable checksum failure.
     EXPECT_EQ(e.kind(), TileReadError::Kind::kChecksum);
   }

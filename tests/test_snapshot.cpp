@@ -1,4 +1,4 @@
-// Tests for the tiled CAPSPDB2 snapshot format (serve/snapshot):
+// Tests for the tiled CAPSPDB3 snapshot format (serve/snapshot):
 // round-trip fidelity, the byte layout pinned to recorded constants, the
 // writer's argument CHECKs and overwrite behaviour, and reader rejection
 // of missing, truncated, padded, corrupt, oversized-header and
@@ -56,6 +56,24 @@ std::string hex(const std::string& bytes) {
   return out;
 }
 
+std::string unhex(const std::string& digits) {
+  std::string bytes;
+  for (std::size_t i = 0; i + 1 < digits.size(); i += 2)
+    bytes += static_cast<char>(std::stoi(digits.substr(i, 2), nullptr, 16));
+  return bytes;
+}
+
+/// What a check_error from `open` says ("" when nothing was thrown).
+template <typename Open>
+std::string refusal(Open open) {
+  try {
+    open();
+  } catch (const check_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(SnapshotHeader, TileGeometry) {
   const SnapshotHeader h{10, 7, 4};
   EXPECT_EQ(h.tile_rows(), 3);
@@ -102,7 +120,7 @@ TEST(Snapshot, ZeroByZeroIsHeaderOnly) {
   write_snapshot(path, DistBlock(0, 0), 4);
   const std::string bytes = file_bytes(path);
   EXPECT_EQ(bytes.size(), 8u + 3 * sizeof(std::int64_t));
-  EXPECT_EQ(bytes.substr(0, 8), "CAPSPDB2");
+  EXPECT_EQ(bytes.substr(0, 8), kSnapshotMagic);
   const SnapshotReader reader(path);
   EXPECT_EQ(reader.header().rows, 0);
   EXPECT_EQ(reader.header().cols, 0);
@@ -157,21 +175,26 @@ TEST(Snapshot, FuzzRoundTripPreservesEveryEntry) {
   std::remove(path.c_str());
 }
 
-// Every byte of the format, pinned to recorded constants: a 5x3 matrix
-// in tiles of 2 (clipped edge tiles, a kInf entry).  A writer change that
-// moves any byte fails here even when the reader still accepts the file.
-TEST(Snapshot, LayoutMatchesRecordedBytes) {
+/// The 5x3 matrix whose file, in tiles of 2, the layout tests pin.
+DistBlock layout_matrix() {
   DistBlock matrix(5, 3);
   for (std::int64_t r = 0; r < 5; ++r)
     for (std::int64_t c = 0; c < 3; ++c) matrix.at(r, c) = r * 10 + c - 0.5;
   matrix.at(3, 1) = kInf;
+  return matrix;
+}
+
+// Every byte of the format, pinned to recorded constants: a 5x3 matrix
+// in tiles of 2 (clipped edge tiles, a kInf entry).  A writer change that
+// moves any byte fails here even when the reader still accepts the file.
+TEST(Snapshot, LayoutMatchesRecordedBytes) {
   const std::string path = temp_path("layout.snap");
-  write_snapshot(path, matrix, 2);
+  write_snapshot(path, layout_matrix(), 2);
   EXPECT_EQ(hex(file_bytes(path)),
-            "4341505350444232050000000000000003000000000000000200000000000000"
-            "800000000000000050034c26f4dc0000a00000000000000020cd325b82600000"
-            "b00000000000000093c3e309830d0000d00000000000000022d6379ab6a60000"
-            "e000000000000000359ba55581370000f000000000000000b8e3e83ad2ca0000"
+            "4341505350444233050000000000000003000000000000000200000000000000"
+            "8000000000000000bb65293e90600000a0000000000000008c119c75ce7b0000"
+            "b000000000000000af8e586fe48c0000d0000000000000000fdd61f89aca0000"
+            "e00000000000000043573c9005ec0000f0000000000000001161cdc920bb0000"
             "000000000000e0bf000000000000e03f00000000000023400000000000002540"
             "000000000000f83f000000000000274000000000008033400000000000803440"
             "0000000000803d40000000000000f07f00000000008035400000000000803f40"
@@ -236,6 +259,37 @@ TEST(Snapshot, Db1LayoutRefusedAtOpen) {
   std::remove(path.c_str());
 }
 
+// The retired CAPSPDB2 layout differs from CAPSPDB3 only in its magic and
+// its FNV-1a checksums.  The layout matrix's file as the CAPSPDB2 writer
+// recorded it, valid in every other byte, is refused at open.
+TEST(Snapshot, Db2LayoutRefusedAtOpen) {
+  const std::string path = temp_path("retired.db2");
+  std::string db2 = unhex(
+      "4341505350444232050000000000000003000000000000000200000000000000"
+      "800000000000000050034c26f4dc0000a00000000000000020cd325b82600000"
+      "b00000000000000093c3e309830d0000d00000000000000022d6379ab6a60000"
+      "e000000000000000359ba55581370000f000000000000000b8e3e83ad2ca0000"
+      "000000000000e0bf000000000000e03f00000000000023400000000000002540"
+      "000000000000f83f000000000000274000000000008033400000000000803440"
+      "0000000000803d40000000000000f07f00000000008035400000000000803f40"
+      "0000000000c0434000000000004044400000000000c04440");
+  write_bytes(path, db2);
+  EXPECT_NE(refusal([&] { SnapshotReader reader(path); }).find("bad magic"),
+            std::string::npos);
+  // Outside the magic's last byte and the six tiles' checksum words,
+  // CAPSPDB3 writes the same bytes.
+  write_snapshot(path, layout_matrix(), 2);
+  std::string db3 = file_bytes(path);
+  ASSERT_EQ(db3.size(), db2.size());
+  for (std::string* bytes : {&db2, &db3}) {
+    (*bytes)[7] = 0;
+    for (std::size_t tile = 0; tile < 6; ++tile)
+      bytes->replace(40 + 16 * tile, 8, 8, '\0');
+  }
+  EXPECT_EQ(hex(db2), hex(db3));
+  std::remove(path.c_str());
+}
+
 TEST(Snapshot, InMemoryReaderTilesVirtually) {
   const DistBlock matrix = random_matrix(11, 5, 4);
   const SnapshotReader reader(matrix, 4);
@@ -283,10 +337,13 @@ TEST(SnapshotReader, RejectsTruncatedMagic) {
   std::remove(path.c_str());
 }
 
+// The magic alone: the read fails at the first header field, by name.
 TEST(SnapshotReader, RejectsTruncatedHeader) {
   const std::string path = temp_path("shorthdr.snap");
-  std::ofstream(path, std::ios::binary) << "CAPSPDB2";
-  EXPECT_THROW(SnapshotReader reader(path), check_error);
+  write_bytes(path, std::string(kSnapshotMagic));
+  const std::string what = refusal([&] { SnapshotReader reader(path); });
+  EXPECT_NE(what.find("truncated"), std::string::npos) << what;
+  EXPECT_NE(what.find("snapshot rows"), std::string::npos) << what;
   std::remove(path.c_str());
 }
 
@@ -309,21 +366,30 @@ TEST(SnapshotReader, RejectsTruncatedPayload) {
 // A header whose index or payload the file cannot hold is refused before
 // anything is sized from it: an index of 2^40 entries, a tile count past
 // int64, rows past 2^32, and one tile of 2^62 doubles, each in a bare
-// 32-byte file.
+// 32-byte file.  Each case names its own reason.
 TEST(SnapshotReader, RejectsHeaderLargerThanFile) {
-  const std::int64_t crafted[][3] = {
-      {std::int64_t{1} << 20, std::int64_t{1} << 20, 1},
-      {(std::int64_t{1} << 32) - 1, (std::int64_t{1} << 32) - 1, 1},
-      {std::int64_t{1} << 32, 1, 1},
-      {std::int64_t{1} << 31, std::int64_t{1} << 31, std::int64_t{1} << 31},
+  const struct {
+    std::int64_t rows, cols, tile_dim;
+    const char* reason;
+  } crafted[] = {
+      {std::int64_t{1} << 20, std::int64_t{1} << 20, 1, "corrupt header"},
+      {(std::int64_t{1} << 32) - 1, (std::int64_t{1} << 32) - 1, 1,
+       "corrupt header"},
+      {std::int64_t{1} << 32, 1, 1, "header corrupt: 4294967296x1"},
+      {std::int64_t{1} << 31, std::int64_t{1} << 31, std::int64_t{1} << 31,
+       "corrupt header"},
   };
   const std::string path = temp_path("crafted.snap");
   for (const auto& header : crafted) {
-    std::string bytes = "CAPSPDB2";
-    for (const std::int64_t field : header) append_i64(bytes, field);
+    std::string bytes(kSnapshotMagic);
+    for (const std::int64_t field :
+         {header.rows, header.cols, header.tile_dim})
+      append_i64(bytes, field);
     write_bytes(path, bytes);
-    EXPECT_THROW(SnapshotReader reader(path), check_error)
-        << header[0] << "x" << header[1] << " tile " << header[2];
+    const std::string what = refusal([&] { SnapshotReader reader(path); });
+    EXPECT_NE(what.find(header.reason), std::string::npos)
+        << header.rows << "x" << header.cols << " tile " << header.tile_dim
+        << ": " << what;
   }
   std::remove(path.c_str());
 }

@@ -490,7 +490,7 @@ const std::vector<Flag> kSolveFlags = {
      "the solver"},
     {"q", kInt, {"<q>"}, "4", "--algorithm dc grid side, p = q^2"},
     {"verify", kSwitch, {}, "", "certify the distances, O(n·m)"},
-    {"save-distances", kText, {"<path>"}, "", "tiled CAPSPDB2 snapshot"},
+    {"save-distances", kText, {"<path>"}, "", "tiled CAPSPDB3 snapshot"},
     {"tile", kInt, {"<dim>"}, "64", "snapshot tile dimension"},
     {"trace", kText, {"<path>"}, "", "event trace JSON"},
     {"report-json", kText, {"<path>"}, "", "CostReport JSON, oracle ratios"},

@@ -67,7 +67,7 @@ void report_drain(const char* run) {
 /// landmarks (from the ND separator hierarchy by default — the vertices
 /// the paper's algorithm already proves shortest paths cross — or by the
 /// degree/coverage heuristic), computes each landmark's distance row with
-/// the sequential solver, and writes the checksummed CAPSPAX1 file that
+/// the sequential solver, and writes the checksummed CAPSPAX2 file that
 /// --mode serve --sketch loads.
 int mode_sketch(const Cli& cli, Rng& rng) {
   const std::string out = cli.get<std::string>("out");
@@ -708,7 +708,7 @@ int mode_serve(const Cli& cli, Rng& rng) {
   if (sketch_path.empty()) {
     if (cli.has("tier"))
       throw UsageError("--tier needs --sketch <path> (the approximate tier "
-                       "answers from a CAPSPAX1 sketch; --mode sketch "
+                       "answers from a CAPSPAX2 sketch; --mode sketch "
                        "builds one)");
     if (cli.has("stretch-budget"))
       throw UsageError("--stretch-budget needs --sketch <path>");
@@ -790,7 +790,7 @@ int mode_serve(const Cli& cli, Rng& rng) {
   DistanceService service(reader, graph, options);
 
   // The tiered front-end wraps the service when a sketch is given; the
-  // reader rejects a truncated or corrupted CAPSPAX1 file outright
+  // reader rejects a truncated or corrupted CAPSPAX2 file outright
   // (check_error, exit 1 — a bad artifact is an error, not a usage slip).
   std::unique_ptr<TieredDistanceService> tiered;
   if (!sketch_path.empty()) {
@@ -1053,14 +1053,14 @@ int mode_serve(const Cli& cli, Rng& rng) {
 
 using enum Flag::Kind;
 const std::vector<Flag> kSketchFlags = {
-    {"out", kText, {"<path>"}, "", "output CAPSPAX1 sketch (required)"},
+    {"out", kText, {"<path>"}, "", "output CAPSPAX2 sketch (required)"},
     {"landmarks", kInt, {"<k>"}, "64", "landmark budget"},
     {"height", kInt, {"<h>"}, "3", "ND height for landmark choice"},
     {"top-levels", kInt, {"<l>"}, "2", "separator levels, root first"},
     {"heuristic", kSwitch, {}, "", "by degree and coverage, not ND"},
 };
 const std::vector<Flag> kServeFlags = {
-    {"snapshot", kText, {"<path>"}, "", "CAPSPDB2 snapshot (required)"},
+    {"snapshot", kText, {"<path>"}, "", "CAPSPDB3 snapshot (required)"},
     {"threads", kInt, {"<t>"}, "4", "service worker threads"},
     {"clients", kInt, {"<c>"}, "8", "client threads"},
     {"requests", kInt, {"<q>"}, "10000", "workload size"},
@@ -1080,7 +1080,7 @@ const std::vector<Flag> kServeFlags = {
     {"verify", kSwitch, {}, "", "check each ok distance bit-exact"},
     {"report-json", kText, {"<path>"}, "", "service summary JSON"},
     {"bench-name", kText, {"<name>"}, "", "BENCH_<name>.json record name"},
-    {"sketch", kText, {"<path>"}, "", "CAPSPAX1 sketch: the approx tier"},
+    {"sketch", kText, {"<path>"}, "", "CAPSPAX2 sketch: the approx tier"},
     {"tier", kChoice, {"approx", "exact", "auto"}, "auto", "tier policy"},
     {"stretch-budget", kReal, {"<f>"}, "0.25", "auto: max (upper-lower)/lower"},
     {"verify-stretch", kSwitch, {}, "", "check each ok answer's interval"},
@@ -1107,7 +1107,7 @@ int main(int argc, char** argv) {
        "serve_tool.fatal",
        {{"serve", "drive a DistanceService with a synthetic workload",
          mode_serve, kServeFlags},
-        {"sketch", "build a CAPSPAX1 landmark sketch for the approx tier",
+        {"sketch", "build a CAPSPAX2 landmark sketch for the approx tier",
          mode_sketch, kSketchFlags}},
        {},
        "  0  success\n"
