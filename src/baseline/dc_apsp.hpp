@@ -23,8 +23,10 @@ namespace capsp {
 /// Result of a metered distributed APSP run.
 struct DistributedApspResult {
   DistBlock distances;  ///< full n×n matrix (gathered to the driver)
-  CostReport costs;     ///< communication costs of the APSP phase only
-                        ///< (setup/collection metered under separate phases)
+  /// Machine::report() as it is: L and B run from each rank's
+  /// reset_clock() to its stop_clock(), so they cover the APSP phase
+  /// only; the volumes count the result gather too, under "collect".
+  CostReport costs;
   /// Scalar ⊗ operations per rank (the Sec. 5.1 load-balance measurement:
   /// with the block layout, DC's recursion idles most ranks during the
   /// quadrant subproblems).

@@ -8,8 +8,10 @@
 // whole q×q grid (as long as its range is at least q blocks wide), so all
 // ranks stay busy through the recursion — unlike the pure block layout of
 // dc_apsp.cpp, where a depth-d subproblem lives on a 1/4^d fraction of
-// the grid.  Multiplies are SUMMA-style per block column, exactly the
-// fw2d broadcast pattern restricted to a range.
+// the grid.  Multiplies are SUMMA-style per block column: for each inner
+// block index, BlockCyclic's (dist_matrix.hpp) column and row panel
+// broadcasts over the operands' block ranges, the same broadcasts fw2d
+// makes over the whole range.
 //
 // Together with dc_apsp (block layout) this completes the paper's layout
 // story: bench_load_balance measures both.
@@ -22,7 +24,8 @@ namespace capsp {
 
 /// Run block-cyclic 2D-DC-APSP on a q²-rank machine.  blocks_per_dim
 /// must be a power of two in [q, n] (the recursion halves block ranges).
-/// Result/cost conventions as run_dc_apsp.
+/// Result/cost conventions as run_dc_apsp: L and B end where every rank
+/// stops its clock, before the result gather.
 DistributedApspResult run_dc_apsp_cyclic(const Graph& graph, int q,
                                          int blocks_per_dim);
 

@@ -85,6 +85,102 @@ GridLayout GridLayout::subgrid(int gr0, int gr1, int gc0, int gc1) const {
                     std::move(row_off), std::move(col_off));
 }
 
+BlockCyclic::BlockCyclic(int q, int nb, std::int64_t n) : q_(q), nb_(nb) {
+  CAPSP_CHECK(q >= 1);
+  CAPSP_CHECK_MSG(nb >= q && nb <= std::max<std::int64_t>(n, 1),
+                  "blocks_per_dim=" << nb << " outside [" << q << "," << n
+                                    << "]");
+  offsets_.resize(static_cast<std::size_t>(nb) + 1);
+  for (int b = 0; b <= nb; ++b)
+    offsets_[static_cast<std::size_t>(b)] = n * b / nb;
+}
+
+BlockCyclic::Blocks BlockCyclic::local_blocks(RankId rank,
+                                              const DistBlock& full) const {
+  Blocks mine;
+  for (int bi = rank / q_; bi < nb_; bi += q_)
+    for (int bj = rank % q_; bj < nb_; bj += q_)
+      mine[{bi, bj}] = full.sub_block(offset(bi), offset(bj), block_size(bi),
+                                      block_size(bj));
+  return mine;
+}
+
+BlockCyclic::Panel BlockCyclic::broadcast_panel(Comm& comm,
+                                                const Blocks& mine, int t,
+                                                Range range, Tag tag,
+                                                bool column) const {
+  // A column panel travels along this rank's grid row, a row panel down
+  // its grid column; `line` is the grid coordinate the group shares, and
+  // the panel holds the range's blocks congruent to it.
+  const int line = column ? comm.rank() / q_ : comm.rank() % q_;
+  std::vector<int> ids;
+  for (int b = range.first; b < range.second; ++b)
+    if (b % q_ == line) ids.push_back(b);
+  // Every member computes the same ids, so a group whose line holds no
+  // block of the range skips the collective as a whole.
+  if (ids.empty()) return {};
+
+  const auto key = [&](int b) {
+    return column ? std::pair{b, t} : std::pair{t, b};
+  };
+  const auto rank_on_line = [&](int m) {
+    return column ? line * q_ + m : m * q_ + line;
+  };
+  std::vector<RankId> group;
+  for (int m = 0; m < q_; ++m) group.push_back(rank_on_line(m));
+  const RankId root = rank_on_line(t % q_);
+
+  std::int64_t words = 0;
+  for (int b : ids) words += block_size(b) * block_size(t);
+  DistBlock stacked;
+  if (comm.rank() == root) {
+    std::vector<Dist> data;
+    data.reserve(static_cast<std::size_t>(words));
+    for (int b : ids) {
+      const auto block = mine.at(key(b)).data();
+      data.insert(data.end(), block.begin(), block.end());
+    }
+    stacked = DistBlock(words, 1, Payload(std::move(data)));
+  }
+  const DistBlock panel =
+      group_broadcast(comm, group, root, stacked, words, 1, tag);
+
+  Panel out;
+  std::int64_t cursor = 0;
+  for (int b : ids) {
+    const auto [bi, bj] = key(b);
+    const std::int64_t size = block_size(bi) * block_size(bj);
+    out.emplace(b, DistBlock(block_size(bi), block_size(bj),
+                             Payload::copy_of(panel.data().subspan(
+                                 static_cast<std::size_t>(cursor),
+                                 static_cast<std::size_t>(size)))));
+    cursor += size;
+  }
+  return out;
+}
+
+DistBlock BlockCyclic::gather(Comm& comm, Blocks mine, Tag tag) const {
+  const auto block_tag = [&](int bi, int bj) { return tag + bi * nb_ + bj; };
+  if (comm.rank() != 0) {
+    for (auto& [key, block] : mine)
+      comm.send_block(0, block_tag(key.first, key.second), std::move(block));
+    return {};
+  }
+  const std::int64_t n = offsets_.back();
+  DistBlock full(n, n);
+  for (int bi = 0; bi < nb_; ++bi) {
+    for (int bj = 0; bj < nb_; ++bj) {
+      const RankId from = owner(bi, bj);
+      full.set_sub_block(
+          offset(bi), offset(bj),
+          from == 0 ? std::move(mine.at({bi, bj}))
+                    : comm.recv_block(from, block_tag(bi, bj),
+                                      block_size(bi), block_size(bj)));
+    }
+  }
+  return full;
+}
+
 Tag redistribute_tag_span(const GridLayout& src, const GridLayout& dst) {
   return static_cast<Tag>(src.ranks().size()) *
          static_cast<Tag>(dst.ranks().size());
@@ -201,20 +297,18 @@ std::int64_t summa_minplus(Comm& comm, const GridLayout& a_layout,
     for (int j = 0; j < c_layout.grid_cols(); ++j)
       row_group.push_back(c_layout.rank_at(gr, j));
     const IndexRect a_rect = a_layout.block_rect(gr, t);
-    DistBlock a_panel(a_rect.rows(), a_rect.cols());
-    if (gc == t) a_panel = a_local;
-    group_broadcast(comm, row_group, a_layout.rank_at(gr, t), a_panel,
-                    tag + 2 * (t * c_layout.grid_rows() + gr));
+    const DistBlock a_panel = group_broadcast(
+        comm, row_group, a_layout.rank_at(gr, t), a_local, a_rect.rows(),
+        a_rect.cols(), tag + 2 * (t * c_layout.grid_rows() + gr));
 
     // Broadcast B(t, gc) along grid column gc.
     std::vector<RankId> col_group;
     for (int i = 0; i < c_layout.grid_rows(); ++i)
       col_group.push_back(c_layout.rank_at(i, gc));
     const IndexRect b_rect = b_layout.block_rect(t, gc);
-    DistBlock b_panel(b_rect.rows(), b_rect.cols());
-    if (gr == t) b_panel = b_local;
-    group_broadcast(comm, col_group, b_layout.rank_at(t, gc), b_panel,
-                    tag + 2 * (t * c_layout.grid_cols() + gc) + 1);
+    const DistBlock b_panel = group_broadcast(
+        comm, col_group, b_layout.rank_at(t, gc), b_local, b_rect.rows(),
+        b_rect.cols(), tag + 2 * (t * c_layout.grid_cols() + gc) + 1);
 
     ops += semiring_accumulate<MinPlusSemiring>(c_local, a_panel, b_panel);
   }

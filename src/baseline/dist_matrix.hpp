@@ -4,12 +4,15 @@
 // A GridLayout describes how a (possibly rectangular) matrix is split in
 // block layout across a rectangular subgrid of ranks: explicit row/column
 // offset vectors plus the rank list, so subgrids, uneven splits, and
-// windowed views compose uniformly.  The free functions are SPMD: every
-// rank of the machine may call them; ranks that own no part of the source
-// or destination do nothing.
+// windowed views compose uniformly.  A BlockCyclic deals an n×n matrix's
+// blocks round-robin over a q×q grid instead.  The free functions and
+// BlockCyclic's communicating members are SPMD: every rank of the machine
+// may call them; ranks that own no part of the source or destination do
+// nothing.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -96,6 +99,66 @@ class GridLayout {
   std::vector<RankId> ranks_;
   int grid_rows_ = 0, grid_cols_ = 0;
   std::vector<std::int64_t> row_offsets_, col_offsets_;
+};
+
+/// Block-cyclic layout of an n×n matrix on a q×q grid, rank gr·q + gc at
+/// grid position (gr, gc): the matrix is cut into nb×nb blocks at the
+/// offsets n·b/nb, and block (bi, bj) lives on rank (bi mod q, bj mod q).
+/// This is the layout 2D-DC-APSP's authors use [24]; dc_cyclic runs its
+/// Kleene recursion on it and fw2d its k-sweep.  The communicating
+/// members are called by every rank of a q²-rank machine.
+class BlockCyclic {
+ public:
+  /// One rank's blocks, keyed by global block coordinates (bi, bj).
+  using Blocks = std::map<std::pair<int, int>, DistBlock>;
+  /// The blocks of one broadcast panel, keyed by block row (a column
+  /// panel) or block column (a row panel).
+  using Panel = std::map<int, DistBlock>;
+  /// Half-open range [first, second) of block indices.
+  using Range = std::pair<int, int>;
+
+  /// CHECK-fails unless q >= 1 and q <= nb <= max(n, 1).
+  BlockCyclic(int q, int nb, std::int64_t n);
+
+  std::int64_t offset(int b) const {
+    return offsets_[static_cast<std::size_t>(b)];
+  }
+  std::int64_t block_size(int b) const { return offset(b + 1) - offset(b); }
+  RankId owner(int bi, int bj) const { return (bi % q_) * q_ + bj % q_; }
+
+  /// Cut `rank`'s blocks out of the full n×n input.  Sends nothing: the
+  /// input's layout is the problem's starting condition, and only the
+  /// algorithm's communication is metered.
+  Blocks local_blocks(RankId rank, const DistBlock& full) const;
+
+  /// Broadcast block column t over the block rows `rows`: along each grid
+  /// row gr, rank (gr, t mod q) sends its blocks (bi, t) with bi in `rows`
+  /// and bi ≡ gr (mod q), stacked in one message, and every member of
+  /// the row returns them keyed by bi.  A grid row that holds none of
+  /// them skips the broadcast and returns an empty panel.  One tag.
+  Panel broadcast_column_panel(Comm& comm, const Blocks& mine, int t,
+                               Range rows, Tag tag) const {
+    return broadcast_panel(comm, mine, t, rows, tag, /*column=*/true);
+  }
+
+  /// The same for block row t over the block columns `cols`: down each
+  /// grid column gc from rank (t mod q, gc), keyed by bj.
+  Panel broadcast_row_panel(Comm& comm, const Blocks& mine, int t,
+                            Range cols, Tag tag) const {
+    return broadcast_panel(comm, mine, t, cols, tag, /*column=*/false);
+  }
+
+  /// Gather every rank's blocks to rank 0, block (bi, bj) on tag
+  /// tag + bi·nb + bj: returns the n×n matrix on rank 0 and an empty
+  /// block elsewhere.
+  DistBlock gather(Comm& comm, Blocks mine, Tag tag) const;
+
+ private:
+  Panel broadcast_panel(Comm& comm, const Blocks& mine, int t, Range range,
+                        Tag tag, bool column) const;
+
+  int q_ = 0, nb_ = 0;
+  std::vector<std::int64_t> offsets_;  // nb + 1 global boundaries
 };
 
 /// Move a distributed window between layouts.  The layouts' windows must

@@ -323,7 +323,6 @@ SparseApspResult run_sparse_apsp_semiring(const Graph& graph,
   machine.enable_comm_ledger(options.comm_ledger);
   if (options.fault_plan) machine.set_fault_plan(*options.fault_plan);
   machine.enable_reliable_transport(options.reliable);
-  std::vector<CostClock> apsp_clocks(static_cast<std::size_t>(p));
   std::vector<std::vector<CostClock>> level_clocks(
       static_cast<std::size_t>(p));
   result.ops_per_rank.assign(static_cast<std::size_t>(p), 0);
@@ -352,7 +351,7 @@ SparseApspResult run_sparse_apsp_semiring(const Graph& graph,
                      &level_clocks[static_cast<std::size_t>(comm.rank())],
                      &kernels);
 
-    apsp_clocks[static_cast<std::size_t>(comm.rank())] = comm.clock();
+    comm.stop_clock();
     comm.set_phase("collect");
     if (!options.collect_distances) return;
     // Each rank's block travels without a copy; rank 0 writes every
@@ -378,14 +377,6 @@ SparseApspResult run_sparse_apsp_semiring(const Graph& graph,
   });
 
   result.costs = machine.report();
-  result.costs.critical_latency = 0;
-  result.costs.critical_bandwidth = 0;
-  for (const auto& clock : apsp_clocks) {
-    result.costs.critical_latency =
-        std::max(result.costs.critical_latency, clock.latency);
-    result.costs.critical_bandwidth =
-        std::max(result.costs.critical_bandwidth, clock.words);
-  }
   result.max_block_words = max_block_words;
   attach_oracle(result.costs,
                 predict_sparse_apsp(static_cast<double>(graph.num_vertices()),

@@ -25,22 +25,6 @@ void observe_collective(Comm& comm, RankId root, std::size_t k,
   metrics().observe(depth_metric, depth);
 }
 
-/// Paired trace-span markers around a collective (no-op unless the
-/// machine is tracing), exception-safe via RAII.
-class SpanGuard {
- public:
-  SpanGuard(Comm& comm, const char* label) : comm_(comm), label_(label) {
-    comm_.span_begin(label_);
-  }
-  ~SpanGuard() { comm_.span_end(label_); }
-  SpanGuard(const SpanGuard&) = delete;
-  SpanGuard& operator=(const SpanGuard&) = delete;
-
- private:
-  Comm& comm_;
-  const char* label_;
-};
-
 /// Position of `rank` in `group`; CHECK-fails if absent or duplicated.
 std::size_t position_in(std::span<const RankId> group, RankId rank) {
   std::size_t pos = group.size();
@@ -199,8 +183,7 @@ DistBlock group_broadcast(Comm& comm, std::span<const RankId> group,
   if (k <= 1) return source;
   observe_collective(comm, root, k, algorithm, "machine.collective.bcast_group",
                      "machine.collective.bcast_depth");
-  SpanGuard span(comm, "bcast");
-  const CommClassScope comm_class(comm, "bcast");
+  const CommClassScope scope(comm, "bcast");
   if (algorithm == CollectiveAlgorithm::kPipelined)
     return broadcast_pipelined(comm, group, root, source, rows, cols, tag);
   const std::size_t root_pos = position_in(group, root);
@@ -230,15 +213,6 @@ DistBlock group_broadcast(Comm& comm, std::span<const RankId> group,
   return block;
 }
 
-void group_broadcast(Comm& comm, std::span<const RankId> group, RankId root,
-                     DistBlock& block, Tag tag,
-                     CollectiveAlgorithm algorithm) {
-  if (group.size() <= 1) return;
-  DistBlock received = group_broadcast(comm, group, root, block, block.rows(),
-                                       block.cols(), tag, algorithm);
-  if (comm.rank() != root) block = std::move(received);
-}
-
 void group_reduce(Comm& comm, std::span<const RankId> group, RankId root,
                   DistBlock& block, Tag tag, ReduceCombiner combine,
                   CollectiveAlgorithm algorithm) {
@@ -247,8 +221,7 @@ void group_reduce(Comm& comm, std::span<const RankId> group, RankId root,
   observe_collective(comm, root, k, algorithm,
                      "machine.collective.reduce_group",
                      "machine.collective.reduce_depth");
-  SpanGuard span(comm, "reduce");
-  const CommClassScope comm_class(comm, "reduce");
+  const CommClassScope scope(comm, "reduce");
   if (algorithm == CollectiveAlgorithm::kPipelined) {
     reduce_pipelined(comm, group, root, block, tag, combine);
     return;
@@ -298,8 +271,7 @@ std::vector<DistBlock> group_gather(
     const DistBlock& block,
     std::span<const std::pair<std::int64_t, std::int64_t>> shapes, Tag tag) {
   CAPSP_CHECK(shapes.size() == group.size());
-  SpanGuard span(comm, "gather");
-  const CommClassScope comm_class(comm, "gather");
+  const CommClassScope scope(comm, "gather");
   const std::size_t pos = position_in(group, comm.rank());
   CAPSP_CHECK(block.rows() == shapes[pos].first &&
               block.cols() == shapes[pos].second);
@@ -325,8 +297,7 @@ DistBlock group_scatter(
     std::span<const DistBlock> blocks,
     std::span<const std::pair<std::int64_t, std::int64_t>> shapes, Tag tag) {
   CAPSP_CHECK(shapes.size() == group.size());
-  SpanGuard span(comm, "scatter");
-  const CommClassScope comm_class(comm, "scatter");
+  const CommClassScope scope(comm, "scatter");
   const std::size_t pos = position_in(group, comm.rank());
   if (comm.rank() == root) {
     CAPSP_CHECK(blocks.size() == group.size());

@@ -46,14 +46,6 @@ DistBlock group_broadcast(Comm& comm, std::span<const RankId> group,
                           CollectiveAlgorithm algorithm =
                               CollectiveAlgorithm::kBinomialTree);
 
-/// In-place form: `block` is the source on the root (left unchanged) and
-/// is replaced by the broadcast block elsewhere, where it must be
-/// pre-shaped (rows/cols set).
-void group_broadcast(Comm& comm, std::span<const RankId> group, RankId root,
-                     DistBlock& block, Tag tag,
-                     CollectiveAlgorithm algorithm =
-                         CollectiveAlgorithm::kBinomialTree);
-
 /// Elementwise combiner for reductions: c ← c ⊕ other.  Must be
 /// associative and commutative (reduction trees reorder operands).
 using ReduceCombiner = void (*)(DistBlock&, const DistBlock&);

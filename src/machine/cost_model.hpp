@@ -12,9 +12,11 @@
 // processor can receive only one message at a time, so back-to-back
 // receives serialize — while the max() keeps disjoint concurrent transfers
 // from accumulating.  The machine-wide critical-path cost is the max of the
-// final clocks; message/word *volumes*, per rank and per algorithm phase
-// so each lemma's per-region decomposition can be checked, are folded
-// after the run from the per-rank CommRecords below.
+// clocks where the ranks stopped them (Comm::stop_clock(); a rank that
+// never stops counts with its final clock); message/word *volumes*, per
+// rank and per algorithm phase so each lemma's per-region decomposition
+// can be checked, are folded after the run from the per-rank CommRecords
+// below.
 #pragma once
 
 #include <algorithm>
@@ -181,8 +183,10 @@ struct CommRecord {
 /// the setup_* fields so the headline numbers describe the measured
 /// algorithm only.
 struct CostReport {
-  double critical_latency = 0;     ///< max final latency clock (paper's L)
-  double critical_bandwidth = 0;   ///< max final word clock (paper's B)
+  /// Max over ranks of the clock where the rank called stop_clock() (its
+  /// final clock if it never did): the paper's L and B.
+  double critical_latency = 0;
+  double critical_bandwidth = 0;
   std::int64_t total_messages = 0; ///< Σ over ranks (network volume)
   std::int64_t total_words = 0;
   std::int64_t max_rank_messages = 0;  ///< busiest rank, volume terms
@@ -202,7 +206,7 @@ struct CostReport {
   /// algorithm ran (present = false otherwise).
   OracleComparison oracle;
 
-  /// Build from every rank's final clock and its communication record.
+  /// Build from every rank's measured clock and communication record.
   static CostReport aggregate(const std::vector<CostClock>& clocks,
                               const std::vector<CommRecord>& records);
 };

@@ -542,7 +542,7 @@ void Machine::run(const std::function<void(Comm&)>& program) {
   clocks.reserve(comms.size());
   records_.reserve(comms.size());
   for (Comm& comm : comms) {
-    clocks.push_back(comm.clock_);
+    clocks.push_back(comm.stopped_.value_or(comm.clock_));
     records_.push_back(std::move(comm.record_));
   }
   report_ = CostReport::aggregate(clocks, records_);

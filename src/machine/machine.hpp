@@ -101,9 +101,10 @@ class Comm {
   /// measured algorithm's volumes, even if a phase label is reused.  Call
   /// after setup/data distribution so the measured critical path covers
   /// only the algorithm (all setup messages must already be received on
-  /// this rank).
+  /// this rank).  Undoes an earlier stop_clock().
   void reset_clock() {
     clock_ = CostClock{};
+    stopped_.reset();
     record_.reset_at = record_.events.size();
     if (tracing_) {
       TraceEvent event;
@@ -112,6 +113,14 @@ class Comm {
       trace_.push_back(std::move(event));
     }
   }
+
+  /// End this rank's measured critical path here, the twin of
+  /// reset_clock(): CostReport::critical_latency and critical_bandwidth
+  /// read the clock as it is now (a rank that never calls this counts
+  /// with its final clock).  The clock keeps running, and traffic after
+  /// the call still counts in every volume, per-phase table, ledger and
+  /// trace.  Call after the algorithm, before result collection.
+  void stop_clock() { stopped_ = clock_; }
 
   /// Record a computation span on this rank's trace timeline: `ops`
   /// scalar ⊗ operations under `label`.  Purely observational — the cost
@@ -126,16 +135,6 @@ class Comm {
     event.ops = ops;
     event.before = event.after = clock_;
     trace_.push_back(std::move(event));
-  }
-
-  /// Paired structured-region markers (the collectives wrap themselves in
-  /// these so traces show broadcast/reduce extents).  No-ops when tracing
-  /// is off; `label` is only materialized when tracing.
-  void span_begin(const char* label) {
-    if (tracing_) push_span(TraceEventKind::kSpanBegin, label);
-  }
-  void span_end(const char* label) {
-    if (tracing_) push_span(TraceEventKind::kSpanEnd, label);
   }
 
   const CostClock& clock() const { return clock_; }
@@ -211,6 +210,7 @@ class Comm {
   bool tracing_;
   bool ledger_;  // the machine runs with enable_comm_ledger(true)
   CostClock clock_;
+  std::optional<CostClock> stopped_;  // the clock at stop_clock()
   /// Every communication event of this rank (moved to the Machine after
   /// the run), the current phase and its index into the record's labels
   /// (-1 until interned), and how far flush_ledger() has folded it.
@@ -231,24 +231,30 @@ class Comm {
   std::unique_ptr<ReliableComm> reliable_;
 };
 
-/// RAII tag-class label for the comm ledger: traffic sent while a scope
-/// is alive is attributed to `tag_class` instead of "p2p".  The
-/// collectives wrap their bodies in one of these (next to their trace
-/// spans); nesting restores the previous class on destruction.  The
-/// recorded events keep the pointer, so the string must outlive the run
-/// (string literals in practice).
+/// RAII scope of one collective, under one label: a trace span (a
+/// kSpanBegin/kSpanEnd pair, when tracing) and the comm ledger's tag
+/// class, so traffic sent while the scope is alive is attributed to
+/// `tag_class` instead of "p2p".  The span opens before the class is
+/// set, and the class is restored before the span closes; nesting
+/// restores the previous class.  The recorded events keep the pointer,
+/// so the string must outlive the run (string literals in practice).
 class CommClassScope {
  public:
   CommClassScope(Comm& comm, const char* tag_class)
-      : comm_(comm), previous_(comm.tag_class_) {
-    comm_.tag_class_ = tag_class;
+      : comm_(comm), label_(tag_class), previous_(comm.tag_class_) {
+    if (comm_.tracing_) comm_.push_span(TraceEventKind::kSpanBegin, label_);
+    comm_.tag_class_ = label_;
   }
-  ~CommClassScope() { comm_.tag_class_ = previous_; }
+  ~CommClassScope() {
+    comm_.tag_class_ = previous_;
+    if (comm_.tracing_) comm_.push_span(TraceEventKind::kSpanEnd, label_);
+  }
   CommClassScope(const CommClassScope&) = delete;
   CommClassScope& operator=(const CommClassScope&) = delete;
 
  private:
   Comm& comm_;
+  const char* label_;
   const char* previous_;
 };
 
@@ -362,9 +368,13 @@ class Machine {
   const CommLedger& comm_ledger() const { return comm_ledger_; }
 
   /// Blame-attributed critical path of the most recent traced run: the
-  /// exact chain of events/messages that set the report's
-  /// critical_latency (or critical_bandwidth), with per-phase cost
-  /// segments that sum to the total.  CHECK-fails without a trace.
+  /// exact chain of events/messages that set the largest final clock,
+  /// with per-phase cost segments that sum to the total.  The walk runs
+  /// to each timeline's end, past any Comm::stop_clock(), so its total
+  /// equals the report's critical_latency (or critical_bandwidth) when
+  /// no rank communicates after its stop; otherwise the traffic after
+  /// the stop shows as its own phase segments (e.g. "collect").
+  /// CHECK-fails without a trace.
   CriticalPathReport critical_path(CostAxis axis = CostAxis::kLatency) const {
     return extract_critical_path(trace_, axis);
   }

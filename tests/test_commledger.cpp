@@ -167,7 +167,8 @@ TEST(MachineLedger, CollectivesCarryTheirTagClass) {
   const std::vector<RankId> group{0, 1, 2, 3};
   machine.run([&group](Comm& comm) {
     DistBlock block(4, 4, comm.rank() == 0 ? 1.0 : kInf);
-    group_broadcast(comm, group, 0, block, 11);
+    block = group_broadcast(comm, group, 0, block, block.rows(), block.cols(),
+                            11);
     EXPECT_EQ(block.at(0, 0), 1.0);
   });
   const CommLedger& ledger = machine.comm_ledger();
@@ -463,7 +464,8 @@ TEST(CommViews, AllViewsAgree) {
       comm.set_phase("bcast");
       const std::vector<RankId> group{0, 1, 2, 3};
       DistBlock block(3, 3, comm.rank() == 0 ? 1.0 : kInf);
-      group_broadcast(comm, group, 0, block, 200);
+      block = group_broadcast(comm, group, 0, block, block.rows(), block.cols(),
+                              200);
     });
   }
   const CostReport& costs = machine.report();

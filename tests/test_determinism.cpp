@@ -239,10 +239,12 @@ TEST(Determinism, AbortUnderLoadStillUnwinds) {
           std::vector<RankId> group{0, 1, 2, 3, 4, 5, 6, 7, 8};
           DistBlock block(8, 8, 1.0);
           for (int i = 0; i < 5; ++i)
-            group_broadcast(comm, group, 0, block, i);
+            block = group_broadcast(comm, group, 0, block, block.rows(),
+                                    block.cols(), i);
           if (comm.rank() == 4) throw check_error("injected failure");
           for (int i = 5; i < 10; ++i)
-            group_broadcast(comm, group, 0, block, i);
+            block = group_broadcast(comm, group, 0, block, block.rows(),
+                                    block.cols(), i);
         }),
         check_error);
   }

@@ -1,5 +1,5 @@
 // Tests for the distributed-matrix substrate: layouts, windowed subgrids,
-// redistribution, SUMMA min-plus, gather/scatter.
+// the block-cyclic layout, redistribution, SUMMA min-plus, gather/scatter.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -69,6 +69,77 @@ TEST(GridLayout, MakeLocalShape) {
   const DistBlock b3 = layout.make_local(3);
   EXPECT_EQ(b3.rows(), 4);
   EXPECT_TRUE(layout.make_local(42).empty());
+}
+
+TEST(BlockCyclic, GeometryAndRangeChecks) {
+  const BlockCyclic layout(3, 5, 11);  // offsets 0, 2, 4, 6, 8, 11
+  EXPECT_EQ(layout.offset(4), 8);
+  EXPECT_EQ(layout.block_size(0), 2);
+  EXPECT_EQ(layout.block_size(4), 3);
+  EXPECT_EQ(layout.owner(4, 1), 1 * 3 + 1);
+  EXPECT_EQ(layout.owner(2, 3), 2 * 3 + 0);
+  EXPECT_THROW(BlockCyclic(0, 4, 8), check_error);   // q < 1
+  EXPECT_THROW(BlockCyclic(3, 2, 8), check_error);   // nb < q
+  EXPECT_THROW(BlockCyclic(2, 9, 8), check_error);   // nb > n
+  EXPECT_NO_THROW(BlockCyclic(1, 1, 0));             // empty matrix
+}
+
+TEST(BlockCyclic, LocalBlocksGatherBack) {
+  Rng rng(3);
+  const DistBlock full = random_matrix(11, rng);
+  const BlockCyclic layout(3, 5, 11);
+  Machine machine(9);
+  DistBlock result;
+  machine.run([&](Comm& comm) {
+    BlockCyclic::Blocks mine = layout.local_blocks(comm.rank(), full);
+    for (const auto& [key, block] : mine) {
+      EXPECT_EQ(layout.owner(key.first, key.second), comm.rank());
+      EXPECT_EQ(block.rows(), layout.block_size(key.first));
+      EXPECT_EQ(block.cols(), layout.block_size(key.second));
+    }
+    DistBlock gathered = layout.gather(comm, std::move(mine), 0);
+    if (comm.rank() == 0) result = std::move(gathered);
+  });
+  EXPECT_EQ(result, full);
+  // Every block not on rank 0 is one message to it.
+  EXPECT_EQ(machine.report().total_messages, 5 * 5 - 2 * 2);
+}
+
+TEST(BlockCyclic, PanelBroadcastsDeliverTheRangeOnly) {
+  // Block column 1 over rows [1, 4) and block row 1 over columns [1, 4),
+  // on a 2×2 grid with 5 blocks per side: grid row 0 receives bi = 2,
+  // grid row 1 receives bi = 1 and 3 (and the same for block columns).
+  Rng rng(4);
+  const DistBlock full = random_matrix(10, rng);
+  const BlockCyclic layout(2, 5, 10);
+  Machine machine(4);
+  machine.run([&](Comm& comm) {
+    const BlockCyclic::Blocks mine = layout.local_blocks(comm.rank(), full);
+    const int gr = comm.rank() / 2, gc = comm.rank() % 2;
+    const BlockCyclic::Panel column =
+        layout.broadcast_column_panel(comm, mine, 1, {1, 4}, 0);
+    const BlockCyclic::Panel row =
+        layout.broadcast_row_panel(comm, mine, 1, {1, 4}, 1);
+    const auto expect_panel = [&](const BlockCyclic::Panel& panel, int line,
+                                  bool is_column) {
+      ASSERT_EQ(panel.size(), line == 0 ? 1u : 2u);
+      for (const auto& [b, block] : panel) {
+        EXPECT_EQ(b % 2, line);
+        const int bi = is_column ? b : 1, bj = is_column ? 1 : b;
+        EXPECT_EQ(block, full.sub_block(layout.offset(bi), layout.offset(bj),
+                                        layout.block_size(bi),
+                                        layout.block_size(bj)));
+      }
+    };
+    expect_panel(column, gr, true);
+    expect_panel(row, gc, false);
+    // Rows [1, 2) hold no block of grid row 0, which skips the broadcast.
+    const BlockCyclic::Panel narrow =
+        layout.broadcast_column_panel(comm, mine, 1, {1, 2}, 2);
+    EXPECT_EQ(narrow.size(), gr == 0 ? 0u : 1u);
+  });
+  // One message per 2-member group and broadcast: 2 + 2, then 1.
+  EXPECT_EQ(machine.report().total_messages, 5);
 }
 
 TEST(DistMatrix, ScatterGatherRoundTrip) {

@@ -7,6 +7,8 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <sstream>
+#include <string>
 #include <utility>
 
 #include "machine/collectives.hpp"
@@ -173,6 +175,96 @@ TEST(Clock, ResetClockDropsHistory) {
   EXPECT_EQ(machine.report().critical_latency, 1);
 }
 
+TEST(Clock, StopClockEndsOnlyTheCriticalPath) {
+  // One program run with and without stop_clock(): the stop lowers L and
+  // B to the clocks at the stop, and the traffic after it still counts
+  // in every volume, phase table, ledger and traced event.
+  struct Run {
+    CostReport report;
+    Trace trace;
+    std::string ledger;
+  };
+  const auto run = [](bool stop) {
+    Machine machine(2);
+    machine.enable_tracing(true);
+    machine.enable_comm_ledger(true);
+    machine.run([stop](Comm& comm) {
+      comm.set_phase("work");
+      if (comm.rank() == 0) comm.send(1, 0, payload({1.0, 2.0}));
+      if (comm.rank() == 1) comm.recv(0, 0);
+      if (stop) comm.stop_clock();
+      comm.set_phase("collect");
+      if (comm.rank() == 1) comm.send(0, 1, payload({3.0, 4.0, 5.0}));
+      if (comm.rank() == 0) comm.recv(1, 1);
+      EXPECT_EQ(comm.clock().latency, 2);  // the clock keeps running
+    });
+    std::ostringstream ledger;
+    write_comm_ledger_json(ledger, machine.comm_ledger());
+    return Run{machine.report(), machine.trace(), ledger.str()};
+  };
+  const Run stopped = run(true);
+  const Run full = run(false);
+  EXPECT_EQ(stopped.report.critical_latency, 1);
+  EXPECT_EQ(stopped.report.critical_bandwidth, 2);
+  EXPECT_EQ(full.report.critical_latency, 2);
+  EXPECT_EQ(full.report.critical_bandwidth, 5);
+  for (const Run* r : {&stopped, &full}) {
+    EXPECT_EQ(r->report.total_messages, 2);
+    EXPECT_EQ(r->report.total_words, 5);
+    EXPECT_EQ(r->report.max_rank_words, 3);
+    EXPECT_EQ(r->report.phase_total.at("collect").messages, 1);
+    EXPECT_EQ(r->report.phase_total.at("collect").words, 3);
+    EXPECT_EQ(r->report.phase_max_rank.at("collect").words, 3);
+  }
+  EXPECT_EQ(stopped.ledger, full.ledger);
+  EXPECT_NE(stopped.ledger.find("\"collect\""), std::string::npos);
+  ASSERT_EQ(stopped.trace.per_rank.size(), full.trace.per_rank.size());
+  for (std::size_t r = 0; r < full.trace.per_rank.size(); ++r) {
+    const auto& a = stopped.trace.per_rank[r];
+    const auto& b = full.trace.per_rank[r];
+    ASSERT_EQ(a.size(), b.size()) << "rank " << r;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].kind, b[i].kind);
+      EXPECT_EQ(a[i].phase, b[i].phase);
+      EXPECT_EQ(a[i].words, b[i].words);
+      EXPECT_EQ(a[i].after.latency, b[i].after.latency);
+      EXPECT_EQ(a[i].after.words, b[i].after.words);
+    }
+    // The collect message is on both ends' timelines.
+    EXPECT_EQ(std::count_if(a.begin(), a.end(),
+                            [](const TraceEvent& e) {
+                              return e.phase == "collect" &&
+                                     (e.kind == TraceEventKind::kSend ||
+                                      e.kind == TraceEventKind::kRecv);
+                            }),
+              1);
+  }
+}
+
+TEST(Clock, KilledRankCountsWithItsClockAtTheKill) {
+  // A rank that a fault plan kills never reaches stop_clock(), so the
+  // report reads its clock at the kill, as for any rank that never
+  // stops.  Rank 1 hears from ranks 0 and 2, which puts its clock at
+  // (2, 2), ahead of theirs, and dies at its next operation: a send that
+  // no rank waits for, so the run still finishes.
+  Machine machine(3);
+  machine.set_fault_plan(FaultPlan::parse("kill=1@2"));
+  machine.run([](Comm& comm) {
+    if (comm.rank() == 1) {
+      comm.recv(0, 0);
+      comm.recv(2, 0);
+      comm.send(0, 1, payload({1.0}));  // the kill: never sent
+    } else {
+      comm.send(1, 0, payload({1.0}));
+    }
+    comm.stop_clock();
+  });
+  EXPECT_EQ(machine.report().faults.kills, 1);
+  EXPECT_EQ(machine.report().total_messages, 2);
+  EXPECT_EQ(machine.report().critical_latency, 2);
+  EXPECT_EQ(machine.report().critical_bandwidth, 2);
+}
+
 TEST(Phases, VolumesAttributedPerPhase) {
   Machine machine(2);
   machine.run([](Comm& comm) {
@@ -205,7 +297,8 @@ TEST(Collectives, BroadcastDeliversToAllMembers) {
     if (comm.rank() == 3) {
       block = constant_block(2, 7.5);
     }
-    group_broadcast(comm, group, 3, block, 42);
+    block = group_broadcast(comm, group, 3, block, block.rows(), block.cols(),
+                            42);
     EXPECT_EQ(block.at(1, 1), 7.5);
   });
   // Binomial tree over 4 members: 3 messages total, depth 2.
@@ -221,7 +314,8 @@ TEST(Collectives, BroadcastLatencyIsLogarithmic) {
     machine.run([&](Comm& comm) {
       DistBlock block(1, 1);
       if (comm.rank() == 0) block = constant_block(1, 1.0);
-      group_broadcast(comm, group, 0, block, 0);
+      block = group_broadcast(comm, group, 0, block, block.rows(), block.cols(),
+                              0);
     });
     EXPECT_EQ(machine.report().critical_latency, std::log2(size))
         << "size " << size;
@@ -239,7 +333,8 @@ TEST(Collectives, BroadcastFromNonFirstRoot) {
       block.at(0, 1) = 2;
       block.at(0, 2) = 3;
     }
-    group_broadcast(comm, group, 2, block, 9);
+    block = group_broadcast(comm, group, 2, block, block.rows(), block.cols(),
+                            9);
     EXPECT_EQ(block.at(0, 2), 3);
   });
 }
@@ -250,7 +345,8 @@ TEST(Collectives, SingletonGroupIsFree) {
     if (comm.rank() != 0) return;
     const std::vector<RankId> group{0};
     DistBlock block = constant_block(3, 1.0);
-    group_broadcast(comm, group, 0, block, 0);
+    block = group_broadcast(comm, group, 0, block, block.rows(), block.cols(),
+                            0);
     group_reduce_min(comm, group, 0, block, 1);
   });
   EXPECT_EQ(machine.report().total_messages, 0);
@@ -344,7 +440,9 @@ TEST(Collectives, DuplicateGroupMemberRejected) {
   EXPECT_THROW(machine.run([](Comm& comm) {
     const std::vector<RankId> group{0, 0};
     DistBlock block(1, 1);
-    if (comm.rank() == 0) group_broadcast(comm, group, 0, block, 0);
+    if (comm.rank() == 0)
+      block = group_broadcast(comm, group, 0, block, block.rows(),
+                              block.cols(), 0);
   }),
                check_error);
 }
@@ -360,8 +458,8 @@ TEST(Pipelined, BroadcastDeliversCorrectPayload) {
         for (std::int64_t i = 0; i < block.size(); ++i)
           block.data()[static_cast<std::size_t>(i)] = static_cast<Dist>(i);
       }
-      group_broadcast(comm, group, 1 % size, block, 0,
-                      CollectiveAlgorithm::kPipelined);
+      block = group_broadcast(comm, group, 1 % size, block, block.rows(),
+                              block.cols(), 0, CollectiveAlgorithm::kPipelined);
       for (std::int64_t i = 0; i < block.size(); ++i)
         ASSERT_EQ(block.data()[static_cast<std::size_t>(i)],
                   static_cast<Dist>(i))
@@ -379,7 +477,8 @@ TEST(Pipelined, BroadcastMovesFewerWordsThanTreeForBigGroups) {
     std::iota(group.begin(), group.end(), 0);
     machine.run([&](Comm& comm) {
       DistBlock block(kDim, kDim, comm.rank() == 0 ? 1.0 : kInf);
-      group_broadcast(comm, group, 0, block, 0, algorithm);
+      block = group_broadcast(comm, group, 0, block, block.rows(), block.cols(),
+                              0, algorithm);
       EXPECT_EQ(block.at(3, 3), 1.0);
     });
     return machine.report();
@@ -428,8 +527,8 @@ TEST(Pipelined, ReduceHandlesEmptyAndTinyPayloads) {
       EXPECT_EQ(tiny.at(0, 0), 0.0);
     }
     DistBlock empty(0, 3);
-    group_broadcast(comm, group, 0, empty, 1,
-                    CollectiveAlgorithm::kPipelined);
+    empty = group_broadcast(comm, group, 0, empty, empty.rows(), empty.cols(),
+                            1, CollectiveAlgorithm::kPipelined);
     group_reduce_min(comm, group, 0, empty, 2,
                      CollectiveAlgorithm::kPipelined);
   });

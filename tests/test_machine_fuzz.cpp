@@ -100,7 +100,8 @@ TEST(MachineFuzz, RandomGroupsBroadcastBothAlgorithms) {
           return;
         DistBlock block(rows, cols);
         if (comm.rank() == root) block = payload;
-        group_broadcast(comm, group, root, block, 7, algorithm);
+        block = group_broadcast(comm, group, root, block, block.rows(),
+                                block.cols(), 7, algorithm);
         ASSERT_EQ(block, payload)
             << "seed " << seed << " rank " << comm.rank();
       });
@@ -157,7 +158,8 @@ TEST(MachineFuzz, InterleavedCollectivesOnDisjointGroups) {
     const RankId root = in_a ? 1 : 6;
     DistBlock block(2, 2);
     if (comm.rank() == root) block = DistBlock(2, 2, in_a ? 1.0 : 2.0);
-    group_broadcast(comm, group, root, block, 0);
+    block = group_broadcast(comm, group, root, block, block.rows(),
+                            block.cols(), 0);
     EXPECT_EQ(block.at(0, 0), in_a ? 1.0 : 2.0);
     group_reduce_min(comm, group, root, block, 1);
   });

@@ -259,7 +259,8 @@ TEST(Trace, CollectiveSpansAppearPaired) {
   machine.run([](Comm& comm) {
     std::vector<RankId> group{0, 1, 2, 3};
     DistBlock block(2, 2, 1.0);
-    group_broadcast(comm, group, 0, block, 5);
+    block = group_broadcast(comm, group, 0, block, block.rows(), block.cols(),
+                            5);
   });
   for (const auto& timeline : machine.trace().per_rank) {
     int depth = 0;
