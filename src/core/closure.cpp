@@ -50,7 +50,7 @@ DistBlock bottleneck_apsp_supernodal(const Graph& graph,
   const Graph reordered = apply_dissection(graph, nd);
   DistBlock a = semiring_matrix<MaxMinSemiring>(reordered, &capacity);
   superfw_eliminate(a, nd, SemiringKernels::of<MaxMinSemiring>());
-  return undo_dissection(a, nd);
+  return undo_dissection(std::move(a), nd);
 }
 
 std::vector<Dist> widest_path_sssp(const Graph& graph, Vertex source) {

@@ -67,7 +67,7 @@ std::int64_t eliminate_leaf(DistBlock& block, int height,
     Rng rng(kLeafDissectionSeed);
     return nested_dissection(std::move(pattern).build(), height, rng);
   }();
-  DistBlock permuted(n, n);
+  DistBlock permuted = DistBlock::for_overwrite(n, n);
   for (Vertex a = 0; a < n; ++a) {
     const Dist* from = in.row(nd.iperm[static_cast<std::size_t>(a)]);
     Dist* to = permuted.row(a);
@@ -326,8 +326,7 @@ SparseApspResult run_sparse_apsp_semiring(const Graph& graph,
   std::vector<std::vector<CostClock>> level_clocks(
       static_cast<std::size_t>(p));
   result.ops_per_rank.assign(static_cast<std::size_t>(p), 0);
-  if (options.collect_distances)
-    result.distances = DistBlock(graph.num_vertices(), graph.num_vertices());
+  std::vector<ReorderedPiece> gathered;  // rank 0's, for after the run
   std::int64_t max_block_words = 0;
   std::mutex stats_mutex;
 
@@ -354,27 +353,29 @@ SparseApspResult run_sparse_apsp_semiring(const Graph& graph,
     comm.stop_clock();
     comm.set_phase("collect");
     if (!options.collect_distances) return;
-    // Each rank's block travels without a copy; rank 0 writes every
-    // piece straight into original vertex order.
+    // Each rank's block travels without a copy, and rank 0 keeps every
+    // block as it arrived; the writers put them in original vertex order
+    // after the run, on every CPU (DESIGN.md decision 18).
     const Tag collect_tag = Tag{1} << 41;
     if (comm.rank() != 0) {
       if (!local.empty())
         comm.send_block(0, collect_tag + comm.rank(), std::move(local));
-    } else {
-      for (RankId r = 0; r < p; ++r) {
-        const auto [ii, jj] = layout.block_of(r);
-        const VertexRange rri = layout.range_of(ii);
-        const VertexRange rrj = layout.range_of(jj);
-        if (rri.size() == 0 || rrj.size() == 0) continue;
-        const DistBlock piece =
-            (r == 0) ? std::move(local)
-                     : comm.recv_block(r, collect_tag + r, rri.size(),
-                                       rrj.size());
-        undo_dissection_into(result.distances, nd, rri.begin, rrj.begin,
-                             piece);
-      }
+      return;
+    }
+    for (RankId r = 0; r < p; ++r) {
+      const auto [ii, jj] = layout.block_of(r);
+      const VertexRange rri = layout.range_of(ii);
+      const VertexRange rrj = layout.range_of(jj);
+      if (rri.size() == 0 || rrj.size() == 0) continue;
+      gathered.push_back(
+          {rri.begin, rrj.begin,
+           r == 0 ? std::move(local)
+                  : comm.recv_block(r, collect_tag + r, rri.size(),
+                                    rrj.size())});
     }
   });
+  if (options.collect_distances)
+    result.distances = undo_dissection(std::move(gathered), nd);
 
   result.costs = machine.report();
   result.max_block_words = max_block_words;

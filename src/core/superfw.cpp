@@ -95,7 +95,7 @@ SuperFwResult superfw_original_order(const Graph& graph,
                                      const Dissection& nd) {
   const Graph reordered = apply_dissection(graph, nd);
   SuperFwResult result = superfw(reordered, nd);
-  result.distances = undo_dissection(result.distances, nd);
+  result.distances = undo_dissection(std::move(result.distances), nd);
   return result;
 }
 

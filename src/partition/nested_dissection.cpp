@@ -1,9 +1,15 @@
 #include "partition/nested_dissection.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <system_error>
+#include <thread>
+#include <utility>
 
+#include "machine/fibers.hpp"
 #include "partition/separator.hpp"
 #include "util/metrics.hpp"
+#include "util/prof.hpp"
 
 namespace capsp {
 
@@ -121,12 +127,129 @@ Graph apply_dissection(const Graph& graph, const Dissection& nd) {
   return graph.permuted(nd.perm);
 }
 
-DistBlock undo_dissection(const DistBlock& reordered, const Dissection& nd) {
-  const auto n = static_cast<Vertex>(nd.perm.size());
-  CAPSP_CHECK(reordered.rows() == n && reordered.cols() == n);
-  DistBlock original(n, n);
-  undo_dissection_into(original, nd, 0, 0, reordered);
+namespace {
+
+/// Rows [first, last) of `piece`, which sits at (row0, col0) of the
+/// reordered matrix, written to their places in the n-column `original`.
+/// The one un-permute loop; its callers check the shapes.
+void write_rows(Dist* original, std::int64_t n, const Dissection& nd,
+                Vertex row0, Vertex col0, const DistBlock& piece,
+                std::int64_t first, std::int64_t last) {
+  const Vertex* out_cols = nd.iperm.data() + col0;
+  for (std::int64_t a = first; a < last; ++a) {
+    Dist* out =
+        original + nd.iperm[static_cast<std::size_t>(row0 + a)] * n;
+    const Dist* in = piece.row(a);
+    for (std::int64_t b = 0; b < piece.cols(); ++b) out[out_cols[b]] = in[b];
+  }
+}
+
+/// A writer's unit of work covers about this many words (512 KiB): a
+/// 4096² matrix is 256 units, and a matrix of up to 256² is one unit,
+/// which the caller writes alone.
+constexpr std::int64_t kUnitWords = std::int64_t{1} << 16;
+
+}  // namespace
+
+DistBlock undo_dissection(std::vector<ReorderedPiece> pieces,
+                          const Dissection& nd) {
+  const auto n = static_cast<std::int64_t>(nd.iperm.size());
+  std::erase_if(pieces,
+                [](const ReorderedPiece& p) { return p.block.empty(); });
+  std::ranges::sort(pieces, [](const ReorderedPiece& x,
+                               const ReorderedPiece& y) {
+    return std::pair(x.row0, x.col0) < std::pair(y.row0, y.col0);
+  });
+  // Bands in row order, each a run of pieces in column order; together
+  // they must cover every row and, band by band, every column once.
+  struct Band {
+    std::size_t first = 0, last = 0;  ///< its pieces
+  };
+  std::vector<Band> bands;
+  std::int64_t next_row = 0;
+  for (std::size_t k = 0; k < pieces.size();) {
+    const ReorderedPiece& head = pieces[k];
+    CAPSP_CHECK_MSG(head.row0 == next_row,
+                    "pieces cover reordered rows up to " << next_row
+                        << ", next piece starts at row " << head.row0);
+    Band band{k, k};
+    std::int64_t next_col = 0;
+    for (; band.last < pieces.size() && pieces[band.last].row0 == head.row0;
+         ++band.last) {
+      const ReorderedPiece& piece = pieces[band.last];
+      CAPSP_CHECK_MSG(
+          piece.col0 == next_col && piece.block.rows() == head.block.rows(),
+          "piece at (" << piece.row0 << "," << piece.col0 << ") of "
+                       << piece.block.rows() << "x" << piece.block.cols()
+                       << " breaks the band of " << head.block.rows()
+                       << " rows at column " << next_col);
+      next_col += piece.block.cols();
+    }
+    CAPSP_CHECK_MSG(next_col == n, "band at row " << head.row0 << " covers "
+                                                  << next_col << " of " << n
+                                                  << " columns");
+    bands.push_back(band);
+    next_row += head.block.rows();
+    k = band.last;
+  }
+  CAPSP_CHECK_MSG(next_row == n,
+                  "pieces cover " << next_row << " of " << n << " rows");
+
+  struct Unit {
+    std::size_t band;
+    std::int64_t first, last;  ///< rows of the band's pieces
+  };
+  std::vector<Unit> units;
+  std::vector<std::atomic<std::int64_t>> units_left(bands.size());
+  const std::int64_t unit_rows =
+      n > 0 ? std::max<std::int64_t>(1, kUnitWords / n) : 1;
+  for (std::size_t b = 0; b < bands.size(); ++b) {
+    const std::int64_t rows = pieces[bands[b].first].block.rows();
+    for (std::int64_t first = 0; first < rows; first += unit_rows) {
+      units.push_back({b, first, std::min(rows, first + unit_rows)});
+      ++units_left[b];
+    }
+  }
+
+  DistBlock original = DistBlock::for_overwrite(n, n);
+  Dist* const out = original.data().data();
+  std::atomic<std::size_t> next_unit{0};
+  const auto write = [&] {
+    ProfScope prof("partition.unpermute");
+    std::int64_t words = 0;
+    for (std::size_t u; (u = next_unit.fetch_add(1)) < units.size();) {
+      const Unit& unit = units[u];
+      const Band& band = bands[unit.band];
+      for (std::size_t k = band.first; k < band.last; ++k)
+        write_rows(out, n, nd, pieces[k].row0, pieces[k].col0,
+                   pieces[k].block, unit.first, unit.last);
+      words += (unit.last - unit.first) * n;
+      // The band's last unit frees its pieces: nobody reads them again.
+      if (units_left[unit.band].fetch_sub(1) == 1)
+        for (std::size_t k = band.first; k < band.last; ++k)
+          pieces[k].block = DistBlock();
+    }
+    prof.add_bytes(2 * words * static_cast<std::int64_t>(sizeof(Dist)));
+  };
+  {
+    std::vector<std::jthread> writers;  // joined as the block ends
+    const int threads = Fibers::carrier_count(static_cast<int>(units.size()));
+    for (int t = 1; t < threads; ++t) {
+      try {
+        writers.emplace_back(write);
+      } catch (const std::system_error&) {
+        break;  // the writers already started take every unit
+      }
+    }
+    write();
+  }
   return original;
+}
+
+DistBlock undo_dissection(DistBlock reordered, const Dissection& nd) {
+  std::vector<ReorderedPiece> pieces;
+  pieces.push_back({0, 0, std::move(reordered)});
+  return undo_dissection(std::move(pieces), nd);
 }
 
 void undo_dissection_into(DistBlock& original, const Dissection& nd,
@@ -135,12 +258,8 @@ void undo_dissection_into(DistBlock& original, const Dissection& nd,
   CAPSP_CHECK(original.rows() == n && original.cols() == n);
   CAPSP_CHECK(row0 >= 0 && col0 >= 0);
   CAPSP_CHECK(row0 + piece.rows() <= n && col0 + piece.cols() <= n);
-  const Vertex* out_cols = nd.iperm.data() + col0;
-  for (std::int64_t a = 0; a < piece.rows(); ++a) {
-    Dist* out = original.row(nd.iperm[static_cast<std::size_t>(row0 + a)]);
-    const Dist* in = piece.row(a);
-    for (std::int64_t b = 0; b < piece.cols(); ++b) out[out_cols[b]] = in[b];
-  }
+  write_rows(original.data().data(), n, nd, row0, col0, piece, 0,
+             piece.rows());
 }
 
 }  // namespace capsp

@@ -61,16 +61,36 @@ Dissection nested_dissection(const Graph& graph, int height, Rng& rng,
 /// matrix has the block-arrow structure of Fig. 1d.
 Graph apply_dissection(const Graph& graph, const Dissection& nd);
 
-/// Inverse of apply_dissection for solver output: map a matrix over the
-/// reordered vertices back to the original numbering, so entry (u, v) of
-/// the result is entry (perm[u], perm[v]) of `reordered`.
-DistBlock undo_dissection(const DistBlock& reordered, const Dissection& nd);
+/// One piece of a matrix over the reordered vertices: `block` holds rows
+/// [row0, row0 + block.rows()) × columns [col0, col0 + block.cols()).
+struct ReorderedPiece {
+  Vertex row0 = 0;
+  Vertex col0 = 0;
+  DistBlock block;
+};
 
-/// undo_dissection for one piece: `piece` holds rows [row0, row0 + rows)
-/// × columns [col0, col0 + cols) of a matrix over the reordered vertices;
-/// entry (a, b) is written to (iperm[row0 + a], iperm[col0 + b]) of
-/// `original`, an n×n matrix in the original numbering.  The sparse
-/// solver's result gather writes each rank's block with it.
+/// Inverse of apply_dissection for solver output held in pieces: the n×n
+/// matrix in the original numbering whose entry (iperm[a], iperm[b]) is
+/// entry (a, b) of the reordered matrix the pieces make up.  Pieces that
+/// do not tile that matrix exactly throw check_error before anything is
+/// written.  The writers are Fibers::carrier_count threads, the caller
+/// among them (DESIGN.md decision 18): each takes runs of rows of one
+/// band (the pieces that share rows), so it writes whole original rows,
+/// and a band's pieces are freed once all of its rows are written.  Call
+/// it outside Machine::run: a rank starts no threads.
+DistBlock undo_dissection(std::vector<ReorderedPiece> pieces,
+                          const Dissection& nd);
+
+/// The same for one n×n block: entry (u, v) of the result is entry
+/// (perm[u], perm[v]) of `reordered`.
+DistBlock undo_dissection(DistBlock reordered, const Dissection& nd);
+
+/// undo_dissection for one piece on the calling thread: `piece` holds
+/// rows [row0, row0 + rows) × columns [col0, col0 + cols) of a matrix
+/// over the reordered vertices; entry (a, b) is written to
+/// (iperm[row0 + a], iperm[col0 + b]) of `original`, an n×n matrix in the
+/// original numbering.  A supernodal leaf writes its closure back with it
+/// inside its rank.
 void undo_dissection_into(DistBlock& original, const Dissection& nd,
                           Vertex row0, Vertex col0, const DistBlock& piece);
 

@@ -8,7 +8,7 @@ DistBlock DistBlock::sub_block(std::int64_t r0, std::int64_t c0,
                                std::int64_t rows, std::int64_t cols) const {
   CAPSP_CHECK(r0 >= 0 && c0 >= 0 && rows >= 0 && cols >= 0);
   CAPSP_CHECK(r0 + rows <= rows_ && c0 + cols <= cols_);
-  DistBlock out(rows, cols);
+  DistBlock out = for_overwrite(rows, cols);
   if (cols == 0) return out;  // avoid memcpy on empty-vector null pointers
   for (std::int64_t r = 0; r < rows; ++r)
     std::memcpy(out.row(r), row(r0 + r) + c0,

@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
 #include <utility>
 #include <vector>
@@ -21,6 +23,20 @@
 #include "util/check.hpp"
 
 namespace capsp {
+
+/// std::allocator, except that a value-less construct leaves the word
+/// unwritten: vector(n) and resize(n) allocate without touching memory.
+template <typename T>
+struct ForOverwriteAllocator : std::allocator<T> {
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
 
 /// Dense block of tropical-semiring values.  A 0×k or k×0 block is legal
 /// (empty supernodes produce them) and all operations treat it as a no-op.
@@ -33,6 +49,18 @@ class DistBlock {
       : rows_(rows), cols_(cols),
         data_(static_cast<std::size_t>(rows * cols), fill) {
     CAPSP_CHECK(rows >= 0 && cols >= 0);
+  }
+
+  /// rows×cols block whose words are left unwritten, so no fill runs and
+  /// each page is first touched by whoever writes it.  Contract: the
+  /// caller writes every word before any word is read.
+  static DistBlock for_overwrite(std::int64_t rows, std::int64_t cols) {
+    CAPSP_CHECK(rows >= 0 && cols >= 0);
+    DistBlock block;
+    block.rows_ = rows;
+    block.cols_ = cols;
+    block.data_.resize(static_cast<std::size_t>(rows * cols));
+    return block;
   }
 
   /// rows×cols block reading `payload` in place: no copy.  The payload
@@ -134,8 +162,10 @@ class DistBlock {
 
   std::int64_t rows_ = 0;
   std::int64_t cols_ = 0;
-  std::vector<Dist> data_;  // private storage; empty while shared
-  Payload shared_;          // the payload a shared block reads
+  /// Private storage; empty while shared.
+  std::vector<Dist, ForOverwriteAllocator<Dist>> data_;
+  /// The payload a shared block reads.
+  Payload shared_;
 };
 
 }  // namespace capsp

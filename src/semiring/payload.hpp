@@ -26,22 +26,37 @@ class Payload {
   /// No words.
   Payload() = default;
 
-  /// Adopts `words`' storage: no copy.
-  explicit Payload(std::vector<Dist> words)
-      : buffer_(std::make_shared<const std::vector<Dist>>(std::move(words))) {}
+  /// Adopts `words`' storage, whatever its allocator: no copy.
+  template <typename Allocator>
+  explicit Payload(std::vector<Dist, Allocator> words) {
+    auto owner = std::make_shared<const std::vector<Dist, Allocator>>(
+        std::move(words));
+    words_ = *owner;
+    owner_ = std::move(owner);
+  }
+
+  Payload(const Payload&) = default;
+  Payload& operator=(const Payload&) = default;
+  /// A moved-from payload holds no words.
+  Payload(Payload&& other) noexcept
+      : owner_(std::move(other.owner_)),
+        words_(std::exchange(other.words_, {})) {}
+  Payload& operator=(Payload&& other) noexcept {
+    owner_ = std::move(other.owner_);
+    words_ = std::exchange(other.words_, {});
+    return *this;
+  }
 
   /// A payload holding a copy of `words`.
   static Payload copy_of(std::span<const Dist> words) {
     return Payload(std::vector<Dist>(words.begin(), words.end()));
   }
 
-  std::span<const Dist> words() const {
-    return buffer_ ? std::span<const Dist>(*buffer_) : std::span<const Dist>();
-  }
-  std::size_t size() const { return buffer_ ? buffer_->size() : 0; }
+  std::span<const Dist> words() const { return words_; }
+  std::size_t size() const { return words_.size(); }
   bool empty() const { return size() == 0; }
-  const Dist* data() const { return words().data(); }
-  Dist operator[](std::size_t i) const { return (*buffer_)[i]; }
+  const Dist* data() const { return words_.data(); }
+  Dist operator[](std::size_t i) const { return words_[i]; }
   const_iterator begin() const { return data(); }
   const_iterator end() const { return data() + size(); }
 
@@ -51,7 +66,8 @@ class Payload {
   }
 
  private:
-  std::shared_ptr<const std::vector<Dist>> buffer_;
+  std::shared_ptr<const void> owner_;  ///< the vector `words_` lives in
+  std::span<const Dist> words_;
 };
 
 }  // namespace capsp

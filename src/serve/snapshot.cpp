@@ -215,7 +215,8 @@ DistBlock SnapshotReader::read_tile(std::int64_t tile_id,
          << " buffer allocation failed (injected)";
     throw TileReadError(TileReadError::Kind::kAlloc, tile_id, what.str());
   }
-  DistBlock tile(header_.tile_row_dim(tr), header_.tile_col_dim(tc));
+  DistBlock tile = DistBlock::for_overwrite(header_.tile_row_dim(tr),
+                                            header_.tile_col_dim(tc));
   {
     ScopedSpan span(trace, "tile.snapshot_read");
     span.detail("tile", tile_id);
@@ -268,7 +269,7 @@ DistBlock SnapshotReader::read_tile(std::int64_t tile_id,
 
 DistBlock read_full_matrix(const SnapshotReader& reader) {
   const SnapshotHeader& h = reader.header();
-  DistBlock full(h.rows, h.cols);
+  DistBlock full = DistBlock::for_overwrite(h.rows, h.cols);
   for (std::int64_t t = 0; t < h.num_tiles(); ++t)
     full.set_sub_block((t / h.tile_cols()) * h.tile_dim,
                        (t % h.tile_cols()) * h.tile_dim, reader.read_tile(t));

@@ -3,8 +3,6 @@
 // scope parked in a receive is billed only its own fiber's CPU, and a
 // rank that overflows its stack still leaves a flight-recorder dump.
 #include <gtest/gtest.h>
-#include <pthread.h>
-#include <sched.h>
 #include <signal.h>
 #include <time.h>
 
@@ -20,6 +18,7 @@
 #include "graph/generators.hpp"
 #include "machine/fibers.hpp"
 #include "machine/machine.hpp"
+#include "one_cpu.hpp"
 #include "util/context.hpp"
 #include "util/flightrec.hpp"
 #include "util/log.hpp"
@@ -28,36 +27,6 @@
 
 namespace capsp {
 namespace {
-
-/// Pins the calling thread to the first CPU of its affinity mask for the
-/// object's lifetime, so a Machine::run from it has one carrier: the
-/// calling thread itself.
-class OneCpu {
- public:
-  OneCpu() {
-    CPU_ZERO(&saved_);
-    EXPECT_EQ(::pthread_getaffinity_np(::pthread_self(), sizeof(saved_),
-                                       &saved_),
-              0);
-    cpu_set_t one;
-    CPU_ZERO(&one);
-    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu)
-      if (CPU_ISSET(cpu, &saved_)) {
-        CPU_SET(cpu, &one);
-        break;
-      }
-    EXPECT_EQ(::pthread_setaffinity_np(::pthread_self(), sizeof(one), &one),
-              0);
-  }
-  ~OneCpu() {
-    ::pthread_setaffinity_np(::pthread_self(), sizeof(saved_), &saved_);
-  }
-  OneCpu(const OneCpu&) = delete;
-  OneCpu& operator=(const OneCpu&) = delete;
-
- private:
-  cpu_set_t saved_;
-};
 
 double thread_cpu_now() {
   timespec now{};

@@ -1,18 +1,24 @@
 // Tests for the partitioning substrate: bisection balance/cut quality,
-// Hopcroft–Karp matching, König separator validity, and nested dissection
+// Hopcroft–Karp matching, König separator validity, nested dissection
 // structure (permutation validity, supernode ranges, the Fig. 1d
-// cousin-block emptiness property).
+// cousin-block emptiness property), and the writer that maps a solved
+// matrix back to the original numbering.
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <optional>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "one_cpu.hpp"
 #include "partition/bisect.hpp"
 #include "partition/nested_dissection.hpp"
 #include "partition/separator.hpp"
 #include "semiring/graph_matrix.hpp"
+#include "util/check.hpp"
 
 namespace capsp {
 namespace {
@@ -352,6 +358,158 @@ TEST(NestedDissection, HandlesGraphSmallerThanTree) {
   const Graph graph = make_path(5, rng);
   const Dissection nd = nested_dissection(graph, 3, rng);
   expect_valid_dissection(graph, nd);
+}
+
+/// Two disjoint side×side grids: the top separator is empty.
+Graph two_grids(Vertex side, Rng& rng) {
+  const Graph grid = make_grid2d(side, side, rng);
+  const Vertex n = grid.num_vertices();
+  GraphBuilder builder(2 * n);
+  for (Vertex v = 0; v < n; ++v)
+    for (const auto& nb : grid.neighbors(v))
+      if (v < nb.to) {
+        builder.add_edge(v, nb.to, nb.weight);
+        builder.add_edge(n + v, n + nb.to, nb.weight);
+      }
+  return std::move(builder).build();
+}
+
+/// An n×n matrix over the reordered vertices whose entries all differ.
+DistBlock numbered_matrix(Vertex n) {
+  DistBlock m(n, n);
+  for (Vertex a = 0; a < n; ++a)
+    for (Vertex b = 0; b < n; ++b)
+      m.at(a, b) = static_cast<Dist>(std::int64_t{a} * n + b);
+  return m;
+}
+
+/// `m` cut into the blocks of the supernode ranges, every (i, j), empty
+/// ones too: the pieces a sparse solve gathers.
+std::vector<ReorderedPiece> supernode_blocks(const DistBlock& m,
+                                             const Dissection& nd) {
+  std::vector<ReorderedPiece> pieces;
+  for (Snode i = 1; i <= nd.tree.num_supernodes(); ++i)
+    for (Snode j = 1; j <= nd.tree.num_supernodes(); ++j) {
+      const VertexRange ri = nd.range_of(i);
+      const VertexRange rj = nd.range_of(j);
+      pieces.push_back({ri.begin, rj.begin,
+                        m.sub_block(ri.begin, rj.begin, ri.size(),
+                                    rj.size())});
+    }
+  return pieces;
+}
+
+/// undo_dissection's definition: entry (iperm[a], iperm[b]) of the
+/// result is entry (a, b) of `reordered`.
+void expect_undone(const DistBlock& got, const DistBlock& reordered,
+                   const Dissection& nd) {
+  const auto n = static_cast<Vertex>(nd.iperm.size());
+  ASSERT_EQ(got.rows(), n);
+  ASSERT_EQ(got.cols(), n);
+  std::int64_t wrong = 0;
+  for (Vertex a = 0; a < n; ++a)
+    for (Vertex b = 0; b < n; ++b)
+      wrong += got.at(nd.iperm[static_cast<std::size_t>(a)],
+                      nd.iperm[static_cast<std::size_t>(b)]) !=
+               reordered.at(a, b);
+  EXPECT_EQ(wrong, 0);
+}
+
+struct UndoCase {
+  const char* name;
+  Graph graph;
+  int height;
+  bool empty_supernode;  ///< the case needs one, so the test checks it
+};
+
+std::vector<UndoCase> undo_cases() {
+  Rng rng(31);
+  std::vector<UndoCase> cases;
+  cases.push_back({"empty top separator", two_grids(18, rng), 3, true});
+  cases.push_back(
+      {"n = 529 on a 7x7 grid", make_grid2d(23, 23, rng), 3, false});
+  cases.push_back(
+      {"h = 1, one piece", make_erdos_renyi(600, 4.0, rng), 1, false});
+  cases.push_back({"n = 1", make_path(1, rng), 1, false});
+  cases.push_back({"n = 1 under 3 supernodes", make_path(1, rng), 2, true});
+  return cases;
+}
+
+TEST(UndoDissection, PiecesLandWhereTheDefinitionPutsThem) {
+  for (const UndoCase& c : undo_cases()) {
+    SCOPED_TRACE(c.name);
+    Rng rng(5);
+    const Dissection nd = nested_dissection(c.graph, c.height, rng);
+    if (c.empty_supernode) {
+      bool any_empty = false;
+      for (Snode s = 1; s <= nd.tree.num_supernodes(); ++s)
+        any_empty = any_empty || nd.range_of(s).empty();
+      ASSERT_TRUE(any_empty);
+    }
+    const DistBlock reordered = numbered_matrix(c.graph.num_vertices());
+    for (const bool pinned : {false, true}) {
+      SCOPED_TRACE(pinned ? "one CPU" : "unpinned");
+      std::optional<OneCpu> pin;
+      if (pinned) pin.emplace();
+      expect_undone(undo_dissection(supernode_blocks(reordered, nd), nd),
+                    reordered, nd);
+      expect_undone(undo_dissection(reordered, nd), reordered, nd);
+    }
+  }
+}
+
+TEST(UndoDissection, PiecesThatDoNotTileThrowOnTheCaller) {
+  Rng rng(32);
+  const Graph graph = make_grid2d(23, 23, rng);
+  const Dissection nd = nested_dissection(graph, 3, rng);
+  const DistBlock reordered = numbered_matrix(graph.num_vertices());
+  const auto last_band = [&] {
+    // The non-empty piece at the largest row, largest column.
+    std::vector<ReorderedPiece> pieces = supernode_blocks(reordered, nd);
+    std::size_t last = 0;
+    for (std::size_t k = 0; k < pieces.size(); ++k)
+      if (!pieces[k].block.empty() &&
+          std::pair(pieces[k].row0, pieces[k].col0) >=
+              std::pair(pieces[last].row0, pieces[last].col0))
+        last = k;
+    return std::pair(std::move(pieces), last);
+  };
+  {
+    SCOPED_TRACE("a piece missing");
+    auto [pieces, last] = last_band();
+    pieces.erase(pieces.begin() + static_cast<std::ptrdiff_t>(last));
+    EXPECT_THROW(undo_dissection(std::move(pieces), nd), check_error);
+  }
+  {
+    SCOPED_TRACE("the last band missing");
+    auto [pieces, last] = last_band();
+    const Vertex row0 = pieces[last].row0;
+    std::erase_if(pieces,
+                  [&](const ReorderedPiece& p) { return p.row0 == row0; });
+    EXPECT_THROW(undo_dissection(std::move(pieces), nd), check_error);
+  }
+  {
+    SCOPED_TRACE("a piece twice");
+    auto [pieces, last] = last_band();
+    pieces.push_back({pieces[last].row0, pieces[last].col0,
+                      pieces[last].block});
+    EXPECT_THROW(undo_dissection(std::move(pieces), nd), check_error);
+  }
+  {
+    SCOPED_TRACE("a piece one row short");
+    auto [pieces, last] = last_band();
+    const DistBlock& block = pieces[last].block;
+    pieces[last].block = block.sub_block(0, 0, block.rows() - 1, block.cols());
+    EXPECT_THROW(undo_dissection(std::move(pieces), nd), check_error);
+  }
+  {
+    SCOPED_TRACE("a piece past the last column");
+    auto [pieces, last] = last_band();
+    pieces[last].block = DistBlock(pieces[last].block.rows(),
+                                   pieces[last].block.cols() + 1);
+    EXPECT_THROW(undo_dissection(std::move(pieces), nd), check_error);
+  }
+  EXPECT_THROW(undo_dissection(DistBlock(3, 3), nd), check_error);
 }
 
 }  // namespace
