@@ -585,5 +585,154 @@ TEST(TileCache, SharedTileSurvivesEviction) {
   EXPECT_EQ(held->at(0, 1), 7);
 }
 
+/// Every metric of a stopped service as "kind name value" lines in name
+/// order: a counter's value, a gauge's value and a histogram's count.
+/// serve.health and serve.quarantine.active are left out: the
+/// maintenance thread writes them on its own clock.
+std::vector<std::string> metric_lines(const MetricsSnapshot& snapshot) {
+  std::vector<std::string> lines;
+  for (const auto& [name, metric] : snapshot) {
+    if (name == "serve.health" || name == "serve.quarantine.active") continue;
+    std::ostringstream line;
+    switch (metric.kind) {
+      case MetricKind::kCounter:
+        line << "counter " << name << " " << metric.counter;
+        break;
+      case MetricKind::kGauge:
+        line << "gauge " << name << " " << metric.gauge;
+        break;
+      case MetricKind::kHistogram:
+        line << "histogram " << name << " " << metric.histogram.count;
+        break;
+    }
+    lines.push_back(line.str());
+  }
+  return lines;
+}
+
+// Every serve.* name and value a fixed workload reports.  One worker and
+// blocking calls make each value exact, so a change to where the service
+// keeps a count must leave every line as it is.
+TEST(ServeMetrics, MatchRecordedValues) {
+  const Fixture f = make_fixture(9, 4);
+  {
+    // Clean: a 4 KiB cache (two 4x4 tiles per shard) evicts all along,
+    // and the slow log keeps every request's trace.
+    ServeOptions options;
+    options.threads = 1;
+    options.cache_bytes = 4096;
+    options.slow_trace_ms = 1e-6;
+    DistanceService service(f.reader, f.graph, options);
+    for (Vertex u = 0; u < 81; u += 4)
+      for (Vertex v = 0; v < 81; v += 7) service.distance(u, v);
+    for (Vertex u = 0; u < 81; u += 10) service.shortest_path(u, 80 - u);
+    for (Vertex u = 0; u < 81; u += 20) service.k_nearest(u, 5);
+    service.stop();  // joins the worker: every trace is routed
+    const std::vector<std::string> expected = {
+      "gauge serve.cache.bytes 3432",
+      "gauge serve.cache.entries 29",
+      "counter serve.cache.eviction 434",
+      "counter serve.cache.hit 333",
+      "counter serve.cache.miss 463",
+      "counter serve.cache.shard0.eviction 53",
+      "counter serve.cache.shard0.hit 46",
+      "counter serve.cache.shard0.miss 57",
+      "counter serve.cache.shard1.eviction 54",
+      "counter serve.cache.shard1.hit 41",
+      "counter serve.cache.shard1.miss 57",
+      "counter serve.cache.shard2.eviction 54",
+      "counter serve.cache.shard2.hit 38",
+      "counter serve.cache.shard2.miss 57",
+      "counter serve.cache.shard3.eviction 56",
+      "counter serve.cache.shard3.hit 42",
+      "counter serve.cache.shard3.miss 59",
+      "counter serve.cache.shard4.eviction 57",
+      "counter serve.cache.shard4.hit 40",
+      "counter serve.cache.shard4.miss 61",
+      "counter serve.cache.shard5.eviction 55",
+      "counter serve.cache.shard5.hit 39",
+      "counter serve.cache.shard5.miss 59",
+      "counter serve.cache.shard6.eviction 53",
+      "counter serve.cache.shard6.hit 37",
+      "counter serve.cache.shard6.miss 57",
+      "counter serve.cache.shard7.eviction 52",
+      "counter serve.cache.shard7.hit 50",
+      "counter serve.cache.shard7.miss 56",
+      "counter serve.io.bytes_read 53936",
+      "counter serve.io.tiles_loaded 463",
+      "histogram serve.path.hops 9",
+      "gauge serve.queue.depth 1",
+      "counter serve.request.distance 252",
+      "counter serve.request.knear 5",
+      "histogram serve.request.latency_us 266",
+      "counter serve.request.ok 266",
+      "counter serve.request.path 9",
+      "counter serve.trace.slow 266"};
+    EXPECT_EQ(metric_lines(service.metrics_snapshot()), expected);
+  }
+  {
+    // Faulted: tile 0 never reads.  Two exhausted 2-attempt fetches put
+    // it in quarantine, and the cooldown outlasts the test, so no probe
+    // runs and every later touch of the tile is blocked.
+    ServeFaultPlan plan;
+    plan.bad_tile = 0;
+    plan.bad_tile_fails = 1000000;
+    ServeOptions options;
+    options.threads = 1;
+    options.cache_bytes = 4096;
+    options.retry.max_attempts = 2;
+    options.retry.backoff_base_ms = 0.05;
+    options.quarantine.threshold = 2;
+    options.quarantine.cooldown_ms = 1e9;
+    options.fault_injector = std::make_shared<ServeFaultInjector>(plan);
+    DistanceService service(f.reader, f.graph, options);
+    EXPECT_EQ(service.distance(0, 1).error, ServeError::kDegraded);
+    EXPECT_EQ(service.distance(1, 0).error, ServeError::kDegraded);
+    EXPECT_EQ(service.distance(2, 3).error, ServeError::kDegraded);
+    EXPECT_EQ(service.shortest_path(0, 2).error, ServeError::kDegraded);
+    EXPECT_EQ(service.k_nearest(0, 4).error, ServeError::kDegraded);
+    EXPECT_EQ(service.distance(80, 79).error, ServeError::kOk);
+    EXPECT_EQ(service.shortest_path(80, 40).error, ServeError::kOk);
+    service.stop();
+    const std::vector<std::string> expected = {
+      "gauge serve.cache.bytes 1536",
+      "gauge serve.cache.entries 9",
+      "counter serve.cache.hit 30",
+      "counter serve.cache.miss 14",
+      "counter serve.cache.shard0.miss 5",
+      "counter serve.cache.shard1.hit 3",
+      "counter serve.cache.shard1.miss 1",
+      "counter serve.cache.shard2.hit 1",
+      "counter serve.cache.shard2.miss 1",
+      "counter serve.cache.shard3.hit 3",
+      "counter serve.cache.shard3.miss 1",
+      "counter serve.cache.shard4.hit 7",
+      "counter serve.cache.shard4.miss 1",
+      "counter serve.cache.shard5.hit 5",
+      "counter serve.cache.shard5.miss 1",
+      "counter serve.cache.shard6.hit 6",
+      "counter serve.cache.shard6.miss 2",
+      "counter serve.cache.shard7.hit 5",
+      "counter serve.cache.shard7.miss 2",
+      "counter serve.fault.io 4",
+      "counter serve.io.bytes_read 960",
+      "counter serve.io.tiles_loaded 9",
+      "histogram serve.path.hops 1",
+      "counter serve.quarantine.blocked 3",
+      "counter serve.quarantine.enter 1",
+      "gauge serve.queue.depth 1",
+      "counter serve.request.degraded 5",
+      "counter serve.request.distance 4",
+      "counter serve.request.knear 1",
+      "histogram serve.request.latency_us 7",
+      "counter serve.request.ok 2",
+      "counter serve.request.path 2",
+      "counter serve.retry.attempts 2",
+      "histogram serve.retry.backoff_ms 2",
+      "counter serve.retry.exhausted 2"};
+    EXPECT_EQ(metric_lines(service.metrics_snapshot()), expected);
+  }
+}
+
 }  // namespace
 }  // namespace capsp
