@@ -271,9 +271,6 @@ def summarize_resilience(res):
     predate the section."""
     if not res:
         return
-    if not res.get("enabled"):
-        print("\nresilience: disabled (--no-resilience)")
-        return
     retry = res["retry"]
     quarantine = res["quarantine"]
     workers = res["workers"]

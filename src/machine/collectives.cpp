@@ -266,51 +266,4 @@ void group_reduce_min(Comm& comm, std::span<const RankId> group, RankId root,
                &semiring_elementwise_plus<MinPlusSemiring>, algorithm);
 }
 
-std::vector<DistBlock> group_gather(
-    Comm& comm, std::span<const RankId> group, RankId root,
-    const DistBlock& block,
-    std::span<const std::pair<std::int64_t, std::int64_t>> shapes, Tag tag) {
-  CAPSP_CHECK(shapes.size() == group.size());
-  const CommClassScope scope(comm, "gather");
-  const std::size_t pos = position_in(group, comm.rank());
-  CAPSP_CHECK(block.rows() == shapes[pos].first &&
-              block.cols() == shapes[pos].second);
-  if (comm.rank() != root) {
-    comm.send_block(root, tag + static_cast<Tag>(pos), block);
-    return {};
-  }
-  std::vector<DistBlock> out;
-  out.reserve(group.size());
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    if (group[i] == root) {
-      out.push_back(block);
-    } else {
-      out.push_back(comm.recv_block(group[i], tag + static_cast<Tag>(i),
-                                    shapes[i].first, shapes[i].second));
-    }
-  }
-  return out;
-}
-
-DistBlock group_scatter(
-    Comm& comm, std::span<const RankId> group, RankId root,
-    std::span<const DistBlock> blocks,
-    std::span<const std::pair<std::int64_t, std::int64_t>> shapes, Tag tag) {
-  CAPSP_CHECK(shapes.size() == group.size());
-  const CommClassScope scope(comm, "scatter");
-  const std::size_t pos = position_in(group, comm.rank());
-  if (comm.rank() == root) {
-    CAPSP_CHECK(blocks.size() == group.size());
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      CAPSP_CHECK(blocks[i].rows() == shapes[i].first &&
-                  blocks[i].cols() == shapes[i].second);
-      if (group[i] != root)
-        comm.send_block(group[i], tag + static_cast<Tag>(i), blocks[i]);
-    }
-    return blocks[position_in(group, root)];
-  }
-  return comm.recv_block(root, tag + static_cast<Tag>(pos),
-                         shapes[pos].first, shapes[pos].second);
-}
-
 }  // namespace capsp

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "machine/machine.hpp"
 #include "semiring/block.hpp"
@@ -65,21 +64,5 @@ void group_reduce_min(Comm& comm, std::span<const RankId> group, RankId root,
                       DistBlock& block, Tag tag,
                       CollectiveAlgorithm algorithm =
                           CollectiveAlgorithm::kBinomialTree);
-
-/// Gather every member's block to `root`, ordered as `group`.  Returns the
-/// blocks on root (empty vector elsewhere).  Blocks may differ in shape;
-/// `shapes[i]` gives (rows, cols) of member i's contribution.
-std::vector<DistBlock> group_gather(
-    Comm& comm, std::span<const RankId> group, RankId root,
-    const DistBlock& block,
-    std::span<const std::pair<std::int64_t, std::int64_t>> shapes, Tag tag);
-
-/// Scatter from root: member i receives blocks[i] (on root, blocks must
-/// have group.size() entries; elsewhere it is ignored).  Returns this
-/// member's block.
-DistBlock group_scatter(
-    Comm& comm, std::span<const RankId> group, RankId root,
-    std::span<const DistBlock> blocks,
-    std::span<const std::pair<std::int64_t, std::int64_t>> shapes, Tag tag);
 
 }  // namespace capsp

@@ -128,31 +128,6 @@ std::vector<std::int64_t> CommLedger::heat_frames() const {
   return heat;
 }
 
-std::vector<const CommChannelStats*> CommLedger::top_channels(
-    std::size_t k, std::vector<CommChannelKey>* keys) const {
-  std::vector<const std::pair<const CommChannelKey, CommChannelStats>*> all;
-  all.reserve(channels.size());
-  for (const auto& entry : channels) all.push_back(&entry);
-  std::stable_sort(all.begin(), all.end(), [](const auto* a, const auto* b) {
-    return a->second.physical_words > b->second.physical_words;
-  });  // stable: equal loads keep key order => deterministic
-  if (all.size() > k) all.resize(k);
-  std::vector<const CommChannelStats*> out;
-  out.reserve(all.size());
-  if (keys != nullptr) keys->clear();
-  for (const auto* entry : all) {
-    out.push_back(&entry->second);
-    if (keys != nullptr) keys->push_back(entry->first);
-  }
-  return out;
-}
-
-void CommLedger::merge_from(const CommLedger& other) {
-  present = present || other.present;
-  num_ranks = std::max(num_ranks, other.num_ranks);
-  for (const auto& [key, stats] : other.channels) channels[key] += stats;
-}
-
 namespace {
 
 void write_stats_fields(JsonWriter& json, const CommChannelStats& stats) {

@@ -134,12 +134,6 @@ struct CommLedger {
   /// `trace_summary.py comm` render).
   std::vector<std::int64_t> heat_words() const;
   std::vector<std::int64_t> heat_frames() const;
-
-  /// Top-k channels by physical words, ties broken by key order.
-  std::vector<const CommChannelStats*> top_channels(
-      std::size_t k, std::vector<CommChannelKey>* keys) const;
-
-  void merge_from(const CommLedger& other);
 };
 
 /// Emit the ledger as the fields of a "comm" JSON object: totals, the

@@ -310,7 +310,6 @@ class Machine {
   /// bit-identical with tracing on or off; when off, the only overhead is
   /// one branch per operation.  See docs/observability.md.
   void enable_tracing(bool enabled) { tracing_ = enabled; }
-  bool tracing_enabled() const { return tracing_; }
 
   /// Fold the per-channel communication ledger (commledger.hpp) during
   /// subsequent run()s: per-(src, dst, tag-class, phase) frame counts,
@@ -319,13 +318,11 @@ class Machine {
   /// tracing: metered costs are bit-identical with the ledger on or off.
   /// Off by default.
   void enable_comm_ledger(bool enabled) { record_comm_ = enabled; }
-  bool comm_ledger_enabled() const { return record_comm_; }
 
   /// Inject faults per `plan` during subsequent run()s (docs/robustness.md).
   /// An unsurvivable plan ends in a DeadlockError, like any other run in
   /// which no rank can proceed.
   void set_fault_plan(const FaultPlan& plan) { fault_plan_ = plan; }
-  void clear_fault_plan() { fault_plan_.reset(); }
   const FaultPlan* fault_plan() const {
     return fault_plan_ ? &*fault_plan_ : nullptr;
   }

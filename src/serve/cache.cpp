@@ -1,7 +1,6 @@
 #include "serve/cache.hpp"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 #include "serve/reqtrace.hpp"
@@ -10,20 +9,13 @@
 
 namespace capsp {
 
-TileCache::TileCache(TileCacheOptions options, MetricsRegistry& registry)
-    : registry_(registry) {
+TileCache::TileCache(TileCacheOptions options) {
   CAPSP_CHECK_MSG(options.byte_budget > 0,
                   "cache byte_budget must be > 0, got "
                       << options.byte_budget);
   CAPSP_CHECK_MSG(options.shards >= 1,
                   "cache shards must be >= 1, got " << options.shards);
   shards_ = std::vector<Shard>(static_cast<std::size_t>(options.shards));
-  for (std::size_t j = 0; j < shards_.size(); ++j) {
-    const std::string base = "serve.cache.shard" + std::to_string(j);
-    shards_[j].hit_name = base + ".hit";
-    shards_[j].miss_name = base + ".miss";
-    shards_[j].eviction_name = base + ".eviction";
-  }
   shard_budget_ = std::max<std::int64_t>(
       options.byte_budget / options.shards, 1);
 }
@@ -39,16 +31,10 @@ std::shared_ptr<const DistBlock> TileCache::get(std::int64_t tile_id,
   auto it = shard.index.find(tile_id);
   if (it == shard.index.end()) {
     ++shard.misses;
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    registry_.counter_add("serve.cache.miss");
-    registry_.counter_add(shard.miss_name);
     return nullptr;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   ++shard.hits;
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  registry_.counter_add("serve.cache.hit");
-  registry_.counter_add(shard.hit_name);
   span.rename("tile.cache_hit");
   return it->second->tile;
 }
@@ -64,58 +50,35 @@ std::shared_ptr<const DistBlock> TileCache::put(std::int64_t tile_id,
   std::shared_ptr<const DistBlock> cached = entry.tile;
 
   Shard& shard = shard_for(tile_id);
-  std::int64_t evicted = 0, byte_delta = 0, entry_delta = 0;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (auto it = shard.index.find(tile_id); it != shard.index.end()) {
-      // Concurrent loaders may race the same miss; keep the incumbent so
-      // every earlier get() result stays the canonical tile.
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      cached = it->second->tile;
-    } else {
-      shard.lru.push_front(std::move(entry));
-      shard.index[tile_id] = shard.lru.begin();
-      shard.bytes += shard.lru.front().bytes;
-      byte_delta += shard.lru.front().bytes;
-      ++entry_delta;
-      // An over-budget tile is admitted alone (the alternative — refusing
-      // to cache it — would reload it on every touch).
-      while (shard.bytes > shard_budget_ && shard.lru.size() > 1) {
-        const Entry& victim = shard.lru.back();
-        shard.bytes -= victim.bytes;
-        byte_delta -= victim.bytes;
-        shard.index.erase(victim.id);
-        shard.lru.pop_back();
-        ++evicted;
-        ++shard.evictions;
-        --entry_delta;
-      }
-    }
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  if (auto it = shard.index.find(tile_id); it != shard.index.end()) {
+    // Concurrent loaders may race the same miss; keep the incumbent so
+    // every earlier get() result stays the canonical tile.
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    return it->second->tile;
   }
-  if (evicted > 0) {
-    evictions_.fetch_add(evicted, std::memory_order_relaxed);
-    registry_.counter_add("serve.cache.eviction", evicted);
-    registry_.counter_add(shard.eviction_name, evicted);
+  shard.lru.push_front(std::move(entry));
+  shard.index[tile_id] = shard.lru.begin();
+  shard.bytes += shard.lru.front().bytes;
+  // An over-budget tile is admitted alone (the alternative — refusing to
+  // cache it — would reload it on every touch).
+  while (shard.bytes > shard_budget_ && shard.lru.size() > 1) {
+    const Entry& victim = shard.lru.back();
+    shard.bytes -= victim.bytes;
+    shard.index.erase(victim.id);
+    shard.lru.pop_back();
+    ++shard.evictions;
   }
-  bytes_.fetch_add(byte_delta, std::memory_order_relaxed);
-  entries_.fetch_add(entry_delta, std::memory_order_relaxed);
-  registry_.gauge_set("serve.cache.bytes",
-                      static_cast<double>(
-                          bytes_.load(std::memory_order_relaxed)));
-  registry_.gauge_set("serve.cache.entries",
-                      static_cast<double>(
-                          entries_.load(std::memory_order_relaxed)));
   return cached;
 }
 
-TileCache::Stats TileCache::stats() const {
-  Stats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
-  stats.bytes = bytes_.load(std::memory_order_relaxed);
-  stats.entries = entries_.load(std::memory_order_relaxed);
-  return stats;
+TileCache::Stats& TileCache::Stats::operator+=(const Stats& other) {
+  hits += other.hits;
+  misses += other.misses;
+  evictions += other.evictions;
+  bytes += other.bytes;
+  entries += other.entries;
+  return *this;
 }
 
 std::vector<TileCache::Stats> TileCache::shard_stats() const {
@@ -130,6 +93,12 @@ std::vector<TileCache::Stats> TileCache::shard_stats() const {
     stats[j].entries = static_cast<std::int64_t>(shard.lru.size());
   }
   return stats;
+}
+
+TileCache::Stats TileCache::stats() const {
+  Stats total;
+  for (const Stats& shard : shard_stats()) total += shard;
+  return total;
 }
 
 }  // namespace capsp

@@ -13,17 +13,14 @@
 // a lookup.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "semiring/block.hpp"
-#include "util/metrics.hpp"
 
 namespace capsp {
 
@@ -42,12 +39,7 @@ class TileCache {
   /// admitting an unbounded entry count.
   static constexpr std::int64_t kEntryOverheadBytes = 64;
 
-  /// Hit/miss/eviction counters also land in `registry` under
-  /// `serve.cache.*` so they show up in the service's metrics snapshot —
-  /// both the aggregate counters and a `serve.cache.shard<j>.*` set per
-  /// shard, so a skewed mix's contention hot spot is visible from the
-  /// metrics alone.
-  TileCache(TileCacheOptions options, MetricsRegistry& registry);
+  explicit TileCache(TileCacheOptions options);
   TileCache(const TileCache&) = delete;
   TileCache& operator=(const TileCache&) = delete;
 
@@ -67,10 +59,15 @@ class TileCache {
     std::int64_t evictions = 0;
     std::int64_t bytes = 0;
     std::int64_t entries = 0;
+    Stats& operator+=(const Stats& other);
   };
-  Stats stats() const;
-  /// Per-shard view of the same counters (index = tile_id % num_shards).
+  /// Each shard's counts (index = tile_id % num_shards), kept under the
+  /// shard's own lock: the one place the cache counts its hits, misses
+  /// and evictions.  The service folds them into its `serve.cache.*`
+  /// metrics when they are read (DistanceService::metrics_snapshot).
   std::vector<Stats> shard_stats() const;
+  /// The sum of shard_stats().
+  Stats stats() const;
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
  private:
@@ -84,12 +81,9 @@ class TileCache {
     std::list<Entry> lru;  // front = most recently used
     std::unordered_map<std::int64_t, std::list<Entry>::iterator> index;
     std::int64_t bytes = 0;
-    // Per-shard counters (guarded by `mutex`) and their registry names,
-    // precomputed so the hot path never builds a string.
     std::int64_t hits = 0;
     std::int64_t misses = 0;
     std::int64_t evictions = 0;
-    std::string hit_name, miss_name, eviction_name;
   };
 
   Shard& shard_for(std::int64_t tile_id) {
@@ -98,12 +92,6 @@ class TileCache {
 
   std::int64_t shard_budget_ = 0;
   std::vector<Shard> shards_;
-  MetricsRegistry& registry_;
-  std::atomic<std::int64_t> hits_{0};
-  std::atomic<std::int64_t> misses_{0};
-  std::atomic<std::int64_t> evictions_{0};
-  std::atomic<std::int64_t> bytes_{0};
-  std::atomic<std::int64_t> entries_{0};
 };
 
 }  // namespace capsp

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <queue>
 #include <sstream>
 #include <string>
@@ -39,22 +38,6 @@ void write_window(JsonWriter& json, const char* key, const WindowStats& w) {
   json.field("p95", w.p95);
   json.field("p99", w.p99);
   json.field("covered_seconds", w.covered_seconds);
-  json.end_object();
-}
-
-void write_slo_objective(JsonWriter& json, const char* key,
-                         const SloTracker::Objective& o) {
-  json.key(key);
-  json.begin_object();
-  json.field("enabled", o.enabled);
-  json.field("target", o.target);
-  json.field("total", o.total);
-  json.field("good", o.good);
-  json.field("compliance", o.compliance);
-  json.field("budget_remaining", o.budget_remaining);
-  json.field("window_total", o.window_total);
-  json.field("window_bad_fraction", o.window_bad_fraction);
-  json.field("burn_rate", o.burn_rate);
   json.end_object();
 }
 
@@ -115,20 +98,25 @@ const char* to_string(ServeError error) {
   return "unknown";
 }
 
+const DistanceService::QueryKind DistanceService::kDistanceQuery{
+    "distance", "serve.request.distance", "serve.execute.distance"};
+const DistanceService::QueryKind DistanceService::kPathQuery{
+    "path", "serve.request.path", "serve.execute.path"};
+const DistanceService::QueryKind DistanceService::kKNearestQuery{
+    "knear", "serve.request.knear", "serve.execute.knear"};
+
 DistanceService::DistanceService(std::shared_ptr<SnapshotReader> snapshot,
                                  Graph graph, ServeOptions options)
     : graph_(std::move(graph)),
       snapshot_(std::move(snapshot)),
       options_(options),
-      cache_({options.cache_bytes}, registry_),
+      cache_({options.cache_bytes}),
       trace_log_({options.trace_sample_every, options.slow_trace_ms * 1000.0,
                   options.trace_keep, options.slow_trace_keep}),
       slo_(options.slo),
       latency_window_(options.window_seconds, options.window_slices),
       error_window_(options.window_seconds, options.window_slices),
-      resilience_on_(options.resilience),
-      quarantine_(options.resilience ? options.quarantine
-                                     : QuarantineOptions{0, 0}) {
+      quarantine_(options.quarantine) {
   CAPSP_CHECK_MSG(snapshot_ != nullptr, "DistanceService needs a snapshot");
   const SnapshotHeader& h = snapshot_->header();
   CAPSP_CHECK_MSG(h.rows == graph_.num_vertices() &&
@@ -155,8 +143,7 @@ DistanceService::DistanceService(std::shared_ptr<SnapshotReader> snapshot,
   }
   // The maintenance thread earns its keep only when something needs
   // periodic attention: quarantine probes or the worker watchdog.
-  if (resilience_on_ &&
-      (quarantine_.enabled() || options_.stuck_worker_ms > 0))
+  if (quarantine_.enabled() || options_.stuck_worker_ms > 0)
     maintenance_ = std::thread([this] { maintenance_loop(); });
 }
 
@@ -236,26 +223,17 @@ void DistanceService::worker_loop(WorkerSlot* slot) {
       // requests (docs/observability.md).
       const LogRequestScope log_req(
           job.trace != nullptr ? job.trace->id() : -1);
-      CAPSP_LOG(kTrace, "serve.job.start", {"kind", job.kind},
+      CAPSP_LOG(kTrace, "serve.job.start", {"kind", job.kind->name},
                 {"worker", slot->index}, {"expired", expired});
-      // Scope names must be static literals, so map the job kind rather
-      // than concatenating.
-      const char* scope = "serve.execute";
-      if (std::strcmp(job.kind, "distance") == 0)
-        scope = "serve.execute.distance";
-      else if (std::strcmp(job.kind, "path") == 0)
-        scope = "serve.execute.path";
-      else if (std::strcmp(job.kind, "knear") == 0)
-        scope = "serve.execute.knear";
-      ProfScope prof(scope);
+      ProfScope prof(job.kind->scope);
       job.run(expired, job.trace.get());
-      CAPSP_LOG(kTrace, "serve.job.done", {"kind", job.kind},
+      CAPSP_LOG(kTrace, "serve.job.done", {"kind", job.kind->name},
                 {"worker", slot->index});
     }
     slot->busy_since_us.store(0, std::memory_order_release);
     // Routing happens after the reply resolves, but stop() joins this
     // thread, so a drained service always has every trace routed.
-    if (job.trace != nullptr) route_trace(std::move(job.trace));
+    if (job.trace != nullptr) trace_log_.finish(std::move(job.trace));
   }
 }
 
@@ -293,8 +271,6 @@ void DistanceService::check_stuck_workers() {
     CAPSP_LOG(kWarn, "serve.worker.stuck", {"worker", slot->index},
               {"busy_us", now_us - busy_since},
               {"threshold_us", threshold_us});
-    registry_.counter_add("serve.worker.stuck");
-    registry_.counter_add("serve.worker.replaced");
     workers_replaced_.fetch_add(1, std::memory_order_relaxed);
     auto fresh = std::make_unique<WorkerSlot>();
     fresh->index = next_worker_index_++;
@@ -311,11 +287,9 @@ void DistanceService::check_stuck_workers() {
 void DistanceService::probe_quarantined_tiles() {
   for (const std::int64_t tile_id :
        quarantine_.due_for_probe(QuarantineRegistry::Clock::now())) {
-    registry_.counter_add("serve.quarantine.probe");
     try {
       DistBlock tile = snapshot_->read_tile(tile_id, nullptr);
-      if (quarantine_.record_success(tile_id))
-        registry_.counter_add("serve.quarantine.exit");
+      quarantine_.record_success(tile_id);
       // Seed the cache so the first post-recovery request hits.
       cache_.put(tile_id, std::move(tile));
     } catch (const TileReadError& e) {
@@ -326,7 +300,6 @@ void DistanceService::probe_quarantined_tiles() {
 }
 
 HealthState DistanceService::compute_health() const {
-  if (!resilience_on_) return HealthState::kOk;
   const QuarantineRegistry::Stats q = quarantine_.stats();
   int active = 0;
   int stuck = 0;
@@ -389,17 +362,14 @@ DistanceService::Clock::time_point DistanceService::deadline_from(
                    std::chrono::duration<double>(seconds));
 }
 
-bool DistanceService::submit(Job job,
-                             const std::function<void(ServeError)>& reject) {
-  registry_.counter_add(std::string("serve.request.") + job.kind);
+ServeError DistanceService::submit(Job job) {
+  registry_.counter_add(job.kind->counter);
   ServeError verdict = ServeError::kOk;
   // Fault-aware shedding: while unhealthy (cached by the maintenance
   // thread), refuse new work up front — a fast structured "degraded"
   // spends far less error budget than a slow failure per request.
-  const bool shedding =
-      resilience_on_ &&
-      health_.load(std::memory_order_relaxed) ==
-          static_cast<int>(HealthState::kUnhealthy);
+  const bool shedding = health_.load(std::memory_order_relaxed) ==
+                        static_cast<int>(HealthState::kUnhealthy);
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     if (stopping_) {
@@ -418,7 +388,7 @@ bool DistanceService::submit(Job job,
     const auto now = Clock::now();
     // Rate-limited by the logger's per-site budget: a shed storm logs a
     // handful of lines plus a suppressed count, not one line per reject.
-    CAPSP_LOG(kWarn, "serve.request.rejected", {"kind", job.kind},
+    CAPSP_LOG(kWarn, "serve.request.rejected", {"kind", job.kind->name},
               {"verdict", to_string(verdict)});
     registry_.counter_add(outcome_counter(verdict));
     error_window_.observe(1.0, now);
@@ -427,13 +397,45 @@ bool DistanceService::submit(Job job,
     slo_.record(false, 0.0, now);
     if (job.trace != nullptr) {
       job.trace->finish(to_string(verdict), now);
-      route_trace(std::move(job.trace));
+      trace_log_.finish(std::move(job.trace));
     }
-    reject(verdict);
-    return false;
+    return verdict;
   }
   queue_cv_.notify_one();
-  return true;
+  return ServeError::kOk;
+}
+
+template <typename Reply, typename Body>
+std::future<Reply> DistanceService::enqueue_query(const QueryKind& kind,
+                                                  std::int64_t u,
+                                                  std::int64_t v,
+                                                  std::int64_t k,
+                                                  double deadline_seconds,
+                                                  Body body) {
+  auto promise = std::make_shared<std::promise<Reply>>();
+  std::future<Reply> future = promise->get_future();
+  Job job;
+  job.enqueue = Clock::now();
+  job.deadline = deadline_from(deadline_seconds, job.enqueue);
+  job.kind = &kind;
+  job.trace = trace_log_.maybe_start(kind.name, u, v, k);
+  job.run = [this, promise, body = std::move(body), enqueue = job.enqueue,
+             deadline = job.deadline](bool expired, RequestTrace* trace) {
+    Reply reply;
+    if (expired)
+      reply.error = ServeError::kDeadlineExceeded;
+    else
+      reply = body(deadline, trace);
+    record_outcome(enqueue, reply.error, trace);
+    promise->set_value(std::move(reply));
+  };
+  if (const ServeError verdict = submit(std::move(job));
+      verdict != ServeError::kOk) {
+    Reply reply;
+    reply.error = verdict;
+    promise->set_value(std::move(reply));
+  }
+  return future;
 }
 
 void DistanceService::record_outcome(Clock::time_point enqueue,
@@ -448,58 +450,26 @@ void DistanceService::record_outcome(Clock::time_point enqueue,
   if (trace != nullptr) trace->finish(to_string(error), now);
 }
 
-void DistanceService::route_trace(std::shared_ptr<RequestTrace> trace) {
-  if (trace_log_.finish(std::move(trace)))
-    registry_.counter_add("serve.trace.slow");
-}
-
 std::shared_ptr<const DistBlock> DistanceService::fetch_tile(
     std::int64_t tile_id, RequestTrace* trace) {
   if (auto tile = cache_.get(tile_id, trace)) return tile;
-  if (!resilience_on_) {
-    // Legacy contract: a read failure propagates out of the worker.
-    // The cache miss fill path (snapshot read + insert) gets its own
-    // profiling scope, with bytes for the memory-roofline axis.
-    ProfScope prof("serve.tile_fill");
-    DistBlock loaded = snapshot_->read_tile(tile_id, trace);
-    const std::int64_t bytes =
-        loaded.size() * static_cast<std::int64_t>(sizeof(Dist));
-    prof.add_bytes(bytes);
-    registry_.counter_add("serve.io.tiles_loaded");
-    registry_.counter_add("serve.io.bytes_read", bytes);
-    return cache_.put(tile_id, std::move(loaded));
-  }
   // Quarantine gate: a known-bad tile fails fast instead of burning a
   // retry ladder per request on a dead sector.  A kProbe verdict means
   // this request is the sanctioned probe and proceeds to the disk.
-  switch (quarantine_.admit(tile_id)) {
-    case QuarantineRegistry::Admission::kBlocked: {
-      CAPSP_LOG(kTrace, "serve.quarantine.blocked", {"tile", tile_id});
-      registry_.counter_add("serve.quarantine.blocked");
-      ScopedSpan span(trace, "tile.quarantine_blocked");
-      span.detail("tile", tile_id);
-      return nullptr;
-    }
-    case QuarantineRegistry::Admission::kProbe:
-      registry_.counter_add("serve.quarantine.probe");
-      break;
-    case QuarantineRegistry::Admission::kAllow:
-      break;
+  if (quarantine_.admit(tile_id) == QuarantineRegistry::Admission::kBlocked) {
+    CAPSP_LOG(kTrace, "serve.quarantine.blocked", {"tile", tile_id});
+    ScopedSpan span(trace, "tile.quarantine_blocked");
+    span.detail("tile", tile_id);
+    return nullptr;
   }
-  return fetch_tile_with_retries(tile_id, trace);
-}
-
-std::shared_ptr<const DistBlock> DistanceService::fetch_tile_with_retries(
-    std::int64_t tile_id, RequestTrace* trace) {
+  // The miss fill path (snapshot read + insert) gets its own profiling
+  // scope, with bytes for the memory-roofline axis.
   ProfScope prof("serve.tile_fill");
   for (int attempt = 0;; ++attempt) {
     try {
       DistBlock loaded = snapshot_->read_tile(tile_id, trace);
       if (attempt > 0) registry_.counter_add("serve.retry.success");
-      if (quarantine_.record_success(tile_id)) {
-        registry_.counter_add("serve.quarantine.exit");
-        refresh_health();
-      }
+      if (quarantine_.record_success(tile_id)) refresh_health();
       const std::int64_t bytes =
           loaded.size() * static_cast<std::int64_t>(sizeof(Dist));
       prof.add_bytes(bytes);
@@ -512,10 +482,7 @@ std::shared_ptr<const DistBlock> DistanceService::fetch_tile_with_retries(
         CAPSP_LOG(kWarn, "serve.retry.exhausted", {"tile", tile_id},
                   {"attempts", attempt + 1}, {"kind", fault_counter(e.kind())});
         registry_.counter_add("serve.retry.exhausted");
-        if (quarantine_.record_failure(tile_id)) {
-          registry_.counter_add("serve.quarantine.enter");
-          refresh_health();
-        }
+        if (quarantine_.record_failure(tile_id)) refresh_health();
         return nullptr;
       }
       registry_.counter_add("serve.retry.attempts");
@@ -648,27 +615,11 @@ std::future<DistanceReply> DistanceService::distance_async(
                       v < num_vertices(),
                   "query (" << u << "," << v << ") outside [0,"
                             << num_vertices() << ")");
-  auto promise = std::make_shared<std::promise<DistanceReply>>();
-  std::future<DistanceReply> future = promise->get_future();
-  const auto now = Clock::now();
-  Job job;
-  job.enqueue = now;
-  job.deadline = deadline_from(deadline_seconds, now);
-  job.kind = "distance";
-  job.trace = trace_log_.maybe_start("distance", u, v, -1);
-  job.run = [this, u, v, promise, enqueue = now](bool expired,
-                                                 RequestTrace* trace) {
-    DistanceReply reply = expired
-                              ? DistanceReply{ServeError::kDeadlineExceeded,
-                                              kInf}
-                              : do_distance(u, v, trace);
-    record_outcome(enqueue, reply.error, trace);
-    promise->set_value(reply);
-  };
-  submit(std::move(job), [promise](ServeError error) {
-    promise->set_value({error, kInf});
-  });
-  return future;
+  return enqueue_query<DistanceReply>(
+      kDistanceQuery, u, v, -1, deadline_seconds,
+      [this, u, v](Clock::time_point, RequestTrace* trace) {
+        return do_distance(u, v, trace);
+      });
 }
 
 std::future<PathReply> DistanceService::shortest_path_async(
@@ -677,30 +628,11 @@ std::future<PathReply> DistanceService::shortest_path_async(
                       v < num_vertices(),
                   "query (" << u << "," << v << ") outside [0,"
                             << num_vertices() << ")");
-  auto promise = std::make_shared<std::promise<PathReply>>();
-  std::future<PathReply> future = promise->get_future();
-  const auto now = Clock::now();
-  Job job;
-  job.enqueue = now;
-  job.deadline = deadline_from(deadline_seconds, now);
-  job.kind = "path";
-  job.trace = trace_log_.maybe_start("path", u, v, -1);
-  job.run = [this, u, v, promise, enqueue = now,
-             deadline = job.deadline](bool expired, RequestTrace* trace) {
-    PathReply reply;
-    if (expired)
-      reply.error = ServeError::kDeadlineExceeded;
-    else
-      reply = do_path(u, v, deadline, trace);
-    record_outcome(enqueue, reply.error, trace);
-    promise->set_value(std::move(reply));
-  };
-  submit(std::move(job), [promise](ServeError error) {
-    PathReply reply;
-    reply.error = error;
-    promise->set_value(std::move(reply));
-  });
-  return future;
+  return enqueue_query<PathReply>(
+      kPathQuery, u, v, -1, deadline_seconds,
+      [this, u, v](Clock::time_point deadline, RequestTrace* trace) {
+        return do_path(u, v, deadline, trace);
+      });
 }
 
 std::future<KNearestReply> DistanceService::k_nearest_async(
@@ -708,30 +640,11 @@ std::future<KNearestReply> DistanceService::k_nearest_async(
   CAPSP_CHECK_MSG(u >= 0 && u < num_vertices(),
                   "query vertex " << u << " outside [0," << num_vertices()
                                   << ")");
-  auto promise = std::make_shared<std::promise<KNearestReply>>();
-  std::future<KNearestReply> future = promise->get_future();
-  const auto now = Clock::now();
-  Job job;
-  job.enqueue = now;
-  job.deadline = deadline_from(deadline_seconds, now);
-  job.kind = "knear";
-  job.trace = trace_log_.maybe_start("knear", u, -1, k);
-  job.run = [this, u, k, promise, enqueue = now,
-             deadline = job.deadline](bool expired, RequestTrace* trace) {
-    KNearestReply reply;
-    if (expired)
-      reply.error = ServeError::kDeadlineExceeded;
-    else
-      reply = do_k_nearest(u, k, deadline, trace);
-    record_outcome(enqueue, reply.error, trace);
-    promise->set_value(std::move(reply));
-  };
-  submit(std::move(job), [promise](ServeError error) {
-    KNearestReply reply;
-    reply.error = error;
-    promise->set_value(std::move(reply));
-  });
-  return future;
+  return enqueue_query<KNearestReply>(
+      kKNearestQuery, u, -1, k, deadline_seconds,
+      [this, u, k](Clock::time_point deadline, RequestTrace* trace) {
+        return do_k_nearest(u, k, deadline, trace);
+      });
 }
 
 DistanceReply DistanceService::distance(Vertex u, Vertex v,
@@ -762,11 +675,52 @@ std::vector<DistanceReply> DistanceService::distance_batch(
   return replies;
 }
 
+MetricsSnapshot DistanceService::metrics_snapshot() const {
+  MetricsSnapshot snapshot = registry_.snapshot();
+  const auto fold = [&snapshot](const std::string& name, std::int64_t count) {
+    if (count != 0) snapshot[name].counter = count;
+  };
+  const auto gauge = [&snapshot](const std::string& name, double value) {
+    Metric& metric = snapshot[name];
+    metric.kind = MetricKind::kGauge;
+    metric.gauge = value;
+  };
+  const std::vector<TileCache::Stats> shards = cache_.shard_stats();
+  TileCache::Stats cache;
+  for (std::size_t j = 0; j < shards.size(); ++j) {
+    const std::string shard = "serve.cache.shard" + std::to_string(j);
+    fold(shard + ".hit", shards[j].hits);
+    fold(shard + ".miss", shards[j].misses);
+    fold(shard + ".eviction", shards[j].evictions);
+    cache += shards[j];
+  }
+  fold("serve.cache.hit", cache.hits);
+  fold("serve.cache.miss", cache.misses);
+  fold("serve.cache.eviction", cache.evictions);
+  // A shard never drops its last entry, so entries > 0 means a tile has
+  // been cached.
+  if (cache.entries > 0) {
+    gauge("serve.cache.bytes", static_cast<double>(cache.bytes));
+    gauge("serve.cache.entries", static_cast<double>(cache.entries));
+  }
+  const QuarantineRegistry::Stats quarantine = quarantine_.stats();
+  fold("serve.quarantine.enter", quarantine.enters);
+  fold("serve.quarantine.exit", quarantine.exits);
+  fold("serve.quarantine.blocked", quarantine.blocked);
+  fold("serve.quarantine.probe", quarantine.probes);
+  // Every worker the watchdog found stuck was replaced.
+  const std::int64_t replaced =
+      workers_replaced_.load(std::memory_order_relaxed);
+  fold("serve.worker.stuck", replaced);
+  fold("serve.worker.replaced", replaced);
+  fold("serve.trace.slow", trace_log_.stats().slow);
+  return snapshot;
+}
+
 void DistanceService::write_summary_fields(JsonWriter& json) const {
-  const MetricsSnapshot metrics = registry_.snapshot();
-  const auto counter = [&metrics](const std::string& name) -> std::int64_t {
-    const auto it = metrics.find(name);
-    return it == metrics.end() ? 0 : it->second.counter;
+  const MetricsSnapshot metrics = metrics_snapshot();
+  const auto counter = [&metrics](const std::string& name) {
+    return counter_value(metrics, name);
   };
   const SnapshotHeader& h = snapshot_->header();
   json.key("serve");
@@ -881,7 +835,7 @@ void DistanceService::write_summary_fields(JsonWriter& json) const {
   // what the service observed).
   json.key("resilience");
   json.begin_object();
-  json.field("enabled", resilience_on_);
+  json.field("enabled", true);
   json.field("health", to_string(compute_health()));
   json.key("retry");
   json.begin_object();
@@ -962,7 +916,7 @@ int DistanceService::start_telemetry(int port) {
   telemetry_ = std::make_unique<TelemetryServer>();
   telemetry_->handle("/metrics", [this](const std::string&) {
     std::ostringstream out;
-    MetricsSnapshot snapshot = registry_.snapshot();
+    MetricsSnapshot snapshot = metrics_snapshot();
     append_process_metrics(snapshot);  // fresh RSS/CPU/fds per scrape
     write_prometheus_text(out, snapshot, "capsp_");
     return TelemetryResponse{200, "text/plain; version=0.0.4; charset=utf-8",

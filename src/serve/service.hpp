@@ -14,10 +14,12 @@
 // Requests carry deadlines and the queue a depth bound, so an overloaded
 // service degrades gracefully — a structured ServeError instead of
 // unbounded blocking, in the spirit of machine/watchdog's "fail with a
-// report, never hang".  Every request lands in the service's own
-// MetricsRegistry (util/metrics, `serve.*` names): latency histograms,
-// hit/miss counters, queue-depth gauges, bytes read — summarized as JSON
-// by write_summary_json for scripts/trace_summary.py serve.
+// report, never hang".  Every request lands in the `serve.*` metrics
+// (util/metrics): latency histograms, outcome counters, queue-depth
+// gauges and bytes read in the service's own registry, and the cache,
+// quarantine, worker and slow-trace counts folded in from the component
+// that keeps each (metrics_snapshot) — summarized as JSON by
+// write_summary_json for scripts/trace_summary.py serve.
 //
 // Observability on top of that (docs/telemetry.md):
 //   * request tracing — sampled span trees (serve/reqtrace) threaded
@@ -102,13 +104,12 @@ struct ServeOptions {
   /// Latency/availability objectives (serve/slo).
   SloOptions slo;
 
-  /// Fault tolerance (serve/resilience, docs/robustness.md).  On by
-  /// default: with a healthy disk the only cost is one quarantine-map
-  /// lookup per cache miss, and while health is kUnhealthy new work is
-  /// rejected with kDegraded instead of burning the whole error budget
-  /// on requests that will fail anyway.  Off = the pre-resilience
-  /// contract, where a tile-read failure propagates out of the worker.
-  bool resilience = true;
+  // Fault tolerance (serve/resilience, docs/robustness.md).  With a
+  // healthy disk the only cost is one quarantine-map lookup per cache
+  // miss, and while health is kUnhealthy new work is rejected with
+  // kDegraded instead of burning the whole error budget on requests that
+  // will fail anyway.
+
   /// Bounded exponential backoff for failed tile reads.
   RetryOptions retry;
   /// Per-tile quarantine after consecutive fetch failures.
@@ -207,8 +208,14 @@ class DistanceService {
     std::int64_t replaced = 0;
   };
   WorkerStats worker_stats() const;
-  /// Snapshot of the service's own registry (`serve.*` metrics).
-  MetricsSnapshot metrics_snapshot() const { return registry_.snapshot(); }
+  /// The `serve.*` metrics: the service's own registry plus the counts
+  /// the cache shards, the quarantine, the worker pool and the trace log
+  /// keep themselves, folded in under their `serve.cache.*`,
+  /// `serve.quarantine.*`, `serve.worker.*` and `serve.trace.slow` names
+  /// (DESIGN.md decision 19).  /metrics, /stats.json and the summary
+  /// read through here.  A folded counter appears once it is non-zero,
+  /// the cache gauges once a tile has been cached.
+  MetricsSnapshot metrics_snapshot() const;
 
   /// The request-trace log (sampled ring + slow log); export its kept
   /// traces with RequestTraceLog::write_chrome_json.
@@ -232,11 +239,6 @@ class DistanceService {
   /// stop().
   int start_telemetry(int port = 0);
   int telemetry_port() const;
-  /// Merge the service's metrics into `target` (e.g. the global registry,
-  /// for tools that emit one combined --metrics-json).
-  void merge_metrics_into(MetricsRegistry& target) const {
-    target.merge_from(registry_);
-  }
 
   /// CostReport-style summary: a "serve" section (config, request/error
   /// totals, cache hit rate, latency percentiles) plus the full metrics
@@ -257,10 +259,18 @@ class DistanceService {
  private:
   using Clock = std::chrono::steady_clock;
 
+  /// Static literals naming one query kind.
+  struct QueryKind {
+    const char* name;     ///< trace and log kind
+    const char* counter;  ///< serve.request.<kind>
+    const char* scope;    ///< serve.execute.<kind> profiler scope
+  };
+  static const QueryKind kDistanceQuery, kPathQuery, kKNearestQuery;
+
   struct Job {
     Clock::time_point enqueue;
     Clock::time_point deadline;  // time_point::max() = none
-    const char* kind = "";
+    const QueryKind* kind = nullptr;
     /// Span tree of this request, when it drew a trace (nullptr = not
     /// traced).  shared_ptr because Job lives inside copyable
     /// std::function plumbing; ownership is logically unique.
@@ -281,9 +291,17 @@ class DistanceService {
     std::int64_t jobs = 0;  ///< dequeued-job counter (own thread only)
   };
 
-  /// Admission control + enqueue; returns false (after failing the
-  /// promise via `reject`) when overloaded or stopped.
-  bool submit(Job job, const std::function<void(ServeError)>& reject);
+  /// The one enqueue path of the three query kinds: the reply promise,
+  /// the job, the trace start, the expiry check, the outcome record and
+  /// the rejection reply.  `body(deadline, trace)` computes the reply on
+  /// a worker.
+  template <typename Reply, typename Body>
+  std::future<Reply> enqueue_query(const QueryKind& kind, std::int64_t u,
+                                   std::int64_t v, std::int64_t k,
+                                   double deadline_seconds, Body body);
+  /// Admission control + enqueue; returns the rejection verdict (kOk when
+  /// queued).  A rejected job's outcome is recorded here.
+  ServeError submit(Job job);
   void worker_loop(WorkerSlot* slot);
   void maintenance_loop();
   /// Scan for workers wedged past stuck_worker_ms; abandon and replace.
@@ -296,18 +314,13 @@ class DistanceService {
   Clock::time_point deadline_from(double deadline_seconds,
                                   Clock::time_point now) const;
 
-  /// Tile fetch through the cache; counts IO metrics on miss.  With
-  /// resilience on, a miss runs the retry ladder against the snapshot
-  /// and consults the quarantine registry; nullptr means the tile is
-  /// unavailable right now (quarantined or retries exhausted) and the
-  /// request must degrade.  With resilience off a read failure
-  /// propagates, as before this machinery existed.
+  /// Tile fetch through the cache.  A miss consults the quarantine
+  /// registry, then runs the retry ladder against the snapshot: a cache
+  /// put and the IO metrics on success, quarantine bookkeeping on both
+  /// sides.  nullptr means the tile is unavailable right now
+  /// (quarantined or retries exhausted) and the request must degrade.
   std::shared_ptr<const DistBlock> fetch_tile(std::int64_t tile_id,
                                               RequestTrace* trace);
-  /// One read attempt cycle: cache put on success, metrics + quarantine
-  /// bookkeeping on both sides.
-  std::shared_ptr<const DistBlock> fetch_tile_with_retries(
-      std::int64_t tile_id, RequestTrace* trace);
   /// One matrix entry via its tile; false = tile unavailable (degraded).
   bool lookup(Vertex u, Vertex v, RequestTrace* trace, Dist* out);
   /// lookup() that throws DegradedTile on unavailability — for call
@@ -326,9 +339,6 @@ class DistanceService {
   /// the reply also sees its metrics.
   void record_outcome(Clock::time_point enqueue, ServeError error,
                       RequestTrace* trace);
-  /// Route a finished trace into the log (slow ring / sampled ring /
-  /// dropped) and count it.
-  void route_trace(std::shared_ptr<RequestTrace> trace);
 
   Graph graph_;
   std::shared_ptr<SnapshotReader> snapshot_;
@@ -345,7 +355,6 @@ class DistanceService {
   // Resilience state (serve/resilience).  health_ is a cache of
   // compute_health() so admission control reads one atomic, refreshed by
   // the maintenance thread and on quarantine transitions.
-  bool resilience_on_ = false;
   QuarantineRegistry quarantine_;
   std::atomic<int> health_{static_cast<int>(HealthState::kOk)};
   std::atomic<std::int64_t> workers_replaced_{0};

@@ -1,6 +1,7 @@
 #include "serve/slo.hpp"
 
 #include "util/check.hpp"
+#include "util/json.hpp"
 
 namespace capsp {
 namespace {
@@ -80,6 +81,22 @@ SloTracker::Snapshot SloTracker::snapshot(Clock::time_point now) const {
       objective(true, options_.availability_target, avail_total, avail_good,
                 avail_bad_.stats(now));
   return snapshot;
+}
+
+void write_slo_objective(JsonWriter& json, const char* key,
+                         const SloTracker::Objective& o) {
+  json.key(key);
+  json.begin_object();
+  json.field("enabled", o.enabled);
+  json.field("target", o.target);
+  json.field("total", o.total);
+  json.field("good", o.good);
+  json.field("compliance", o.compliance);
+  json.field("budget_remaining", o.budget_remaining);
+  json.field("window_total", o.window_total);
+  json.field("window_bad_fraction", o.window_bad_fraction);
+  json.field("burn_rate", o.burn_rate);
+  json.end_object();
 }
 
 }  // namespace capsp

@@ -26,6 +26,8 @@
 
 namespace capsp {
 
+class JsonWriter;
+
 struct SloOptions {
   /// Latency objective threshold; 0 disables the latency objective.
   double latency_ms = 0;
@@ -81,5 +83,10 @@ class SloTracker {
   RollingHistogram latency_bad_;  ///< observes bad?1:0 per ok request
   RollingHistogram avail_bad_;    ///< observes bad?1:0 per request
 };
+
+/// Emit `"key": {...}`, one objective of a snapshot, into an open JSON
+/// object (the summary's slo sections, per service and per tier).
+void write_slo_objective(JsonWriter& json, const char* key,
+                         const SloTracker::Objective& o);
 
 }  // namespace capsp

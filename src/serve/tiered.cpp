@@ -19,22 +19,6 @@ double to_micros(Clock::duration d) {
   return std::chrono::duration<double, std::micro>(d).count();
 }
 
-void write_slo_objective(JsonWriter& json, const char* key,
-                         const SloTracker::Objective& o) {
-  json.key(key);
-  json.begin_object();
-  json.field("enabled", o.enabled);
-  json.field("target", o.target);
-  json.field("total", o.total);
-  json.field("good", o.good);
-  json.field("compliance", o.compliance);
-  json.field("budget_remaining", o.budget_remaining);
-  json.field("window_total", o.window_total);
-  json.field("window_bad_fraction", o.window_bad_fraction);
-  json.field("burn_rate", o.burn_rate);
-  json.end_object();
-}
-
 void write_latency(JsonWriter& json, const Histogram& h) {
   json.key("latency_us");
   json.begin_object();
@@ -312,24 +296,20 @@ TieredKNearestReply TieredDistanceService::k_nearest(
 
 TieredDistanceService::Stats TieredDistanceService::stats() const {
   const MetricsSnapshot metrics = exact_.metrics_snapshot();
-  const auto counter = [&metrics](const std::string& name) -> std::int64_t {
-    const auto it = metrics.find(name);
-    return it == metrics.end() ? 0 : it->second.counter;
-  };
   Stats s;
-  s.approx = counter("serve.tier.request.approx");
-  s.exact = counter("serve.tier.request.exact");
-  s.escalated = counter("serve.tier.escalated");
-  s.escalated_gap = counter("serve.tier.escalated.gap");
-  s.escalated_degraded = counter("serve.tier.escalated.degraded");
+  s.approx = counter_value(metrics, "serve.tier.request.approx");
+  s.exact = counter_value(metrics, "serve.tier.request.exact");
+  s.escalated = counter_value(metrics, "serve.tier.escalated");
+  s.escalated_gap = counter_value(metrics, "serve.tier.escalated.gap");
+  s.escalated_degraded =
+      counter_value(metrics, "serve.tier.escalated.degraded");
   return s;
 }
 
 void TieredDistanceService::write_summary(JsonWriter& json) const {
   const MetricsSnapshot metrics = exact_.metrics_snapshot();
-  const auto counter = [&metrics](const std::string& name) -> std::int64_t {
-    const auto it = metrics.find(name);
-    return it == metrics.end() ? 0 : it->second.counter;
+  const auto counter = [&metrics](const std::string& name) {
+    return counter_value(metrics, name);
   };
   const auto histogram = [&metrics](const std::string& name) -> Histogram {
     const auto it = metrics.find(name);

@@ -125,9 +125,6 @@ class TieredDistanceService {
   SloTracker::Snapshot approx_slo_snapshot() const {
     return approx_slo_.snapshot();
   }
-  SloTracker::Snapshot exact_slo_snapshot() const {
-    return exact_slo_.snapshot();
-  }
 
   /// Deterministic per-tier totals (mirrors the serve.tier.* counters).
   struct Stats {

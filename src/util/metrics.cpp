@@ -212,6 +212,12 @@ void MetricsRegistry::merge_from(const MetricsRegistry& other) {
   }
 }
 
+std::int64_t counter_value(const MetricsSnapshot& snapshot,
+                           const std::string& name) {
+  const auto it = snapshot.find(name);
+  return it == snapshot.end() ? 0 : it->second.counter;
+}
+
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot out;
   for (const Shard& shard : shards_) {

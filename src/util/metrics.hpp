@@ -129,6 +129,11 @@ struct Metric {
 /// JSON output and test assertions order-stable).
 using MetricsSnapshot = std::map<std::string, Metric>;
 
+/// `name`'s counter in `snapshot`, or 0 when it has none (a counter
+/// appears only once something has counted it).
+std::int64_t counter_value(const MetricsSnapshot& snapshot,
+                           const std::string& name);
+
 class MetricsRegistry {
  public:
   static constexpr std::size_t kShards = 16;

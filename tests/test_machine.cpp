@@ -398,43 +398,6 @@ TEST(Collectives, ReduceHandlesInfinities) {
   });
 }
 
-TEST(Collectives, GatherCollectsInGroupOrder) {
-  Machine machine(3);
-  const std::vector<RankId> group{2, 0, 1};
-  const std::vector<std::pair<std::int64_t, std::int64_t>> shapes{
-      {1, 1}, {1, 1}, {1, 1}};
-  machine.run([&](Comm& comm) {
-    const DistBlock mine(1, 1, static_cast<Dist>(comm.rank()));
-    const auto gathered = group_gather(comm, group, 0, mine, shapes, 0);
-    if (comm.rank() == 0) {
-      ASSERT_EQ(gathered.size(), 3u);
-      EXPECT_EQ(gathered[0].at(0, 0), 2.0);
-      EXPECT_EQ(gathered[1].at(0, 0), 0.0);
-      EXPECT_EQ(gathered[2].at(0, 0), 1.0);
-    } else {
-      EXPECT_TRUE(gathered.empty());
-    }
-  });
-}
-
-TEST(Collectives, ScatterDeliversPerMemberBlocks) {
-  Machine machine(3);
-  const std::vector<RankId> group{0, 1, 2};
-  const std::vector<std::pair<std::int64_t, std::int64_t>> shapes{
-      {1, 1}, {2, 1}, {1, 2}};
-  machine.run([&](Comm& comm) {
-    std::vector<DistBlock> blocks;
-    if (comm.rank() == 1) {
-      blocks = {DistBlock(1, 1, 0.0), DistBlock(2, 1, 1.0),
-                DistBlock(1, 2, 2.0)};
-    }
-    const DistBlock mine =
-        group_scatter(comm, group, 1, blocks, shapes, 0);
-    EXPECT_EQ(mine.at(0, 0), static_cast<Dist>(comm.rank()));
-    EXPECT_EQ(mine.rows(), shapes[static_cast<std::size_t>(comm.rank())].first);
-  });
-}
-
 TEST(Collectives, DuplicateGroupMemberRejected) {
   Machine machine(2);
   EXPECT_THROW(machine.run([](Comm& comm) {

@@ -1,10 +1,10 @@
 // Tests for the serving layer (serve/service + serve/cache): bit-exact
 // answers vs the distance matrix, cache eviction under a tight budget,
 // structured overload/deadline/shutdown errors, k-nearest vs brute
-// force, per-shard cache counters in the serve.* registry, request
-// tracing through the service, and concurrent soaks — one plain, one
-// with tracing on and a live telemetry scraper — for the sanitizer
-// matrix.
+// force, per-shard cache counters and their fold into the serve.*
+// metrics, request tracing through the service, concurrent soaks — one
+// plain, one with tracing on and a live telemetry scraper — for the
+// sanitizer matrix, and a pin of every metric a fixed workload reports.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -227,14 +228,14 @@ TEST(DistanceService, MetricsCoverTheRun) {
   EXPECT_EQ(snapshot.at("serve.request.ok").counter, 27);
   EXPECT_GT(snapshot.at("serve.io.tiles_loaded").counter, 0);
   EXPECT_GT(snapshot.at("serve.io.bytes_read").counter, 0);
+  // The cache's own counts are folded in under their serve.cache names.
+  const TileCache::Stats cache = service.cache_stats();
+  EXPECT_EQ(snapshot.at("serve.cache.hit").counter, cache.hits);
+  EXPECT_EQ(snapshot.at("serve.cache.miss").counter, cache.misses);
   std::ostringstream summary;
   service.write_summary_json(summary);
   EXPECT_NE(summary.str().find("\"serve\""), std::string::npos);
   EXPECT_NE(summary.str().find("\"latency_us\""), std::string::npos);
-  // Merging into an outer registry must carry the counts across.
-  MetricsRegistry outer;
-  service.merge_metrics_into(outer);
-  EXPECT_EQ(outer.snapshot().at("serve.request.distance").counter, 25);
 }
 
 // Sanitizer target: many clients hammering one service with mixed query
@@ -392,12 +393,11 @@ TEST(DistanceServiceSoak, TelemetryScrapeWhileTracedClientsRun) {
 }
 
 TEST(TileCache, LruEvictsColdTilesFirst) {
-  MetricsRegistry registry;
   TileCacheOptions options;
   options.shards = 1;  // single shard makes the LRU order observable
   options.byte_budget =
       3 * (64 + 4 * static_cast<std::int64_t>(sizeof(Dist)));
-  TileCache cache(options, registry);
+  TileCache cache(options);
   auto tile = [] {
     DistBlock t(2, 2);
     t.zero_diagonal();
@@ -414,15 +414,14 @@ TEST(TileCache, LruEvictsColdTilesFirst) {
   EXPECT_GT(cache.stats().evictions, 0);
 }
 
-TEST(TileCache, PerShardCountersMatchAggregateAndRegistry) {
-  MetricsRegistry registry;
+TEST(TileCache, PerShardCountersSumToTheAggregate) {
   TileCacheOptions options;
   options.shards = 4;
   // Room for roughly one 2x2 tile per shard: inserts beyond that evict.
   options.byte_budget =
       4 * (TileCache::kEntryOverheadBytes +
            4 * static_cast<std::int64_t>(sizeof(Dist)));
-  TileCache cache(options, registry);
+  TileCache cache(options);
   for (std::int64_t id = 0; id < 12; ++id) {
     cache.put(id, DistBlock(2, 2));
     cache.get(id);      // hit: just inserted, still resident
@@ -445,34 +444,49 @@ TEST(TileCache, PerShardCountersMatchAggregateAndRegistry) {
   EXPECT_EQ(sum.evictions, total.evictions);
   EXPECT_EQ(sum.bytes, total.bytes);
   EXPECT_EQ(sum.entries, total.entries);
-  EXPECT_GT(total.hits, 0);
-  EXPECT_GT(total.misses, 0);
+  EXPECT_EQ(total.hits, 12);
+  EXPECT_EQ(total.misses, 12);
   EXPECT_GT(total.evictions, 0);
+}
 
-  // The same numbers must land in the registry: aggregate counters, one
-  // serve.cache.shard<j>.* set per shard, and the occupancy gauges.
-  const MetricsSnapshot snapshot = registry.snapshot();
-  EXPECT_EQ(snapshot.at("serve.cache.hit").counter, total.hits);
-  EXPECT_EQ(snapshot.at("serve.cache.miss").counter, total.misses);
-  EXPECT_EQ(snapshot.at("serve.cache.eviction").counter, total.evictions);
+TEST(DistanceService, MetricsFoldTheCacheShardCounts) {
+  const Fixture f = make_fixture(8, 4);
+  ServeOptions options;
+  options.threads = 2;
+  options.cache_bytes = 2048;  // evicts: every serve.cache name appears
+  DistanceService service(f.reader, f.graph, options);
+  for (Vertex u = 0; u < f.graph.num_vertices(); u += 3)
+    for (Vertex v = 0; v < f.graph.num_vertices(); v += 5)
+      ASSERT_EQ(service.distance(u, v).error, ServeError::kOk);
+  service.stop();
+  // The fold's serve.cache names and values are the shards' own counts:
+  // the aggregate counters, one serve.cache.shard<j>.* set per shard (a
+  // counter appears only once non-zero) and the occupancy gauges.
+  const MetricsSnapshot snapshot = service.metrics_snapshot();
+  const TileCache::Stats total = service.cache_stats();
+  const std::vector<TileCache::Stats> shards = service.cache_shard_stats();
+  std::map<std::string, std::int64_t> expected = {
+      {"serve.cache.hit", total.hits},
+      {"serve.cache.miss", total.misses},
+      {"serve.cache.eviction", total.evictions}};
+  for (std::size_t j = 0; j < shards.size(); ++j) {
+    const std::string base = "serve.cache.shard" + std::to_string(j);
+    expected[base + ".hit"] = shards[j].hits;
+    expected[base + ".miss"] = shards[j].misses;
+    expected[base + ".eviction"] = shards[j].evictions;
+  }
+  std::erase_if(expected, [](const auto& entry) { return entry.second == 0; });
+  std::map<std::string, std::int64_t> folded;
+  for (const auto& [name, metric] : snapshot)
+    if (name.starts_with("serve.cache.") &&
+        metric.kind == MetricKind::kCounter)
+      folded[name] = metric.counter;
+  EXPECT_EQ(folded, expected);
+  EXPECT_GT(total.evictions, 0);
   EXPECT_EQ(snapshot.at("serve.cache.bytes").gauge,
             static_cast<double>(total.bytes));
   EXPECT_EQ(snapshot.at("serve.cache.entries").gauge,
             static_cast<double>(total.entries));
-  for (std::size_t j = 0; j < shards.size(); ++j) {
-    const std::string base = "serve.cache.shard" + std::to_string(j);
-    // A counter only exists once incremented, so gate on the shard count.
-    if (shards[j].hits > 0) {
-      EXPECT_EQ(snapshot.at(base + ".hit").counter, shards[j].hits) << base;
-    }
-    if (shards[j].misses > 0) {
-      EXPECT_EQ(snapshot.at(base + ".miss").counter, shards[j].misses) << base;
-    }
-    if (shards[j].evictions > 0) {
-      EXPECT_EQ(snapshot.at(base + ".eviction").counter, shards[j].evictions)
-          << base;
-    }
-  }
 }
 
 TEST(DistanceService, SampledTracesCarryTheFullSpanTree) {
@@ -571,11 +585,10 @@ TEST(DistanceService, SummaryJsonCarriesWindowsSloAndTraceSections) {
 }
 
 TEST(TileCache, SharedTileSurvivesEviction) {
-  MetricsRegistry registry;
   TileCacheOptions options;
   options.shards = 1;
   options.byte_budget = 1;  // at most one resident entry, always over budget
-  TileCache cache(options, registry);
+  TileCache cache(options);
   DistBlock t(2, 2);
   t.at(0, 1) = 7;
   const std::shared_ptr<const DistBlock> held = cache.put(10, std::move(t));

@@ -59,12 +59,6 @@ Fixture make_fixture(Vertex side, std::int64_t tile_dim) {
   return f;
 }
 
-std::int64_t counter_of(const MetricsSnapshot& metrics,
-                        const std::string& name) {
-  const auto it = metrics.find(name);
-  return it == metrics.end() ? 0 : it->second.counter;
-}
-
 /// Spin until `done` or ~`budget_ms` of wall clock; returns done().
 template <typename Fn>
 bool wait_until(Fn done, int budget_ms) {
@@ -267,8 +261,8 @@ TEST(ServiceResilience, ChecksumFailureRetriesToSuccess) {
   EXPECT_EQ(reply.error, ServeError::kOk);
   EXPECT_EQ(reply.distance, f.matrix.at(0, 1));  // bit-exact after retry
   const MetricsSnapshot metrics = service.metrics_snapshot();
-  EXPECT_EQ(counter_of(metrics, "serve.fault.checksum"), 1);
-  EXPECT_EQ(counter_of(metrics, "serve.retry.success"), 1);
+  EXPECT_EQ(counter_value(metrics, "serve.fault.checksum"), 1);
+  EXPECT_EQ(counter_value(metrics, "serve.retry.success"), 1);
   service.stop();
 }
 
@@ -328,9 +322,9 @@ TEST(ServiceResilience, QuarantinedTileDegradesNeverLies) {
   EXPECT_EQ(service.distance(0, 1).error, ServeError::kDegraded);
   // Blocked fail-fast: no disk IO, still a structured reply.
   EXPECT_EQ(service.distance(0, 1).error, ServeError::kDegraded);
-  EXPECT_GE(counter_of(service.metrics_snapshot(),
-                       "serve.quarantine.blocked"),
-            1);
+  EXPECT_GE(
+      counter_value(service.metrics_snapshot(), "serve.quarantine.blocked"),
+      1);
   // Paths and k-nearest that need the dark tile degrade whole — a partial
   // or wrong answer never leaks out.
   const PathReply path = service.shortest_path(0, 1);
@@ -366,31 +360,11 @@ TEST(ServiceResilience, WatchdogReplacesStuckWorker) {
   EXPECT_EQ(reply.distance, f.matrix.at(0, 1));
   EXPECT_TRUE(wait_until(
       [&] { return service.worker_stats().replaced >= 1; }, 5000));
-  EXPECT_GE(counter_of(service.metrics_snapshot(), "serve.worker.stuck"),
+  EXPECT_GE(counter_value(service.metrics_snapshot(), "serve.worker.stuck"),
             1);
   // The replacement serves.
   EXPECT_EQ(service.distance(1, 2).error, ServeError::kOk);
   service.stop();
-}
-
-TEST(ServiceResilienceDeathTest, ResilienceOffIsFailStop) {
-  // The pre-resilience contract: --no-resilience restores fail-stop
-  // semantics, so a read failure escapes the worker and takes the
-  // process down instead of being retried or degraded.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Fixture f = make_fixture(8, 4);
-  EXPECT_DEATH(
-      {
-        ServeFaultPlan plan;
-        plan.read_error = 1.0;
-        ServeOptions options;
-        options.threads = 1;
-        options.resilience = false;
-        options.fault_injector = std::make_shared<ServeFaultInjector>(plan);
-        DistanceService service(f.reader, f.graph, options);
-        service.distance(0, 1);
-      },
-      "injected EIO");
 }
 
 // ---------------------------------------------------------------------------

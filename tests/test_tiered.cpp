@@ -318,19 +318,34 @@ TEST(Tiered, MetricsMirrorStats) {
   const TieredDistanceService::Stats stats = tiered.stats();
   EXPECT_EQ(stats.approx + stats.escalated, 16);
   const MetricsSnapshot metrics = f.service->metrics_snapshot();
-  const auto counter = [&metrics](const std::string& name) {
-    const auto it = metrics.find(name);
-    return it == metrics.end() ? 0 : it->second.counter;
-  };
-  EXPECT_EQ(counter("serve.tier.request.approx"), stats.approx);
-  EXPECT_EQ(counter("serve.tier.request.exact"), stats.exact);
-  EXPECT_EQ(counter("serve.tier.escalated"), stats.escalated);
+  EXPECT_EQ(counter_value(metrics, "serve.tier.request.approx"), stats.approx);
+  EXPECT_EQ(counter_value(metrics, "serve.tier.request.exact"), stats.exact);
+  EXPECT_EQ(counter_value(metrics, "serve.tier.escalated"), stats.escalated);
   const auto gauge_it = metrics.find("serve.tier.landmarks");
   ASSERT_NE(gauge_it, metrics.end());
   EXPECT_EQ(gauge_it->second.gauge,
             static_cast<double>(f.sketch->num_landmarks()));
   // Per-tier SLOs saw the same requests.
   EXPECT_EQ(tiered.approx_slo_snapshot().availability.total, stats.approx);
+}
+
+TEST(Tiered, SlowTraceCounterCountsEveryTier) {
+  Fixture f;
+  // A service whose slow log keeps every trace, the approx tier's too.
+  ServeOptions options;
+  options.slow_trace_ms = 1e-6;
+  DistanceService service(f.reader, f.graph, options);
+  TieredDistanceService tiered(service, f.sketch, TieredOptions{});
+  for (Vertex u = 0; u < 20; ++u)
+    EXPECT_EQ(tiered.distance(u, u + 1, TierMode::kApprox).tier,
+              Tier::kApprox);
+  for (Vertex u = 0; u < 10; ++u)
+    EXPECT_EQ(tiered.distance(u, u + 2, TierMode::kExact).tier,
+              Tier::kExact);
+  service.stop();  // joins the workers: every exact trace is routed
+  EXPECT_EQ(service.trace_log().stats().slow, 30);
+  EXPECT_EQ(counter_value(service.metrics_snapshot(), "serve.trace.slow"),
+            service.trace_log().stats().slow);
 }
 
 TEST(Tiered, SummaryContainsTierSection) {

@@ -423,12 +423,6 @@ void write_summary(const DistanceService& service, const std::string& path) {
   });
 }
 
-std::int64_t counter_of(const MetricsSnapshot& metrics,
-                        const std::string& name) {
-  const auto it = metrics.find(name);
-  return it == metrics.end() ? 0 : it->second.counter;
-}
-
 /// Everything one chaos pass yields.  Every ok answer is checked against
 /// the oracle matrix, so a pass is self-verifying.
 struct ChaosPass {
@@ -476,9 +470,9 @@ ChaosPass run_chaos_pass(const std::shared_ptr<SnapshotReader>& reader,
           .count();
   pass.final_health = service.health();
   const MetricsSnapshot metrics = service.metrics_snapshot();
-  pass.retry_attempts = counter_of(metrics, "serve.retry.attempts");
-  pass.retry_success = counter_of(metrics, "serve.retry.success");
-  pass.retry_exhausted = counter_of(metrics, "serve.retry.exhausted");
+  pass.retry_attempts = counter_value(metrics, "serve.retry.attempts");
+  pass.retry_success = counter_value(metrics, "serve.retry.success");
+  pass.retry_exhausted = counter_value(metrics, "serve.retry.exhausted");
   pass.quarantine = service.quarantine_stats();
   pass.workers = service.worker_stats();
   service.stop();
@@ -677,7 +671,6 @@ int mode_serve(const Cli& cli, Rng& rng) {
   // untouched: the rings are cheap, the console stays quiet.
   if (!plan_spec.empty())
     Logger::global().set_ring_level(LogLevel::kTrace);
-  options.resilience = !cli.get<bool>("no-resilience");
   options.retry = kRetry;
   options.quarantine = kQuarantine;
   if (chaos) {
@@ -1094,7 +1087,6 @@ const std::vector<Flag> kServeFlags = {
     {"slo-availability", kReal, {"<f>"}, "0.999", "availability SLO target"},
     {"fault-plan", kText, {"<spec>"}, "", "e.g. seed=7,flip=0.02; see --chaos"},
     {"chaos", kSwitch, {}, "", "clean, then faulted pass (built-in plan)"},
-    {"no-resilience", kSwitch, {}, "", "no retries or quarantine"},
 };
 
 }  // namespace
