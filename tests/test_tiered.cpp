@@ -2,7 +2,8 @@
 // and escalation rules in every mode, per-request overrides, degraded
 // sketches, deterministic (distance, vertex id) k-nearest tie-breaking
 // across PathOracle / DistanceService / the approx tier, the
-// serve.tier.* metrics, and the summary "tier" section.
+// serve.tier.* metrics, the slow-trace count across both tiers, and the
+// summary "tier" section.
 #include <gtest/gtest.h>
 
 #include <memory>
