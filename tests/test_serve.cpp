@@ -680,7 +680,7 @@ TEST(ServeMetrics, MatchRecordedValues) {
     EXPECT_EQ(metric_lines(service.metrics_snapshot()), expected);
   }
   {
-    // Faulted: tile 0 never reads.  Two exhausted 2-attempt fetches put
+    // Faulted: tile 0 never reads.  Three exhausted 4-attempt fetches put
     // it in quarantine, and the cooldown outlasts the test, so no probe
     // runs and every later touch of the tile is blocked.
     ServeFaultPlan plan;
@@ -689,9 +689,6 @@ TEST(ServeMetrics, MatchRecordedValues) {
     ServeOptions options;
     options.threads = 1;
     options.cache_bytes = 4096;
-    options.retry.max_attempts = 2;
-    options.retry.backoff_base_ms = 0.05;
-    options.quarantine.threshold = 2;
     options.quarantine.cooldown_ms = 1e9;
     options.fault_injector = std::make_shared<ServeFaultInjector>(plan);
     DistanceService service(f.reader, f.graph, options);
@@ -723,11 +720,11 @@ TEST(ServeMetrics, MatchRecordedValues) {
       "counter serve.cache.shard6.miss 2",
       "counter serve.cache.shard7.hit 5",
       "counter serve.cache.shard7.miss 2",
-      "counter serve.fault.io 4",
+      "counter serve.fault.io 12",
       "counter serve.io.bytes_read 960",
       "counter serve.io.tiles_loaded 9",
       "histogram serve.path.hops 1",
-      "counter serve.quarantine.blocked 3",
+      "counter serve.quarantine.blocked 2",
       "counter serve.quarantine.enter 1",
       "gauge serve.queue.depth 1",
       "counter serve.request.degraded 5",
@@ -736,9 +733,9 @@ TEST(ServeMetrics, MatchRecordedValues) {
       "histogram serve.request.latency_us 7",
       "counter serve.request.ok 2",
       "counter serve.request.path 2",
-      "counter serve.retry.attempts 2",
-      "histogram serve.retry.backoff_ms 2",
-      "counter serve.retry.exhausted 2"};
+      "counter serve.retry.attempts 9",
+      "histogram serve.retry.backoff_ms 9",
+      "counter serve.retry.exhausted 3"};
     EXPECT_EQ(metric_lines(service.metrics_snapshot()), expected);
   }
 }
