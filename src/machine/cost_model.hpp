@@ -74,7 +74,7 @@ struct ReliabilityStats {
   std::int64_t duplicates_dropped = 0;  ///< stale frames discarded by seq
   std::int64_t corrupt_rejected = 0;    ///< frames failing the checksum
   std::int64_t reordered = 0;           ///< early frames buffered for order
-  std::int64_t give_ups = 0;  ///< sends that exhausted max_retries (fatal)
+  std::int64_t give_ups = 0;  ///< sends out of retransmissions (fatal)
 
   ReliabilityStats& operator+=(const ReliabilityStats& o) {
     frames_sent += o.frames_sent;

@@ -471,7 +471,7 @@ void Machine::run(const std::function<void(Comm&)>& program) {
     comms.push_back(Comm(this, r, tracing_, record_comm_));
   if (reliable_transport_)
     for (Comm& comm : comms)
-      comm.reliable_ = std::make_unique<ReliableComm>(reliable_options_);
+      comm.reliable_ = std::make_unique<ReliableComm>();
 
   std::mutex error_mutex;
   std::exception_ptr first_error;

@@ -331,9 +331,6 @@ class Machine {
   /// (reliable.hpp) during subsequent run()s, so the program survives any
   /// message-fault plan; the overhead lands in the cost report.
   void enable_reliable_transport(bool enabled) { reliable_transport_ = enabled; }
-  void set_reliable_options(const ReliableOptions& options) {
-    reliable_options_ = options;
-  }
 
   /// The snapshot taken when the most recent run() deadlocked (the same
   /// report the DeadlockError carried); nullptr otherwise.
@@ -389,7 +386,6 @@ class Machine {
   bool tracing_ = false;
   bool reliable_transport_ = false;
   std::optional<FaultPlan> fault_plan_;
-  ReliableOptions reliable_options_;
   std::optional<DeadlockReport> deadlock_;
   /// Per-run state (mailboxes, live ledger, injector), built by run().
   std::unique_ptr<Impl> impl_;

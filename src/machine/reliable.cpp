@@ -114,8 +114,7 @@ void ReliableComm::send(RawLink& link, RankId dst, Tag tag,
                         std::span<const Dist> payload) {
   const std::int64_t seq = send_seq_[{dst, tag}]++;
   const Payload frame(encode_frame(seq, payload));
-  double backoff = options_.backoff_latency;
-  const double backoff_cap = 64 * options_.backoff_latency;
+  double backoff = kBackoffLatency;
   for (int attempt = 0;; ++attempt) {
     ++stats_.frames_sent;
     if (attempt > 0) {
@@ -125,10 +124,10 @@ void ReliableComm::send(RawLink& link, RankId dst, Tag tag,
     }
     if (link.transmit(dst, tag, frame, attempt > 0)) {
       ++stats_.acks;
-      link.charge(options_.ack_latency, options_.ack_words, "ack");
+      link.charge(kAckLatency, kAckWords, "ack");
       return;
     }
-    if (attempt >= options_.max_retries) {
+    if (attempt >= kMaxRetransmissions) {
       ++stats_.give_ups;
       CAPSP_LOG(kWarn, "machine.reliable.give_up", {"dst", dst},
                 {"tag", tag}, {"seq", seq},
@@ -140,7 +139,7 @@ void ReliableComm::send(RawLink& link, RankId dst, Tag tag,
                                     "plan?");
     }
     link.charge(backoff, 0, "backoff");
-    backoff = std::min(2 * backoff, backoff_cap);
+    backoff = std::min(2 * backoff, kBackoffLatencyCap);
   }
 }
 

@@ -16,9 +16,9 @@
 //   * ack + bounded retry with backoff
 //                        — each physical transmission is link-layer
 //                          acknowledged; a lost or corrupted frame is
-//                          retransmitted up to max_retries times, with an
-//                          exponentially growing backoff charge on the
-//                          sender's logical clock.
+//                          retransmitted up to kMaxRetransmissions times,
+//                          with an exponentially growing backoff charge on
+//                          the sender's logical clock.
 //
 // The link-layer acknowledgment is synchronous in simulation (the sender
 // learns the fate of a transmission before its next operation, like NIC-
@@ -45,20 +45,6 @@
 #include "semiring/payload.hpp"
 
 namespace capsp {
-
-/// Tuning knobs for the reliability protocol.  The charges are in the
-/// cost model's units (latency: messages, words: words).
-struct ReliableOptions {
-  /// Retransmissions allowed per frame before the sender gives up (a
-  /// give-up throws: the plan was not survivable).
-  int max_retries = 16;
-  /// Clock charge for the link-layer ack of a delivered frame.
-  double ack_latency = 1;
-  double ack_words = 1;
-  /// Clock charge for the first failed attempt; doubles per retry, capped
-  /// at 64x (bounded exponential backoff).
-  double backoff_latency = 1;
-};
 
 /// Words prepended to every payload on the wire: [seq, checksum].
 inline constexpr std::int64_t kFrameHeaderWords = 2;
@@ -112,11 +98,21 @@ class RawLink {
 /// one, like its Comm).
 class ReliableComm {
  public:
-  explicit ReliableComm(ReliableOptions options = {})
-      : options_(options) {}
+  // The protocol's charges are in the cost model's units (latency:
+  // messages, words: words).
+  /// Retransmissions allowed per frame before the sender gives up (a
+  /// give-up throws: the plan was not survivable).
+  static constexpr int kMaxRetransmissions = 16;
+  /// Clock charge for the link-layer ack of a delivered frame.
+  static constexpr double kAckLatency = 1;
+  static constexpr double kAckWords = 1;
+  /// Clock charge for the first failed attempt; doubles per retry, capped
+  /// at 64 (bounded exponential backoff).
+  static constexpr double kBackoffLatency = 1;
+  static constexpr double kBackoffLatencyCap = 64;
 
   /// Frame and transmit `payload`, retrying on link-reported loss.
-  /// Throws check_error after max_retries failed retransmissions.
+  /// Throws check_error after kMaxRetransmissions failed retransmissions.
   void send(RawLink& link, RankId dst, Tag tag,
             std::span<const Dist> payload);
 
@@ -129,7 +125,6 @@ class ReliableComm {
  private:
   using StreamKey = std::pair<RankId, Tag>;
 
-  ReliableOptions options_;
   ReliabilityStats stats_;
   std::map<StreamKey, std::int64_t> send_seq_;
   std::map<StreamKey, std::int64_t> recv_seq_;

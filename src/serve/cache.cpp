@@ -9,15 +9,11 @@
 
 namespace capsp {
 
-TileCache::TileCache(TileCacheOptions options) {
-  CAPSP_CHECK_MSG(options.byte_budget > 0,
-                  "cache byte_budget must be > 0, got "
-                      << options.byte_budget);
-  CAPSP_CHECK_MSG(options.shards >= 1,
-                  "cache shards must be >= 1, got " << options.shards);
-  shards_ = std::vector<Shard>(static_cast<std::size_t>(options.shards));
-  shard_budget_ = std::max<std::int64_t>(
-      options.byte_budget / options.shards, 1);
+TileCache::TileCache(std::int64_t byte_budget)
+    : shard_budget_(std::max<std::int64_t>(byte_budget / kShards, 1)),
+      shards_(kShards) {
+  CAPSP_CHECK_MSG(byte_budget > 0,
+                  "cache byte_budget must be > 0, got " << byte_budget);
 }
 
 std::shared_ptr<const DistBlock> TileCache::get(std::int64_t tile_id,

@@ -26,20 +26,17 @@ namespace capsp {
 
 class RequestTrace;
 
-struct TileCacheOptions {
-  /// Total payload budget across all shards.
-  std::int64_t byte_budget = 16 << 20;
-  int shards = 8;
-};
-
 class TileCache {
  public:
   /// Bookkeeping charge per cached tile on top of its payload bytes
   /// (list/map nodes, control block); keeps a budget of tiny tiles from
   /// admitting an unbounded entry count.
   static constexpr std::int64_t kEntryOverheadBytes = 64;
+  /// Lock shards; tile `id` lives in shard `id % kShards`.
+  static constexpr int kShards = 8;
 
-  explicit TileCache(TileCacheOptions options);
+  /// `byte_budget`: total payload budget across all shards.
+  explicit TileCache(std::int64_t byte_budget);
   TileCache(const TileCache&) = delete;
   TileCache& operator=(const TileCache&) = delete;
 
@@ -61,14 +58,13 @@ class TileCache {
     std::int64_t entries = 0;
     Stats& operator+=(const Stats& other);
   };
-  /// Each shard's counts (index = tile_id % num_shards), kept under the
+  /// Each shard's counts (index = tile_id % kShards), kept under the
   /// shard's own lock: the one place the cache counts its hits, misses
   /// and evictions.  The service folds them into its `serve.cache.*`
   /// metrics when they are read (DistanceService::metrics_snapshot).
   std::vector<Stats> shard_stats() const;
   /// The sum of shard_stats().
   Stats stats() const;
-  int num_shards() const { return static_cast<int>(shards_.size()); }
 
  private:
   struct Entry {

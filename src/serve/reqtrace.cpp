@@ -83,8 +83,7 @@ RequestTraceLog::RequestTraceLog(RequestTraceLogOptions options)
                       << options_.sample_every);
   CAPSP_CHECK_MSG(options_.slow_us >= 0,
                   "trace slow_us must be >= 0, got " << options_.slow_us);
-  CAPSP_CHECK_MSG(options_.keep >= 1 && options_.slow_keep >= 1,
-                  "trace ring capacities must be >= 1");
+  CAPSP_CHECK_MSG(options_.keep >= 1, "trace ring capacity must be >= 1");
 }
 
 std::shared_ptr<RequestTrace> RequestTraceLog::maybe_start(
@@ -110,7 +109,7 @@ bool RequestTraceLog::finish(std::shared_ptr<RequestTrace> trace) {
   if (options_.slow_us > 0 && trace->total_us() >= options_.slow_us) {
     ++slow_total_;
     slow_.push_back(std::move(trace));
-    if (slow_.size() > options_.slow_keep) slow_.pop_front();
+    if (slow_.size() > kSlowKeep) slow_.pop_front();
     return true;
   }
   if (trace->sampled()) {

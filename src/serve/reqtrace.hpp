@@ -145,12 +145,14 @@ struct RequestTraceLogOptions {
   std::int64_t sample_every = 0;
   /// Slow-request threshold in microseconds (0 = slow log off).
   double slow_us = 0;
-  std::size_t keep = 128;      ///< sampled-trace ring capacity
-  std::size_t slow_keep = 32;  ///< slow-trace ring capacity
+  std::size_t keep = 128;  ///< sampled-trace ring capacity
 };
 
 class RequestTraceLog {
  public:
+  /// Slow-trace ring capacity.
+  static constexpr std::size_t kSlowKeep = 32;
+
   explicit RequestTraceLog(RequestTraceLogOptions options = {});
 
   bool enabled() const {

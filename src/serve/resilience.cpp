@@ -6,28 +6,23 @@
 
 namespace capsp {
 
-double retry_backoff_ms(const RetryOptions& options, int retry_index,
-                        Rng& rng) {
+double retry_backoff_ms(int retry_index, Rng& rng) {
   CAPSP_CHECK_MSG(retry_index >= 0, "retry_index " << retry_index);
-  double backoff = options.backoff_base_ms;
-  for (int i = 0; i < retry_index && backoff < options.backoff_max_ms; ++i)
+  double backoff = kRetryBackoffBaseMs;
+  for (int i = 0; i < retry_index && backoff < kRetryBackoffMaxMs; ++i)
     backoff *= 2;
-  backoff = std::min(backoff, options.backoff_max_ms);
-  const double jitter = std::clamp(options.jitter, 0.0, 1.0);
-  if (jitter > 0) backoff *= rng.uniform_real(1.0 - jitter, 1.0);
-  return std::max(backoff, 0.0);
+  return std::min(backoff, kRetryBackoffMaxMs) * rng.uniform_real(0.5, 1.0);
 }
 
 QuarantineRegistry::Admission QuarantineRegistry::admit(
     std::int64_t tile_id, Clock::time_point now) {
-  if (!enabled()) return Admission::kAllow;
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = tiles_.find(tile_id);
   if (it == tiles_.end() || !it->second.quarantined)
     return Admission::kAllow;
   TileState& state = it->second;
-  const auto cooldown = std::chrono::duration<double, std::milli>(
-      options_.cooldown_ms);
+  const auto cooldown =
+      std::chrono::duration<double, std::milli>(cooldown_ms_);
   if (state.probe_in_flight || now - state.since < cooldown) {
     ++blocked_;
     return Admission::kBlocked;
@@ -39,7 +34,6 @@ QuarantineRegistry::Admission QuarantineRegistry::admit(
 
 bool QuarantineRegistry::record_failure(std::int64_t tile_id,
                                         Clock::time_point now) {
-  if (!enabled()) return false;
   std::lock_guard<std::mutex> lock(mutex_);
   TileState& state = tiles_[tile_id];
   ++failures_;
@@ -47,7 +41,7 @@ bool QuarantineRegistry::record_failure(std::int64_t tile_id,
   state.probe_in_flight = false;
   state.since = now;  // restart the cooldown after every failure
   if (!state.quarantined &&
-      state.consecutive_failures >= options_.threshold) {
+      state.consecutive_failures >= kThreshold) {
     state.quarantined = true;
     ++enters_;
     CAPSP_LOG(kWarn, "serve.quarantine.enter", {"tile", tile_id},
@@ -58,7 +52,6 @@ bool QuarantineRegistry::record_failure(std::int64_t tile_id,
 }
 
 bool QuarantineRegistry::record_success(std::int64_t tile_id) {
-  if (!enabled()) return false;
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = tiles_.find(tile_id);
   if (it == tiles_.end()) return false;
@@ -76,10 +69,9 @@ bool QuarantineRegistry::record_success(std::int64_t tile_id) {
 std::vector<std::int64_t> QuarantineRegistry::due_for_probe(
     Clock::time_point now) {
   std::vector<std::int64_t> due;
-  if (!enabled()) return due;
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto cooldown = std::chrono::duration<double, std::milli>(
-      options_.cooldown_ms);
+  const auto cooldown =
+      std::chrono::duration<double, std::milli>(cooldown_ms_);
   for (auto& [tile_id, state] : tiles_) {
     if (!state.quarantined || state.probe_in_flight) continue;
     if (now - state.since < cooldown) continue;

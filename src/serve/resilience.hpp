@@ -10,10 +10,10 @@
 //     checksum mismatch, allocation failure).  Derives from check_error so
 //     existing callers that treat any snapshot failure as fatal keep
 //     working, while the service can catch it narrowly and retry.
-//   * RetryOptions / retry_backoff_ms — bounded exponential backoff with
-//     jitter, the same shape as ReliableOptions' doubling backoff but
-//     tuned in milliseconds for disk latencies.
-//   * QuarantineRegistry — per-tile failure accounting: K consecutive
+//   * kRetryMaxAttempts / retry_backoff_ms — bounded exponential backoff
+//     with jitter, the same shape as ReliableComm's doubling backoff but
+//     in milliseconds for disk latencies.
+//   * QuarantineRegistry — per-tile failure accounting: 3 consecutive
 //     failed fetches quarantine a tile so requests fail fast (degraded)
 //     instead of each burning a full retry ladder on a known-bad sector;
 //     after a cooldown the tile is re-probed and exits quarantine on the
@@ -70,31 +70,17 @@ class TileReadError : public check_error {
   std::int64_t tile_id_;
 };
 
-/// Bounded exponential backoff with jitter for tile-read retries.
-struct RetryOptions {
-  /// Total read attempts per fetch, including the first (1 = no retry).
-  int max_attempts = 4;
-  double backoff_base_ms = 0.2;  ///< sleep before the first retry
-  double backoff_max_ms = 20;    ///< cap on the doubled backoff
-  /// Fraction of each backoff randomized: sleep is uniform in
-  /// [backoff·(1-jitter), backoff], so retries from concurrent workers
-  /// de-synchronize instead of hammering the disk in lockstep.
-  double jitter = 0.5;
-};
+/// Tile-read attempts per fetch, the first included.
+inline constexpr int kRetryMaxAttempts = 4;
+/// Sleep before the first retry, doubled per retry up to the cap.
+inline constexpr double kRetryBackoffBaseMs = 0.2;
+inline constexpr double kRetryBackoffMaxMs = 20;
 
 /// Backoff before retry number `retry_index` (0 = first retry): base
-/// doubled per retry, capped, then jittered via `rng`.
-double retry_backoff_ms(const RetryOptions& options, int retry_index,
-                        Rng& rng);
-
-struct QuarantineOptions {
-  /// Consecutive failed fetches (each already retried) before a tile is
-  /// quarantined.  0 disables quarantine entirely.
-  int threshold = 3;
-  /// Quiet period after quarantine entry (or a failed probe) before the
-  /// tile may be probed again.
-  double cooldown_ms = 50;
-};
+/// doubled per retry, capped, then scaled by a draw uniform in [0.5, 1)
+/// from `rng`, so retries from concurrent workers de-synchronize instead
+/// of hammering the disk in lockstep.
+double retry_backoff_ms(int retry_index, Rng& rng);
 
 /// Thread-safe per-tile failure ledger.  The service asks `admit` before
 /// reading a tile, reports `record_failure` / `record_success` after, and
@@ -121,11 +107,14 @@ class QuarantineRegistry {
     std::int64_t failures = 0;  ///< record_failure calls
   };
 
-  explicit QuarantineRegistry(QuarantineOptions options = {})
-      : options_(options) {}
+  /// Consecutive failed fetches (each already retried) before a tile is
+  /// quarantined.
+  static constexpr int kThreshold = 3;
 
-  bool enabled() const { return options_.threshold > 0; }
-  const QuarantineOptions& options() const { return options_; }
+  /// `cooldown_ms`: the quiet period after quarantine entry (or a failed
+  /// probe) before the tile may be probed again.
+  explicit QuarantineRegistry(double cooldown_ms)
+      : cooldown_ms_(cooldown_ms) {}
 
   Admission admit(std::int64_t tile_id) {
     return admit(tile_id, Clock::now());
@@ -158,7 +147,7 @@ class QuarantineRegistry {
     Clock::time_point since{};  ///< entry or last failed probe
   };
 
-  QuarantineOptions options_;
+  double cooldown_ms_;
   mutable std::mutex mutex_;
   std::map<std::int64_t, TileState> tiles_;
   std::int64_t enters_ = 0;

@@ -22,7 +22,9 @@
 namespace capsp {
 namespace {
 
-double to_micros(std::chrono::steady_clock::duration d) {
+using Clock = std::chrono::steady_clock;
+
+double to_micros(Clock::duration d) {
   return std::chrono::duration<double, std::micro>(d).count();
 }
 
@@ -69,6 +71,12 @@ struct DegradedTile {
   std::int64_t tile_id = -1;
 };
 
+/// Slices of the rolling latency/error windows.
+constexpr int kWindowSlices = 10;
+/// Cadence of the maintenance thread (watchdog scan, quarantine probes,
+/// health refresh).
+constexpr double kMaintenanceIntervalMs = 20;
+
 std::int64_t steady_micros_now() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -83,6 +91,14 @@ Rng& backoff_rng() {
       static_cast<std::uint64_t>(
           std::hash<std::thread::id>{}(std::this_thread::get_id())));
   return rng;
+}
+
+/// A request's deadline; <= 0 seconds means none.
+Clock::time_point deadline_from(double deadline_seconds,
+                                Clock::time_point now) {
+  if (deadline_seconds <= 0) return Clock::time_point::max();
+  return now + std::chrono::duration_cast<Clock::duration>(
+                   std::chrono::duration<double>(deadline_seconds));
 }
 
 }  // namespace
@@ -110,13 +126,13 @@ DistanceService::DistanceService(std::shared_ptr<SnapshotReader> snapshot,
     : graph_(std::move(graph)),
       snapshot_(std::move(snapshot)),
       options_(options),
-      cache_({options.cache_bytes}),
+      cache_(options.cache_bytes),
       trace_log_({options.trace_sample_every, options.slow_trace_ms * 1000.0,
-                  options.trace_keep, options.slow_trace_keep}),
+                  options.trace_keep}),
       slo_(options.slo),
-      latency_window_(options.window_seconds, options.window_slices),
-      error_window_(options.window_seconds, options.window_slices),
-      quarantine_(options.quarantine) {
+      latency_window_(options.window_seconds, kWindowSlices),
+      error_window_(options.window_seconds, kWindowSlices),
+      quarantine_(options.quarantine_cooldown_ms) {
   CAPSP_CHECK_MSG(snapshot_ != nullptr, "DistanceService needs a snapshot");
   const SnapshotHeader& h = snapshot_->header();
   CAPSP_CHECK_MSG(h.rows == graph_.num_vertices() &&
@@ -126,9 +142,6 @@ DistanceService::DistanceService(std::shared_ptr<SnapshotReader> snapshot,
                                  << " vertices");
   CAPSP_CHECK_MSG(options_.threads >= 1,
                   "service needs >= 1 worker, got " << options_.threads);
-  CAPSP_CHECK_MSG(options_.retry.max_attempts >= 1,
-                  "retry.max_attempts must be >= 1, got "
-                      << options_.retry.max_attempts);
   if (options_.fault_injector != nullptr)
     snapshot_->set_fault_injector(options_.fault_injector.get());
   {
@@ -141,10 +154,7 @@ DistanceService::DistanceService(std::shared_ptr<SnapshotReader> snapshot,
       workers_.push_back(std::move(slot));
     }
   }
-  // The maintenance thread earns its keep only when something needs
-  // periodic attention: quarantine probes or the worker watchdog.
-  if (quarantine_.enabled() || options_.stuck_worker_ms > 0)
-    maintenance_ = std::thread([this] { maintenance_loop(); });
+  maintenance_ = std::thread([this] { maintenance_loop(); });
 }
 
 DistanceService::~DistanceService() { stop(); }
@@ -152,29 +162,24 @@ DistanceService::~DistanceService() { stop(); }
 void DistanceService::stop() {
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (stopping_) {
-      std::lock_guard<std::mutex> workers_lock(workers_mutex_);
-      if (workers_.empty()) return;
-    }
+    if (stopping_) return;
     stopping_ = true;
   }
   queue_cv_.notify_all();
-  // Maintenance first: once it is joined, the worker vector is stable
-  // (no more watchdog replacements) and can be drained safely.
+  // Maintenance first: once it is joined, no watchdog replacement can be
+  // appended, so the slots are joined in place.  They stay, so the pool's
+  // stats still describe it after the join.
   {
     std::lock_guard<std::mutex> lock(maintenance_mutex_);
     maintenance_stop_ = true;
   }
   maintenance_cv_.notify_all();
-  if (maintenance_.joinable()) maintenance_.join();
-  std::vector<std::unique_ptr<WorkerSlot>> workers;
-  {
-    std::lock_guard<std::mutex> lock(workers_mutex_);
-    workers.swap(workers_);
-  }
+  maintenance_.join();
   // Every slot is joined — including retired stuck workers, whose
-  // injected wedge is finite by construction.
-  for (auto& slot : workers) slot->thread.join();
+  // injected wedge is finite by construction.  No lock: a draining worker
+  // may read the pool (compute_health), and nothing writes it now.
+  for (auto& slot : workers_) slot->thread.join();
+  workers_joined_.store(true);
   // Detach the injector so a later service on the same (shared) reader —
   // the chaos harness runs clean and faulted passes back-to-back — never
   // sees a stale pointer once this service's options copy dies.
@@ -243,13 +248,12 @@ void DistanceService::maintenance_loop() {
       std::unique_lock<std::mutex> lock(maintenance_mutex_);
       maintenance_cv_.wait_for(
           lock,
-          std::chrono::duration<double, std::milli>(
-              options_.maintenance_interval_ms),
+          std::chrono::duration<double, std::milli>(kMaintenanceIntervalMs),
           [this] { return maintenance_stop_; });
       if (maintenance_stop_) return;
     }
     if (options_.stuck_worker_ms > 0) check_stuck_workers();
-    if (quarantine_.enabled()) probe_quarantined_tiles();
+    probe_quarantined_tiles();
     refresh_health();
   }
 }
@@ -300,33 +304,22 @@ void DistanceService::probe_quarantined_tiles() {
 }
 
 HealthState DistanceService::compute_health() const {
+  // Once stop() has joined the pool, its state describes the teardown,
+  // not the service.  Report the last live verdict so a post-run summary
+  // reflects how the service ended (the /healthz endpoint answers 503
+  // "stopping" separately).
+  if (workers_joined_.load())
+    return static_cast<HealthState>(health_.load(std::memory_order_relaxed));
+  const WorkerStats workers = worker_stats();
   const QuarantineRegistry::Stats q = quarantine_.stats();
-  int active = 0;
-  int stuck = 0;
-  {
-    std::lock_guard<std::mutex> lock(workers_mutex_);
-    // After stop() the pool is gone; "no live workers" then means
-    // "stopped", not "unhealthy".  Report the last live verdict so a
-    // post-run summary reflects how the service ended, not its teardown
-    // (the /healthz endpoint answers 503 "stopping" separately).
-    if (workers_.empty())
-      return static_cast<HealthState>(
-          health_.load(std::memory_order_relaxed));
-    for (const auto& slot : workers_) {
-      if (!slot->abandoned.load(std::memory_order_relaxed))
-        ++active;
-      else if (slot->busy_since_us.load(std::memory_order_acquire) != 0)
-        ++stuck;
-    }
-  }
   const std::int64_t tiles = snapshot_->header().num_tiles();
   // Unhealthy: half the tile space dark, or no live workers — exact
   // answers are no longer the common case, so shed to protect the error
   // budget.  Degraded: anything quarantined or wedged, answers still
   // exact for every healthy tile.
   if (tiles > 0 && q.active * 2 >= tiles) return HealthState::kUnhealthy;
-  if (active == 0) return HealthState::kUnhealthy;
-  if (q.active > 0 || stuck > 0) return HealthState::kDegraded;
+  if (workers.active == 0) return HealthState::kUnhealthy;
+  if (q.active > 0 || workers.stuck > 0) return HealthState::kDegraded;
   return HealthState::kOk;
 }
 
@@ -350,16 +343,6 @@ DistanceService::WorkerStats DistanceService::worker_stats() const {
   stats.spawned = static_cast<std::int64_t>(workers_.size());
   stats.replaced = workers_replaced_.load(std::memory_order_relaxed);
   return stats;
-}
-
-DistanceService::Clock::time_point DistanceService::deadline_from(
-    double deadline_seconds, Clock::time_point now) const {
-  const double seconds = deadline_seconds < 0
-                             ? options_.default_deadline_seconds
-                             : deadline_seconds;
-  if (seconds <= 0) return Clock::time_point::max();
-  return now + std::chrono::duration_cast<Clock::duration>(
-                   std::chrono::duration<double>(seconds));
 }
 
 ServeError DistanceService::submit(Job job) {
@@ -478,7 +461,7 @@ std::shared_ptr<const DistBlock> DistanceService::fetch_tile(
       return cache_.put(tile_id, std::move(loaded));
     } catch (const TileReadError& e) {
       registry_.counter_add(fault_counter(e.kind()));
-      if (attempt + 1 >= options_.retry.max_attempts) {
+      if (attempt + 1 >= kRetryMaxAttempts) {
         CAPSP_LOG(kWarn, "serve.retry.exhausted", {"tile", tile_id},
                   {"attempts", attempt + 1}, {"kind", fault_counter(e.kind())});
         registry_.counter_add("serve.retry.exhausted");
@@ -486,8 +469,7 @@ std::shared_ptr<const DistBlock> DistanceService::fetch_tile(
         return nullptr;
       }
       registry_.counter_add("serve.retry.attempts");
-      const double backoff_ms =
-          retry_backoff_ms(options_.retry, attempt, backoff_rng());
+      const double backoff_ms = retry_backoff_ms(attempt, backoff_rng());
       CAPSP_LOG(kDebug, "serve.retry", {"tile", tile_id},
                 {"attempt", attempt + 1}, {"backoff_ms", backoff_ms},
                 {"kind", fault_counter(e.kind())});
@@ -736,7 +718,6 @@ void DistanceService::write_summary_fields(JsonWriter& json) const {
   json.field("threads", options_.threads);
   json.field("cache_bytes", options_.cache_bytes);
   json.field("max_queue", static_cast<std::int64_t>(options_.max_queue));
-  json.field("default_deadline_seconds", options_.default_deadline_seconds);
 
   const std::int64_t ok = counter("serve.request.ok");
   const std::int64_t overloaded = counter("serve.request.overloaded");
@@ -839,7 +820,7 @@ void DistanceService::write_summary_fields(JsonWriter& json) const {
   json.field("health", to_string(compute_health()));
   json.key("retry");
   json.begin_object();
-  json.field("max_attempts", options_.retry.max_attempts);
+  json.field("max_attempts", kRetryMaxAttempts);
   json.field("attempts", counter("serve.retry.attempts"));
   json.field("success", counter("serve.retry.success"));
   json.field("exhausted", counter("serve.retry.exhausted"));
@@ -847,8 +828,8 @@ void DistanceService::write_summary_fields(JsonWriter& json) const {
   const QuarantineRegistry::Stats q = quarantine_.stats();
   json.key("quarantine");
   json.begin_object();
-  json.field("threshold", options_.quarantine.threshold);
-  json.field("cooldown_ms", options_.quarantine.cooldown_ms);
+  json.field("threshold", QuarantineRegistry::kThreshold);
+  json.field("cooldown_ms", options_.quarantine_cooldown_ms);
   json.field("active", q.active);
   json.field("enters", q.enters);
   json.field("exits", q.exits);

@@ -84,8 +84,6 @@ struct ServeOptions {
   /// kOverloaded instead of queued without bound (0 admits nothing —
   /// every request is rejected, which makes overload handling testable).
   std::size_t max_queue = 4096;
-  /// Deadline applied when a request does not carry its own; 0 = none.
-  double default_deadline_seconds = 0;
 
   /// Request tracing (serve/reqtrace): trace every Nth request into the
   /// sampled ring (0 = sampling off).
@@ -94,12 +92,10 @@ struct ServeOptions {
   /// request at or over it keeps its full span tree even when sampling
   /// would have dropped it.
   double slow_trace_ms = 0;
-  std::size_t trace_keep = 128;      ///< sampled-trace ring capacity
-  std::size_t slow_trace_keep = 32;  ///< slow-trace ring capacity
+  std::size_t trace_keep = 128;  ///< sampled-trace ring capacity
 
   /// Rolling latency/error window (util/metrics RollingHistogram).
   double window_seconds = 10;
-  int window_slices = 10;
 
   /// Latency/availability objectives (serve/slo).
   SloOptions slo;
@@ -108,20 +104,18 @@ struct ServeOptions {
   // healthy disk the only cost is one quarantine-map lookup per cache
   // miss, and while health is kUnhealthy new work is rejected with
   // kDegraded instead of burning the whole error budget on requests that
-  // will fail anyway.
+  // will fail anyway.  A failed tile read is retried (kRetryMaxAttempts)
+  // and a tile quarantined after QuarantineRegistry::kThreshold exhausted
+  // fetches.
 
-  /// Bounded exponential backoff for failed tile reads.
-  RetryOptions retry;
-  /// Per-tile quarantine after consecutive fetch failures.
-  QuarantineOptions quarantine;
+  /// Quiet period after a tile enters quarantine (or fails a probe)
+  /// before the maintenance thread probes it again.
+  double quarantine_cooldown_ms = 50;
   /// Watchdog: a worker busy on one job longer than this is declared
   /// stuck, abandoned, and replaced (0 = watchdog off).  Pair it with
   /// deadlines well below it — the watchdog is for wedged threads, not
   /// slow queries.
   double stuck_worker_ms = 0;
-  /// Cadence of the maintenance thread (watchdog scan + quarantine
-  /// probes + health refresh).
-  double maintenance_interval_ms = 20;
   /// Chaos hook (serve/servefault): wired into the snapshot reader at
   /// construction.  nullptr = no injection.
   std::shared_ptr<ServeFaultInjector> fault_injector;
@@ -166,27 +160,28 @@ class DistanceService {
   const ServeOptions& options() const { return options_; }
 
   /// Async API: the future resolves to a reply (possibly an error reply);
-  /// it never throws for overload/deadline.  deadline_seconds < 0 means
-  /// "use the service default".
+  /// it never throws for overload/deadline.  deadline_seconds <= 0 means
+  /// no deadline.
   std::future<DistanceReply> distance_async(Vertex u, Vertex v,
-                                            double deadline_seconds = -1);
+                                            double deadline_seconds = 0);
   std::future<PathReply> shortest_path_async(Vertex u, Vertex v,
-                                             double deadline_seconds = -1);
+                                             double deadline_seconds = 0);
   std::future<KNearestReply> k_nearest_async(Vertex u, int k,
-                                             double deadline_seconds = -1);
+                                             double deadline_seconds = 0);
 
   /// Blocking conveniences over the async API.
-  DistanceReply distance(Vertex u, Vertex v, double deadline_seconds = -1);
-  PathReply shortest_path(Vertex u, Vertex v, double deadline_seconds = -1);
-  KNearestReply k_nearest(Vertex u, int k, double deadline_seconds = -1);
+  DistanceReply distance(Vertex u, Vertex v, double deadline_seconds = 0);
+  PathReply shortest_path(Vertex u, Vertex v, double deadline_seconds = 0);
+  KNearestReply k_nearest(Vertex u, int k, double deadline_seconds = 0);
 
   /// Submit every pair, then collect — batching amortizes queue wakeups
   /// and lets the pool overlap tile IO across the batch.
   std::vector<DistanceReply> distance_batch(
       std::span<const std::pair<Vertex, Vertex>> pairs,
-      double deadline_seconds = -1);
+      double deadline_seconds = 0);
 
-  /// Stop admitting requests, drain the queue, join the workers.
+  /// Stop admitting requests, drain the queue, join the workers (their
+  /// slots stay, so worker_stats() still describes the pool).
   /// Idempotent; the destructor calls it.
   void stop();
 
@@ -311,8 +306,6 @@ class DistanceService {
   HealthState compute_health() const;
   /// Recompute health into the cached atomic + serve.health gauge.
   void refresh_health();
-  Clock::time_point deadline_from(double deadline_seconds,
-                                  Clock::time_point now) const;
 
   /// Tile fetch through the cache.  A miss consults the quarantine
   /// registry, then runs the retry ladder against the snapshot: a cache
@@ -369,6 +362,8 @@ class DistanceService {
   mutable std::mutex workers_mutex_;
   std::vector<std::unique_ptr<WorkerSlot>> workers_;
   int next_worker_index_ = 0;
+  /// Set by stop() once every slot's thread is joined.
+  std::atomic<bool> workers_joined_{false};
 
   std::mutex maintenance_mutex_;
   std::condition_variable maintenance_cv_;

@@ -23,8 +23,8 @@ SloOptions validated(SloOptions options) {
 
 SloTracker::SloTracker(SloOptions options, Clock::time_point epoch)
     : options_(validated(options)),
-      latency_bad_(options_.window_seconds, options_.window_slices, epoch),
-      avail_bad_(options_.window_seconds, options_.window_slices, epoch) {}
+      latency_bad_(options_.window_seconds, kWindowSlices, epoch),
+      avail_bad_(options_.window_seconds, kWindowSlices, epoch) {}
 
 void SloTracker::record(bool ok, double latency_us, Clock::time_point now) {
   const bool latency_enabled = options_.latency_ms > 0;

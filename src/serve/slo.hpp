@@ -35,12 +35,14 @@ struct SloOptions {
   double availability_target = 0.999;
   /// Burn-rate window.
   double window_seconds = 60;
-  int window_slices = 12;
 };
 
 class SloTracker {
  public:
   using Clock = std::chrono::steady_clock;
+
+  /// Slices of the burn-rate window.
+  static constexpr int kWindowSlices = 12;
 
   explicit SloTracker(SloOptions options = {},
                       Clock::time_point epoch = Clock::now());

@@ -68,8 +68,8 @@ TieredDistanceService::TieredDistanceService(
     : exact_(exact),
       sketch_(std::move(sketch)),
       options_(options),
-      approx_slo_(options.approx_slo),
-      exact_slo_(options.exact_slo) {
+      approx_slo_(SloOptions{.latency_ms = 1}),
+      exact_slo_(SloOptions{.latency_ms = 100}) {
   CAPSP_CHECK_MSG(options_.stretch_budget >= 0,
                   "stretch_budget must be >= 0, got "
                       << options_.stretch_budget);
@@ -95,203 +95,140 @@ TieredDistanceService::~TieredDistanceService() {
   exact_.set_summary_extension(nullptr);
 }
 
-bool TieredDistanceService::sketch_degraded() const {
-  return !sketch_usable_ || forced_degraded_.load();
-}
-
-void TieredDistanceService::count_escalation(const char* reason_counter,
-                                             const char* reason, Vertex u,
-                                             Vertex v) {
+template <typename Reply, typename Approx, typename Exact>
+Reply TieredDistanceService::route(const char* trace_kind, Vertex u, Vertex v,
+                                   int k, Approx approx, Exact exact) {
   MetricsRegistry& registry = exact_.metrics_registry();
-  registry.counter_add("serve.tier.escalated");
-  registry.counter_add(reason_counter);
-  // kDebug lands in the flight-recorder ring even when the sink is quiet,
-  // so a post-mortem dump shows the escalations leading up to a crash.
-  CAPSP_LOG(kDebug, "serve.tier.escalate", {"reason", reason},
-            {"u", static_cast<std::int64_t>(u)},
-            {"v", static_cast<std::int64_t>(v)});
-}
+  const auto answer_exact = [&](bool escalated) {
+    registry.counter_add("serve.tier.request.exact");
+    const auto start = Clock::now();
+    Reply out = exact();
+    const double latency_us = to_micros(Clock::now() - start);
+    registry.observe("serve.tier.exact.latency_us", latency_us);
+    exact_slo_.record(out.error == ServeError::kOk, latency_us);
+    out.tier = Tier::kExact;
+    out.escalated = escalated;
+    return out;
+  };
+  const auto escalate = [&](const char* reason_counter, const char* reason) {
+    registry.counter_add("serve.tier.escalated");
+    registry.counter_add(reason_counter);
+    // kDebug lands in the flight-recorder ring even when the sink is
+    // quiet, so a post-mortem dump shows the escalations leading up to a
+    // crash.
+    CAPSP_LOG(kDebug, "serve.tier.escalate", {"reason", reason},
+              {"u", static_cast<std::int64_t>(u)},
+              {"v", static_cast<std::int64_t>(v)});
+    return answer_exact(/*escalated=*/true);
+  };
+  const auto record_approx = [&](ServeError error, double latency_us) {
+    registry.counter_add("serve.tier.request.approx");
+    if (error != ServeError::kOk)
+      registry.counter_add("serve.tier.approx.degraded");
+    registry.observe("serve.tier.approx.latency_us", latency_us);
+    approx_slo_.record(error == ServeError::kOk, latency_us);
+  };
 
-void TieredDistanceService::record_approx(ServeError error, double latency_us,
-                                          double gap) {
-  MetricsRegistry& registry = exact_.metrics_registry();
-  registry.counter_add("serve.tier.request.approx");
-  if (error != ServeError::kOk) registry.counter_add("serve.tier.approx.degraded");
-  registry.observe("serve.tier.approx.latency_us", latency_us);
-  if (gap >= 0) registry.observe("serve.tier.gap_ppm", gap_to_ppm(gap));
-  approx_slo_.record(error == ServeError::kOk, latency_us);
-}
-
-TieredDistanceReply TieredDistanceService::answer_exact(
-    Vertex u, Vertex v, bool escalated, double deadline_seconds) {
-  exact_.metrics_registry().counter_add("serve.tier.request.exact");
-  const auto start = Clock::now();
-  const DistanceReply reply = exact_.distance(u, v, deadline_seconds);
-  const double latency_us = to_micros(Clock::now() - start);
-  exact_.metrics_registry().observe("serve.tier.exact.latency_us",
-                                    latency_us);
-  exact_slo_.record(reply.error == ServeError::kOk, latency_us);
-  TieredDistanceReply out;
-  out.error = reply.error;
-  out.tier = Tier::kExact;
-  out.escalated = escalated;
-  if (reply.error == ServeError::kOk) {
-    out.estimate = out.lower_bound = out.upper_bound = reply.distance;
-  } else {
-    out.lower_bound = 0;  // an errored reply certifies nothing
-  }
-  return out;
-}
-
-TieredDistanceReply TieredDistanceService::distance(Vertex u, Vertex v,
-                                                    double deadline_seconds) {
-  return distance(u, v, options_.mode, -1, deadline_seconds);
-}
-
-TieredDistanceReply TieredDistanceService::distance(Vertex u, Vertex v,
-                                                    TierMode mode,
-                                                    double stretch_budget,
-                                                    double deadline_seconds) {
-  if (mode == TierMode::kExact)
-    return answer_exact(u, v, /*escalated=*/false, deadline_seconds);
+  const TierMode mode = options_.mode;
+  if (mode == TierMode::kExact) return answer_exact(/*escalated=*/false);
   if (sketch_degraded()) {
-    if (mode == TierMode::kApprox) {
-      record_approx(ServeError::kDegraded, 0, -1);
-      TieredDistanceReply out;
-      out.error = ServeError::kDegraded;
-      out.lower_bound = 0;
-      out.tier = Tier::kApprox;
-      return out;
-    }
-    count_escalation("serve.tier.escalated.degraded", "degraded", u, v);
-    return answer_exact(u, v, /*escalated=*/true, deadline_seconds);
+    if (mode == TierMode::kAuto)
+      return escalate("serve.tier.escalated.degraded", "degraded");
+    record_approx(ServeError::kDegraded, 0);
+    Reply out;
+    out.error = ServeError::kDegraded;
+    out.tier = Tier::kApprox;
+    return out;
   }
-  const double budget =
-      stretch_budget < 0 ? options_.stretch_budget : stretch_budget;
   const auto start = Clock::now();
   std::shared_ptr<RequestTrace> trace =
-      exact_.trace_log().maybe_start("tier.approx", u, v, -1);
+      exact_.trace_log().maybe_start(trace_kind, u, v, k);
   if (trace != nullptr) trace->mark_dequeued();  // no queue on this tier
-  DistanceBound bound;
-  {
-    ScopedSpan span(trace.get(), "sketch.bounds");
-    bound = sketch_->bounds(u, v);
+  double gap = 0;
+  Reply out = approx(trace.get(), &gap);
+  const bool escalated =
+      mode == TierMode::kAuto && gap > options_.stretch_budget;
+  if (!escalated) {
+    record_approx(ServeError::kOk, to_micros(Clock::now() - start));
+    registry.observe("serve.tier.gap_ppm", gap_to_ppm(gap));
   }
-  const double gap = bound.gap();
-  if (mode == TierMode::kAuto && gap > budget) {
-    if (trace != nullptr) {
-      trace->finish("escalated");
-      exact_.trace_log().finish(std::move(trace));
-    }
-    count_escalation("serve.tier.escalated.gap", "gap", u, v);
-    return answer_exact(u, v, /*escalated=*/true, deadline_seconds);
-  }
-  const double latency_us = to_micros(Clock::now() - start);
-  record_approx(ServeError::kOk, latency_us, gap);
   if (trace != nullptr) {
-    trace->finish("ok");
+    trace->finish(escalated ? "escalated" : "ok");
     exact_.trace_log().finish(std::move(trace));
   }
-  TieredDistanceReply out;
-  out.estimate = bound.upper;
-  out.lower_bound = bound.lower;
-  out.upper_bound = bound.upper;
+  if (escalated) return escalate("serve.tier.escalated.gap", "gap");
   out.tier = Tier::kApprox;
   return out;
 }
 
-TieredKNearestReply TieredDistanceService::answer_exact_knear(
-    Vertex u, int k, bool escalated, double deadline_seconds) {
-  exact_.metrics_registry().counter_add("serve.tier.request.exact");
-  const auto start = Clock::now();
-  KNearestReply reply = exact_.k_nearest(u, k, deadline_seconds);
-  const double latency_us = to_micros(Clock::now() - start);
-  exact_.metrics_registry().observe("serve.tier.exact.latency_us",
-                                    latency_us);
-  exact_slo_.record(reply.error == ServeError::kOk, latency_us);
-  TieredKNearestReply out;
-  out.error = reply.error;
-  out.nearest = std::move(reply.nearest);
-  out.tier = Tier::kExact;
-  out.escalated = escalated;
-  return out;
+TieredDistanceReply TieredDistanceService::distance(Vertex u, Vertex v,
+                                                    double deadline_seconds) {
+  return route<TieredDistanceReply>(
+      "tier.approx", u, v, -1,
+      [&](RequestTrace* trace, double* gap) {
+        DistanceBound bound;
+        {
+          ScopedSpan span(trace, "sketch.bounds");
+          bound = sketch_->bounds(u, v);
+        }
+        *gap = bound.gap();
+        TieredDistanceReply out;
+        out.estimate = bound.upper;
+        out.lower_bound = bound.lower;
+        out.upper_bound = bound.upper;
+        return out;
+      },
+      [&] {
+        const DistanceReply reply = exact_.distance(u, v, deadline_seconds);
+        TieredDistanceReply out;
+        out.error = reply.error;
+        if (reply.error == ServeError::kOk)
+          out.estimate = out.lower_bound = out.upper_bound = reply.distance;
+        return out;
+      });
 }
 
-TieredKNearestReply TieredDistanceService::k_nearest(
-    Vertex u, int k, double deadline_seconds) {
-  return k_nearest(u, k, options_.mode, -1, deadline_seconds);
-}
-
-TieredKNearestReply TieredDistanceService::k_nearest(
-    Vertex u, int k, TierMode mode, double stretch_budget,
-    double deadline_seconds) {
-  if (mode == TierMode::kExact)
-    return answer_exact_knear(u, k, /*escalated=*/false, deadline_seconds);
-  if (sketch_degraded()) {
-    if (mode == TierMode::kApprox) {
-      record_approx(ServeError::kDegraded, 0, -1);
-      TieredKNearestReply out;
-      out.error = ServeError::kDegraded;
-      out.tier = Tier::kApprox;
-      return out;
-    }
-    count_escalation("serve.tier.escalated.degraded", "degraded", u, -1);
-    return answer_exact_knear(u, k, /*escalated=*/true, deadline_seconds);
-  }
-  const double budget =
-      stretch_budget < 0 ? options_.stretch_budget : stretch_budget;
-  const auto start = Clock::now();
-  std::shared_ptr<RequestTrace> trace =
-      exact_.trace_log().maybe_start("tier.knear", u, -1, k);
-  if (trace != nullptr) trace->mark_dequeued();
-  // One pass of upper bounds from u, then the same (distance, id)
-  // max-heap selection the exact tier uses, so the two orders agree.
-  std::vector<Dist> upper;
-  std::priority_queue<std::pair<Dist, Vertex>> heap;
-  {
-    ScopedSpan span(trace.get(), "sketch.scan");
-    sketch_->upper_bounds_from(u, upper);
-    for (Vertex v = 0; v < static_cast<Vertex>(upper.size()); ++v) {
-      const Dist d = upper[static_cast<std::size_t>(v)];
-      if (v == u || is_inf(d)) continue;
-      if (static_cast<int>(heap.size()) < k) {
-        heap.emplace(d, v);
-      } else if (k > 0 && std::pair<Dist, Vertex>(d, v) < heap.top()) {
-        heap.pop();
-        heap.emplace(d, v);
-      }
-    }
-  }
-  TieredKNearestReply out;
-  out.nearest.resize(heap.size());
-  for (std::size_t i = heap.size(); i-- > 0;) {
-    out.nearest[i] = {heap.top().second, heap.top().first};
-    heap.pop();
-  }
-  double worst_gap = 0;
-  if (mode == TierMode::kAuto) {
-    // A partially certified top-k is not a top-k: if any selected
-    // neighbor's interval is wider than the budget, the whole query
-    // escalates.
-    for (const NearVertex& near : out.nearest)
-      worst_gap = std::max(worst_gap, sketch_->bounds(u, near.vertex).gap());
-    if (worst_gap > budget) {
-      if (trace != nullptr) {
-        trace->finish("escalated");
-        exact_.trace_log().finish(std::move(trace));
-      }
-      count_escalation("serve.tier.escalated.gap", "gap", u, -1);
-      return answer_exact_knear(u, k, /*escalated=*/true, deadline_seconds);
-    }
-  }
-  const double latency_us = to_micros(Clock::now() - start);
-  record_approx(ServeError::kOk, latency_us, worst_gap);
-  if (trace != nullptr) {
-    trace->finish("ok");
-    exact_.trace_log().finish(std::move(trace));
-  }
-  out.tier = Tier::kApprox;
-  return out;
+TieredKNearestReply TieredDistanceService::k_nearest(Vertex u, int k,
+                                                     double deadline_seconds) {
+  return route<TieredKNearestReply>(
+      "tier.knear", u, -1, k,
+      [&](RequestTrace* trace, double* gap) {
+        // One pass of upper bounds from u, then the same (distance, id)
+        // max-heap selection the exact tier uses, so the two orders agree.
+        std::vector<Dist> upper;
+        std::priority_queue<std::pair<Dist, Vertex>> heap;
+        {
+          ScopedSpan span(trace, "sketch.scan");
+          sketch_->upper_bounds_from(u, upper);
+          for (Vertex v = 0; v < static_cast<Vertex>(upper.size()); ++v) {
+            const Dist d = upper[static_cast<std::size_t>(v)];
+            if (v == u || is_inf(d)) continue;
+            if (static_cast<int>(heap.size()) < k) {
+              heap.emplace(d, v);
+            } else if (k > 0 && std::pair<Dist, Vertex>(d, v) < heap.top()) {
+              heap.pop();
+              heap.emplace(d, v);
+            }
+          }
+        }
+        TieredKNearestReply out;
+        out.nearest.resize(heap.size());
+        for (std::size_t i = heap.size(); i-- > 0;) {
+          out.nearest[i] = {heap.top().second, heap.top().first};
+          heap.pop();
+        }
+        // A top-k is as loose as its loosest neighbor.
+        for (const NearVertex& near : out.nearest)
+          *gap = std::max(*gap, sketch_->bounds(u, near.vertex).gap());
+        return out;
+      },
+      [&] {
+        KNearestReply reply = exact_.k_nearest(u, k, deadline_seconds);
+        TieredKNearestReply out;
+        out.error = reply.error;
+        out.nearest = std::move(reply.nearest);
+        return out;
+      });
 }
 
 TieredDistanceService::Stats TieredDistanceService::stats() const {

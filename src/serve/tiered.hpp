@@ -11,8 +11,7 @@
 //   kApprox  always the sketch (kDegraded when the sketch is unusable);
 //   kAuto    the sketch, escalating to the tile path when
 //              * the interval's relative gap exceeds the stretch budget,
-//              * or the sketch is degraded (missing, empty, wrong n,
-//                or explicitly marked via set_degraded).
+//              * or the sketch is degraded (missing, empty, or wrong n).
 //
 // Every reply says which tier produced it and carries the bounds, so a
 // caller can tell "exact", "approximate but certified within budget",
@@ -23,7 +22,6 @@
 // RequestTraceLog, and escalations leave flight-recorder events.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -39,7 +37,7 @@ class JsonWriter;
 /// Which tier produced a reply.
 enum class Tier { kApprox = 0, kExact = 1 };
 
-/// Per-service (or per-request) tier policy.
+/// Per-service tier policy.
 enum class TierMode { kApprox = 0, kExact = 1, kAuto = 2 };
 
 const char* to_string(Tier tier);
@@ -53,11 +51,6 @@ struct TieredOptions {
   /// Escalate (in kAuto) when (upper - lower) / lower exceeds this.
   /// 0.25 = accept answers certified within 25% of the true distance.
   double stretch_budget = 0.25;
-  /// Per-tier objectives: the approximate tier is held to a much
-  /// tighter latency target — that asymmetry is the tier's reason to
-  /// exist, and the per-tier SLO makes it measurable.
-  SloOptions approx_slo{.latency_ms = 1};
-  SloOptions exact_slo{.latency_ms = 100};
 };
 
 /// Tiered reply: the estimate plus its certificate.  On the approx tier
@@ -66,7 +59,7 @@ struct TieredOptions {
 struct TieredDistanceReply {
   ServeError error = ServeError::kOk;
   Dist estimate = kInf;
-  Dist lower_bound = kInf;
+  Dist lower_bound = 0;  ///< an errored reply certifies nothing
   Dist upper_bound = kInf;
   Tier tier = Tier::kApprox;
   bool escalated = false;  ///< kAuto only: the sketch answered and was rejected
@@ -98,29 +91,22 @@ class TieredDistanceService {
   const TieredOptions& options() const { return options_; }
   const LandmarkSketch* sketch() const { return sketch_.get(); }
 
-  /// The approx tier is unusable: no sketch, an empty one, a vertex-count
-  /// mismatch, or an explicit set_degraded(true).  kAuto escalates every
-  /// query; kApprox answers kDegraded.
-  bool sketch_degraded() const;
-  void set_degraded(bool degraded) { forced_degraded_.store(degraded); }
+  /// The approx tier is unusable: no sketch, an empty one, or a
+  /// vertex-count mismatch.  kAuto escalates every query; kApprox
+  /// answers kDegraded.
+  bool sketch_degraded() const { return !sketch_usable_; }
 
-  /// Answer under the service-level mode, or override it per request.
-  /// `stretch_budget` < 0 uses the service default; `deadline_seconds`
-  /// applies to the exact path only (the sketch path cannot block).
+  /// Answer under the service's mode.  `deadline_seconds` applies to the
+  /// exact path only (the sketch path cannot block); <= 0 means none.
   TieredDistanceReply distance(Vertex u, Vertex v,
-                               double deadline_seconds = -1);
-  TieredDistanceReply distance(Vertex u, Vertex v, TierMode mode,
-                               double stretch_budget = -1,
-                               double deadline_seconds = -1);
+                               double deadline_seconds = 0);
 
   /// k-nearest: one O(L·n) upper-bound scan on the approx tier, selected
-  /// by (distance, id).  In kAuto the whole query escalates when any
-  /// selected neighbor's interval exceeds the budget — a partially
-  /// certified top-k is not a top-k.
-  TieredKNearestReply k_nearest(Vertex u, int k, double deadline_seconds = -1);
-  TieredKNearestReply k_nearest(Vertex u, int k, TierMode mode,
-                                double stretch_budget = -1,
-                                double deadline_seconds = -1);
+  /// by (distance, id).  The answer's gap is the widest interval among
+  /// the selected neighbors, so in kAuto the whole query escalates when
+  /// any of them exceeds the budget — a partially certified top-k is not
+  /// a top-k.
+  TieredKNearestReply k_nearest(Vertex u, int k, double deadline_seconds = 0);
 
   SloTracker::Snapshot approx_slo_snapshot() const {
     return approx_slo_.snapshot();
@@ -144,19 +130,24 @@ class TieredDistanceService {
   void write_summary(JsonWriter& json) const;
 
  private:
-  TieredDistanceReply answer_exact(Vertex u, Vertex v, bool escalated,
-                                   double deadline_seconds);
-  TieredKNearestReply answer_exact_knear(Vertex u, int k, bool escalated,
-                                         double deadline_seconds);
-  void count_escalation(const char* reason_counter, const char* reason,
-                        Vertex u, Vertex v);
-  void record_approx(ServeError error, double latency_us, double gap);
+  /// The one routing path of both query kinds: the mode and
+  /// degraded-sketch checks, the approx tier's trace (`trace_kind`, u, v,
+  /// k), the stretch budget, and then either the approx record or an
+  /// escalation.  `approx(trace, &gap)` answers from the sketch and
+  /// widens `gap` (starting at 0) to the widest interval it served;
+  /// `exact()` asks the wrapped service.
+  template <typename Reply, typename Approx, typename Exact>
+  Reply route(const char* trace_kind, Vertex u, Vertex v, int k,
+              Approx approx, Exact exact);
 
   DistanceService& exact_;
   std::shared_ptr<const LandmarkSketch> sketch_;
   TieredOptions options_;
-  std::atomic<bool> forced_degraded_{false};
   bool sketch_usable_ = false;  ///< shape checks done once at construction
+  /// Per-tier objectives: the approximate tier is held to a much tighter
+  /// latency target (1 ms against the exact tier's 100 ms) — that
+  /// asymmetry is the tier's reason to exist, and the per-tier SLO makes
+  /// it measurable.
   SloTracker approx_slo_;
   SloTracker exact_slo_;
 };

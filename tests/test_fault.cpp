@@ -233,9 +233,6 @@ TEST(ReliableTransport, GivesUpWhenEveryRetryIsDropped) {
   Machine machine(2);
   machine.set_fault_plan(FaultPlan::parse("seed=3,drop=1"));
   machine.enable_reliable_transport(true);
-  ReliableOptions options;
-  options.max_retries = 4;
-  machine.set_reliable_options(options);
   bool gave_up = false;
   try {
     machine.run([](Comm& comm) {
@@ -250,7 +247,9 @@ TEST(ReliableTransport, GivesUpWhenEveryRetryIsDropped) {
   }
   EXPECT_TRUE(gave_up);
   EXPECT_EQ(machine.report().reliability.give_ups, 1);
-  EXPECT_EQ(machine.report().faults.drops, 5);  // first try + 4 retries
+  // The first try and every retransmission.
+  EXPECT_EQ(machine.report().faults.drops,
+            ReliableComm::kMaxRetransmissions + 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -197,22 +197,20 @@ TEST(FlightRecorder, ChaosServiceDumpNamesFaultsQuarantineAndRequests) {
   write_snapshot(path, matrix, 8);
   const auto reader = std::make_shared<SnapshotReader>(path);
 
-  // Tile 0 is a permanent bad sector: one failed 1-attempt fetch
-  // quarantines it for the rest of the run.
+  // Tile 0 is a permanent bad sector: three exhausted fetches quarantine
+  // it for the rest of the run.
   ServeFaultPlan plan;
   plan.bad_tile = 0;
   plan.bad_tile_fails = 1000000;
   ServeOptions options;
   options.threads = 2;
-  options.retry.max_attempts = 1;
-  options.quarantine.threshold = 1;
-  options.quarantine.cooldown_ms = 1e9;
+  options.quarantine_cooldown_ms = 1e9;
   options.trace_sample_every = 1;  // every request carries a trace id
   options.fault_injector = std::make_shared<ServeFaultInjector>(plan);
   DistanceService service(reader, graph, options);
 
-  EXPECT_EQ(service.distance(0, 1).error, ServeError::kDegraded);
-  EXPECT_EQ(service.distance(0, 1).error, ServeError::kDegraded);
+  for (int fetch = 0; fetch <= QuarantineRegistry::kThreshold; ++fetch)
+    EXPECT_EQ(service.distance(0, 1).error, ServeError::kDegraded);
   const DistanceReply healthy = service.distance(63, 62);
   EXPECT_EQ(healthy.error, ServeError::kOk);
   EXPECT_EQ(healthy.distance, matrix.at(63, 62));

@@ -224,13 +224,12 @@ TEST(ReliableComm, BackoffChargesGrowExponentially) {
 
 TEST(ReliableComm, GivesUpAfterMaxRetries) {
   ScriptedLink link;  // empty ack script defaults to true after the deque
-  ReliableOptions options;
-  options.max_retries = 3;
-  ReliableComm comm(options);
-  link.ack_script = {false, false, false, false, false};
+  ReliableComm comm;
+  link.ack_script.assign(ReliableComm::kMaxRetransmissions + 2, false);
   EXPECT_THROW(comm.send(link, 1, 0, payload({9.0})), check_error);
   EXPECT_EQ(comm.stats().give_ups, 1);
-  EXPECT_EQ(link.sent.size(), 4u);  // first attempt + max_retries
+  // The first attempt and every retransmission.
+  EXPECT_EQ(link.sent.size(), ReliableComm::kMaxRetransmissions + 1u);
 }
 
 TEST(ReliableComm, ReordersBuffersAndDiscardsDuplicates) {

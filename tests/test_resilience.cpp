@@ -29,52 +29,52 @@ std::chrono::milliseconds ms(int n) { return std::chrono::milliseconds(n); }
 // retry_backoff_ms
 
 TEST(RetryBackoff, DoublesFromBaseAndCaps) {
-  RetryOptions options;
-  options.backoff_base_ms = 1.0;
-  options.backoff_max_ms = 5.0;
-  options.jitter = 0;  // deterministic: no randomization
-  Rng rng(1);
-  EXPECT_DOUBLE_EQ(retry_backoff_ms(options, 0, rng), 1.0);
-  EXPECT_DOUBLE_EQ(retry_backoff_ms(options, 1, rng), 2.0);
-  EXPECT_DOUBLE_EQ(retry_backoff_ms(options, 2, rng), 4.0);
-  EXPECT_DOUBLE_EQ(retry_backoff_ms(options, 3, rng), 5.0);  // capped
-  EXPECT_DOUBLE_EQ(retry_backoff_ms(options, 30, rng), 5.0);
-}
-
-TEST(RetryBackoff, JitterStaysInsideItsBand) {
-  RetryOptions options;
-  options.backoff_base_ms = 8.0;
-  options.backoff_max_ms = 8.0;
-  options.jitter = 0.5;
+  // Base 0.2 ms doubled per retry and capped at 20 ms, each draw jittered
+  // into [backoff / 2, backoff] so concurrent retries de-synchronize.
+  const double expected[] = {0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8, 20, 20};
   Rng rng(7);
-  bool varied = false;
-  double first = -1;
-  for (int i = 0; i < 200; ++i) {
-    const double backoff = retry_backoff_ms(options, 0, rng);
-    EXPECT_GE(backoff, 4.0);  // 8 · (1 - 0.5)
-    EXPECT_LE(backoff, 8.0);
-    if (first < 0) first = backoff;
-    if (backoff != first) varied = true;
+  for (int retry = 0; retry < 9; ++retry) {
+    const double backoff = expected[retry];
+    bool varied = false;
+    double first = -1;
+    for (int i = 0; i < 200; ++i) {
+      const double drawn = retry_backoff_ms(retry, rng);
+      EXPECT_GE(drawn, backoff / 2) << retry;
+      EXPECT_LE(drawn, backoff) << retry;
+      if (first < 0) first = drawn;
+      if (drawn != first) varied = true;
+    }
+    EXPECT_TRUE(varied) << retry;  // jitter actually randomizes
   }
-  EXPECT_TRUE(varied);  // jitter actually randomizes
+  EXPECT_LE(retry_backoff_ms(30, rng), kRetryBackoffMaxMs);
 }
 
 // ---------------------------------------------------------------------------
 // QuarantineRegistry
 
+/// Enough consecutive failures at `now` to quarantine `tile_id`; true when
+/// the last one entered quarantine.
+bool fail_to_quarantine(QuarantineRegistry& registry, std::int64_t tile_id,
+                        Clock::time_point now) {
+  bool entered = false;
+  for (int i = 0; i < QuarantineRegistry::kThreshold; ++i)
+    entered = registry.record_failure(tile_id, now);
+  return entered;
+}
+
 TEST(Quarantine, BelowThresholdStaysAllowed) {
-  QuarantineRegistry registry({/*threshold=*/3, /*cooldown_ms=*/50});
+  QuarantineRegistry registry(/*cooldown_ms=*/50);
   const auto t0 = Clock::now();
   EXPECT_EQ(registry.admit(7, t0), Admission::kAllow);
-  EXPECT_FALSE(registry.record_failure(7, t0));
-  EXPECT_FALSE(registry.record_failure(7, t0));
+  for (int i = 1; i < QuarantineRegistry::kThreshold; ++i)
+    EXPECT_FALSE(registry.record_failure(7, t0));
   EXPECT_EQ(registry.admit(7, t0), Admission::kAllow);
   EXPECT_EQ(registry.stats().active, 0);
-  EXPECT_EQ(registry.stats().failures, 2);
+  EXPECT_EQ(registry.stats().failures, QuarantineRegistry::kThreshold - 1);
 }
 
 TEST(Quarantine, SuccessResetsTheConsecutiveCount) {
-  QuarantineRegistry registry({3, 50});
+  QuarantineRegistry registry(50);
   const auto t0 = Clock::now();
   registry.record_failure(7, t0);
   registry.record_failure(7, t0);
@@ -86,10 +86,9 @@ TEST(Quarantine, SuccessResetsTheConsecutiveCount) {
 }
 
 TEST(Quarantine, FullLifecycleEnterBlockProbeExit) {
-  QuarantineRegistry registry({/*threshold=*/2, /*cooldown_ms=*/10});
+  QuarantineRegistry registry(/*cooldown_ms=*/10);
   const auto t0 = Clock::now();
-  EXPECT_FALSE(registry.record_failure(5, t0));
-  EXPECT_TRUE(registry.record_failure(5, t0));  // threshold hit: enter
+  EXPECT_TRUE(fail_to_quarantine(registry, 5, t0));  // threshold hit: enter
   EXPECT_EQ(registry.stats().active, 1);
   EXPECT_EQ(registry.stats().enters, 1);
 
@@ -117,10 +116,10 @@ TEST(Quarantine, FullLifecycleEnterBlockProbeExit) {
 }
 
 TEST(Quarantine, DueForProbeClaimsSlots) {
-  QuarantineRegistry registry({1, 10});
+  QuarantineRegistry registry(10);
   const auto t0 = Clock::now();
-  EXPECT_TRUE(registry.record_failure(3, t0));
-  EXPECT_TRUE(registry.record_failure(8, t0));
+  EXPECT_TRUE(fail_to_quarantine(registry, 3, t0));
+  EXPECT_TRUE(fail_to_quarantine(registry, 8, t0));
   EXPECT_TRUE(registry.due_for_probe(t0 + ms(5)).empty());  // cooling down
   auto due = registry.due_for_probe(t0 + ms(11));
   ASSERT_EQ(due.size(), 2u);
@@ -131,13 +130,6 @@ TEST(Quarantine, DueForProbeClaimsSlots) {
   EXPECT_TRUE(registry.due_for_probe(t0 + ms(13)).empty());
   EXPECT_EQ(registry.due_for_probe(t0 + ms(23)),
             std::vector<std::int64_t>{8});
-}
-
-TEST(Quarantine, ThresholdZeroDisables) {
-  QuarantineRegistry registry({0, 10});
-  EXPECT_FALSE(registry.enabled());
-  QuarantineRegistry enabled({1, 10});
-  EXPECT_TRUE(enabled.enabled());
 }
 
 TEST(HealthState, Names) {

@@ -213,6 +213,23 @@ TEST(DistanceService, ShutdownRejectsNewWork) {
   service.stop();  // idempotent
 }
 
+TEST(DistanceService, WorkerStatsSurviveStop) {
+  const Fixture f = make_fixture(4, 4, /*file_backed=*/false);
+  ServeOptions options;
+  options.threads = 3;
+  DistanceService service(f.reader, f.graph, options);
+  EXPECT_EQ(service.distance(0, 1).error, ServeError::kOk);
+  service.stop();
+  // The joined pool still describes itself: a summary written after the
+  // run reports the workers it had.
+  const DistanceService::WorkerStats workers = service.worker_stats();
+  EXPECT_EQ(workers.active, 3);
+  EXPECT_EQ(workers.spawned, 3);
+  EXPECT_EQ(workers.stuck, 0);
+  EXPECT_EQ(workers.replaced, 0);
+  EXPECT_EQ(service.health(), HealthState::kOk);
+}
+
 TEST(DistanceService, MetricsCoverTheRun) {
   const Fixture f = make_fixture(5, 4);
   DistanceService service(f.reader, f.graph);
@@ -304,10 +321,8 @@ TEST(DistanceServiceSoak, TelemetryScrapeWhileTracedClientsRun) {
   options.trace_sample_every = 5;
   options.slow_trace_ms = 1e-6;  // everything is "slow": max ring churn
   options.window_seconds = 0.2;  // force rotation many times per soak
-  options.window_slices = 4;
   options.slo.latency_ms = 100;
   options.slo.window_seconds = 0.2;
-  options.slo.window_slices = 4;
   DistanceService service(f.reader, f.graph, options);
   const int port = service.start_telemetry(0);
   ASSERT_GT(port, 0);
@@ -388,45 +403,43 @@ TEST(DistanceServiceSoak, TelemetryScrapeWhileTracedClientsRun) {
   EXPECT_EQ(http_get(port, "/healthz"), "");
 }
 
+/// Bytes one cached 2x2 tile charges against its shard's budget.
+constexpr std::int64_t kTinyTileBytes =
+    TileCache::kEntryOverheadBytes +
+    4 * static_cast<std::int64_t>(sizeof(Dist));
+
 TEST(TileCache, LruEvictsColdTilesFirst) {
-  TileCacheOptions options;
-  options.shards = 1;  // single shard makes the LRU order observable
-  options.byte_budget =
-      3 * (64 + 4 * static_cast<std::int64_t>(sizeof(Dist)));
-  TileCache cache(options);
+  // Room for three tiles per shard; ids that are multiples of kShards
+  // share shard 0, which makes its LRU order observable.
+  TileCache cache(TileCache::kShards * 3 * kTinyTileBytes);
   auto tile = [] {
     DistBlock t(2, 2);
     t.zero_diagonal();
     return t;
   };
-  cache.put(0, tile());
-  cache.put(1, tile());
-  cache.put(2, tile());
-  EXPECT_NE(cache.get(0), nullptr);  // refresh 0: now 1 is the coldest
-  cache.put(3, tile());              // evicts 1
-  EXPECT_NE(cache.get(0), nullptr);
-  EXPECT_EQ(cache.get(1), nullptr);
-  EXPECT_NE(cache.get(3), nullptr);
+  const auto id = [](std::int64_t i) { return i * TileCache::kShards; };
+  cache.put(id(0), tile());
+  cache.put(id(1), tile());
+  cache.put(id(2), tile());
+  EXPECT_NE(cache.get(id(0)), nullptr);  // refresh 0: now 1 is the coldest
+  cache.put(id(3), tile());              // evicts 1
+  EXPECT_NE(cache.get(id(0)), nullptr);
+  EXPECT_EQ(cache.get(id(1)), nullptr);
+  EXPECT_NE(cache.get(id(3)), nullptr);
   EXPECT_GT(cache.stats().evictions, 0);
 }
 
 TEST(TileCache, PerShardCountersSumToTheAggregate) {
-  TileCacheOptions options;
-  options.shards = 4;
-  // Room for roughly one 2x2 tile per shard: inserts beyond that evict.
-  options.byte_budget =
-      4 * (TileCache::kEntryOverheadBytes +
-           4 * static_cast<std::int64_t>(sizeof(Dist)));
-  TileCache cache(options);
-  for (std::int64_t id = 0; id < 12; ++id) {
+  // Room for one 2x2 tile per shard: inserts beyond that evict.
+  TileCache cache(TileCache::kShards * kTinyTileBytes);
+  for (std::int64_t id = 0; id < 3 * TileCache::kShards; ++id) {
     cache.put(id, DistBlock(2, 2));
     cache.get(id);      // hit: just inserted, still resident
     cache.get(id + 1);  // miss: not inserted yet (or evicted)
   }
   const TileCache::Stats total = cache.stats();
   const std::vector<TileCache::Stats> shards = cache.shard_stats();
-  ASSERT_EQ(shards.size(), 4u);
-  ASSERT_EQ(cache.num_shards(), 4);
+  ASSERT_EQ(shards.size(), static_cast<std::size_t>(TileCache::kShards));
   TileCache::Stats sum;
   for (const TileCache::Stats& s : shards) {
     sum.hits += s.hits;
@@ -542,17 +555,18 @@ TEST(DistanceService, SlowLogKeepsTracesSamplingWouldDrop) {
   options.threads = 1;
   options.trace_sample_every = 0;   // sampling off...
   options.slow_trace_ms = 1e-6;     // ...but everything counts as slow
-  options.slow_trace_keep = 8;
   DistanceService service(f.reader, f.graph, options);
-  constexpr int kRequests = 20;
-  for (Vertex v = 0; v < kRequests; ++v) service.distance(v, 0);
+  constexpr auto kRequests =
+      static_cast<Vertex>(RequestTraceLog::kSlowKeep) + 8;
+  const Vertex n = f.graph.num_vertices();
+  for (Vertex i = 0; i < kRequests; ++i) service.distance(i % n, i / n);
   service.stop();
   const RequestTraceLog::Stats stats = service.trace_log().stats();
   EXPECT_EQ(stats.started, kRequests);  // slow log arms tracing for all
   EXPECT_EQ(stats.slow, kRequests);
   EXPECT_EQ(stats.sampled_kept, 0);
-  // The ring is bounded: only the newest slow_trace_keep survive.
-  EXPECT_EQ(service.trace_log().kept().size(), 8u);
+  // The ring is bounded: only the newest kSlowKeep survive.
+  EXPECT_EQ(service.trace_log().kept().size(), RequestTraceLog::kSlowKeep);
   EXPECT_EQ(service.metrics_snapshot().at("serve.trace.slow").counter,
             kRequests);
 }
@@ -581,14 +595,13 @@ TEST(DistanceService, SummaryJsonCarriesWindowsSloAndTraceSections) {
 }
 
 TEST(TileCache, SharedTileSurvivesEviction) {
-  TileCacheOptions options;
-  options.shards = 1;
-  options.byte_budget = 1;  // at most one resident entry, always over budget
-  TileCache cache(options);
+  // At most one resident entry per shard, always over budget.
+  TileCache cache(1);
   DistBlock t(2, 2);
   t.at(0, 1) = 7;
   const std::shared_ptr<const DistBlock> held = cache.put(10, std::move(t));
-  cache.put(11, DistBlock(2, 2));  // evicts tile 10
+  // Same shard as tile 10: evicts it.
+  cache.put(10 + TileCache::kShards, DistBlock(2, 2));
   EXPECT_EQ(cache.get(10), nullptr);
   // The caller's reference keeps the evicted tile alive and intact.
   EXPECT_EQ(held->at(0, 1), 7);
@@ -689,7 +702,7 @@ TEST(ServeMetrics, MatchRecordedValues) {
     ServeOptions options;
     options.threads = 1;
     options.cache_bytes = 4096;
-    options.quarantine.cooldown_ms = 1e9;
+    options.quarantine_cooldown_ms = 1e9;
     options.fault_injector = std::make_shared<ServeFaultInjector>(plan);
     DistanceService service(f.reader, f.graph, options);
     EXPECT_EQ(service.distance(0, 1).error, ServeError::kDegraded);

@@ -268,24 +268,20 @@ TEST(ServiceResilience, ChecksumFailureRetriesToSuccess) {
 
 TEST(ServiceResilience, QuarantineLifecycleEnterProbeExit) {
   Fixture f = make_fixture(12, 8);
-  // Tile 0 fails its first 8 read attempts: two 2-attempt fetches push it
-  // over the threshold into quarantine, background probes burn the rest
-  // of the budget, and the tile heals.
+  // Tile 0 fails its first 14 read attempts: three exhausted fetches of
+  // kRetryMaxAttempts each push it over the threshold into quarantine,
+  // background probes burn the rest of the budget, and the tile heals.
   ServeFaultPlan plan;
   plan.bad_tile = 0;
-  plan.bad_tile_fails = 8;
+  plan.bad_tile_fails = QuarantineRegistry::kThreshold * kRetryMaxAttempts + 2;
   ServeOptions options;
   options.threads = 1;
-  options.retry.max_attempts = 2;
-  options.retry.backoff_base_ms = 0.05;
-  options.quarantine.threshold = 2;
-  options.quarantine.cooldown_ms = 5;
-  options.maintenance_interval_ms = 2;
+  options.quarantine_cooldown_ms = 5;
   options.fault_injector = std::make_shared<ServeFaultInjector>(plan);
   DistanceService service(f.reader, f.graph, options);
 
-  EXPECT_EQ(service.distance(0, 1).error, ServeError::kDegraded);
-  EXPECT_EQ(service.distance(0, 1).error, ServeError::kDegraded);
+  for (int fetch = 0; fetch < QuarantineRegistry::kThreshold; ++fetch)
+    EXPECT_EQ(service.distance(0, 1).error, ServeError::kDegraded);
   QuarantineRegistry::Stats stats = service.quarantine_stats();
   EXPECT_EQ(stats.enters, 1);
   EXPECT_EQ(stats.active, 1);
@@ -306,20 +302,20 @@ TEST(ServiceResilience, QuarantineLifecycleEnterProbeExit) {
 
 TEST(ServiceResilience, QuarantinedTileDegradesNeverLies) {
   Fixture f = make_fixture(12, 8);
-  // One failed 1-attempt fetch quarantines tile 0; the huge cooldown
-  // pins it there for the rest of the test.
+  // Three exhausted fetches quarantine tile 0; the huge cooldown pins it
+  // there for the rest of the test.
   ServeFaultPlan plan;
   plan.bad_tile = 0;
   plan.bad_tile_fails = 1000000;
   ServeOptions options;
   options.threads = 1;
-  options.retry.max_attempts = 1;
-  options.quarantine.threshold = 1;
-  options.quarantine.cooldown_ms = 1e9;
+  options.quarantine_cooldown_ms = 1e9;
   options.fault_injector = std::make_shared<ServeFaultInjector>(plan);
   DistanceService service(f.reader, f.graph, options);
 
-  EXPECT_EQ(service.distance(0, 1).error, ServeError::kDegraded);
+  for (int fetch = 0; fetch < QuarantineRegistry::kThreshold; ++fetch)
+    EXPECT_EQ(service.distance(0, 1).error, ServeError::kDegraded);
+  EXPECT_EQ(service.quarantine_stats().enters, 1);
   // Blocked fail-fast: no disk IO, still a structured reply.
   EXPECT_EQ(service.distance(0, 1).error, ServeError::kDegraded);
   EXPECT_GE(
@@ -348,7 +344,6 @@ TEST(ServiceResilience, WatchdogReplacesStuckWorker) {
   ServeOptions options;
   options.threads = 1;
   options.stuck_worker_ms = 40;
-  options.maintenance_interval_ms = 5;
   options.fault_injector = std::make_shared<ServeFaultInjector>(plan);
   DistanceService service(f.reader, f.graph, options);
 
@@ -365,6 +360,13 @@ TEST(ServiceResilience, WatchdogReplacesStuckWorker) {
   // The replacement serves.
   EXPECT_EQ(service.distance(1, 2).error, ServeError::kOk);
   service.stop();
+  // After the join the pool still reads as it ended: the retired worker
+  // finished its wedge, and its replacement is the one active slot.
+  const DistanceService::WorkerStats workers = service.worker_stats();
+  EXPECT_EQ(workers.spawned, 2);
+  EXPECT_EQ(workers.replaced, 1);
+  EXPECT_EQ(workers.active, 1);
+  EXPECT_EQ(workers.stuck, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -379,9 +381,7 @@ void chaos_soak(std::int64_t cache_bytes, const std::string& plan_spec,
   ServeOptions options;
   options.threads = 4;
   options.cache_bytes = cache_bytes;
-  options.retry.backoff_base_ms = 0.05;
-  options.quarantine.cooldown_ms = 5;
-  options.maintenance_interval_ms = 2;
+  options.quarantine_cooldown_ms = 5;
   options.stuck_worker_ms = 20;
   options.fault_injector =
       std::make_shared<ServeFaultInjector>(ServeFaultPlan::parse(plan_spec));

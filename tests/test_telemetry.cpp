@@ -259,8 +259,7 @@ TEST(RequestTrace, NullTraceScopedSpanIsANoOp) {
 }
 
 TEST(RequestTraceLog, OneInNSamplingPicksEveryNth) {
-  RequestTraceLog log({/*sample_every=*/3, /*slow_us=*/0,
-                       /*keep=*/16, /*slow_keep=*/4});
+  RequestTraceLog log({/*sample_every=*/3, /*slow_us=*/0, /*keep=*/16});
   ASSERT_TRUE(log.enabled());
   int traced = 0;
   for (int i = 0; i < 9; ++i) {
@@ -298,8 +297,7 @@ TEST(RequestTraceLog, SlowRoutingBeatsSamplingAndRingsAreBounded) {
   using Clock = RequestTrace::Clock;
   // Slow threshold of 1 s: a finish "now" makes a fast trace, a finish
   // 2 s in the future a slow one — deterministic without sleeping.
-  RequestTraceLog log({/*sample_every=*/2, /*slow_us=*/1e6,
-                       /*keep=*/8, /*slow_keep=*/2});
+  RequestTraceLog log({/*sample_every=*/2, /*slow_us=*/1e6, /*keep=*/8});
   const auto start = [&](int i) {
     auto trace = log.maybe_start("distance", i, -1, -1);
     EXPECT_NE(trace, nullptr);  // slow log armed: every request traced
@@ -326,18 +324,17 @@ TEST(RequestTraceLog, SlowRoutingBeatsSamplingAndRingsAreBounded) {
   EXPECT_EQ(stats.dropped, 1);
   EXPECT_EQ(log.kept().size(), 3u);
 
-  // slow_keep=2 bounds the slow ring: two more slow traces evict the
+  // kSlowKeep bounds the slow ring: kSlowKeep more slow traces evict the
   // oldest two, but the lifetime counter keeps counting.
-  EXPECT_TRUE(finish_slow(start(5)));
-  EXPECT_TRUE(finish_slow(start(6)));
+  constexpr auto kSlowKeep = static_cast<int>(RequestTraceLog::kSlowKeep);
+  for (int i = 0; i < kSlowKeep; ++i) EXPECT_TRUE(finish_slow(start(5 + i)));
   stats = log.stats();
-  EXPECT_EQ(stats.slow, 4);
-  EXPECT_EQ(log.kept().size(), 3u);  // 2 slow + 1 sampled
+  EXPECT_EQ(stats.slow, 2 + kSlowKeep);
+  EXPECT_EQ(log.kept().size(), RequestTraceLog::kSlowKeep + 1);  // + sampled
 }
 
 TEST(RequestTraceLog, ChromeExportIsACompleteDocument) {
-  RequestTraceLog log({/*sample_every=*/1, /*slow_us=*/0,
-                       /*keep=*/8, /*slow_keep=*/4});
+  RequestTraceLog log({/*sample_every=*/1, /*slow_us=*/0, /*keep=*/8});
   auto trace = log.maybe_start("distance", 2, 5, -1);
   ASSERT_NE(trace, nullptr);
   trace->mark_dequeued();
@@ -366,7 +363,6 @@ TEST(SloTracker, BurnRateAndBudgetMath) {
   options.latency_target = 0.9;
   options.availability_target = 0.99;
   options.window_seconds = 10;
-  options.window_slices = 5;
   SloTracker slo(options, e);
 
   const Clock::time_point t = e + seconds(1);

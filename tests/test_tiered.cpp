@@ -1,7 +1,7 @@
 // Tests for the tiered serving front-end (serve/tiered): tier routing
-// and escalation rules in every mode, per-request overrides, degraded
-// sketches, deterministic (distance, vertex id) k-nearest tie-breaking
-// across PathOracle / DistanceService / the approx tier, the
+// and escalation rules in every mode, degraded sketches, the served gap
+// of k-nearest answers, deterministic (distance, vertex id) k-nearest
+// tie-breaking across PathOracle / DistanceService / the approx tier, the
 // serve.tier.* metrics, the slow-trace count across both tiers, and the
 // summary "tier" section.
 #include <gtest/gtest.h>
@@ -132,34 +132,16 @@ TEST(Tiered, AutoEscalatesOnGapAndHonorsBudget) {
   // (Fresh fixture: stats() mirrors the wrapped service's counters, which
   // are cumulative across tiered front-ends on the same service.)
   Fixture g;
-  TieredDistanceService lax(*g.service, g.sketch, TieredOptions{});
+  TieredDistanceService lax(
+      *g.service, g.sketch,
+      TieredOptions{.mode = TierMode::kAuto, .stretch_budget = 1e18});
   std::int64_t approx_answers = 0;
   for (Vertex u = 0; u < n; u += 2) {
-    const TieredDistanceReply reply =
-        lax.distance(u, (u + 7) % n, TierMode::kAuto, 1e18);
+    const TieredDistanceReply reply = lax.distance(u, (u + 7) % n);
     EXPECT_EQ(reply.tier, Tier::kApprox);
     ++approx_answers;
   }
   EXPECT_EQ(lax.stats().approx, approx_answers);
-}
-
-TEST(Tiered, PerRequestOverridesBeatServiceMode) {
-  Fixture f;
-  TieredOptions options;
-  options.mode = TierMode::kAuto;
-  options.stretch_budget = 0;
-  TieredDistanceService tiered(*f.service, f.sketch, options);
-  // Force the approx tier even though the service-wide budget would
-  // escalate: the reply keeps its (possibly loose) interval.
-  const TieredDistanceReply approx =
-      tiered.distance(0, f.graph.num_vertices() - 1, TierMode::kApprox);
-  EXPECT_EQ(approx.tier, Tier::kApprox);
-  EXPECT_FALSE(approx.escalated);
-  // Force exact: counted as exact-tier routing, not an escalation.
-  const TieredDistanceReply exact =
-      tiered.distance(0, f.graph.num_vertices() - 1, TierMode::kExact);
-  EXPECT_EQ(exact.tier, Tier::kExact);
-  EXPECT_FALSE(exact.escalated);
 }
 
 TEST(Tiered, DegradedSketchEscalatesOrDegrades) {
@@ -175,30 +157,18 @@ TEST(Tiered, DegradedSketchEscalatesOrDegrades) {
   EXPECT_EQ(without.stats().escalated_degraded, 1);
   // kApprox mode has nothing to answer with: a structured degraded
   // reply, not a crash and not a silent exact answer.
-  const TieredDistanceReply approx_reply =
-      without.distance(0, 5, TierMode::kApprox);
+  TieredDistanceService approx_without(*f.service, nullptr,
+                                       {.mode = TierMode::kApprox});
+  const TieredDistanceReply approx_reply = approx_without.distance(0, 5);
   EXPECT_EQ(approx_reply.error, ServeError::kDegraded);
+  EXPECT_EQ(approx_reply.tier, Tier::kApprox);
+  EXPECT_EQ(approx_reply.lower_bound, 0);  // certifies nothing
+  EXPECT_EQ(approx_without.stats().approx, 1);
 
   // A vertex-count mismatch is degraded too.
   Fixture small(36);
   TieredDistanceService mismatched(*f.service, small.sketch, TieredOptions{});
   EXPECT_TRUE(mismatched.sketch_degraded());
-
-  // set_degraded flips a healthy service into (and back out of) the
-  // degraded path — the operator's kill switch for a stale sketch.
-  TieredDistanceService healthy(*f.service, f.sketch, TieredOptions{});
-  EXPECT_FALSE(healthy.sketch_degraded());
-  healthy.set_degraded(true);
-  EXPECT_TRUE(healthy.sketch_degraded());
-  EXPECT_TRUE(healthy.distance(1, 2).escalated);
-  healthy.set_degraded(false);
-  EXPECT_FALSE(healthy.sketch_degraded());
-  // The approx tier is usable again (a forced-approx request succeeds;
-  // auto mode may still escalate this pair on gap, which is fine).
-  const TieredDistanceReply recovered =
-      healthy.distance(1, 2, TierMode::kApprox);
-  EXPECT_EQ(recovered.error, ServeError::kOk);
-  EXPECT_EQ(recovered.tier, Tier::kApprox);
 }
 
 TEST(Tiered, DisconnectedPairIsExactOnApproxTier) {
@@ -259,6 +229,27 @@ TEST(Tiered, KNearestApproxSelectsByUpperBound) {
   }
 }
 
+TEST(Tiered, KNearestRecordsServedGapInEveryMode) {
+  // The same 16 queries served from the sketch in kApprox and in kAuto
+  // with an unbounded budget: both record the widest gap they served.
+  const auto max_gap_ppm = [](TierMode mode) {
+    Fixture f;
+    TieredDistanceService tiered(*f.service, f.sketch,
+                                 {.mode = mode, .stretch_budget = 1e18});
+    for (Vertex u = 0; u < 16; ++u)
+      EXPECT_EQ(tiered.k_nearest(u, 6).tier, Tier::kApprox);
+    const MetricsSnapshot metrics = f.service->metrics_snapshot();
+    const auto it = metrics.find("serve.tier.gap_ppm");
+    EXPECT_NE(it, metrics.end());
+    if (it == metrics.end()) return 0.0;
+    EXPECT_EQ(it->second.histogram.count, 16);
+    return it->second.histogram.max;
+  };
+  const double approx = max_gap_ppm(TierMode::kApprox);
+  EXPECT_GT(approx, 0);
+  EXPECT_EQ(approx, max_gap_ppm(TierMode::kAuto));
+}
+
 TEST(KNearest, DeterministicTieBreakAcrossImplementations) {
   // A tie-heavy star: every spoke is at distance 1 from the hub, and all
   // spoke-spoke distances are 2.  Any nondeterministic selection would
@@ -301,9 +292,8 @@ TEST(KNearest, DeterministicTieBreakAcrossImplementations) {
   for (Vertex v = 0; v <= kSpokes; ++v) all.push_back(v);
   auto sketch = std::make_shared<const LandmarkSketch>(
       build_sketch(graph, std::move(all)));
-  TieredDistanceService tiered(service, sketch, TieredOptions{});
-  const TieredKNearestReply tiered_got =
-      tiered.k_nearest(5, 3, TierMode::kApprox);
+  TieredDistanceService tiered(service, sketch, {.mode = TierMode::kApprox});
+  const TieredKNearestReply tiered_got = tiered.k_nearest(5, 3);
   ASSERT_EQ(tiered_got.nearest.size(), 3u);
   EXPECT_EQ(tiered_got.nearest, service_got.nearest);
 }
@@ -336,13 +326,12 @@ TEST(Tiered, SlowTraceCounterCountsEveryTier) {
   ServeOptions options;
   options.slow_trace_ms = 1e-6;
   DistanceService service(f.reader, f.graph, options);
-  TieredDistanceService tiered(service, f.sketch, TieredOptions{});
+  TieredDistanceService approx(service, f.sketch, {.mode = TierMode::kApprox});
+  TieredDistanceService exact(service, f.sketch, {.mode = TierMode::kExact});
   for (Vertex u = 0; u < 20; ++u)
-    EXPECT_EQ(tiered.distance(u, u + 1, TierMode::kApprox).tier,
-              Tier::kApprox);
+    EXPECT_EQ(approx.distance(u, u + 1).tier, Tier::kApprox);
   for (Vertex u = 0; u < 10; ++u)
-    EXPECT_EQ(tiered.distance(u, u + 2, TierMode::kExact).tier,
-              Tier::kExact);
+    EXPECT_EQ(exact.distance(u, u + 2).tier, Tier::kExact);
   service.stop();  // joins the workers: every exact trace is routed
   EXPECT_EQ(service.trace_log().stats().slow, 30);
   EXPECT_EQ(counter_value(service.metrics_snapshot(), "serve.trace.slow"),

@@ -392,9 +392,10 @@ Run drive(DistanceService& service, TieredDistanceService* tiered,
 // Chaos harness (--chaos / --fault-plan; docs/robustness.md).
 
 /// Default --chaos plan: a hostile but survivable disk.  Every read-fault
-/// class is represented.  bad_tile=0:40 is sized against the resilience
-/// settings below: with at most `clients` concurrent fetches each burning
-/// 4 attempts, the first three fetches of tile 0 to complete all land
+/// class is represented.  bad_tile=0:40 is sized against the service's
+/// retry and quarantine constants: with at most `clients` concurrent
+/// fetches each burning kRetryMaxAttempts (4) attempts, the first
+/// QuarantineRegistry::kThreshold (3) fetches of tile 0 to complete all land
 /// inside the 40-attempt failure budget, so the tile enters quarantine
 /// regardless of interleaving; background probes then burn the rest of
 /// the budget (one attempt per 10 ms chaos cooldown) and the tile heals —
@@ -405,14 +406,10 @@ constexpr const char* kDefaultChaosPlan =
     "seed=7,read_error=0.02,eintr=0.03,short=0.03,flip=0.02,"
     "delay=0.04,delay_ms=1,bad_tile=0:40,stuck=1@5:0.08";
 
-/// Resilience settings (docs/robustness.md).  Every run makes 4 read
-/// attempts per tile fetch with backoff from 0.2 ms, and quarantines a
-/// tile after 3 failed fetches; a plain run re-probes it after 50 ms and
-/// has no watchdog.
-constexpr RetryOptions kRetry{.max_attempts = 4, .backoff_base_ms = 0.2};
-constexpr QuarantineOptions kQuarantine{.threshold = 3, .cooldown_ms = 50};
-/// Under --chaos: a 10 ms quarantine cooldown, and a watchdog that
-/// replaces a worker wedged for 20 ms.
+/// Resilience settings (docs/robustness.md).  A plain run re-probes a
+/// quarantined tile after the service's 50 ms and has no watchdog.  Under
+/// --chaos: a 10 ms quarantine cooldown, and a watchdog that replaces a
+/// worker wedged for 20 ms.
 constexpr double kChaosCooldownMs = 10;
 constexpr double kChaosStuckWorkerMs = 20;
 
@@ -671,10 +668,8 @@ int mode_serve(const Cli& cli, Rng& rng) {
   // untouched: the rings are cheap, the console stays quiet.
   if (!plan_spec.empty())
     Logger::global().set_ring_level(LogLevel::kTrace);
-  options.retry = kRetry;
-  options.quarantine = kQuarantine;
   if (chaos) {
-    options.quarantine.cooldown_ms = kChaosCooldownMs;
+    options.quarantine_cooldown_ms = kChaosCooldownMs;
     options.stuck_worker_ms = kChaosStuckWorkerMs;
   }
 
