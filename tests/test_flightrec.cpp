@@ -198,7 +198,7 @@ TEST(FlightRecorder, ChaosServiceDumpNamesFaultsQuarantineAndRequests) {
   const auto reader = std::make_shared<SnapshotReader>(path);
 
   // Tile 0 is a permanent bad sector: three exhausted fetches quarantine
-  // it for the rest of the run.
+  // it for the rest of the run, and a fourth request is blocked.
   ServeFaultPlan plan;
   plan.bad_tile = 0;
   plan.bad_tile_fails = 1000000;
