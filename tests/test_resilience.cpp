@@ -28,13 +28,31 @@ std::chrono::milliseconds ms(int n) { return std::chrono::milliseconds(n); }
 // ---------------------------------------------------------------------------
 // retry_backoff_ms
 
+/// Backoff before retry `retry` (0-based): 0.2 ms doubled per retry and
+/// capped at 20 ms.
+const double kExpectedBackoffMs[] = {0.2, 0.4, 0.8, 1.6, 3.2,
+                                     6.4, 12.8, 20, 20};
+
 TEST(RetryBackoff, DoublesFromBaseAndCaps) {
-  // Base 0.2 ms doubled per retry and capped at 20 ms, each draw jittered
-  // into [backoff / 2, backoff] so concurrent retries de-synchronize.
-  const double expected[] = {0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8, 20, 20};
+  // A fresh Rng(1) per call draws the same jitter factor every time, so
+  // the draws differ only by the backoff they scale.
+  const auto drawn = [](int retry) {
+    Rng rng(1);
+    return retry_backoff_ms(retry, rng);
+  };
+  const double factor = drawn(0) / kRetryBackoffBaseMs;
+  for (int retry = 0; retry < 9; ++retry)
+    EXPECT_DOUBLE_EQ(drawn(retry), kExpectedBackoffMs[retry] * factor)
+        << retry;
+  EXPECT_DOUBLE_EQ(drawn(30), kRetryBackoffMaxMs * factor);  // capped
+}
+
+TEST(RetryBackoff, JitterStaysInsideItsBand) {
+  // Each draw is jittered into [backoff / 2, backoff] so concurrent
+  // retries de-synchronize.
   Rng rng(7);
   for (int retry = 0; retry < 9; ++retry) {
-    const double backoff = expected[retry];
+    const double backoff = kExpectedBackoffMs[retry];
     bool varied = false;
     double first = -1;
     for (int i = 0; i < 200; ++i) {
@@ -46,7 +64,6 @@ TEST(RetryBackoff, DoublesFromBaseAndCaps) {
     }
     EXPECT_TRUE(varied) << retry;  // jitter actually randomizes
   }
-  EXPECT_LE(retry_backoff_ms(30, rng), kRetryBackoffMaxMs);
 }
 
 // ---------------------------------------------------------------------------
