@@ -869,11 +869,15 @@ void DistanceService::write_summary_fields(JsonWriter& json) const {
   }
   json.end_object();
 
-  // Front-end extension (serve/tiered): the tiered service's per-tier
-  // stats, written by the hook so they appear in the same document.
-  if (summary_extension_) {
-    json.key("tier");
-    summary_extension_(json);
+  // Front-end extension (serve/tiered): the newest tiered front end's
+  // per-tier stats, written by its hook so they appear in the same
+  // document.
+  {
+    const std::lock_guard lock(summary_extensions_mutex_);
+    if (!summary_extensions_.empty()) {
+      json.key("tier");
+      summary_extensions_.back().second(json);
+    }
   }
 
   // Live profiler status: /profile returns the full report at the end of
@@ -984,6 +988,18 @@ int DistanceService::start_telemetry(int port) {
 
 int DistanceService::telemetry_port() const {
   return telemetry_ == nullptr ? 0 : telemetry_->port();
+}
+
+void DistanceService::set_summary_extension(
+    const void* owner, std::function<void(JsonWriter&)> fn) {
+  const std::lock_guard lock(summary_extensions_mutex_);
+  summary_extensions_.emplace_back(owner, std::move(fn));
+}
+
+void DistanceService::clear_summary_extension(const void* owner) {
+  const std::lock_guard lock(summary_extensions_mutex_);
+  std::erase_if(summary_extensions_,
+                [owner](const auto& hook) { return hook.first == owner; });
 }
 
 void DistanceService::write_summary_json(std::ostream& out) const {

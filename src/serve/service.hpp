@@ -242,14 +242,16 @@ class DistanceService {
   void write_summary_fields(JsonWriter& json) const;
   void write_summary_json(std::ostream& out) const;
 
-  /// Extension hook: when set, write_summary_fields emits a "tier" key
-  /// inside the "serve" object and calls `fn` to write its value — how
-  /// a TieredDistanceService folds its per-tier stats into the same
-  /// summary document (and /stats.json) without the service knowing the
-  /// tiered layer exists.  Set once at wiring time, before traffic.
-  void set_summary_extension(std::function<void(JsonWriter&)> fn) {
-    summary_extension_ = std::move(fn);
-  }
+  /// Extension hooks: while one is installed, write_summary_fields emits
+  /// a "tier" key inside the "serve" object and calls the newest hook to
+  /// write its value — how a TieredDistanceService folds its per-tier
+  /// stats into the same summary document (and /stats.json) without the
+  /// service knowing the tiered layer exists.  Each hook is keyed by its
+  /// `owner`, and clearing removes only that owner's, so several front
+  /// ends over one service can come and go in any order.
+  void set_summary_extension(const void* owner,
+                             std::function<void(JsonWriter&)> fn);
+  void clear_summary_extension(const void* owner);
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -342,7 +344,11 @@ class DistanceService {
   SloTracker slo_;
   RollingHistogram latency_window_;
   RollingHistogram error_window_;
-  std::function<void(JsonWriter&)> summary_extension_;
+  /// Installed hooks, oldest first.  The summary calls the last one with
+  /// the mutex held, so its owner cannot be destroyed mid-call.
+  mutable std::mutex summary_extensions_mutex_;
+  std::vector<std::pair<const void*, std::function<void(JsonWriter&)>>>
+      summary_extensions_;
   std::unique_ptr<TelemetryServer> telemetry_;
 
   // Resilience state (serve/resilience).  health_ is a cache of

@@ -88,11 +88,11 @@ TieredDistanceService::TieredDistanceService(
       "serve.tier.landmarks",
       sketch_usable_ ? static_cast<double>(sketch_->num_landmarks()) : 0.0);
   exact_.set_summary_extension(
-      [this](JsonWriter& json) { write_summary(json); });
+      this, [this](JsonWriter& json) { write_summary(json); });
 }
 
 TieredDistanceService::~TieredDistanceService() {
-  exact_.set_summary_extension(nullptr);
+  exact_.clear_summary_extension(this);
 }
 
 template <typename Reply, typename Approx, typename Exact>

@@ -125,8 +125,9 @@ class TieredDistanceService {
   /// The "tier" section of the serve summary document: mode and budget,
   /// per-tier request counts / latency percentiles / SLO objectives,
   /// escalation counts by reason, and the observed stretch-gap
-  /// distribution.  Installed on the wrapped service's summary hook at
-  /// construction, so /stats.json and --summary-json include it.
+  /// distribution.  Installed as a summary hook on the wrapped service
+  /// from construction to destruction; of several live front ends, the
+  /// newest writes the section of /stats.json and --summary-json.
   void write_summary(JsonWriter& json) const;
 
  private:

@@ -365,5 +365,28 @@ TEST(Tiered, SummaryHookClearsOnDestruction) {
   EXPECT_EQ(out.str().find("\"stretch_budget\""), std::string::npos);
 }
 
+TEST(Tiered, SummaryKeepsASurvivingFrontEndsSection) {
+  // Two front ends over one service, one per mode: destroying the newer
+  // one must leave the older one's section in the summary.
+  Fixture f;
+  const auto summary = [&f] {
+    std::ostringstream out;
+    f.service->write_summary_json(out);
+    return out.str();
+  };
+  TieredDistanceService approx(*f.service, f.sketch,
+                               TieredOptions{.mode = TierMode::kApprox});
+  {
+    TieredDistanceService exact(*f.service, f.sketch,
+                                TieredOptions{.mode = TierMode::kExact});
+    exact.distance(0, 1);
+    EXPECT_NE(summary().find("\"mode\":\"exact\""), std::string::npos);
+  }
+  approx.distance(0, 1);
+  const std::string after = summary();
+  EXPECT_NE(after.find("\"tier\""), std::string::npos);
+  EXPECT_NE(after.find("\"mode\":\"approx\""), std::string::npos);
+}
+
 }  // namespace
 }  // namespace capsp
