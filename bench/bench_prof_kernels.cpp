@@ -14,16 +14,26 @@
 namespace capsp::bench {
 namespace {
 
-/// Deterministic dense block: finite pseudo-random weights so the
-/// kernels take the real (no-infinity-shortcut) path.
-DistBlock make_block(std::int64_t n, Rng& rng) {
-  DistBlock block(n, n);
-  for (std::int64_t i = 0; i < n; ++i)
-    for (std::int64_t j = 0; j < n; ++j)
+/// Deterministic dense rows × cols block: finite pseudo-random weights
+/// so the kernels take the real (no-infinity-shortcut) path.
+DistBlock make_panel(std::int64_t rows, std::int64_t cols, Rng& rng) {
+  DistBlock block(rows, cols);
+  for (std::int64_t i = 0; i < rows; ++i)
+    for (std::int64_t j = 0; j < cols; ++j)
       block.at(i, j) = 1.0 + static_cast<double>(rng.uniform(1024));
+  return block;
+}
+
+/// Square make_panel with a zero diagonal.
+DistBlock make_block(std::int64_t n, Rng& rng) {
+  DistBlock block = make_panel(n, n, rng);
   block.zero_diagonal();
   return block;
 }
+
+/// Separator width of the panel-update records: A(k,j) ⊕= A(k,k) ⊗ A(k,j)
+/// and A(i,k) ⊕= A(i,k) ⊗ A(k,k) with A(k,k) an n × n leaf closure.
+constexpr std::int64_t kPanelWidth = 64;
 
 struct Measured {
   KernelStats stats;
@@ -117,6 +127,22 @@ void run() {
         semiring_elementwise_plus<MinPlusSemiring>(c, other);
       });
       add_row(table, "elementwise_min", n, m);
+    }
+    {
+      const DistBlock akk = make_block(n, rng);
+      DistBlock c = make_panel(n, kPanelWidth, rng);
+      const Measured m = measure("semiring.accumulate", false, [&] {
+        semiring_accumulate<MinPlusSemiring>(c, akk, c);
+      });
+      add_row(table, "panel_row", n, m);
+    }
+    {
+      const DistBlock akk = make_block(n, rng);
+      DistBlock c = make_panel(kPanelWidth, n, rng);
+      const Measured m = measure("semiring.accumulate", false, [&] {
+        semiring_accumulate<MinPlusSemiring>(c, c, akk);
+      });
+      add_row(table, "panel_col", n, m);
     }
   }
   table.print(std::cout);

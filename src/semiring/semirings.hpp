@@ -33,11 +33,15 @@
 // its candidates in the plain loop's order, from the same operands, so
 // results and op counts are bit for bit those of the plain loops.  Where
 // blocking rows would read an operand before the plain loop has written
-// it, a fallback keeps the plain order:
-//   * C ⊕= A ⊗ C (B aliases C): row i reads rows already updated, so the
-//     rows take one step at a time, in order;
-//   * C ⊕= C ⊗ B (A aliases C): each tile row replays the earlier steps
-//     of its block on its own A entries before they are used;
+// it, the blocking changes shape but keeps the plain order:
+//   * C ⊕= A ⊗ C (B aliases C): row i reads rows k < i already final and
+//     rows k > i not yet updated, so the rows go in order, each holding
+//     32 of its columns in the one-row tile while up to kStepBlock of its
+//     non-0̄ steps stream past; its own step k = i runs alone;
+//   * C ⊕= C ⊗ B (A aliases C), and ClassicalFW: x(i, k) is the value
+//     step k finds, so each 4-row tile first replays the earlier steps of
+//     its block on its x entries, one row per vector lane, and then takes
+//     only the steps whose replayed x is non-0̄ in one of its rows;
 //   * ClassicalFW blocks kStepBlock pivots per pass, which needs every
 //     pivot row to be left unchanged by its own step; the pass stops
 //     before a pivot that fails this (a negative min-plus diagonal) and
@@ -95,45 +99,67 @@ bool all_zero(ConstBlockView a) {
   return true;
 }
 
-/// Steps t = 0..kb-1, in order, on every row i of c:
-///   c(i, :) ⊕= x_it ⊗ p[t](:),  skipping 0̄ x_it,
-/// with x_it = a(i, a_col + t).  When `live`, `a` is c itself and x_it is
-/// the value step t finds, after steps < t updated it: the dependency of
-/// Floyd–Warshall and of the panel update C ⊕= C ⊗ B.  Returns the ⊗ count.
+/// x[t][r] = a(i0 + r, k0 + t) for the tile's rows r < mr, and 0̄ on the
+/// lanes past them.  When `live`, `a` is c itself and x[t][r] is the value
+/// step k0 + t finds, after the block's earlier steps updated it (the
+/// dependency of Floyd–Warshall and of the panel update C ⊕= C ⊗ B),
+/// which replay() gives it on the tile's rows as one vector.
 template <typename S>
-std::int64_t apply_steps(BlockView c, ConstBlockView a, std::int64_t a_col,
-                         const Dist* const* p, int kb, bool live,
-                         KernelIsa isa) {
+void find_steps(ConstBlockView a, ConstBlockView b, std::int64_t i0, int mr,
+                std::int64_t k0, int kb, bool live, Dist (*x)[kTileRows],
+                KernelIsa isa) {
+  for (int t = 0; t < kb; ++t)
+    for (int r = 0; r < kTileRows; ++r)
+      x[t][r] = r < mr ? a.row(i0 + r)[k0 + t] : S::zero();
+  if (live) replay<S>(isa, x, b.row(k0) + k0, b.ld, kb);
+}
+
+/// Steps k = k0 .. k0+kb−1, in order, on every row i of c:
+///   c(i, :) ⊕= x_ik ⊗ b(k, :),  skipping 0̄ x_ik,
+/// with x_ik = a(i, k) as find_steps reads or replays it.  A tile of
+/// kTileRows rows takes only the steps with a non-0̄ x in one of its rows;
+/// a row past the last whole tile takes its own non-0̄ steps through the
+/// one-row tile.  Either way the kept steps move down x in place (the
+/// t-th kept step is step t or a later one).  Returns the ⊗ count.
+template <typename S>
+std::int64_t apply_steps(BlockView c, ConstBlockView a, ConstBlockView b,
+                         std::int64_t k0, int kb, bool live, KernelIsa isa) {
   if (kb == 0) return 0;
   std::int64_t ops = 0;
-  Dist x[kTileRows * kStepBlock] = {};
-  Dist* rows[kTileRows] = {};
+  alignas(Lanes4) Dist x[kStepBlock][kTileRows] = {};
+  const Dist* kept_p[kStepBlock] = {};
   for (std::int64_t i0 = 0; i0 < c.rows; i0 += kTileRows) {
     const int mr =
         static_cast<int>(std::min<std::int64_t>(kTileRows, c.rows - i0));
-    bool masked = false;
-    for (int r = 0; r < mr; ++r) {
-      rows[r] = c.row(i0 + r);
-      const Dist* ar = a.row(i0 + r) + a_col;
-      Dist* xr = x + r * kb;
-      for (int t = 0; t < kb; ++t) {
-        Dist v = ar[t];
-        for (int s = 0; live && s < t; ++s) {  // replay steps < t
-          if (S::is_zero(xr[s])) continue;
-          v = S::plus(S::times(xr[s], p[s][a_col + t]), v);
-        }
-        xr[t] = v;
-        if (S::is_zero(v))
-          masked = true;
-        else
-          ops += c.cols;
-      }
-    }
+    find_steps<S>(a, b, i0, mr, k0, kb, live, x, isa);
     if (mr == kTileRows) {
-      tile<S, kTileRows>(isa, masked, rows, p, x, kb, 0, c.cols);
-    } else {
-      for (int r = 0; r < mr; ++r)
-        tile<S, 1>(isa, masked, rows + r, p, x + r * kb, kb, 0, c.cols);
+      Dist* rows[kTileRows] = {};
+      for (int r = 0; r < kTileRows; ++r) rows[r] = c.row(i0 + r);
+      int kept = 0;
+      bool masked = false;
+      for (int t = 0; t < kb; ++t) {
+        int nonzero = 0;
+        for (int r = 0; r < kTileRows; ++r) nonzero += !S::is_zero(x[t][r]);
+        if (nonzero == 0) continue;
+        masked = masked || nonzero < kTileRows;
+        ops += nonzero * c.cols;
+        kept_p[kept] = b.row(k0 + t);
+        for (int r = 0; r < kTileRows; ++r) x[kept][r] = x[t][r];
+        ++kept;
+      }
+      tile<S, kTileRows, kTileCols>(isa, masked, rows, kept_p, x[0], kept, 0,
+                                    c.cols);
+      continue;
+    }
+    for (int r = 0; r < mr; ++r) {
+      int kept = 0;
+      for (int t = 0; t < kb; ++t) {
+        if (S::is_zero(x[t][r])) continue;
+        kept_p[kept] = b.row(k0 + t);
+        x[kept++][r] = x[t][r];
+      }
+      ops += kept * c.cols;
+      row_tile<S>(c.row(i0 + r), kept_p, &x[0][r], kept, c.cols, isa);
     }
   }
   return ops;
@@ -182,8 +208,8 @@ inline BlockView rows_of(BlockView a, std::int64_t r0, std::int64_t r1) {
 template <typename S>
 std::int64_t fw_kernel(BlockView a, KernelIsa isa) {
   const std::int64_t n = a.rows;
+  const ConstBlockView pivots = as_const(a);
   std::int64_t ops = 0;
-  const Dist* p[kStepBlock] = {};
   for (std::int64_t k0 = 0; k0 < n;) {
     const int max_kb =
         static_cast<int>(std::min<std::int64_t>(kStepBlock, n - k0));
@@ -191,22 +217,21 @@ std::int64_t fw_kernel(BlockView a, KernelIsa isa) {
     bool stopped = false;  // pivot k0 + kb changes its own row
     for (; kb < max_kb; ++kb) {
       const BlockView row = rows_of(a, k0 + kb, k0 + kb + 1);
-      ops += apply_steps<S>(row, as_const(row), k0, p, kb, true, isa);
+      ops += apply_steps<S>(row, as_const(row), pivots, k0, kb, true, isa);
       if (step_changes_own_row<S>(row.data, row.data[k0 + kb], n)) {
         stopped = true;
         break;
       }
-      p[kb] = row.data;
     }
     // A stopping pivot row has taken this pass's steps in phase 1.
     const std::int64_t band_end = k0 + kb + (stopped ? 1 : 0);
     const BlockView above = rows_of(a, 0, k0), below = rows_of(a, band_end, n);
-    ops += apply_steps<S>(above, as_const(above), k0, p, kb, true, isa);
-    ops += apply_steps<S>(below, as_const(below), k0, p, kb, true, isa);
+    ops += apply_steps<S>(above, as_const(above), pivots, k0, kb, true, isa);
+    ops += apply_steps<S>(below, as_const(below), pivots, k0, kb, true, isa);
     for (int t = 0; t < kb; ++t) {
       const BlockView row = rows_of(a, k0 + t, k0 + t + 1);
       if (!S::is_zero(row.data[k0 + t])) ops += n;  // own step: no change
-      ops += apply_steps<S>(row, as_const(row), k0 + t + 1, p + t + 1,
+      ops += apply_steps<S>(row, as_const(row), pivots, k0 + t + 1,
                             kb - t - 1, true, isa);
     }
     k0 += kb;
@@ -215,31 +240,55 @@ std::int64_t fw_kernel(BlockView a, KernelIsa isa) {
   return ops;
 }
 
-/// C ⊕= A ⊗ B.  A or B may be C itself; otherwise no operand overlaps C.
+/// C ⊕= A ⊗ C: row i reads rows k < i already final and rows k > i not
+/// yet updated, so the rows go in order, each taking its non-0̄ steps in
+/// k order through the one-row tile, kStepBlock at a time.  Its own step
+/// k = i reads the row itself and runs alone.  Out of line, so its
+/// arrays stay off the stack under the other forms' tiles (see tile()).
+template <typename S>
+[[gnu::noinline]] std::int64_t accumulate_rows_kernel(BlockView c,
+                                                      ConstBlockView a,
+                                                      KernelIsa isa) {
+  std::int64_t ops = 0;
+  const Dist* p[kStepBlock] = {};
+  Dist x[kStepBlock][kTileRows] = {};  // the one-row tile reads lane 0
+  for (std::int64_t i = 0; i < c.rows; ++i) {
+    Dist* const ci = c.row(i);
+    const Dist* const ai = a.row(i);
+    int kb = 0;
+    const auto flush = [&] {
+      row_tile<S>(ci, p, x[0], kb, c.cols, isa);
+      kb = 0;
+    };
+    for (std::int64_t k = 0; k < a.cols; ++k) {
+      if (S::is_zero(ai[k])) continue;
+      ops += c.cols;
+      if (k == i) {
+        flush();
+        relax_row<S>(ci, ai[k], ci, c.cols, isa);
+        continue;
+      }
+      p[kb] = c.row(k);
+      x[kb][0] = ai[k];
+      if (++kb == kStepBlock) flush();
+    }
+    flush();
+  }
+  return ops;
+}
+
+/// C ⊕= A ⊗ B.  A or B, not both, may be C itself; otherwise no operand
+/// overlaps C.
 template <typename S>
 std::int64_t accumulate_kernel(BlockView c, ConstBlockView a,
                                ConstBlockView b, KernelIsa isa) {
-  std::int64_t ops = 0;
-  if (b.data == c.data) {
-    // C ⊕= A ⊗ C: row i reads the rows before it already updated, so the
-    // rows go one step at a time, in order.
-    for (std::int64_t i = 0; i < c.rows; ++i) {
-      for (std::int64_t k = 0; k < a.cols; ++k) {
-        const Dist aik = a.row(i)[k];
-        if (S::is_zero(aik)) continue;
-        relax_row<S>(c.row(i), aik, c.row(k), c.cols, isa);
-        ops += c.cols;
-      }
-    }
-    return ops;
-  }
+  if (b.data == c.data) return accumulate_rows_kernel<S>(c, a, isa);
   const bool live = a.data == c.data;
-  const Dist* p[kStepBlock] = {};
+  std::int64_t ops = 0;
   for (std::int64_t k0 = 0; k0 < a.cols; k0 += kStepBlock) {
     const int kb =
         static_cast<int>(std::min<std::int64_t>(kStepBlock, a.cols - k0));
-    for (int t = 0; t < kb; ++t) p[t] = b.row(k0 + t);
-    ops += apply_steps<S>(c, a, k0, p, kb, live, isa);
+    ops += apply_steps<S>(c, a, b, k0, kb, live, isa);
   }
   return ops;
 }
@@ -268,6 +317,7 @@ std::int64_t accumulate_counted(BlockView c, ConstBlockView a,
   // whole multiply is skipped (the sparsity saving of Sec. 4.1).  The
   // O(k·n) scan is negligible against the O(m·k·n) multiply it can avoid.
   if (m == 0 || nn == 0) return 0;
+  CAPSP_CHECK(a.data != c.data || b.data != c.data);
   if (all_zero<S>(b)) {
     metrics().counter_add("semiring.kernels.empty_skips");
     return 0;
@@ -338,8 +388,9 @@ bool semiring_all_zero(const DistBlock& a) {
 }
 
 /// C ← C ⊕ A ⊗ B over semiring S.  Shapes: C is (A.rows × B.cols),
-/// A.cols == B.rows.  A or B may be C itself (the panel updates), with
-/// the i-k-j loop's semantics: entries are read as that loop finds them.
+/// A.cols == B.rows.  A or B, not both, may be C itself (the panel
+/// updates), with the i-k-j loop's semantics: entries are read as that
+/// loop finds them.
 template <typename S>
 std::int64_t semiring_accumulate(DistBlock& c, const DistBlock& a,
                                  const DistBlock& b) {

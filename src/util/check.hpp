@@ -40,13 +40,20 @@ namespace detail {
   } while (false)
 
 /// Like CAPSP_CHECK but with a streamed message, e.g.
-/// CAPSP_CHECK_MSG(a == b, "a=" << a << " b=" << b).
+/// CAPSP_CHECK_MSG(a == b, "a=" << a << " b=" << b).  A cold lambda,
+/// out of line, builds the message: its std::ostringstream (376 bytes in
+/// libstdc++) then sits on the stack only while a check fails, not in the
+/// frame of every function that checks; each rank runs on a small fiber
+/// stack (DESIGN.md decision 15).
 #define CAPSP_CHECK_MSG(expr, stream_expr)                             \
   do {                                                                 \
     if (!(expr)) {                                                     \
-      std::ostringstream os_;                                          \
-      os_ << stream_expr;                                              \
-      ::capsp::detail::check_failed(#expr, __FILE__, __LINE__,         \
-                                    os_.str());                        \
+      ::capsp::detail::check_failed(                                   \
+          #expr, __FILE__, __LINE__,                                   \
+          [&]() __attribute__((noinline, cold)) {                      \
+            std::ostringstream os_;                                    \
+            os_ << stream_expr;                                        \
+            return os_.str();                                          \
+          }());                                                        \
     }                                                                  \
   } while (false)

@@ -153,7 +153,7 @@ namespace {
 
 MachinePeak probe_machine_peak_impl() {
   MachinePeak peak;
-  // Compute roof: the relaxation tile the kernels dispatch to
+  // Compute roof: the 4×8 relaxation tile the kernels dispatch to
   // (semiring/microkernel.hpp), on a 64-column min-plus multiply that
   // fits in L1/L2, best of kTrials.  One "op" is one relaxation,
   // matching the kernels' op accounting.
@@ -175,8 +175,8 @@ MachinePeak probe_machine_peak_impl() {
         for (int i0 = 0; i0 < n; i0 += mr) {
           double* rows[mr] = {};
           for (int r = 0; r < mr; ++r) rows[r] = c.data() + (i0 + r) * n;
-          detail::tile<MinPlusSemiring, mr>(isa, false, rows, p, x.data(), kb,
-                                            0, n);
+          detail::tile<MinPlusSemiring, mr, detail::kTileCols>(
+              isa, false, rows, p, x.data(), kb, 0, n);
         }
         ops += static_cast<std::int64_t>(n) * kb * n;
       } while (Clock::now() < deadline);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -597,30 +598,69 @@ TYPED_TEST(KernelBits, AccumulateMatchesScalarLoop) {
   check(3, 0, 4);
 }
 
+/// accumulate(x, x, right), the A_ik panel update, and
+/// accumulate(x, left, x), A_ki's, on copies of `panel` against the plain
+/// loop: the same bits and the same op counts.
+template <typename T>
+void expect_panel_updates_match(const DistBlock& panel, const DistBlock& left,
+                                const DistBlock& right) {
+  using S = typename T::Semiring;
+  DistBlock want_ik = panel, want_ki = panel;
+  const std::int64_t ops_ik = scalar_accumulate<S>(want_ik, want_ik, right);
+  const std::int64_t ops_ki = scalar_accumulate<S>(want_ki, left, want_ki);
+  DistBlock ik = panel, ki = panel;
+  const detail::BlockView vik = detail::view_of(ik);
+  const detail::BlockView vki = detail::view_of(ki);
+  const std::string shape =
+      std::to_string(panel.rows()) + "x" + std::to_string(panel.cols());
+  EXPECT_EQ(detail::accumulate_counted<S>(vik, detail::as_const(vik),
+                                          detail::view_of(right), T::isa),
+            ops_ik)
+      << shape;
+  EXPECT_EQ(detail::accumulate_counted<S>(vki, detail::view_of(left),
+                                          detail::as_const(vki), T::isa),
+            ops_ki)
+      << shape;
+  EXPECT_TRUE(same_bits(ik, want_ik)) << shape;
+  EXPECT_TRUE(same_bits(ki, want_ki)) << shape;
+}
+
 TYPED_TEST(KernelBits, AliasedPanelUpdatesMatchScalarLoop) {
   using S = typename TypeParam::Semiring;
   Rng rng(23);
-  for (const auto& [m, n] : {std::pair<std::int64_t, std::int64_t>{37, 45},
-                             {6, 70}, {70, 9}, {1, 33}, {5, 7}, {9, 13},
-                             {3, 1}}) {
-    const DistBlock square = real_square<S>(n, rng);
-    const DistBlock left = real_square<S>(m, rng);
-    const DistBlock panel = real_block<S>(m, n, rng);
-    // accumulate(x, x, akk), the A_ik panel update, and
-    // accumulate(x, akk, x), A_ki's.
-    DistBlock want_ik = panel, want_ki = panel;
-    scalar_accumulate<S>(want_ik, want_ik, square);
-    scalar_accumulate<S>(want_ki, left, want_ki);
-    DistBlock ik = panel, ki = panel;
-    const detail::BlockView vik = detail::view_of(ik);
-    const detail::BlockView vki = detail::view_of(ki);
-    detail::accumulate_counted<S>(vik, detail::as_const(vik),
-                                  detail::view_of(square), TypeParam::isa);
-    detail::accumulate_counted<S>(vki, detail::view_of(left),
-                                  detail::as_const(vki), TypeParam::isa);
-    EXPECT_TRUE(same_bits(ik, want_ik)) << m << "x" << n;
-    EXPECT_TRUE(same_bits(ki, want_ki)) << m << "x" << n;
-  }
+  // Rows around the 4-row tile; columns around the one-row tile's 32
+  // (35 leaves 3 past a full pass) and its overlapping last passes, and
+  // steps around the 32-step block.
+  for (std::int64_t m : {1, 4, 5, 70, 130})
+    for (std::int64_t n : {1, 7, 31, 32, 35, 37, 64, 69})
+      expect_panel_updates_match<TypeParam>(real_block<S>(m, n, rng),
+                                            real_square<S>(m, rng),
+                                            real_square<S>(n, rng));
+}
+
+TYPED_TEST(KernelBits, PanelUpdateDropsStepsByReplayedValue) {
+  // C ⊕= C ⊗ B hands a tile of rows only the steps whose x is non-0̄ in
+  // one of them, judged on x as the replay of the block's earlier steps
+  // leaves it.  Under MaxMin the 0̄ entries include negative values,
+  // which min(x, b) would not leave neutral under max.
+  using S = typename TypeParam::Semiring;
+  constexpr bool kMaxMin = std::is_same_v<S, MaxMinSemiring>;
+  Rng rng(26);
+  const std::int64_t m = 13, n = 100;
+  const auto zero = [&](std::int64_t j) {
+    return kMaxMin && j % 3 == 1 ? -2.5 - static_cast<Dist>(j) : S::zero();
+  };
+  DistBlock right = real_square<S>(n, rng);
+  DistBlock panel = real_block<S>(m, n, rng);
+  // Rows 0–7, two tiles: 0̄ through the first two 32-step blocks, but
+  // for x(5, 32), which turns row 5's later steps of the second block
+  // non-0̄ through B's row 32.
+  for (std::int64_t i = 0; i < 8; ++i)
+    for (std::int64_t j = 0; j < 64; ++j) panel.at(i, j) = zero(j);
+  panel.at(5, 32) = S::one();
+  for (std::int64_t j = 33; j < 64; ++j) right.at(32, j) = S::one();
+  expect_panel_updates_match<TypeParam>(panel, real_square<S>(m, rng),
+                                        right);
 }
 
 TYPED_TEST(KernelBits, BlockedFwMatchesScalarTileCopies) {
@@ -661,6 +701,24 @@ TYPED_TEST(NegativeDiagonal, FwKeepsScalarOrder) {
     EXPECT_EQ(detail::fw_counted<S>(detail::view_of(got), TypeParam::isa),
               want_ops);
     EXPECT_TRUE(same_bits(got, want)) << "n=" << n;
+  }
+}
+
+TYPED_TEST(NegativeDiagonal, AliasedPanelUpdatesKeepScalarOrder) {
+  // In C ⊕= A ⊗ C a negative A(i, i) makes row i's own step change the
+  // row; in C ⊕= C ⊗ B a negative B(k, k) changes x(i, k) after step k
+  // read it, and the replay must give later steps the values earlier
+  // steps left.
+  using S = typename TypeParam::Semiring;
+  Rng rng(27);
+  for (const auto& [m, n] : {std::pair<std::int64_t, std::int64_t>{5, 40},
+                             {70, 37}, {37, 70}}) {
+    DistBlock left = real_square<S>(m, rng);
+    DistBlock right = real_square<S>(n, rng);
+    for (std::int64_t i = 0; i < m; i += 5) left.at(i, i) = -0.5;
+    for (std::int64_t i = 1; i < n; i += 7) right.at(i, i) = -0.25;
+    expect_panel_updates_match<TypeParam>(real_block<S>(m, n, rng), left,
+                                          right);
   }
 }
 
